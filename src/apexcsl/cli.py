@@ -186,7 +186,7 @@ def cmd_search(args) -> int:
     print(
         f"k={query.k} retained={result.retained} "
         f"discarded_for_violation={result.discarded_for_violation} "
-        f"scanned={result.scanned} wall={wall:.3f}s"
+        f"scanned={result.scanned} scored={result.scored} wall={wall:.3f}s"
     )
     return 0
 
@@ -200,14 +200,18 @@ def cmd_evaluate(args) -> int:
         retrieved = engine.search_topk_stream(library, table, query)
     else:
         retrieved = engine.search_topk_batched(library, table, query, chunk_size)
-    js = [int(j) for j in args.j.split(",")]
+    try:
+        js = [int(j) for j in args.j.split(",")]
+    except ValueError:
+        raise CliError(f"--j must be comma-separated integers, got {args.j!r}") from None
+    if min(js) < 1:
+        raise CliError("--j values must be >= 1")
+    # the oracle order is total, so every top-j is a prefix of the largest one
+    truth = evalkit.oracle_topk(library, oracle, query, max(js))
+    sat = evalkit.satisfaction_rate(retrieved, oracle, library, query.constraints, seed=args.seed)
     lines = ["j\trecall\tsatisfaction_rate\tbase_rate"]
     for j in js:
-        truth = evalkit.oracle_topk(library, oracle, query, j)
-        recall = evalkit.recall_j_at_k(truth, retrieved)
-        sat = evalkit.satisfaction_rate(
-            retrieved, oracle, library, query.constraints, seed=args.seed
-        )
+        recall = evalkit.recall_j_at_k(truth.top(j), retrieved)
         recall_s = "NA" if recall is None else f"{recall:.6f}"
         lines.append(f"{j}\t{recall_s}\t{sat['rate']:.6f}\t{sat['base_rate']:.6f}")
     report = "\n".join(lines) + "\n"
@@ -250,7 +254,6 @@ def cmd_cost(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="apexcsl")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (scans are single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic library (or downsample an existing one)")

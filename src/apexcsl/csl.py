@@ -64,6 +64,7 @@ class CslLibrary:
     _reaction_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # len = n+1
     _digit_of: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
     _rgroup_to_reaction: dict[int, int] = field(init=False, repr=False, compare=False)
+    _synthon_token: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = []
@@ -82,10 +83,11 @@ class CslLibrary:
         self._reaction_offsets = tuple(offsets)
         self._digit_of = digit_of
         self._rgroup_to_reaction = r2t
+        self._synthon_token = {s.synthon_id: s.token for s in self.synthons}
 
     @property
     def synthon_token(self) -> dict[int, str]:
-        return {s.synthon_id: s.token for s in self.synthons}
+        return self._synthon_token
 
     def reaction(self, reaction_id: int) -> ReactionSpec:
         return self.reactions[reaction_id]

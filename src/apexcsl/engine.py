@@ -1,10 +1,36 @@
-"""Precomputed per-pair score contributions and exhaustive constrained top-k.
+"""Precomputed per-pair score contributions and exact constrained top-k.
 
 Every task prediction is a bias plus one scalar contribution per (R-group,
-synthon) pair, so a full scan over the product space is a handful of adds per
-compound. Two scan variants are provided: a streaming bounded priority queue
-and a chain-of-batches selection; they are required (and tested) to produce
-identical results.
+synthon) pair, so scoring a product is a handful of adds. The library is
+scanned in blocks: a block is one (reaction, first-R-group digit) slab of
+contiguous global indices. Two scan variants are provided and are required
+(and tested) to produce identical results.
+
+`search_topk_batched` scores every block and keeps the winners of each chain
+of batches; it is the exhaustive reference. `search_topk_stream` scores only
+the blocks that can still contribute, following the threshold algorithm of
+Fagin, Lotem & Naor (PODS 2001):
+
+* Bound. For every block it computes an upper bound on the selection key
+  (violation, signed objective). Each task's value is bounded below and above
+  by adding the later R-groups' float64 minimum or maximum to the first
+  digit's contribution, then the bias, in the same order `block_values` adds
+  them. The violation bound applies `violation`'s hinge steps to each
+  constraint's [lower, upper] value range: the lower-bound hinge at the
+  largest value, the upper-bound hinge at the smallest.
+* Soundness. IEEE addition and subtraction round monotonically, and
+  `max(0, .)` is monotone, so every product's computed key is at most its
+  block's bound, bit for bit. Tables with a non-finite value or bias are
+  rejected, so no NaN can void the comparisons.
+* Order and early stop. Blocks are visited best bound first (ties by
+  reaction, then digit). The visit stops at the first block whose bound is
+  strictly below the current k-th key; every later block's bound is no
+  better, and no product in it can enter the top-k. A block whose bound
+  equals the k-th key is still scored, because a tied key can win on a lower
+  global index.
+* Selection. Each scored block is filtered against the k-th key, and the
+  survivors are appended to a buffer; once k are pending, one lexsort
+  compacts the buffer to the best k.
 
 Reproducibility contract: contributions are stored as 4-byte floats and
 accumulated in 8-byte floats in R-group declaration order, and ties are broken
@@ -14,7 +40,6 @@ variants.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +70,8 @@ class ContributionTable:
     _rg_pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.values).all() and np.isfinite(self.biases).all()):
+            raise EngineError("contribution table has a non-finite value or bias")
         self._rg_pos = {int(r): i for i, r in enumerate(self.rg_ids)}
 
     @property
@@ -156,22 +183,20 @@ class ScoredCompound:
 @dataclass
 class TopKResult:
     entries: list[ScoredCompound]
-    scanned: int
+    scanned: int                  # products covered by the index range
     retained: int
     discarded_for_violation: int
     timing: dict[str, float]
+    scored: int = 0               # products whose keys were computed
 
 
 # ---------------------------------------------------------------------------
 # block decomposition and vectorized block scoring
 # ---------------------------------------------------------------------------
 
-def iter_blocks(library: CslLibrary, start: int, end: int):
-    """Yield (reaction positional index, first digit, block global start, lo, hi).
-
-    Blocks are (reaction, first-R-group digit) slabs; lo/hi clip the block's
-    flat range to [start, end).
-    """
+def _reaction_block_ranges(library: CslLibrary, start: int, end: int):
+    """Yield (reaction positional index, first-digit lo, first-digit hi, reaction offset,
+    block size) for every reaction whose blocks overlap [start, end)."""
     for ti, rx in enumerate(library.reactions):
         r_off = library.reaction_offset(ti)
         r_size = library.reaction_size(ti)
@@ -181,10 +206,24 @@ def iter_blocks(library: CslLibrary, start: int, end: int):
         inner = r_size // n_first
         first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
         first_hi = min(n_first, -(-(end - r_off) // inner))
-        for j in range(int(first_lo), int(first_hi)):
+        yield ti, int(first_lo), int(first_hi), r_off, inner
+
+
+def _clip_block(g0: int, inner: int, start: int, end: int) -> tuple[int, int]:
+    """The block's [lo, hi) offsets inside [start, end)."""
+    return max(start, g0) - g0, min(end, g0 + inner) - g0
+
+
+def iter_blocks(library: CslLibrary, start: int, end: int):
+    """Yield (reaction positional index, first digit, block global start, lo, hi).
+
+    Blocks are (reaction, first-R-group digit) slabs; lo/hi clip the block's
+    flat range to [start, end).
+    """
+    for ti, first_lo, first_hi, r_off, inner in _reaction_block_ranges(library, start, end):
+        for j in range(first_lo, first_hi):
             g0 = r_off + j * inner
-            lo = max(start, g0) - g0
-            hi = min(end, g0 + inner) - g0
+            lo, hi = _clip_block(g0, inner, start, end)
             if lo < hi:
                 yield ti, j, g0, int(lo), int(hi)
 
@@ -210,29 +249,121 @@ class _ReactionView:
     def block_values(self, task_pos: int, first_digit: int) -> np.ndarray:
         """Flat float64 task values over one block, summed in R-group order."""
         arrs = self.per_task[task_pos]
-        c = len(arrs)
-        val = np.float64(arrs[0][first_digit])
-        for j in range(1, c):
-            shape = [1] * (c - 1)
-            shape[j - 1] = len(arrs[j])
-            val = val + arrs[j].reshape(shape)
-        val = val + self.biases[task_pos]
-        if c == 1:
-            return np.atleast_1d(np.asarray(val))
-        return np.ascontiguousarray(np.broadcast_to(val, [len(a) for a in arrs[1:]])).reshape(-1)
+        val = np.atleast_1d(arrs[0][first_digit])
+        for a in arrs[1:]:
+            val = (val[:, None] + a).reshape(-1)
+        return val + self.biases[task_pos]
+
+    def values_at(self, task_pos: int, first_digit: int, offsets: np.ndarray) -> np.ndarray:
+        """`block_values(task_pos, first_digit)[offsets]`, summed only at those offsets."""
+        arrs = self.per_task[task_pos]
+        digits = []
+        rem = offsets
+        for a in reversed(arrs[1:]):
+            rem, d = np.divmod(rem, len(a))
+            digits.append(d)
+        val = arrs[0][first_digit]
+        for a, d in zip(arrs[1:], reversed(digits)):
+            val = val + a[d]
+        return val + self.biases[task_pos]
+
+    def value_bounds(self, task_pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per first digit, the least and the greatest value `block_values` can
+        return: the later R-groups' extremes added in the same order."""
+        arrs = self.per_task[task_pos]
+        lo = hi = arrs[0]
+        for a in arrs[1:]:
+            lo = lo + a.min()
+            hi = hi + a.max()
+        return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _block_key_arrays(view: _ReactionView, query: QuerySpec, first_digit: int):
-    """(violation, signed objective) arrays for one block."""
-    obj = view.block_values(0, first_digit)
+def _block_keys(view: _ReactionView, query: QuerySpec, first_digit: int, lo: int, hi: int,
+                kth: tuple[float, float, int] | None = None):
+    """Offsets in [lo, hi) of one block, with their (violation, signed
+    objective) keys: every offset, or with `kth`, a subset that holds every
+    offset whose key may beat it.
+
+    Once the k-th key is feasible, a winner must be feasible with a signed
+    objective no lower than the k-th's, so constraints are evaluated only at the
+    offsets that pass the objective test.
+    """
+    obj = view.block_values(0, first_digit)[lo:hi]
     s = obj if query.direction == "maximize" else -obj
-    if query.constraints:
-        cons_vals = [view.block_values(1 + i, first_digit) for i in range(len(query.constraints))]
-        c = violation(cons_vals, query.constraints)
-        c = np.broadcast_to(c, obj.shape) if np.ndim(c) == 0 else c
+    if kth is not None and kth[0] == 0.0:
+        keep = np.flatnonzero(s >= kth[1])
+        offsets, s = keep + lo, s[keep]
+        cons_vals = [view.values_at(1 + i, first_digit, offsets) for i in range(len(query.constraints))]
     else:
-        c = np.zeros_like(obj)
-    return c, s
+        offsets = np.arange(lo, hi)
+        cons_vals = [view.block_values(1 + i, first_digit)[lo:hi] for i in range(len(query.constraints))]
+    c = violation(cons_vals, query.constraints)
+    return offsets, np.broadcast_to(c, s.shape) if np.ndim(c) == 0 else c, s
+
+
+def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per first digit, upper bounds on the block's (violation, signed objective) keys."""
+    lo, hi = view.value_bounds(0)
+    s_ub = hi if query.direction == "maximize" else -lo
+    c_ub = np.zeros_like(s_ub)
+    for i, con in enumerate(query.constraints):
+        v_lo, v_hi = view.value_bounds(1 + i)
+        # violation()'s steps, each hinge taken at the value that makes it smallest
+        c_ub = c_ub - np.maximum(0.0, con.lower - v_hi)
+        c_ub = c_ub - np.maximum(0.0, v_lo - con.upper)
+    return c_ub, s_ub
+
+
+class _TopKBuffer:
+    """Exact top-k under the key (violation, signed objective, lower global index).
+
+    Scored blocks are filtered against the current k-th key and their
+    survivors kept pending; once k are pending, one lexsort compacts the
+    buffer back to the best k and raises the k-th key.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.c = np.empty(0)
+        self.s = np.empty(0)
+        self.g = np.empty(0, dtype=np.int64)
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.n_pending = 0
+        self.kth: tuple[float, float, int] | None = None
+
+    def below_kth(self, c: float, s: float) -> bool:
+        """True if every key with (violation, signed objective) <= (c, s) loses to the k-th."""
+        if self.kth is None:
+            return False
+        tc, ts, _ = self.kth
+        return c < tc or (c == tc and s < ts)
+
+    def offer(self, c: np.ndarray, s: np.ndarray, g: np.ndarray) -> None:
+        """Add keys of products with global indices g, all new to the buffer."""
+        if self.kth is not None:
+            tc, ts, tg = self.kth
+            # a key equal to the k-th on (c, s) wins only with a lower index
+            keep = np.flatnonzero((c > tc) | ((c == tc) & ((s > ts) | ((s == ts) & (g < tg)))))
+            c, s, g = c[keep], s[keep], g[keep]
+        if len(g):
+            self.pending.append((c, s, g))
+            self.n_pending += len(g)
+            if self.n_pending >= self.k:
+                self._compact()
+
+    def _compact(self) -> None:
+        c = np.concatenate([self.c] + [p[0] for p in self.pending])
+        s = np.concatenate([self.s] + [p[1] for p in self.pending])
+        g = np.concatenate([self.g] + [p[2] for p in self.pending])
+        best = np.lexsort((g, -s, -c))[: self.k]
+        self.c, self.s, self.g = c[best], s[best], g[best]
+        self.pending, self.n_pending = [], 0
+        if 0 < len(best) == self.k:
+            self.kth = (float(self.c[-1]), float(self.s[-1]), int(self.g[-1]))
+
+    def kept(self) -> list[tuple[float, float, int]]:
+        self._compact()
+        return list(zip(self.c.tolist(), self.s.tolist(), self.g.tolist()))
 
 
 def _result_from_selection(
@@ -241,6 +372,7 @@ def _result_from_selection(
     query: QuerySpec,
     kept: list[tuple[float, float, int]],  # (violation, signed objective, global index)
     scanned: int,
+    scored: int,
     timing: dict[str, float],
 ) -> TopKResult:
     kept_sorted = sorted(kept, key=lambda e: (-e[0], -e[1], e[2]))
@@ -259,7 +391,15 @@ def _result_from_selection(
         retained=len(entries),
         discarded_for_violation=discarded,
         timing=timing,
+        scored=scored,
     )
+
+
+def _scan_timing(scan_time: float, scanned: int) -> dict[str, float]:
+    timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
+    if scan_time > 0:
+        timing["products_per_second"] = scanned / scan_time
+    return timing
 
 
 def search_topk_stream(
@@ -268,11 +408,13 @@ def search_topk_stream(
     query: QuerySpec,
     index_range: tuple[int, int] | None = None,
 ) -> TopKResult:
-    """Single pass over the index range, streaming into a bounded priority queue.
+    """Best-first pass over the blocks of the index range, stopping at the first
+    block whose key bound is strictly below the current k-th key.
 
-    The queue is keyed lexicographically on (violation, signed objective,
-    -global index); predicted violators are kept during the scan and filtered
-    at the end, so fewer than k entries may be returned.
+    Selection is lexicographic on (violation, signed objective, lower global
+    index); predicted violators are kept during the scan and filtered at the
+    end, so fewer than k entries may be returned. `scanned` counts the
+    products in the range, `scored` those whose keys were computed.
     """
     table.check_library(library)
     query.validate_tasks(table)
@@ -284,33 +426,34 @@ def search_topk_stream(
     tasks = [query.objective] + [c.task for c in query.constraints]
     views = {ti: _ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))}
 
-    k = query.k
-    heap: list[tuple[float, float, int]] = []  # (c, s, -g); root is the worst kept
-    if k > 0:
-        for ti, j, g0, lo, hi in iter_blocks(library, start, end):
-            c_arr, s_arr = _block_key_arrays(views[ti], query, j)
-            if lo > 0 or hi < len(c_arr):
-                c_arr, s_arr = c_arr[lo:hi], s_arr[lo:hi]
-            if len(heap) == k:
-                tc, ts, tg = heap[0]
-                mask = (c_arr > tc) | (
-                    (c_arr == tc) & ((s_arr > ts) | ((s_arr == ts) & (np.arange(g0 + lo, g0 + hi) < -tg)))
-                )
-                cand = np.nonzero(mask)[0]
-            else:
-                cand = np.arange(len(c_arr))
-            for i in cand:
-                item = (float(c_arr[i]), float(s_arr[i]), -(g0 + lo + int(i)))
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-    scan_time = time.perf_counter() - t0
-    kept = [(c, s, -ng) for c, s, ng in heap]
-    timing = {"scan_seconds": scan_time, "scanned": float(end - start)}
-    if scan_time > 0:
-        timing["products_per_second"] = (end - start) / scan_time
-    return _result_from_selection(library, table, query, kept, end - start, timing)
+    buf = _TopKBuffer(query.k)
+    scored = 0
+    ranges = list(_reaction_block_ranges(library, start, end))
+    if query.k > 0 and ranges:
+        c_ub, s_ub, range_pos, digits = [], [], [], []
+        for pos, (ti, first_lo, first_hi, _, _) in enumerate(ranges):
+            c, s = _block_key_bounds(views[ti], query)
+            c_ub.append(c[first_lo:first_hi])
+            s_ub.append(s[first_lo:first_hi])
+            range_pos.append(np.full(first_hi - first_lo, pos))
+            digits.append(np.arange(first_lo, first_hi))
+        c_ub, s_ub = np.concatenate(c_ub), np.concatenate(s_ub)
+        range_pos, digits = np.concatenate(range_pos), np.concatenate(digits)
+        # best bound first; ties by reaction, then digit, i.e. in global index order
+        order = np.lexsort((digits, range_pos, -s_ub, -c_ub))
+        for b, bc, bs in zip(order.tolist(), c_ub[order].tolist(), s_ub[order].tolist()):
+            if buf.below_kth(bc, bs):
+                break
+            ti, _, _, r_off, inner = ranges[range_pos[b]]
+            j = int(digits[b])
+            g0 = r_off + j * inner
+            lo, hi = _clip_block(g0, inner, start, end)
+            offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
+            buf.offer(c_arr, s_arr, offsets + g0)
+            scored += hi - lo
+    kept = buf.kept()
+    timing = _scan_timing(time.perf_counter() - t0, end - start)
+    return _result_from_selection(library, table, query, kept, end - start, scored, timing)
 
 
 def make_batches(library: CslLibrary, chunk_size: int, start: int = 0, end: int | None = None):
@@ -373,12 +516,10 @@ def search_topk_batched(
         for batch in make_batches(library, chunk_size, start, end):
             cs, ss, gs = [carry_c], [carry_s], [carry_g]
             for ti, j, g0, lo, hi in batch:
-                c_arr, s_arr = _block_key_arrays(views[ti], query, j)
-                if lo > 0 or hi < len(c_arr):
-                    c_arr, s_arr = c_arr[lo:hi], s_arr[lo:hi]
+                offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi)
                 cs.append(c_arr)
                 ss.append(s_arr)
-                gs.append(np.arange(g0 + lo, g0 + hi, dtype=np.int64))
+                gs.append(offsets + g0)
             c_all = np.concatenate(cs)
             s_all = np.concatenate(ss)
             g_all = np.concatenate(gs)
@@ -390,12 +531,9 @@ def search_topk_batched(
                 trace.new_elements.append(int(np.sum(sel >= n_carry)))
                 trace.carried_elements.append(int(np.sum(sel < n_carry)))
             carry_c, carry_s, carry_g = c_all[sel], s_all[sel], g_all[sel]
-    scan_time = time.perf_counter() - t0
+    timing = _scan_timing(time.perf_counter() - t0, end - start)
     kept = [(float(c), float(s), int(g)) for c, s, g in zip(carry_c, carry_s, carry_g)]
-    timing = {"scan_seconds": scan_time, "scanned": float(end - start)}
-    if scan_time > 0:
-        timing["products_per_second"] = (end - start) / scan_time
-    return _result_from_selection(library, table, query, kept, end - start, timing)
+    return _result_from_selection(library, table, query, kept, end - start, end - start, timing)
 
 
 def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:

@@ -45,6 +45,10 @@ class OracleTopK:
     def global_indices(self) -> set[int]:
         return {e.global_index for e in self.entries}
 
+    def top(self, j: int) -> OracleTopK:
+        """The true top-j for j <= self.j: a prefix, because the order is total."""
+        return OracleTopK(entries=self.entries[:j], query=self.query, j=j)
+
 
 def oracle_topk(
     library: CslLibrary,

@@ -113,10 +113,6 @@ class Adam:
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-def flatten_params(param_groups: list[list[np.ndarray]]) -> np.ndarray:
-    return np.concatenate([p.reshape(-1) for group in param_groups for p in group])
-
-
 def params_checksum(param_groups: list[list[np.ndarray]]) -> str:
     import hashlib
 

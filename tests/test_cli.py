@@ -69,7 +69,7 @@ class TestPipeline:
             "--query", str(pipeline["query"]), "--out", str(out),
         )
         captured = capsys.readouterr().out
-        assert "k=8" in captured and "scanned=80" in captured
+        assert "k=8" in captured and "scanned=80" in captured and "scored=" in captured
 
     def test_rerun_is_byte_identical(self, pipeline):
         d = pipeline["dir"]
@@ -118,6 +118,36 @@ class TestPipeline:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("j\trecall")
         assert len(lines) == 3
+
+    def test_evaluate_matches_separate_oracle_runs(self, pipeline):
+        from apexcsl import csl, engine, evalkit, props
+
+        out = pipeline["dir"] / "eval_prefix.tsv"
+        assert run(
+            "evaluate", "--library", str(pipeline["library"]), "--table", str(pipeline["table"]),
+            "--oracle", str(pipeline["oracle"]), "--query", str(pipeline["query"]),
+            "--out", str(out), "--j", "100,10",
+        ) == 0
+        library = csl.load_library(pipeline["library"])
+        table = engine.load_table(pipeline["table"])
+        oracle = props.load_oracle(pipeline["oracle"])
+        query, _, _ = cli.parse_query_file(pipeline["query"], table)
+        retrieved = engine.search_topk_stream(library, table, query)
+        lines = ["j\trecall\tsatisfaction_rate\tbase_rate"]
+        for j in (100, 10):
+            recall = evalkit.recall_j_at_k(evalkit.oracle_topk(library, oracle, query, j), retrieved)
+            sat = evalkit.satisfaction_rate(retrieved, oracle, library, query.constraints)
+            lines.append(f"{j}\t{recall:.6f}\t{sat['rate']:.6f}\t{sat['base_rate']:.6f}")
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("j", ["0,10", "ten"])
+    def test_evaluate_rejects_bad_j(self, pipeline, capsys, j):
+        assert run(
+            "evaluate", "--library", str(pipeline["library"]), "--table", str(pipeline["table"]),
+            "--oracle", str(pipeline["oracle"]), "--query", str(pipeline["query"]),
+            "--out", str(pipeline["dir"] / "eval_bad.tsv"), "--j", j,
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: --j")
 
     def test_compare_ts(self, pipeline):
         out = pipeline["dir"] / "ts.tsv"

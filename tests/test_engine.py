@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apexcsl import csl, engine, props
+from apexcsl import cli, csl, engine, props
 from conftest import f32_round_latents, perfect_additive_table
 
 
@@ -147,20 +151,7 @@ class TestSearchAgreement:
     def test_tied_scores_break_on_index(self, small_library):
         # all-zero table: every product ties; top-k must be the smallest indices
         n_pairs = sum(len(rg.synthon_ids) for rg in small_library.iter_rgroups())
-        member_ids, rg_offsets, rg_ids = [], [0], []
-        for rg in small_library.iter_rgroups():
-            rg_ids.append(rg.rgroup_id)
-            member_ids.extend(rg.synthon_ids)
-            rg_offsets.append(len(member_ids))
-        table = engine.ContributionTable(
-            values=np.zeros((1, n_pairs), dtype=np.float32),
-            biases=np.zeros(1),
-            task_names=["obj"],
-            member_ids=np.asarray(member_ids),
-            rg_offsets=np.asarray(rg_offsets),
-            rg_ids=np.asarray(rg_ids),
-            fingerprint=csl.library_fingerprint(small_library),
-        )
+        table = _table_from_values(small_library, ["obj"], np.zeros((1, n_pairs)), [0.0])
         q = engine.QuerySpec("obj", "maximize", (), k=5)
         for res in (
             engine.search_topk_stream(small_library, table, q),
@@ -317,3 +308,189 @@ class TestTableIO:
         assert "rank" in header and "global_index" in header and "objective" in header
         first = lines[1].split("\t")
         assert int(first[header.index("global_index")]) == res.entries[0].global_index
+
+
+# ---------------------------------------------------------------------------
+# block skipping: the stream scan against the batched scan and a numpy brute force
+# ---------------------------------------------------------------------------
+
+def _table_from_values(library, task_names, values, biases):
+    member_ids, rg_offsets, rg_ids = [], [0], []
+    for rg in library.iter_rgroups():
+        rg_ids.append(rg.rgroup_id)
+        member_ids.extend(rg.synthon_ids)
+        rg_offsets.append(len(member_ids))
+    return engine.ContributionTable(
+        values=np.asarray(values, dtype=np.float32),
+        biases=np.asarray(biases, dtype=np.float64),
+        task_names=list(task_names),
+        member_ids=np.asarray(member_ids),
+        rg_offsets=np.asarray(rg_offsets),
+        rg_ids=np.asarray(rg_ids),
+        fingerprint=csl.library_fingerprint(library),
+    )
+
+
+def numpy_topk_keys(library, table, query, start, end):
+    """Materialize every product's task values with numpy, sort all keys, keep the feasible top k."""
+    def all_values(task):
+        i = table.task_index(task)
+        per_reaction = []
+        for rx in library.reactions:
+            val = None
+            for rg in rx.rgroups:
+                row = table._rg_pos[rg.rgroup_id]
+                a = table.values[i, table.rg_offsets[row]:table.rg_offsets[row + 1]].astype(np.float64)
+                val = a if val is None else (val[:, None] + a).reshape(-1)
+            per_reaction.append(val + table.biases[i])
+        return np.concatenate(per_reaction)[start:end]
+
+    obj = all_values(query.objective)
+    s = obj if query.direction == "maximize" else -obj
+    c = np.zeros_like(s)
+    for con in query.constraints:
+        v = all_values(con.task)
+        c = c - np.maximum(0.0, con.lower - v)
+        c = c - np.maximum(0.0, v - con.upper)
+    g = np.arange(start, end)
+    top = np.lexsort((g, -s, -c))[: query.k]
+    return [(float(c[i]), float(s[i]), int(g[i])) for i in top if c[i] >= 0.0]
+
+
+BOUND_CHOICES = [
+    (float("-inf"), 0.0), (0.0, float("inf")), (-1.0, 1.0), (-0.5, 0.5),
+    (1.0, 2.5), (float("-inf"), -1.0),
+    (10.0, float("inf")),  # no product can satisfy it
+]
+
+
+@st.composite
+def tied_search_cases(draw):
+    library = csl.generate_synthetic(
+        csl.SyntheticConfig(
+            n_reactions=draw(st.integers(1, 3)),
+            components=draw(st.sampled_from([(2,), (3,), (2, 3), (3, 2)])),
+            synthons_per_rgroup=draw(st.integers(1, 4)),
+        ),
+        seed=draw(st.integers(0, 3)),
+    )
+    n_cons = draw(st.integers(0, 3))
+    tasks = ["obj"] + [f"c{i}" for i in range(n_cons)]
+    n_pairs = sum(len(rg.synthon_ids) for rg in library.iter_rgroups())
+    # three values only, so that keys tie on block bounds and on the k-th key
+    levels = [-1.0, 0.0, 1.0]
+    values = draw(st.lists(st.lists(st.sampled_from(levels), min_size=n_pairs, max_size=n_pairs),
+                           min_size=len(tasks), max_size=len(tasks)))
+    biases = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=len(tasks), max_size=len(tasks)))
+    table = _table_from_values(library, tasks, values, biases)
+    constraints = tuple(
+        engine.Constraint(f"c{i}", *draw(st.sampled_from(BOUND_CHOICES))) for i in range(n_cons)
+    )
+    total = csl.product_count(library)
+    query = engine.QuerySpec(
+        "obj", draw(st.sampled_from(["maximize", "minimize"])), constraints,
+        k=draw(st.integers(0, total + 3)),
+    )
+    start = draw(st.integers(0, total))
+    end = draw(st.integers(start, total))
+    return library, table, query, (start, end)
+
+
+def _result_bytes(result, query, library):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "hits.tsv"
+        engine.save_result(result, query, path, library)
+        return path.read_bytes()
+
+
+class TestBlockSkipping:
+    @given(case=tied_search_cases(), chunk_size=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_matches_batched_and_brute_force(self, case, chunk_size):
+        library, table, query, (start, end) = case
+        stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
+        batched = engine.search_topk_batched(library, table, query, chunk_size, index_range=(start, end))
+        expected = numpy_topk_keys(library, table, query, start, end)
+        assert result_keys(stream, query.direction) == expected
+        assert result_keys(batched, query.direction) == expected
+        assert stream.discarded_for_violation == batched.discarded_for_violation
+        assert _result_bytes(stream, query, library) == _result_bytes(batched, query, library)
+        assert stream.scanned == batched.scanned == batched.scored == end - start
+        assert 0 <= stream.scored <= stream.scanned
+
+    def test_infeasible_block_does_not_end_the_scan(self):
+        # blocks (first digit 0, 1, 2) have objective bounds 15, 14, 13, but
+        # block 1 violates the constraint throughout: visiting by objective
+        # bound alone would stop there and miss the 13 of block 2
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=1, components=(2,), synthons_per_rgroup=3), seed=0
+        )
+        values = [[10, 9, 8, 5, 0, 0], [0, 1, 0, 0, 0, 0]]
+        table = _table_from_values(library, ["obj", "c0"], values, [0.0, 0.0])
+        q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c0", upper=0.5),), k=2)
+        res = engine.search_topk_stream(library, table, q)
+        assert [(e.global_index, e.objective) for e in res.entries] == [(0, 15.0), (6, 13.0)]
+        assert res.scored == 6
+
+    def test_dominant_block_skips_the_rest(self, medium_library):
+        # every contribution is 0 except one first-digit row, so a single
+        # block holds the top k and every other block's bound is below it
+        n_pairs = sum(len(rg.synthon_ids) for rg in medium_library.iter_rgroups())
+        values = np.zeros((1, n_pairs))
+        values[0, 3] = 5.0  # reaction 0, first R-group, digit 3
+        table = _table_from_values(medium_library, ["obj"], values, [0.0])
+        block = medium_library.reaction_size(0) // len(medium_library.reactions[0].rgroups[0].synthon_ids)
+        q = engine.QuerySpec("obj", "maximize", (), k=block // 2)
+        stream = engine.search_topk_stream(medium_library, table, q)
+        batched = engine.search_topk_batched(medium_library, table, q, 1000)
+        assert stream.scored == block < stream.scanned == csl.product_count(medium_library)
+        assert result_keys(stream, "maximize") == result_keys(batched, "maximize")
+        assert [e.global_index for e in stream.entries] == list(range(3 * block, 3 * block + q.k))
+
+
+class TestNonFiniteTables:
+    @pytest.mark.parametrize("bad", ["nan_value", "inf_value", "inf_bias"])
+    def test_constructor_rejects(self, small_library, bad):
+        n_pairs = sum(len(rg.synthon_ids) for rg in small_library.iter_rgroups())
+        values, biases = np.zeros((1, n_pairs)), np.zeros(1)
+        if bad == "nan_value":
+            values[0, 2] = np.nan
+        elif bad == "inf_value":
+            values[0, 2] = -np.inf
+        else:
+            biases[0] = np.inf
+        with pytest.raises(engine.EngineError, match="non-finite"):
+            _table_from_values(small_library, ["obj"], values, biases)
+
+    def test_precompute_rejects(self, exact_setup):
+        _, _, table = exact_setup
+        cache = SimpleNamespace(
+            u=np.ones((table.n_pairs, 2)),
+            rg_pos={int(r): i for i, r in enumerate(table.rg_ids)},
+            member_ids=table.member_ids, rg_offsets=table.rg_offsets, fingerprint=table.fingerprint,
+        )
+        surrogate = SimpleNamespace(head_w=np.array([[1.0, np.nan]]), head_b=np.zeros(1), task_names=["obj"])
+        with pytest.raises(engine.EngineError, match="non-finite"):
+            engine.precompute_contributions(cache, surrogate)
+
+    def test_load_and_cli_reject(self, exact_setup, tmp_path, capsys):
+        library, _, table = exact_setup
+        bad = engine.ContributionTable(
+            values=table.values.copy(), biases=table.biases, task_names=table.task_names,
+            member_ids=table.member_ids, rg_offsets=table.rg_offsets, rg_ids=table.rg_ids,
+            fingerprint=table.fingerprint,
+        )
+        bad.values[0, 0] = np.nan  # written behind the constructor's back
+        engine.save_table(bad, tmp_path / "table.blob")
+        with pytest.raises(engine.EngineError, match="non-finite"):
+            engine.load_table(tmp_path / "table.blob")
+
+        csl.save_library(library, tmp_path / "lib.csl")
+        (tmp_path / "query.json").write_text('{"objective": {"task": "obj"}, "k": 3}')
+        code = cli.main([
+            "search", "--library", str(tmp_path / "lib.csl"), "--table", str(tmp_path / "table.blob"),
+            "--query", str(tmp_path / "query.json"), "--out", str(tmp_path / "hits.tsv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "non-finite" in err and len(err.strip().splitlines()) == 1
