@@ -8,10 +8,16 @@ files (required for checksum-based reproducibility checks).
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
 MAGIC = "apexblob1"
+
+
+class BlobError(ValueError):
+    """A blob file that is not a complete, well-formed apexblob1 container."""
 
 
 def save_blob(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -30,15 +36,32 @@ def save_blob(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a blob; raise BlobError on a bad header, a short payload or trailing bytes."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("magic") != MAGIC:
-            raise ValueError(f"{path}: not an apexblob1 file")
+        try:
+            header = json.loads(fh.readline().decode())
+        except (UnicodeDecodeError, ValueError):
+            raise BlobError(f"{path}: not an {MAGIC} file (no JSON header line)") from None
+        if not isinstance(header, dict) or header.get("magic") != MAGIC:
+            raise BlobError(f"{path}: not an {MAGIC} file")
+        try:
+            meta = header["meta"]
+            specs = [
+                (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))
+                for spec in header["arrays"]
+            ]
+        except (ValueError, TypeError, KeyError):
+            raise BlobError(f"{path}: bad {MAGIC} header") from None
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * dtype.itemsize)
-            arrays[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return header["meta"], arrays
+        for name, dtype, shape in specs:
+            if dtype.hasobject or any(n < 0 for n in shape):
+                raise BlobError(f"{path}: array {name!r} has a bad dtype or shape")
+            size = math.prod(shape) * dtype.itemsize
+            if size > remaining:
+                raise BlobError(f"{path}: array {name!r} is cut short ({remaining} of {size} bytes)")
+            arrays[name] = np.frombuffer(fh.read(size), dtype=dtype).reshape(shape).copy()
+            remaining -= size
+        if remaining:
+            raise BlobError(f"{path}: {remaining} trailing bytes after the last array")
+    return meta, arrays

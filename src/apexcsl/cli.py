@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import csl, engine, evalkit, factorizer as fz, props, surrogate as sg
+from . import blobio, csl, engine, evalkit, factorizer as fz, props, surrogate as sg
 from .presets import PRESET_CONSTRAINTS
 
 
@@ -29,29 +29,46 @@ def parse_query_file(path, table: engine.ContributionTable):
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: query file must hold a JSON object")
+
+    def number(item: dict, key: str, kind, default):
+        value = item.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise CliError(f"{path}: {key} must be a number, got {value!r}") from None
+
     obj = doc.get("objective")
-    if not obj or "task" not in obj:
+    if not isinstance(obj, dict) or "task" not in obj:
         raise CliError(f"{path}: query file needs an objective.task")
+    items = doc.get("constraints", [])
+    if not isinstance(items, list):
+        raise CliError(f"{path}: constraints must be a JSON list")
     constraints: list[engine.Constraint] = []
-    for item in doc.get("constraints", []):
+    for item in items:
+        if not isinstance(item, dict):
+            raise CliError(f"{path}: each constraint must be a JSON object, got {item!r}")
         if "preset" in item:
             name = item["preset"]
             if name not in PRESET_CONSTRAINTS:
                 raise CliError(f"{path}: unknown preset {name!r} (have {sorted(PRESET_CONSTRAINTS)})")
             constraints.extend(PRESET_CONSTRAINTS[name])
+        elif "task" not in item:
+            raise CliError(f"{path}: constraint {item!r} needs a task or a preset")
         else:
             constraints.append(
                 engine.Constraint(
                     task=item["task"],
-                    lower=float(item.get("lower", float("-inf"))),
-                    upper=float(item.get("upper", float("inf"))),
+                    lower=number(item, "lower", float, float("-inf")),
+                    upper=number(item, "upper", float, float("inf")),
                 )
             )
     query = engine.QuerySpec(
         objective=obj["task"],
         direction=obj.get("direction", "maximize"),
         constraints=tuple(constraints),
-        k=int(doc.get("k", 10)),
+        k=number(doc, "k", int, 10),
     )
     try:
         query.validate_tasks(table)
@@ -60,7 +77,7 @@ def parse_query_file(path, table: engine.ContributionTable):
     variant = doc.get("variant", "stream")
     if variant not in ("stream", "batched"):
         raise CliError(f"{path}: variant must be stream or batched")
-    return query, variant, int(doc.get("chunk_size", 1 << 20))
+    return query, variant, number(doc, "chunk_size", int, 1 << 20)
 
 
 def _feature_config(args) -> props.FeatureConfig:
@@ -181,7 +198,7 @@ def cmd_search(args) -> int:
         result = engine.search_topk_stream(library, table, query)
     else:
         result = engine.search_topk_batched(library, table, query, chunk_size)
-    engine.save_result(result, query, args.out, library if args.assemble else None)
+    engine.save_result(result, query, args.out, library, args.assemble)
     wall = result.timing.get("scan_seconds", 0.0)
     print(
         f"k={query.k} retained={result.retained} "
@@ -362,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, json.JSONDecodeError,
+    except (CliError, OSError, json.JSONDecodeError, blobio.BlobError,
             csl.LibraryError, props.OracleError, sg.SurrogateError,
             fz.FactorizerError, engine.EngineError, evalkit.EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

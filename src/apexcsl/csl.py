@@ -11,7 +11,9 @@ contiguous in global index.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -88,6 +90,19 @@ class CslLibrary:
     @property
     def synthon_token(self) -> dict[int, str]:
         return self._synthon_token
+
+    @cached_property
+    def _fragment_ranks(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The distinct fragments (tokens without '*' markers) in sorted order,
+        and per R-group the rank of each digit's fragment among them."""
+        fragment = {s.synthon_id: _fragment(s.token) for s in self.synthons}
+        ordered = sorted(set(fragment.values()))
+        rank = {f: i for i, f in enumerate(ordered)}
+        per_rgroup = {
+            rg.rgroup_id: np.asarray([rank[fragment[s]] for s in rg.synthon_ids], dtype=np.int64)
+            for rg in self.iter_rgroups()
+        }
+        return np.asarray(ordered, dtype=object), per_rgroup
 
     def reaction(self, reaction_id: int) -> ReactionSpec:
         return self.reactions[reaction_id]
@@ -170,10 +185,7 @@ def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
     total = library._reaction_offsets[-1]
     if not 0 <= gidx < total:
         raise LibraryError(f"global index {gidx} out of range [0, {total})")
-    # reactions are few; linear scan over cumulative offsets
-    t = 0
-    while library._reaction_offsets[t + 1] <= gidx:
-        t += 1
+    t = bisect_right(library._reaction_offsets, gidx) - 1
     rx = library.reactions[t]
     rem = gidx - library._reaction_offsets[t]
     digits = [0] * len(rx.rgroups)
@@ -184,6 +196,33 @@ def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
         (rg.rgroup_id, rg.synthon_ids[d]) for rg, d in zip(rx.rgroups, digits)
     )
     return MultiIndex(reaction_id=rx.reaction_id, assignment=assignment)
+
+
+def decode_indices(library: CslLibrary, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """decode_index over an array of global indices, in one pass.
+
+    Returns each index's reaction position and a digit matrix with one column
+    per R-group position of the widest reaction; digit j of a row is the
+    position of its synthon in R-group j, as in decode_index, and the columns
+    past its reaction's R-groups hold -1.
+    """
+    gidx = np.asarray(gidx, dtype=np.int64)
+    offsets = np.asarray(library._reaction_offsets, dtype=np.int64)
+    if len(gidx) and not (0 <= gidx.min() and gidx.max() < offsets[-1]):
+        raise LibraryError(f"global index out of range [0, {offsets[-1]})")
+    width = max((len(rx.rgroups) for rx in library.reactions), default=0)
+    # radix 1 past a reaction's last R-group: digit 0 there, remainder unchanged
+    radix = np.ones((len(library.reactions), width), dtype=np.int64)
+    for t, rx in enumerate(library.reactions):
+        radix[t, : len(rx.rgroups)] = [len(rg.synthon_ids) for rg in rx.rgroups]
+    pos = np.searchsorted(offsets, gidx, side="right") - 1
+    rem = gidx - offsets[pos]
+    digits = np.empty((len(gidx), width), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        rem, digits[:, j] = np.divmod(rem, radix[pos, j])
+    n_rgroups = np.asarray([len(rx.rgroups) for rx in library.reactions], dtype=np.int64)
+    digits[np.arange(width) >= n_rgroups[pos][:, None]] = -1
+    return pos, digits
 
 
 def enumerate_products(library: CslLibrary, start: int, end: int) -> Iterator[MultiIndex]:
@@ -225,8 +264,26 @@ def assemble(library: CslLibrary, chi: MultiIndex) -> str:
     the same synthon multiset under the same reaction assemble identically.
     """
     tokens = library.synthon_token
-    fragments = sorted(tokens[s].replace("*", "") for _, s in chi.assignment)
+    fragments = sorted(_fragment(tokens[s]) for _, s in chi.assignment)
     return f"t{chi.reaction_id}|" + ".".join(fragments)
+
+
+def _fragment(token: str) -> str:
+    return token.replace("*", "")
+
+
+def assemble_rows(library: CslLibrary, reaction_pos: int, digits: np.ndarray) -> list[str]:
+    """assemble() for every row of one reaction's digit matrix (rows x R-groups).
+
+    Sorting the fragments' ranks sorts the fragments, because the ranks follow
+    the sorted order of the distinct fragments.
+    """
+    ordered, ranks = library._fragment_ranks
+    rx = library.reactions[reaction_pos]
+    rank = np.column_stack([ranks[rg.rgroup_id][digits[:, j]] for j, rg in enumerate(rx.rgroups)])
+    rank.sort(axis=1)
+    prefix = f"t{rx.reaction_id}|"
+    return [prefix + s for s in map(".".join, zip(*(ordered[col].tolist() for col in rank.T)))]
 
 
 def downsample(library: CslLibrary, per_reaction_fraction: float, seed: int) -> CslLibrary:

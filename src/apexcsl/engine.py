@@ -32,6 +32,12 @@ Fagin, Lotem & Naor (PODS 2001):
   survivors are appended to a buffer; once k are pending, one lexsort
   compacts the buffer to the best k.
 
+Both variants hand their best k over as key arrays in key order. The result
+is columnar: predicted violators are dropped with a mask, every hit is decoded
+in one pass (`csl.decode_indices`), and each constraint's value is gathered
+from the table by pair row and summed as `apex_score` sums it. `save_result`
+writes the hit file column by column, a chunk of rows at a time.
+
 Reproducibility contract: contributions are stored as 4-byte floats and
 accumulated in 8-byte floats in R-group declaration order, and ties are broken
 by lower global index, so retrievals are total-ordered and bit-stable across
@@ -46,7 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blobio import load_blob, save_blob
-from .csl import CslLibrary, MultiIndex, decode_index, library_fingerprint, product_count
+from .csl import (
+    CslLibrary,
+    MultiIndex,
+    assemble_rows,
+    decode_indices,
+    library_fingerprint,
+    product_count,
+)
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
@@ -172,22 +185,23 @@ def violation(values, constraints: tuple[Constraint, ...]):
 
 
 @dataclass
-class ScoredCompound:
-    global_index: int
-    chi: MultiIndex
-    objective: float        # raw value in the user's direction convention
-    violation: float
-    constraint_values: tuple[float, ...]
-
-
-@dataclass
 class TopKResult:
-    entries: list[ScoredCompound]
-    scanned: int                  # products covered by the index range
-    retained: int
+    """The retained hits, best first, one array per column."""
+
+    global_index: np.ndarray       # int64
+    objective: np.ndarray          # raw value in the user's direction convention
+    violation: np.ndarray
+    constraint_values: np.ndarray  # (n constraints, n hits), in constraint order
+    reaction_pos: np.ndarray       # positional reaction index
+    digits: np.ndarray             # (n hits, R-group positions), as csl.decode_indices gives them
+    scanned: int                   # products covered by the index range
     discarded_for_violation: int
     timing: dict[str, float]
-    scored: int = 0               # products whose keys were computed
+    scored: int = 0                # products whose keys were computed
+
+    @property
+    def retained(self) -> int:
+        return len(self.global_index)
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +375,62 @@ class _TopKBuffer:
         if 0 < len(best) == self.k:
             self.kth = (float(self.c[-1]), float(self.s[-1]), int(self.g[-1]))
 
-    def kept(self) -> list[tuple[float, float, int]]:
+    def kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The best k (violation, signed objective, global index) keys, in key order."""
         self._compact()
-        return list(zip(self.c.tolist(), self.s.tolist(), self.g.tolist()))
+        return self.c, self.s, self.g
+
+
+def _constraint_values(
+    library: CslLibrary,
+    table: ContributionTable,
+    query: QuerySpec,
+    pos: np.ndarray,
+    digits: np.ndarray,
+) -> np.ndarray:
+    """Each constraint's value at every decoded hit, summed as `apex_score`
+    sums it: from 0.0, R-groups in declaration order, then the bias."""
+    width = digits.shape[1]
+    first_row = np.zeros((len(library.reactions), width), dtype=np.int64)
+    for t, rx in enumerate(library.reactions):
+        for j, rg in enumerate(rx.rgroups):
+            first_row[t, j] = table.rg_offsets[table._rg_pos[rg.rgroup_id]]
+    rows = first_row[pos] + digits
+    present = digits >= 0
+    out = np.empty((len(query.constraints), len(pos)))
+    for ci, con in enumerate(query.constraints):
+        i = table.task_index(con.task)
+        acc = np.zeros(len(pos))
+        for j in range(width):
+            m = present[:, j]
+            acc[m] += table.values[i, rows[m, j]]
+        out[ci] = acc + table.biases[i]
+    return out
 
 
 def _result_from_selection(
     library: CslLibrary,
     table: ContributionTable,
     query: QuerySpec,
-    kept: list[tuple[float, float, int]],  # (violation, signed objective, global index)
+    c: np.ndarray,  # violation, signed objective and global index of the best k, in key order
+    s: np.ndarray,
+    g: np.ndarray,
     scanned: int,
     scored: int,
     timing: dict[str, float],
 ) -> TopKResult:
-    kept_sorted = sorted(kept, key=lambda e: (-e[0], -e[1], e[2]))
-    discarded = sum(1 for c, _, _ in kept_sorted if c < 0.0)
-    entries = []
-    for c, s, g in kept_sorted:
-        if c < 0.0:
-            continue
-        chi = decode_index(library, g)
-        cons_vals = tuple(apex_score(table, library, chi, con.task) for con in query.constraints)
-        obj = s if query.direction == "maximize" else -s
-        entries.append(ScoredCompound(g, chi, obj, c, cons_vals))
+    feasible = c >= 0.0
+    g = g[feasible]
+    pos, digits = decode_indices(library, g)
     return TopKResult(
-        entries=entries,
+        global_index=g,
+        objective=s[feasible] if query.direction == "maximize" else -s[feasible],
+        violation=c[feasible],
+        constraint_values=_constraint_values(library, table, query, pos, digits),
+        reaction_pos=pos,
+        digits=digits,
         scanned=scanned,
-        retained=len(entries),
-        discarded_for_violation=discarded,
+        discarded_for_violation=len(c) - len(g),
         timing=timing,
         scored=scored,
     )
@@ -451,9 +492,9 @@ def search_topk_stream(
             offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
             buf.offer(c_arr, s_arr, offsets + g0)
             scored += hi - lo
-    kept = buf.kept()
+    c, s, g = buf.kept()
     timing = _scan_timing(time.perf_counter() - t0, end - start)
-    return _result_from_selection(library, table, query, kept, end - start, scored, timing)
+    return _result_from_selection(library, table, query, c, s, g, end - start, scored, timing)
 
 
 def make_batches(library: CslLibrary, chunk_size: int, start: int = 0, end: int | None = None):
@@ -532,8 +573,9 @@ def search_topk_batched(
                 trace.carried_elements.append(int(np.sum(sel < n_carry)))
             carry_c, carry_s, carry_g = c_all[sel], s_all[sel], g_all[sel]
     timing = _scan_timing(time.perf_counter() - t0, end - start)
-    kept = [(float(c), float(s), int(g)) for c, s, g in zip(carry_c, carry_s, carry_g)]
-    return _result_from_selection(library, table, query, kept, end - start, end - start, timing)
+    return _result_from_selection(
+        library, table, query, carry_c, carry_s, carry_g, end - start, end - start, timing
+    )
 
 
 def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
@@ -599,29 +641,61 @@ def load_table(path) -> ContributionTable:
 
 
 RESULT_HEADER_PREFIX = "rank\tglobal_index\treaction_id\tsynthon_ids\tobjective\tviolation"
+RESULT_CHUNK_ROWS = 1 << 14
+
+
+def _reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, assemble: bool):
+    """Per hit, the reaction id, the comma-joined synthon ids and, with
+    `assemble`, the assembled token; built one reaction at a time."""
+    n = len(pos)
+    reaction_id, synthon_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
+    order = np.argsort(pos, kind="stable")
+    sorted_pos = pos[order]
+    starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        rows = order[a:b]
+        t = int(sorted_pos[a])
+        rx = library.reactions[t]
+        d = digits[rows, : len(rx.rgroups)]
+        reaction_id[rows] = str(rx.reaction_id)
+        ids = (map(str, np.asarray(rg.synthon_ids)[d[:, j]].tolist()) for j, rg in enumerate(rx.rgroups))
+        synthon_ids[rows] = list(map(",".join, zip(*ids)))
+        if assemble:
+            assembled[rows] = assemble_rows(library, t, d)
+    return reaction_id.tolist(), synthon_ids.tolist(), assembled.tolist() if assemble else None
 
 
 def save_result(
     result: TopKResult,
     query: QuerySpec,
     path,
-    library: CslLibrary | None = None,
+    library: CslLibrary,
+    assemble: bool = False,
 ) -> None:
-    """Delimited text export; pass the library to add an assembled token column."""
-    from .csl import assemble
-
+    """Delimited text export, one hit per row; `assemble` adds an assembled
+    token column. Written column-wise, RESULT_CHUNK_ROWS rows at a time, so
+    the strings held at once do not grow with k."""
     cols = RESULT_HEADER_PREFIX
     for con in query.constraints:
         cols += f"\t{con.task}"
-    if library is not None:
+    if assemble:
         cols += "\tassembled"
     with open(path, "w") as fh:
         fh.write(cols + "\n")
-        for rank, e in enumerate(result.entries):
-            sids = ",".join(map(str, e.chi.synthon_ids()))
-            row = f"{rank}\t{e.global_index}\t{e.chi.reaction_id}\t{sids}\t{e.objective!r}\t{e.violation!r}"
-            for v in e.constraint_values:
-                row += f"\t{v!r}"
-            if library is not None:
-                row += f"\t{assemble(library, e.chi)}"
-            fh.write(row + "\n")
+        for lo in range(0, result.retained, RESULT_CHUNK_ROWS):
+            hi = min(lo + RESULT_CHUNK_ROWS, result.retained)
+            reaction_id, synthon_ids, assembled = _reaction_columns(
+                library, result.reaction_pos[lo:hi], result.digits[lo:hi], assemble
+            )
+            columns = [
+                map(str, range(lo, hi)),
+                map(str, result.global_index[lo:hi].tolist()),
+                reaction_id,
+                synthon_ids,
+                map(repr, result.objective[lo:hi].tolist()),
+                map(repr, result.violation[lo:hi].tolist()),
+                *(map(repr, v[lo:hi].tolist()) for v in result.constraint_values),
+            ]
+            if assemble:
+                columns.append(assembled)
+            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")

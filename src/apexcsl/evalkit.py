@@ -99,7 +99,7 @@ def recall_j_at_k(truth: OracleTopK, retrieved: TopKResult) -> float | None:
     if not truth.entries:
         return None
     truth_idx = truth.global_indices()
-    got = {e.global_index for e in retrieved.entries}
+    got = set(retrieved.global_index.tolist())
     return len(truth_idx & got) / len(truth_idx)
 
 
@@ -117,10 +117,11 @@ def satisfaction_rate(
         vals = [ground_truth(oracle, library, chi, con.task) for con in constraints]
         return violation(vals, constraints) == 0.0
 
-    if not constraints or not retrieved.entries:
+    if not constraints or not retrieved.retained:
         rate = 1.0  # no constraints to violate (or nothing retrieved)
     else:
-        rate = sum(satisfied(e.chi) for e in retrieved.entries) / len(retrieved.entries)
+        chis = [decode_index(library, g) for g in retrieved.global_index.tolist()]
+        rate = sum(map(satisfied, chis)) / len(chis)
 
     total = product_count(library)
     rng = np.random.default_rng(seed)
@@ -301,7 +302,7 @@ def compare_apex_vs_ts(
             total_evals = n_syn * w + iters
             query = QuerySpec(objective=objective, direction=direction, k=total_evals)
             apex = search_topk_stream(library, table, query, index_range=(start, end))
-            apex_idx = {e.global_index for e in apex.entries}
+            apex_idx = set(apex.global_index.tolist())
             ts_runs = [
                 thompson_sampling(
                     library, oracle, objective, direction,

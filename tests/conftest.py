@@ -33,9 +33,14 @@ def f32_round_latents(oracle):
     return oracle
 
 
-def perfect_additive_table(oracle, library, task_names):
-    """Contribution table whose rows are the oracle's per-synthon latents;
-    exact for additive tasks (latents must be f32-representable)."""
+def pair_count(library):
+    """Number of (R-group, synthon) pair rows of the library."""
+    return sum(len(rg.synthon_ids) for rg in library.iter_rgroups())
+
+
+def table_from_values(library, task_names, values, biases):
+    """Contribution table over the library's pair rows (R-groups in
+    declaration order) with the given (tasks, pair rows) values and biases."""
     from apexcsl import engine
 
     member_ids, rg_offsets, rg_ids = [], [0], []
@@ -43,14 +48,26 @@ def perfect_additive_table(oracle, library, task_names):
         rg_ids.append(rg.rgroup_id)
         member_ids.extend(rg.synthon_ids)
         rg_offsets.append(len(member_ids))
-    member_ids = np.asarray(member_ids)
-    values = np.stack([oracle.task(t).latent[member_ids] for t in task_names]).astype(np.float32)
     return engine.ContributionTable(
-        values=values,
-        biases=np.zeros(len(task_names)),
+        values=np.asarray(values, dtype=np.float32),
+        biases=np.asarray(biases, dtype=np.float64),
         task_names=list(task_names),
-        member_ids=member_ids,
+        member_ids=np.asarray(member_ids),
         rg_offsets=np.asarray(rg_offsets),
         rg_ids=np.asarray(rg_ids),
         fingerprint=csl.library_fingerprint(library),
     )
+
+
+def random_table(library, task_names, rng):
+    """Standard-normal float32 values and float64 biases, drawn in that order."""
+    values = rng.standard_normal((len(task_names), pair_count(library))).astype(np.float32)
+    return table_from_values(library, task_names, values, rng.standard_normal(len(task_names)))
+
+
+def perfect_additive_table(oracle, library, task_names):
+    """Contribution table whose rows are the oracle's per-synthon latents;
+    exact for additive tasks (latents must be f32-representable)."""
+    member_ids = np.asarray([s for rg in library.iter_rgroups() for s in rg.synthon_ids])
+    values = np.stack([oracle.task(t).latent[member_ids] for t in task_names])
+    return table_from_values(library, task_names, values, np.zeros(len(task_names)))

@@ -11,29 +11,13 @@ import pytest
 
 from apexcsl import cli, csl, engine, evalkit, factorizer as fz, props, surrogate as sg
 from apexcsl.nn import MLP
+from conftest import random_table
 
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} ({name}): {status} {detail}".rstrip())
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _random_table(library, task_names, rng):
-    member_ids, rg_offsets, rg_ids = [], [0], []
-    for rg in library.iter_rgroups():
-        rg_ids.append(rg.rgroup_id)
-        member_ids.extend(rg.synthon_ids)
-        rg_offsets.append(len(member_ids))
-    return engine.ContributionTable(
-        values=rng.standard_normal((len(task_names), len(member_ids))).astype(np.float32),
-        biases=rng.standard_normal(len(task_names)),
-        task_names=list(task_names),
-        member_ids=np.asarray(member_ids),
-        rg_offsets=np.asarray(rg_offsets),
-        rg_ids=np.asarray(rg_ids),
-        fingerprint=csl.library_fingerprint(library),
-    )
 
 
 def _materialize_keys(library, table, query):
@@ -68,7 +52,8 @@ def _materialize_keys(library, table, query):
 
 def _result_keys(result, direction):
     sign = 1.0 if direction == "maximize" else -1.0
-    return [(e.violation, sign * e.objective, e.global_index) for e in result.entries]
+    return list(zip(result.violation.tolist(), (sign * result.objective).tolist(),
+                    result.global_index.tolist()))
 
 
 def test_criterion_1_exact_retrieval_equivalence(tmp_path):
@@ -89,7 +74,7 @@ def test_criterion_1_exact_retrieval_equivalence(tmp_path):
         library = csl.generate_synthetic(config, seed=200 + li)
         total = csl.product_count(library)
         sizes.append(total)
-        table = _random_table(library, ["obj", "c1", "c2"], rng)
+        table = random_table(library, ["obj", "c1", "c2"], rng)
         direction = "maximize" if li % 2 == 0 else "minimize"
         constraints = ()
         if li % 3 != 0:
@@ -108,8 +93,8 @@ def test_criterion_1_exact_retrieval_equivalence(tmp_path):
         assert _result_keys(batched, direction) == expected, f"library {li}: batched != brute force"
 
         p_s, p_b = tmp_path / f"s{li}.tsv", tmp_path / f"b{li}.tsv"
-        engine.save_result(stream, query, p_s)
-        engine.save_result(batched, query, p_b)
+        engine.save_result(stream, query, p_s, library)
+        engine.save_result(batched, query, p_b, library)
         assert p_s.read_bytes() == p_b.read_bytes(), f"library {li}: result files differ"
 
     elapsed = time.perf_counter() - t0
@@ -371,7 +356,7 @@ def test_criterion_9_throughput():
         csl.SyntheticConfig(n_reactions=1, components=(3,), synthons_per_rgroup=200), seed=0
     )
     rng = np.random.default_rng(0)
-    table = _random_table(library, ["obj"], rng)
+    table = random_table(library, ["obj"], rng)
     query = engine.QuerySpec("obj", "maximize", (), k=10)
     result = engine.search_topk_stream(library, table, query)
     rate = result.timing.get("products_per_second", 0.0)

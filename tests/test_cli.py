@@ -212,16 +212,54 @@ class TestQueries:
                    "--out", str(out)) == 0
         assert len(out.read_text().strip().splitlines()) == 1
 
-    def test_malformed_json(self, pipeline, capsys):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '[{"objective": {"task": "dock_a"}}]',
+        '{"objective": "dock_a"}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"upper": 5.0}]}',
+        '{"objective": {"task": "dock_a"}, "constraints": ["lipinski"]}',
+        '{"objective": {"task": "dock_a"}, "constraints": {"task": "mw"}}',
+        '{"objective": {"task": "dock_a"}, "k": "ten"}',
+        '{"objective": {"task": "dock_a"}, "k": null}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "lower": "low"}]}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": [5]}]}',
+        '{"objective": {"task": "dock_a"}, "chunk_size": "big"}',
+    ], ids=[
+        "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
+        "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
+        "lower_not_number", "upper_not_number", "chunk_size_not_number",
+    ])
+    def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"
-        q.write_text("{not json")
+        q.write_text(text)
         assert run("search", "--library", str(pipeline["library"]),
                    "--table", str(pipeline["table"]), "--query", str(q),
                    "--out", str(pipeline["dir"] / "x.tsv")) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestErrors:
+    @pytest.mark.parametrize("damage", [
+        "cut_in_header", "cut_after_header", "cut_mid_payload", "cut_last_byte", "junk_appended",
+    ])
+    def test_damaged_table(self, pipeline, capsys, damage):
+        data = pipeline["table"].read_bytes()
+        header_end = data.index(b"\n") + 1
+        damaged = {
+            "cut_in_header": data[: header_end // 2],
+            "cut_after_header": data[:header_end],
+            "cut_mid_payload": data[: (header_end + len(data)) // 2],
+            "cut_last_byte": data[:-1],
+            "junk_appended": data + b"junk",
+        }[damage]
+        bad = pipeline["dir"] / f"table_{damage}.blob"
+        bad.write_bytes(damaged)
+        assert run("search", "--library", str(pipeline["library"]), "--table", str(bad),
+                   "--query", str(pipeline["query"]), "--out", str(pipeline["dir"] / "x.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_missing_library(self, pipeline, capsys):
         assert run("cost", "--library", str(pipeline["dir"] / "absent.csl")) == 1
         assert "error:" in capsys.readouterr().err

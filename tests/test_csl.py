@@ -110,6 +110,44 @@ class TestIndexCodec:
             csl.encode_index(small_library, bad)
 
 
+class TestDecodeIndices:
+    @staticmethod
+    def expected(library, gidx):
+        """decode_index per index, as (reaction position, digits padded with -1)."""
+        width = max(len(rx.rgroups) for rx in library.reactions)
+        rows = []
+        for g in gidx:
+            chi = csl.decode_index(library, int(g))
+            digits = [library.synthon_digit(r, s) for r, s in chi.assignment]
+            rows.append((chi.reaction_id, digits + [-1] * (width - len(digits))))
+        return rows
+
+    def test_matches_scalar_decode_exhaustively(self, small_library):
+        gidx = np.arange(csl.product_count(small_library))
+        pos, digits = csl.decode_indices(small_library, gidx)
+        assert list(zip(pos.tolist(), digits.tolist())) == self.expected(small_library, gidx)
+
+    def test_matches_scalar_decode_unordered(self, medium_library):
+        gidx = np.random.default_rng(1).integers(0, csl.product_count(medium_library), size=2000)
+        pos, digits = csl.decode_indices(medium_library, gidx)
+        assert list(zip(pos.tolist(), digits.tolist())) == self.expected(medium_library, gidx)
+
+    def test_large_library(self):
+        lib = trillion_library()
+        gidx = np.array([0, 123_456_789_012, 10**12 - 1])
+        pos, digits = csl.decode_indices(lib, gidx)
+        assert pos.tolist() == [0, 0, 0]
+        assert digits.tolist() == [[0, 0, 0], [1234, 5678, 9012], [9999, 9999, 9999]]
+
+    def test_empty_and_out_of_range(self, small_library):
+        pos, digits = csl.decode_indices(small_library, np.empty(0, dtype=np.int64))
+        assert pos.shape == (0,) and digits.shape == (0, 3)
+        total = csl.product_count(small_library)
+        for bad in ([total], [0, -1]):
+            with pytest.raises(csl.LibraryError):
+                csl.decode_indices(small_library, np.array(bad))
+
+
 class TestEnumerate:
     def test_full_enumeration_distinct(self, small_library):
         total = csl.product_count(small_library)
@@ -288,3 +326,28 @@ class TestCheckLibrary:
         )
         with pytest.raises(csl.LibraryError, match="more than one reaction"):
             csl.check_library(lib)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_reactions=st.integers(1, 4),
+    components=st.sampled_from([(2, 3), (3, 2), (3,)]),
+    synthons=st.integers(1, 5),
+    token_length=st.integers(1, 3),
+    share_rate=st.sampled_from([0.0, 0.5, 0.9]),
+    seed=st.integers(0, 50),
+)
+def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token_length, share_rate, seed):
+    # a two-letter alphabet and short tokens make distinct synthons share fragments
+    lib = csl.generate_synthetic(
+        csl.SyntheticConfig(n_reactions=n_reactions, components=components, synthons_per_rgroup=synthons,
+                            alphabet_size=2, token_length=token_length, share_rate=share_rate),
+        seed=seed,
+    )
+    for t in range(len(lib.reactions)):
+        start = lib.reaction_offset(t)
+        gidx = np.arange(start, start + lib.reaction_size(t))
+        _, digits = csl.decode_indices(lib, gidx)
+        n = len(lib.reactions[t].rgroups)
+        expected = [csl.assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
+        assert csl.assemble_rows(lib, t, digits[:, :n]) == expected

@@ -1,13 +1,15 @@
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import cli, csl, engine, props
-from conftest import f32_round_latents, perfect_additive_table
+from apexcsl.blobio import BlobError
+from conftest import f32_round_latents, pair_count, perfect_additive_table, table_from_values
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,8 @@ def brute_force_topk(library, table, query):
 
 def result_keys(result, direction):
     sign = 1.0 if direction == "maximize" else -1.0
-    return [(e.violation, sign * e.objective, e.global_index) for e in result.entries]
+    return list(zip(result.violation.tolist(), (sign * result.objective).tolist(),
+                    result.global_index.tolist()))
 
 
 class TestApexScore:
@@ -150,14 +153,13 @@ class TestSearchAgreement:
 
     def test_tied_scores_break_on_index(self, small_library):
         # all-zero table: every product ties; top-k must be the smallest indices
-        n_pairs = sum(len(rg.synthon_ids) for rg in small_library.iter_rgroups())
-        table = _table_from_values(small_library, ["obj"], np.zeros((1, n_pairs)), [0.0])
+        table = table_from_values(small_library, ["obj"], np.zeros((1, pair_count(small_library))), [0.0])
         q = engine.QuerySpec("obj", "maximize", (), k=5)
         for res in (
             engine.search_topk_stream(small_library, table, q),
             engine.search_topk_batched(small_library, table, q, chunk_size=13),
         ):
-            assert [e.global_index for e in res.entries] == [0, 1, 2, 3, 4]
+            assert res.global_index.tolist() == [0, 1, 2, 3, 4]
 
     def test_index_range_restriction(self, exact_setup):
         library, _, table = exact_setup
@@ -169,7 +171,7 @@ class TestSearchAgreement:
             chi = csl.decode_index(library, g)
             rows.append((engine.apex_score(table, library, chi, "obj"), -g))
         rows.sort(reverse=True)
-        assert [-g for _, g in rows[:5]] == [e.global_index for e in got.entries]
+        assert [-g for _, g in rows[:5]] == got.global_index.tolist()
         assert got.scanned == hi - lo
 
     def test_bad_index_range(self, exact_setup):
@@ -184,9 +186,9 @@ class TestSearchEdges:
         library, _, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (), k=0)
         res = engine.search_topk_stream(library, table, q)
-        assert res.entries == [] and res.retained == 0
+        assert res.retained == 0
         res_b = engine.search_topk_batched(library, table, q, 16)
-        assert res_b.entries == []
+        assert res_b.retained == 0
 
     def test_k_exceeds_library(self, exact_setup):
         library, _, table = exact_setup
@@ -194,7 +196,7 @@ class TestSearchEdges:
         q = engine.QuerySpec("obj", "maximize", (), k=total + 50)
         res = engine.search_topk_stream(library, table, q)
         assert res.retained == total
-        assert sorted(e.global_index for e in res.entries) == list(range(total))
+        assert sorted(res.global_index.tolist()) == list(range(total))
 
     def test_infeasible_entries_filtered_and_counted(self, exact_setup):
         library, _, table = exact_setup
@@ -203,7 +205,7 @@ class TestSearchEdges:
             "obj", "maximize", (engine.Constraint("c1", 1e6, 1e6 + 1),), k=8
         )
         res = engine.search_topk_stream(library, table, q)
-        assert res.entries == []
+        assert res.retained == 0
         assert res.discarded_for_violation == 8
 
     def test_chunk_size_validation(self, exact_setup):
@@ -216,10 +218,9 @@ class TestSearchEdges:
         library, oracle, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c1", upper=10.0),), k=3)
         res = engine.search_topk_stream(library, table, q)
-        for e in res.entries:
-            assert e.constraint_values == (
-                props.ground_truth(oracle, library, e.chi, "c1"),
-            )
+        assert res.constraint_values.shape == (1, res.retained) == (1, 3)
+        for g, v in zip(res.global_index.tolist(), res.constraint_values[0].tolist()):
+            assert v == props.ground_truth(oracle, library, csl.decode_index(library, g), "c1")
 
 
 class TestBatches:
@@ -289,6 +290,17 @@ class TestTableIO:
         assert loaded.fingerprint == table.fingerprint
         loaded.check_library(library)
 
+    def test_load_rejects_every_truncation_and_trailing_bytes(self, exact_setup, tmp_path):
+        _, _, table = exact_setup
+        path = tmp_path / "table.blob"
+        engine.save_table(table, path)
+        data = path.read_bytes()
+        damaged = [data[:n] for n in range(len(data))] + [data + b"\0" * 4]
+        for blob in damaged:
+            path.write_bytes(blob)
+            with pytest.raises(BlobError):
+                engine.load_table(path)
+
     def test_save_is_byte_deterministic(self, exact_setup, tmp_path):
         _, _, table = exact_setup
         p1, p2 = tmp_path / "a.blob", tmp_path / "b.blob"
@@ -301,35 +313,18 @@ class TestTableIO:
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c1", upper=10.0),), k=4)
         res = engine.search_topk_stream(library, table, q)
         path = tmp_path / "hits.tsv"
-        engine.save_result(res, q, path, library)
+        engine.save_result(res, q, path, library, assemble=True)
         lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1 + len(res.entries)
+        assert len(lines) == 1 + res.retained
         header = lines[0].split("\t")
         assert "rank" in header and "global_index" in header and "objective" in header
         first = lines[1].split("\t")
-        assert int(first[header.index("global_index")]) == res.entries[0].global_index
+        assert int(first[header.index("global_index")]) == res.global_index[0]
 
 
 # ---------------------------------------------------------------------------
 # block skipping: the stream scan against the batched scan and a numpy brute force
 # ---------------------------------------------------------------------------
-
-def _table_from_values(library, task_names, values, biases):
-    member_ids, rg_offsets, rg_ids = [], [0], []
-    for rg in library.iter_rgroups():
-        rg_ids.append(rg.rgroup_id)
-        member_ids.extend(rg.synthon_ids)
-        rg_offsets.append(len(member_ids))
-    return engine.ContributionTable(
-        values=np.asarray(values, dtype=np.float32),
-        biases=np.asarray(biases, dtype=np.float64),
-        task_names=list(task_names),
-        member_ids=np.asarray(member_ids),
-        rg_offsets=np.asarray(rg_offsets),
-        rg_ids=np.asarray(rg_ids),
-        fingerprint=csl.library_fingerprint(library),
-    )
-
 
 def numpy_topk_keys(library, table, query, start, end):
     """Materialize every product's task values with numpy, sort all keys, keep the feasible top k."""
@@ -376,13 +371,13 @@ def tied_search_cases(draw):
     )
     n_cons = draw(st.integers(0, 3))
     tasks = ["obj"] + [f"c{i}" for i in range(n_cons)]
-    n_pairs = sum(len(rg.synthon_ids) for rg in library.iter_rgroups())
+    n_pairs = pair_count(library)
     # three values only, so that keys tie on block bounds and on the k-th key
     levels = [-1.0, 0.0, 1.0]
     values = draw(st.lists(st.lists(st.sampled_from(levels), min_size=n_pairs, max_size=n_pairs),
                            min_size=len(tasks), max_size=len(tasks)))
     biases = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=len(tasks), max_size=len(tasks)))
-    table = _table_from_values(library, tasks, values, biases)
+    table = table_from_values(library, tasks, values, biases)
     constraints = tuple(
         engine.Constraint(f"c{i}", *draw(st.sampled_from(BOUND_CHOICES))) for i in range(n_cons)
     )
@@ -399,7 +394,7 @@ def tied_search_cases(draw):
 def _result_bytes(result, query, library):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "hits.tsv"
-        engine.save_result(result, query, path, library)
+        engine.save_result(result, query, path, library, assemble=True)
         return path.read_bytes()
 
 
@@ -426,33 +421,112 @@ class TestBlockSkipping:
             csl.SyntheticConfig(n_reactions=1, components=(2,), synthons_per_rgroup=3), seed=0
         )
         values = [[10, 9, 8, 5, 0, 0], [0, 1, 0, 0, 0, 0]]
-        table = _table_from_values(library, ["obj", "c0"], values, [0.0, 0.0])
+        table = table_from_values(library, ["obj", "c0"], values, [0.0, 0.0])
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c0", upper=0.5),), k=2)
         res = engine.search_topk_stream(library, table, q)
-        assert [(e.global_index, e.objective) for e in res.entries] == [(0, 15.0), (6, 13.0)]
+        assert list(zip(res.global_index.tolist(), res.objective.tolist())) == [(0, 15.0), (6, 13.0)]
         assert res.scored == 6
 
     def test_dominant_block_skips_the_rest(self, medium_library):
         # every contribution is 0 except one first-digit row, so a single
         # block holds the top k and every other block's bound is below it
-        n_pairs = sum(len(rg.synthon_ids) for rg in medium_library.iter_rgroups())
-        values = np.zeros((1, n_pairs))
+        values = np.zeros((1, pair_count(medium_library)))
         values[0, 3] = 5.0  # reaction 0, first R-group, digit 3
-        table = _table_from_values(medium_library, ["obj"], values, [0.0])
+        table = table_from_values(medium_library, ["obj"], values, [0.0])
         block = medium_library.reaction_size(0) // len(medium_library.reactions[0].rgroups[0].synthon_ids)
         q = engine.QuerySpec("obj", "maximize", (), k=block // 2)
         stream = engine.search_topk_stream(medium_library, table, q)
         batched = engine.search_topk_batched(medium_library, table, q, 1000)
         assert stream.scored == block < stream.scanned == csl.product_count(medium_library)
         assert result_keys(stream, "maximize") == result_keys(batched, "maximize")
-        assert [e.global_index for e in stream.entries] == list(range(3 * block, 3 * block + q.k))
+        assert stream.global_index.tolist() == list(range(3 * block, 3 * block + q.k))
+
+
+def reference_save_result(keys, query, path, library, table, assemble):
+    """The per-hit writer that the columnar save_result replaced: decode_index,
+    apex_score and assemble once per hit, one f-string per row. `keys` are the
+    feasible (violation, signed objective, global index) keys, best first."""
+    cols = engine.RESULT_HEADER_PREFIX
+    for con in query.constraints:
+        cols += f"\t{con.task}"
+    if assemble:
+        cols += "\tassembled"
+    with open(path, "w") as fh:
+        fh.write(cols + "\n")
+        for rank, (c, s, g) in enumerate(keys):
+            chi = csl.decode_index(library, g)
+            obj = s if query.direction == "maximize" else -s
+            sids = ",".join(map(str, chi.synthon_ids()))
+            row = f"{rank}\t{g}\t{chi.reaction_id}\t{sids}\t{obj!r}\t{c!r}"
+            for con in query.constraints:
+                row += f"\t{engine.apex_score(table, library, chi, con.task)!r}"
+            if assemble:
+                row += f"\t{csl.assemble(library, chi)}"
+            fh.write(row + "\n")
+
+
+@st.composite
+def export_cases(draw):
+    library = csl.generate_synthetic(
+        csl.SyntheticConfig(
+            n_reactions=draw(st.integers(1, 4)),
+            components=draw(st.sampled_from([(2, 3), (3, 2), (3,), (2,)])),
+            synthons_per_rgroup=draw(st.integers(1, 5)),
+            alphabet_size=2,
+            token_length=draw(st.integers(1, 3)),
+            share_rate=draw(st.sampled_from([0.3, 0.8])),
+        ),
+        seed=draw(st.integers(0, 50)),
+    )
+    n_cons = draw(st.integers(0, 3))
+    tasks = ["obj"] + [f"c{i}" for i in range(n_cons)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = rng.standard_normal((len(tasks), pair_count(library))).astype(np.float32)
+    # signed zeros, common enough that whole products sum to -0.0 before the bias
+    u = rng.random(values.shape)
+    values[u < 0.5] = -0.0
+    values[u < 0.15] = 0.0
+    biases = [draw(st.sampled_from([0.0, -0.0, 0.25, -1.5])) for _ in tasks]
+    table = table_from_values(library, tasks, values, biases)
+    constraints = tuple(
+        engine.Constraint(f"c{i}", *draw(st.sampled_from(BOUND_CHOICES))) for i in range(n_cons)
+    )
+    total = csl.product_count(library)
+    query = engine.QuerySpec(
+        "obj", draw(st.sampled_from(["maximize", "minimize"])), constraints,
+        k=draw(st.integers(0, total + 3)),
+    )
+    return library, table, query
+
+
+class TestColumnarExport:
+    @given(
+        case=export_cases(),
+        variant=st.sampled_from(["stream", "batched"]),
+        assemble=st.booleans(),
+        chunk_rows=st.integers(1, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_save_result_matches_per_hit_writer(self, case, variant, assemble, chunk_rows):
+        library, table, query = case
+        total = csl.product_count(library)
+        if variant == "stream":
+            result = engine.search_topk_stream(library, table, query)
+        else:
+            result = engine.search_topk_batched(library, table, query, chunk_size=7)
+        keys = numpy_topk_keys(library, table, query, 0, total)
+        with tempfile.TemporaryDirectory() as d:
+            got, want = Path(d) / "got.tsv", Path(d) / "want.tsv"
+            with mock.patch.object(engine, "RESULT_CHUNK_ROWS", chunk_rows):
+                engine.save_result(result, query, got, library, assemble)
+            reference_save_result(keys, query, want, library, table, assemble)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestNonFiniteTables:
     @pytest.mark.parametrize("bad", ["nan_value", "inf_value", "inf_bias"])
     def test_constructor_rejects(self, small_library, bad):
-        n_pairs = sum(len(rg.synthon_ids) for rg in small_library.iter_rgroups())
-        values, biases = np.zeros((1, n_pairs)), np.zeros(1)
+        values, biases = np.zeros((1, pair_count(small_library))), np.zeros(1)
         if bad == "nan_value":
             values[0, 2] = np.nan
         elif bad == "inf_value":
@@ -460,7 +534,7 @@ class TestNonFiniteTables:
         else:
             biases[0] = np.inf
         with pytest.raises(engine.EngineError, match="non-finite"):
-            _table_from_values(small_library, ["obj"], values, biases)
+            table_from_values(small_library, ["obj"], values, biases)
 
     def test_precompute_rejects(self, exact_setup):
         _, _, table = exact_setup

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,14 @@ class TestRecall:
         q = engine.QuerySpec("obj", "maximize", (), k=10)
         truth = evalkit.oracle_topk(library, oracle, q, 10)
         retrieved = engine.search_topk_stream(library, table, q)
-        half = engine.TopKResult(
-            entries=retrieved.entries[:5], scanned=retrieved.scanned,
-            retained=5, discarded_for_violation=0, timing={},
+        half = dataclasses.replace(
+            retrieved,
+            global_index=retrieved.global_index[:5],
+            objective=retrieved.objective[:5],
+            violation=retrieved.violation[:5],
+            constraint_values=retrieved.constraint_values[:, :5],
+            reaction_pos=retrieved.reaction_pos[:5],
+            digits=retrieved.digits[:5],
         )
         assert evalkit.recall_j_at_k(truth, half) == 0.5
 
