@@ -33,11 +33,16 @@ def parse_query_file(path, table: engine.ContributionTable):
         raise CliError(f"{path}: query file must hold a JSON object")
 
     def number(item: dict, key: str, kind, default):
+        """A JSON number (not a boolean or a string); for kind int, an integral one."""
         value = item.get(key, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise CliError(f"{path}: {key} must be a number, got {value!r}") from None
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())
+        ):
+            what = "an integer" if kind is int else "a number"
+            raise CliError(f"{path}: {key} must be {what}, got {value!r}")
+        return kind(value)
 
     obj = doc.get("objective")
     if not isinstance(obj, dict) or "task" not in obj:

@@ -104,6 +104,20 @@ class CslLibrary:
         }
         return np.asarray(ordered, dtype=object), per_rgroup
 
+    @cached_property
+    def _pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Synthon ids in pair-row order (R-groups in declaration order, each
+        one's synthons in digit order), and the first pair row of every
+        (reaction position, R-group position), 0 past a reaction's R-groups."""
+        width = max((len(rx.rgroups) for rx in self.reactions), default=0)
+        first_row = np.zeros((len(self.reactions), width), dtype=np.int64)
+        member_ids: list[int] = []
+        for t, rx in enumerate(self.reactions):
+            for j, rg in enumerate(rx.rgroups):
+                first_row[t, j] = len(member_ids)
+                member_ids.extend(rg.synthon_ids)
+        return np.asarray(member_ids, dtype=np.int64), first_row
+
     def reaction(self, reaction_id: int) -> ReactionSpec:
         return self.reactions[reaction_id]
 
@@ -223,6 +237,19 @@ def decode_indices(library: CslLibrary, gidx: np.ndarray) -> tuple[np.ndarray, n
     n_rgroups = np.asarray([len(rx.rgroups) for rx in library.reactions], dtype=np.int64)
     digits[np.arange(width) >= n_rgroups[pos][:, None]] = -1
     return pos, digits
+
+
+def pair_rows(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The pair row of every cell of `decode_indices`' output; -1 where the digit is -1."""
+    _, first_row = library._pair_layout
+    return np.where(digits >= 0, first_row[pos] + digits, -1)
+
+
+def synthon_ids(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The synthon id of every cell of `decode_indices`' output; -1 where the digit is -1."""
+    member_ids, _ = library._pair_layout
+    rows = pair_rows(library, pos, digits)
+    return np.where(rows >= 0, member_ids[rows], -1)
 
 
 def enumerate_products(library: CslLibrary, start: int, end: int) -> Iterator[MultiIndex]:

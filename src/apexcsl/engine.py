@@ -83,6 +83,18 @@ class ContributionTable:
     _rg_pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n_pairs = self.rg_offsets[-1] if len(self.rg_offsets) else 0
+        if (
+            np.shape(self.values) != (len(self.task_names), n_pairs)
+            or np.shape(self.biases) != (len(self.task_names),)
+            or len(self.member_ids) != n_pairs
+            or len(self.rg_offsets) != len(self.rg_ids) + 1
+        ):
+            raise EngineError(
+                f"contribution table shapes do not agree: values {np.shape(self.values)}, biases "
+                f"{np.shape(self.biases)}, {len(self.task_names)} tasks, {len(self.member_ids)} "
+                f"member ids, {len(self.rg_offsets)} offsets for {len(self.rg_ids)} R-groups"
+            )
         if not (np.isfinite(self.values).all() and np.isfinite(self.biases).all()):
             raise EngineError("contribution table has a non-finite value or bias")
         self._rg_pos = {int(r): i for i, r in enumerate(self.rg_ids)}

@@ -3,22 +3,22 @@ metrics, score CDF export, and a Thompson sampling baseline."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csl import CslLibrary, MultiIndex, decode_index, product_count
+from .csl import CslLibrary, MultiIndex, product_count
 from .engine import (
     Constraint,
     ContributionTable,
     QuerySpec,
     TopKResult,
+    _TopKBuffer,
     iter_blocks,
     search_topk_stream,
     violation,
 )
-from .props import GroundTruthOracle, ground_truth, oracle_block_values
+from .props import GroundTruthOracle, ground_truth, oracle_block_values, oracle_values
 
 ORACLE_ENUMERATION_GUARD = 10**8
 
@@ -28,26 +28,21 @@ class EvalError(RuntimeError):
 
 
 @dataclass
-class OracleEntry:
-    global_index: int
-    chi: MultiIndex
-    objective: float
-
-
-@dataclass
 class OracleTopK:
-    """True top-j feasible set under exhaustive oracle evaluation, best first."""
+    """True top-j feasible set under exhaustive oracle evaluation, best first,
+    one array per column."""
 
-    entries: list[OracleEntry]
+    global_index: np.ndarray  # int64
+    objective: np.ndarray     # oracle objective value
     query: QuerySpec
     j: int
 
     def global_indices(self) -> set[int]:
-        return {e.global_index for e in self.entries}
+        return set(self.global_index.tolist())
 
     def top(self, j: int) -> OracleTopK:
         """The true top-j for j <= self.j: a prefix, because the order is total."""
-        return OracleTopK(entries=self.entries[:j], query=self.query, j=j)
+        return OracleTopK(self.global_index[:j], self.objective[:j], self.query, j)
 
 
 def oracle_topk(
@@ -58,7 +53,12 @@ def oracle_topk(
     index_range: tuple[int, int] | None = None,
 ) -> OracleTopK:
     """Exhaustive scan of oracle values with the engine's tie-break (lower
-    global index wins); only oracle-feasible compounds are eligible."""
+    global index wins); only oracle-feasible compounds are eligible.
+
+    Each block's feasible products go to the engine's top-k buffer with
+    violation 0, so the order is signed objective descending, then lower
+    global index.
+    """
     total = product_count(library)
     start, end = index_range if index_range is not None else (0, total)
     if end - start > ORACLE_ENUMERATION_GUARD:
@@ -66,37 +66,26 @@ def oracle_topk(
             f"range of {end - start} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
-    heap: list[tuple[float, int]] = []  # (signed objective, -g); root is the worst kept
+    buf = _TopKBuffer(j)
     for ti, fd, g0, lo, hi in iter_blocks(library, start, end):
         obj = oracle_block_values(oracle, library, query.objective, ti, fd)[lo:hi]
         s = obj if query.direction == "maximize" else -obj
+        offsets = np.arange(len(s))
         if query.constraints:
             cons = [
                 oracle_block_values(oracle, library, con.task, ti, fd)[lo:hi]
                 for con in query.constraints
             ]
-            feasible = np.asarray(violation(cons, query.constraints)) == 0.0
-        else:
-            feasible = np.ones(len(obj), dtype=bool)
-        cand = np.nonzero(feasible)[0]
-        for i in cand:
-            item = (float(s[i]), -(g0 + lo + int(i)))
-            if len(heap) < j:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    ordered = sorted(heap, key=lambda e: (-e[0], -e[1]))
-    entries = []
-    for s, ng in ordered:
-        g = -ng
-        obj = s if query.direction == "maximize" else -s
-        entries.append(OracleEntry(g, decode_index(library, g), obj))
-    return OracleTopK(entries=entries, query=query, j=j)
+            offsets = np.flatnonzero(np.asarray(violation(cons, query.constraints)) == 0.0)
+            s = s[offsets]
+        buf.offer(np.zeros(len(s)), s, g0 + lo + offsets)
+    _, s, g = buf.kept()
+    return OracleTopK(g, s if query.direction == "maximize" else -s, query, j)
 
 
 def recall_j_at_k(truth: OracleTopK, retrieved: TopKResult) -> float | None:
     """|truth ∩ retrieved| / |truth| over multi-index identity; None if truth is empty."""
-    if not truth.entries:
+    if not len(truth.global_index):
         return None
     truth_idx = truth.global_indices()
     got = set(retrieved.global_index.tolist())
@@ -113,22 +102,21 @@ def satisfaction_rate(
 ) -> dict[str, float]:
     """Fraction of retrieved compounds whose *oracle* values satisfy all bounds,
     plus the library base rate estimated on a seeded uniform sample."""
-    def satisfied(chi: MultiIndex) -> bool:
-        vals = [ground_truth(oracle, library, chi, con.task) for con in constraints]
-        return violation(vals, constraints) == 0.0
+    def satisfied(gidx: np.ndarray) -> np.ndarray:
+        vals = [oracle_values(oracle, library, con.task, gidx) for con in constraints]
+        return np.asarray(violation(vals, constraints)) == 0.0
 
     if not constraints or not retrieved.retained:
         rate = 1.0  # no constraints to violate (or nothing retrieved)
     else:
-        chis = [decode_index(library, g) for g in retrieved.global_index.tolist()]
-        rate = sum(map(satisfied, chis)) / len(chis)
+        rate = int(satisfied(retrieved.global_index).sum()) / retrieved.retained
 
     total = product_count(library)
     rng = np.random.default_rng(seed)
     n = min(base_rate_sample, total)
     if constraints and n > 0:
         gidxs = rng.choice(total, size=n, replace=False) if total <= 10**7 else rng.integers(0, total, size=n)
-        base = sum(satisfied(decode_index(library, int(g))) for g in gidxs) / n
+        base = int(satisfied(gidxs).sum()) / n
     else:
         base = 1.0
     return {"rate": rate, "base_rate": base}

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blobio import load_blob, save_blob
-from .csl import CslLibrary, MultiIndex, decode_index, library_fingerprint, product_count
-from .nn import MLP, Adam
-from .props import FeatureConfig, library_synthon_features, product_feature_matrix
+from .csl import CslLibrary, decode_indices, library_fingerprint, pair_rows, product_count, synthon_ids
+from .nn import MLP, Adam, ParamBuffer
+from .props import FeatureConfig, library_synthon_features, product_feature_matrix, synthon_norms
 from .surrogate import SurrogateModel
 
 
@@ -47,10 +47,6 @@ class DeepSet:
             self.phi = MLP([d_in, hidden, d_out], rng)
             self.rho = MLP([d_out, hidden, d_out], rng)
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.phi.params + self.rho.params
-
     def forward_cache(self, rows: np.ndarray, offsets: np.ndarray):
         """rows: concatenated member features; offsets: (n_groups+1,) slice bounds."""
         sizes = np.diff(offsets).astype(np.float64)
@@ -72,6 +68,7 @@ class LibraryContext:
     """Flat array view of a library's hierarchy, shared by forward and backward."""
 
     features: np.ndarray          # (|S|, p) hashed synthon features
+    norms: np.ndarray             # (|S|,) their norms, as product features rank them
     member_ids: np.ndarray        # concatenated synthon ids per R-group (pair-row order)
     rg_offsets: np.ndarray        # (n_rg+1,) offsets into member_ids / pair rows
     rg_parent: np.ndarray         # (n_rg,) positional reaction index per R-group
@@ -97,6 +94,7 @@ def build_context(library: CslLibrary, feature_config: FeatureConfig) -> Library
         rx_offsets.append(len(rg_parent))
     return LibraryContext(
         features=features,
+        norms=synthon_norms(features),
         member_ids=np.asarray(member_ids),
         rg_offsets=np.asarray(rg_offsets),
         rg_parent=np.asarray(rg_parent),
@@ -130,29 +128,18 @@ class Factorizer:
             self.key_encoder = MLP([dims.d_r + dims.d_t, 64, dims.d * dims.d_u], rng)
         self.rgroup_encoder = DeepSet(dims.d_s, dims.d_r, rng, mode)
         self.reaction_encoder = DeepSet(dims.d_r, dims.d_t, rng, mode)
-
-    @property
-    def param_groups(self) -> list[list[np.ndarray]]:
-        return [
-            self.synthon_encoder.params,
-            self.rgroup_encoder.params,
-            self.reaction_encoder.params,
-            self.value_encoder.params,
-            self.key_encoder.params,
-        ]
+        # parameter order: synthon, R-group, reaction, value, key encoders
+        self.buffer = ParamBuffer([
+            self.synthon_encoder,
+            self.rgroup_encoder.phi, self.rgroup_encoder.rho,
+            self.reaction_encoder.phi, self.reaction_encoder.rho,
+            self.value_encoder,
+            self.key_encoder,
+        ])
 
     @property
     def params(self) -> list[np.ndarray]:
-        return [p for group in self.param_groups for p in group]
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.params])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.params:
-            p[...] = flat[pos : pos + p.size].reshape(p.shape)
-            pos += p.size
+        return self.buffer.params
 
     def forward_cache(self, ctx: LibraryContext):
         """Full-hierarchy forward; returns the pair-row matrix u and all caches."""
@@ -171,7 +158,8 @@ class Factorizer:
         return u, cache
 
     def backward(self, ctx: LibraryContext, cache, du: np.ndarray) -> list[np.ndarray]:
-        """Gradients of a scalar loss given its cotangent on the pair rows u."""
+        """Gradients of a scalar loss given its cotangent on the pair rows u,
+        written to `self.buffer.grad`; returns its per-parameter views."""
         h_s, h_r, h_t, v, K, c_syn, c_rg, c_rx, c_val, c_key = cache
         n_rg = len(h_r)
         dK = np.zeros_like(K)
@@ -181,19 +169,22 @@ class Factorizer:
             members = ctx.member_ids[lo:hi]
             du_block = du[lo:hi]
             dK[j] = du_block.T @ v[members]
-            np.add.at(dv, members, du_block @ K[j])
-        g_key, dkey_in = self.key_encoder.backward(c_key, dK.reshape(n_rg, -1))
+            dv[members] += du_block @ K[j]  # an R-group lists each synthon once
+        _, dkey_in = self.key_encoder.backward(c_key, dK.reshape(n_rg, -1))
         dh_r = dkey_in[:, : self.dims.d_r].copy()
         dh_t = np.zeros_like(h_t)
         np.add.at(dh_t, ctx.rg_parent, dkey_in[:, self.dims.d_r :])
-        g_val, dh_s_val = self.value_encoder.backward(c_val, dv)
-        g_rx, dh_r_from_rx = self.reaction_encoder.backward(c_rx, dh_t)
+        _, dh_s_val = self.value_encoder.backward(c_val, dv)
+        _, dh_r_from_rx = self.reaction_encoder.backward(c_rx, dh_t)
         dh_r += dh_r_from_rx
-        g_rg, dmember = self.rgroup_encoder.backward(c_rg, dh_r)
+        _, dmember = self.rgroup_encoder.backward(c_rg, dh_r)
         dh_s = dh_s_val
-        np.add.at(dh_s, ctx.member_ids, dmember)
-        g_syn, _ = self.synthon_encoder.backward(c_syn, dh_s)
-        return g_syn + g_rg + g_rx + g_val + g_key
+        # R-group by R-group: a synthon's rows add up in pair-row order
+        for j in range(n_rg):
+            lo, hi = ctx.rg_offsets[j], ctx.rg_offsets[j + 1]
+            dh_s[ctx.member_ids[lo:hi]] += dmember[lo:hi]
+        self.synthon_encoder.backward(c_syn, dh_s)
+        return self.buffer.grads
 
 
 @dataclass
@@ -233,14 +224,6 @@ def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCa
     )
 
 
-def reconstruct(cache: HierarchyCache, library: CslLibrary, chi: MultiIndex) -> np.ndarray:
-    """Sum of the assignment's associative embeddings, in R-group order."""
-    out = np.zeros(cache.u.shape[1])
-    for rgroup_id, synthon_id in chi.assignment:
-        out = out + cache.u[cache.pair_row(library, rgroup_id, synthon_id)]
-    return out
-
-
 @dataclass(frozen=True)
 class FactorizerTrainConfig:
     steps: int = 2000
@@ -259,44 +242,52 @@ class FactorizerTrainConfig:
 
 def _sample_chis(
     library: CslLibrary, n: int, rng: np.random.Generator, sampling: str
-) -> list[MultiIndex]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """n sampled products as csl.decode_indices gives them: (reaction positions, digits)."""
     total = product_count(library)
     if sampling == "global_uniform":
         gidxs = rng.integers(0, total, size=n)
     elif sampling == "per_reaction":
         ts = rng.integers(0, len(library.reactions), size=n)
+        # one scalar draw per product: an array `high` would change the random stream
         gidxs = [
             library.reaction_offset(int(t)) + int(rng.integers(0, library.reaction_size(int(t))))
             for t in ts
         ]
     else:
         raise ValueError(f"unknown sampling {sampling!r}")
-    return [decode_index(library, int(g)) for g in gidxs]
+    return decode_indices(library, gidxs)
+
+
+def _gather_sum(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each product's pair rows of u summed from zero, in R-group order."""
+    out = np.zeros((len(rows), u.shape[1]))
+    for j in range(rows.shape[1]):
+        np.add(out, u[rows[:, j]], out=out, where=rows[:, j, None] >= 0)
+    return out
 
 
 def reconstruction_loss_and_grads(
     factorizer: Factorizer,
     ctx: LibraryContext,
-    library: CslLibrary,
-    chis: list[MultiIndex],
+    rows: np.ndarray,
     targets: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared embedding reconstruction error over a fixed multi-index batch."""
+    """Mean squared embedding reconstruction error over a fixed batch.
+
+    `rows` holds each product's pair rows, one column per R-group position and
+    -1 past its reaction's R-groups, as `csl.pair_rows` gives them.
+    """
     u, cache = factorizer.forward_cache(ctx)
-    flat_rows, flat_chi = [], []
-    for i, chi in enumerate(chis):
-        for r, s in chi.assignment:
-            flat_rows.append(int(ctx.rg_offsets[ctx.rg_pos[r]]) + library.synthon_digit(r, s))
-            flat_chi.append(i)
-    flat_rows = np.asarray(flat_rows)
-    flat_chi = np.asarray(flat_chi)
-    n = len(chis)
-    pred = np.zeros((n, u.shape[1]))
-    np.add.at(pred, flat_chi, u[flat_rows])
+    pred = _gather_sum(u, rows)
     resid = pred - targets
+    n = len(rows)
     loss = float(np.sum(resid * resid)) / n
+    present = rows >= 0
+    flat_chi = np.nonzero(present)[0]
     du = np.zeros_like(u)
-    np.add.at(du, flat_rows, (2.0 / n) * resid[flat_chi])
+    # product-major, R-groups in order: a pair row's terms add up product by product
+    np.add.at(du, rows[present], (2.0 / n) * resid[flat_chi])
     grads = factorizer.backward(ctx, cache, du)
     return loss, grads
 
@@ -315,35 +306,22 @@ def train_factorizer(
         dims = FactorizerDims(dims.d_s, dims.d_r, dims.d_t, dims.d_u, surrogate.d)
     factorizer = Factorizer(fc.p, dims, rng, mode=config.mode, feature_config=fc)
     ctx = build_context(library, fc)
-    syn_feats = ctx.features
-    opt = Adam(factorizer.params, lr=config.lr)
+    buf = factorizer.buffer
+    opt = Adam(buf.flat.size, lr=config.lr)
 
     for step in range(config.steps):
         opt.lr = config.lr * (config.lr_decay ** (step / max(1, config.steps)))
-        chis = _sample_chis(library, config.batch_size, rng, config.sampling)
-        feats = product_feature_matrix_cached(library, chis, fc, syn_feats)
-        targets = surrogate.encoder.forward(feats)
-        loss, grads = reconstruction_loss_and_grads(factorizer, ctx, library, chis, targets)
+        pos, digits = _sample_chis(library, config.batch_size, rng, config.sampling)
+        sids = synthon_ids(library, pos, digits)
+        targets = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
+        loss, _ = reconstruction_loss_and_grads(factorizer, ctx, pair_rows(library, pos, digits), targets)
         if not np.isfinite(loss):
             raise FactorizerError(f"non-finite reconstruction loss at step {step}: {loss}")
-        opt.step(factorizer.params, grads)
+        opt.step(buf.flat, buf.grad)
 
     if surrogate.checksum() != checksum_before:
         raise FactorizerError("surrogate parameters changed during factorizer training")
     return factorizer
-
-
-def product_feature_matrix_cached(
-    library: CslLibrary,
-    chis: list[MultiIndex],
-    feature_config: FeatureConfig,
-    synthon_matrix: np.ndarray,
-) -> np.ndarray:
-    from .props import product_features
-
-    return np.stack(
-        [product_features(library, chi, feature_config, synthon_matrix) for chi in chis]
-    )
 
 
 def factorization_gap(
@@ -355,13 +333,14 @@ def factorization_gap(
 ) -> dict[str, float]:
     """Mean and p95 of the embedding reconstruction distance on a uniform sample."""
     rng = np.random.default_rng(seed)
-    chis = _sample_chis(library, sample_size, rng, "global_uniform")
+    pos, digits = _sample_chis(library, sample_size, rng, "global_uniform")
     cache = encode_hierarchy(factorizer, library)
-    feats = product_feature_matrix_cached(
-        library, chis, surrogate.feature_config, library_synthon_features(library, surrogate.feature_config)
+    fc = surrogate.feature_config
+    sids = synthon_ids(library, pos, digits)
+    target = surrogate.encoder.forward(
+        product_feature_matrix(library, sids, fc, library_synthon_features(library, fc))
     )
-    target = surrogate.encoder.forward(feats)
-    recon = np.stack([reconstruct(cache, library, chi) for chi in chis])
+    recon = _gather_sum(cache.u, pair_rows(library, pos, digits))
     dist = np.linalg.norm(target - recon, axis=1)
     emb_rms = float(np.sqrt(np.mean(target * target)))
     return {
@@ -436,8 +415,8 @@ def save_cache(cache: HierarchyCache, path) -> None:
 
 def load_cache(path) -> HierarchyCache:
     meta, arrays = load_blob(path)
-    if meta.get("kind") != "hierarchy_cache":
-        raise FactorizerError(f"{path}: not a hierarchy cache")
+    if meta.get("kind") != "hierarchy_cache" or meta.get("version") != CHECKPOINT_VERSION:
+        raise FactorizerError(f"{path}: not a version-{CHECKPOINT_VERSION} hierarchy cache")
     rg_pos = {int(r): i for i, r in enumerate(arrays["rg_ids"])}
     return HierarchyCache(
         h_s=arrays["h_s"],

@@ -1,11 +1,16 @@
 """Small feedforward networks with explicit backward passes, plus Adam.
 
-Everything is plain numpy float64. Backward passes return parameter gradients
-and input cotangents so encoder stacks can be chained by hand; this keeps
-training single-threaded and bit-reproducible under a fixed seed.
+Everything is plain numpy float64. Backward passes write parameter gradients
+in place and return input cotangents, so encoder stacks can be chained by
+hand; this keeps training single-threaded and bit-reproducible under a fixed
+seed. A model's parameters are views of one contiguous buffer and its
+gradients views of a second (`ParamBuffer`), so the optimizer updates the
+whole model with a few array operations.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -24,13 +29,15 @@ class MLP:
     """Dense layers with tanh between them (none after the last layer).
 
     With len(dims) == 2 this is a single affine map; bias=False drops the bias
-    terms entirely, which the linear benchmark mode uses.
+    terms entirely, which the linear benchmark mode uses. `grads` holds one
+    gradient array per parameter, filled by `backward`.
     """
 
     def __init__(self, dims: list[int], rng: np.random.Generator, bias: bool = True):
         self.dims = list(dims)
         self.bias = bias
         self.params = init_mlp_params(self.dims, rng, bias)
+        self.grads = [np.zeros_like(p) for p in self.params]
 
     @property
     def n_layers(self) -> int:
@@ -62,62 +69,86 @@ class MLP:
         return h, cache
 
     def backward(self, cache: list, dout: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Returns (grads aligned with self.params, d_input)."""
-        grads: list[np.ndarray | None] = [None] * len(self.params)
+        """Overwrites `self.grads`; returns (self.grads, d_input)."""
         d = dout
+        per_layer = 2 if self.bias else 1
         for i in range(self.n_layers - 1, -1, -1):
             h, post = cache[i]
             if post is not None:  # tanh was applied
                 d = d * (1.0 - post * post)
-            W, b = self.layer(i)
-            dW = h.T @ d
+            W, _ = self.layer(i)
+            np.matmul(h.T, d, out=self.grads[per_layer * i])
             if self.bias:
-                grads[2 * i] = dW
-                grads[2 * i + 1] = d.sum(axis=0)
-            else:
-                grads[i] = dW
+                np.sum(d, axis=0, out=self.grads[2 * i + 1])
             d = d @ W.T
-        return grads, d  # type: ignore[return-value]
+        return self.grads, d
 
-    # flat views for finite-difference checks and checksums
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.params])
 
-    def set_flat(self, flat: np.ndarray) -> None:
+class ParamBuffer:
+    """The parameters of some MLPs, then of any extra arrays, as views of one
+    contiguous buffer `flat`; their gradients are views of `grad` at the same
+    offsets. Each MLP's `params` and `grads` are rebound to these views.
+    """
+
+    def __init__(self, mlps: list[MLP], extra: list[np.ndarray] = ()):
+        arrays = [p for m in mlps for p in m.params] + list(extra)
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays])
+        self.grad = np.zeros_like(self.flat)
+        self.params = _views(self.flat, arrays)
+        self.grads = _views(self.grad, arrays)
         pos = 0
-        for p in self.params:
-            p[...] = flat[pos : pos + p.size].reshape(p.shape)
-            pos += p.size
+        for m in mlps:
+            n = len(m.params)
+            m.params, m.grads = self.params[pos : pos + n], self.grads[pos : pos + n]
+            pos += n
+        self.extra = self.params[pos:]
+        self.extra_grads = self.grads[pos:]
+
+
+def _views(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    views, pos = [], 0
+    for a in arrays:
+        views.append(buffer[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    return views
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+    """Adam over one flat parameter buffer; `m`, `v` and the scratch are flat too."""
+
+    def __init__(self, size: int, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), one operation at a time."""
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, grad, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, grad, out=den)
+        den *= 1.0 - self.beta2
+        v += den
+        np.divide(m, b1t, out=num)
+        num *= self.lr
+        np.divide(v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        flat -= num
 
 
-def params_checksum(param_groups: list[list[np.ndarray]]) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    for group in param_groups:
-        for p in group:
-            h.update(np.ascontiguousarray(p).tobytes())
-    return h.hexdigest()
+def params_checksum(flat: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(flat).tobytes()).hexdigest()

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csl import CslLibrary, LibraryError, MultiIndex, decode_index, product_count
+from .csl import CslLibrary, LibraryError, MultiIndex, decode_indices, product_count, synthon_ids
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -93,13 +93,49 @@ def product_features(
     return np.concatenate([summed, cross])
 
 
+def synthon_norms(synthon_matrix: np.ndarray) -> np.ndarray:
+    """Each synthon vector's norm, computed as `product_features` computes it."""
+    return np.asarray([float(np.linalg.norm(v)) for v in synthon_matrix])
+
+
 def product_feature_matrix(
     library: CslLibrary,
-    chis: list[MultiIndex],
+    sids: np.ndarray,
     config: FeatureConfig = FeatureConfig(),
+    synthon_matrix: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    synthon_matrix = library_synthon_features(library, config)
-    return np.stack([product_features(library, chi, config, synthon_matrix) for chi in chis])
+    """`product_features` of every row of an (n, width) synthon-id matrix, in one pass.
+
+    Row i lists product i's synthons in R-group order, then -1 past its
+    reaction's R-groups (`csl.synthon_ids` gives this layout), so 2- and
+    3-component products mix. Bit-identical to stacking `product_features`:
+    the sum adds the columns to zeros in R-group order, the top-2 pick sorts
+    per-synthon norms stably by position, and the cross term is one
+    matrix-vector product per row.
+    """
+    if synthon_matrix is None:
+        synthon_matrix = library_synthon_features(library, config)
+    if norms is None:
+        norms = synthon_norms(synthon_matrix)
+    sids = np.asarray(sids, dtype=np.int64)
+    present = sids >= 0
+    n = len(sids)
+    out = np.zeros((n, config.p + config.q))
+    summed = out[:, : config.p]
+    for j in range(sids.shape[1]):
+        np.add(summed, synthon_matrix[sids[:, j]], out=summed, where=present[:, j, None])
+    # largest norm first, ties by position; absent columns last
+    order = np.argsort(np.where(present, -norms[sids], np.inf), axis=1, kind="stable")
+    rows = np.arange(n)
+    a = sids[rows, order[:, 0]]
+    b = np.where(present.sum(axis=1) > 1, sids[rows, order[:, min(1, sids.shape[1] - 1)]], a)
+    ab = synthon_matrix[a] * synthon_matrix[b]
+    # np.matmul over the stack is one gemv per row, as in `product_features`;
+    # a single `ab @ P.T` gemm rounds differently
+    P = _cross_projection(config.p, config.q, config.seed)
+    out[:, config.p :] = np.matmul(P, ab[:, :, None])[:, :, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +249,33 @@ def ground_truth(oracle: GroundTruthOracle, library: CslLibrary, chi: MultiIndex
             for b in range(a + 1, len(sids)):
                 value = value + float(pair_coefficient(task, salt, sids[a], sids[b]))
     return float(value)
+
+
+def oracle_values(
+    oracle: GroundTruthOracle, library: CslLibrary, task_name: str, gidx: np.ndarray
+) -> np.ndarray:
+    """`ground_truth` at every global index of an array, in one pass.
+
+    Bit-identical to the scalar path: 0.0 plus the latents in R-group order,
+    then the tanh term, then the pairwise terms in lexicographic R-group-pair
+    order.
+    """
+    task = oracle.task(task_name)
+    sids = synthon_ids(library, *decode_indices(library, gidx))
+    present = sids >= 0
+    base = np.zeros(len(sids))
+    for j in range(sids.shape[1]):
+        np.add(base, task.latent[sids[:, j]], out=base, where=present[:, j])
+    value = base.copy()
+    if task.has_nonlinear:
+        value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
+    if task.has_pairwise:
+        salt = _task_salt(oracle, task)
+        for a in range(sids.shape[1]):
+            for b in range(a + 1, sids.shape[1]):
+                m = present[:, b]  # column b present implies column a present
+                value[m] = value[m] + pair_coefficient(task, salt, sids[m, a], sids[m, b])
+    return value
 
 
 def oracle_block_values(
@@ -409,16 +472,19 @@ def label_library(
 ) -> LabeledDataset:
     total = product_count(library)
     if sample.size is None:
-        gidxs = range(total)
+        gidxs = np.arange(total)
     else:
         rng = np.random.default_rng(sample.seed)
         n = min(sample.size, total)
-        gidxs = np.sort(rng.choice(total, size=n, replace=False)) if n else []
+        gidxs = np.sort(rng.choice(total, size=n, replace=False)) if n else np.zeros(0, dtype=np.int64)
+    values = [oracle_values(oracle, library, task, gidxs).tolist() for task in task_names]
+    pos, digits = decode_indices(library, gidxs)
     rows = []
-    for g in gidxs:
-        chi = decode_index(library, int(g))
-        for task in task_names:
-            rows.append(LabelRow(chi, task, ground_truth(oracle, library, chi, task)))
+    for i, (t, sids) in enumerate(zip(pos.tolist(), synthon_ids(library, pos, digits).tolist())):
+        rx = library.reactions[t]
+        chi = MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
+        for task, vals in zip(task_names, values):
+            rows.append(LabelRow(chi, task, vals[i]))
     return LabeledDataset(rows=rows)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .blobio import load_blob, save_blob
 from .csl import CslLibrary
-from .nn import MLP, Adam, params_checksum
+from .nn import MLP, Adam, ParamBuffer, params_checksum
 from .props import FeatureConfig, LabeledDataset, product_feature_matrix
 
 DEFAULT_EMBEDDING_DIM = 64
@@ -57,6 +57,12 @@ class SurrogateModel:
     head_b: np.ndarray  # (n_tasks,)
     task_names: list[str]
     feature_config: FeatureConfig = FeatureConfig()
+    # the encoder's parameters, then head_w and head_b, in one buffer
+    buffer: ParamBuffer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.buffer = ParamBuffer([self.encoder], [self.head_w, self.head_b])
+        self.head_w, self.head_b = self.buffer.extra
 
     @property
     def d(self) -> int:
@@ -73,7 +79,7 @@ class SurrogateModel:
             raise SurrogateError(f"unknown task {name!r}") from None
 
     def checksum(self) -> str:
-        return params_checksum([self.encoder.params, [self.head_w, self.head_b]])
+        return params_checksum(self.buffer.flat)
 
 
 def encode(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
@@ -129,7 +135,6 @@ def surrogate_loss_and_grads(
 
 def _build_examples(dataset: LabeledDataset, library: CslLibrary, feature_config: FeatureConfig):
     """Deduplicate multi-indices into a feature matrix plus per-example rows."""
-    chis = []
     chi_row: dict = {}
     task_names: list[str] = []
     task_of: dict[str, int] = {}
@@ -137,15 +142,16 @@ def _build_examples(dataset: LabeledDataset, library: CslLibrary, feature_config
     for row in dataset.rows:
         key = (row.chi.reaction_id, row.chi.synthon_ids())
         if key not in chi_row:
-            chi_row[key] = len(chis)
-            chis.append(row.chi)
+            chi_row[key] = len(chi_row)
         if row.task not in task_of:
             task_of[row.task] = len(task_names)
             task_names.append(row.task)
         rows.append(chi_row[key])
         tasks.append(task_of[row.task])
         ys.append(row.value)
-    X = product_feature_matrix(library, chis, feature_config)
+    width = max(len(ids) for _, ids in chi_row)
+    sids = np.asarray([ids + (-1,) * (width - len(ids)) for _, ids in chi_row], dtype=np.int64)
+    X = product_feature_matrix(library, sids, feature_config)
     return X, np.asarray(rows), np.asarray(tasks), np.asarray(ys, dtype=np.float64), task_names
 
 
@@ -199,10 +205,12 @@ def train_surrogate(
         warm = encoder.forward(X[feat_rows[train_idx[: min(len(train_idx), 1024)]]])
         sigma = 0.1 * float(np.sqrt(np.mean(warm * warm)))
 
-    params = encoder.params + [head_w, head_b]
-    opt = Adam(params, lr=config.lr)
+    buf = ParamBuffer([encoder], [head_w, head_b])
+    head_w, head_b = buf.extra
+    grad_w, grad_b = buf.extra_grads
+    opt = Adam(buf.flat.size, lr=config.lr)
     best_val = np.inf
-    best = [p.copy() for p in params]
+    best = buf.flat.copy()
 
     for epoch in range(config.epochs):
         opt.lr = config.lr * (config.lr_decay**epoch)
@@ -212,23 +220,21 @@ def train_surrogate(
             bx = X[feat_rows[batch]]
             bt = task_idx[batch]
             by = y_std[batch]
-            agg = None
             loss = 0.0
-            for _ in range(config.noise_draws):
+            for draw in range(config.noise_draws):
                 eps = sigma * rng.standard_normal((len(batch), config.embedding_dim)) if sigma > 0 else np.zeros((len(batch), config.embedding_dim))
-                l, eg, dW, db = surrogate_loss_and_grads(encoder, head_w, head_b, bx, bt, by, eps)
+                l, _, dW, db = surrogate_loss_and_grads(encoder, head_w, head_b, bx, bt, by, eps)
+                grad_w[...], grad_b[...] = dW, db  # the encoder's land in buf.grad directly
                 loss += l
-                draws = eg + [dW, db]
-                if agg is None:
-                    agg = draws
+                if draw == 0:
+                    agg = buf.grad.copy()
                 else:
-                    for a, g in zip(agg, draws):
-                        a += g
+                    agg += buf.grad
             loss /= config.noise_draws
             if not np.isfinite(loss):
                 raise SurrogateError(f"non-finite training loss at epoch {epoch}: {loss}")
-            grads = [g / config.noise_draws for g in agg]
-            opt.step(params, grads)
+            agg /= config.noise_draws
+            opt.step(buf.flat, agg)
 
         vx = X[feat_rows[val_idx]]
         vemb = encoder.forward(vx)
@@ -237,10 +243,9 @@ def train_surrogate(
         val_loss = float(verr @ verr) / max(1, len(val_idx))
         if val_loss < best_val:
             best_val = val_loss
-            best = [p.copy() for p in params]
+            best = buf.flat.copy()
 
-    for p, b in zip(params, best):
-        p[...] = b
+    buf.flat[...] = best
 
     # fold per-task standardization back into the heads
     head_w_out = head_w * std[:, None]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from apexcsl import csl, props
 
@@ -71,3 +72,21 @@ def perfect_additive_table(oracle, library, task_names):
     member_ids = np.asarray([s for rg in library.iter_rgroups() for s in rg.synthon_ids])
     values = np.stack([oracle.task(t).latent[member_ids] for t in task_names])
     return table_from_values(library, task_names, values, np.zeros(len(task_names)))
+
+
+@st.composite
+def mixed_libraries(draw):
+    """Small 2- and 3-component libraries; short tokens over a 2-3 letter
+    alphabet repeat feature vectors, and shared synthons can appear twice in
+    one product."""
+    return csl.generate_synthetic(
+        csl.SyntheticConfig(
+            n_reactions=draw(st.integers(1, 4)),
+            components=draw(st.sampled_from([(2,), (3,), (2, 3), (3, 2)])),
+            synthons_per_rgroup=draw(st.integers(1, 5)),
+            alphabet_size=draw(st.integers(2, 3)),
+            token_length=draw(st.integers(2, 4)),
+            share_rate=draw(st.sampled_from([0.0, 0.3, 0.7])),
+        ),
+        seed=draw(st.integers(0, 50)),
+    )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from apexcsl import cli, csl, engine, evalkit, factorizer as fz, props, surrogate as sg
-from apexcsl.nn import MLP
+from apexcsl.nn import MLP, ParamBuffer
 from conftest import random_table
 
 
@@ -223,17 +223,15 @@ def test_criterion_5_gradient_checks(small_library):
     eps = 0.05 * rng.standard_normal((16, 6))
     _, eg, dW, db = sg.surrogate_loss_and_grads(enc, head_w, head_b, X, ti, y, eps)
     s_analytic = np.concatenate([g.ravel() for g in eg] + [dW.ravel(), db.ravel()])
-    n_enc = sum(p.size for p in enc.params)
 
     def s_loss(flat):
         e2 = MLP([10, 12, 6], np.random.default_rng(0))
-        e2.set_flat(flat[:n_enc])
-        w2 = flat[n_enc : n_enc + head_w.size].reshape(head_w.shape)
-        b2 = flat[n_enc + head_w.size :]
-        l, *_ = sg.surrogate_loss_and_grads(e2, w2, b2, X, ti, y, eps)
+        buf = ParamBuffer([e2], [head_w, head_b])
+        buf.flat[...] = flat
+        l, *_ = sg.surrogate_loss_and_grads(e2, *buf.extra, X, ti, y, eps)
         return l
 
-    s_flat = np.concatenate([enc.get_flat(), head_w.ravel(), head_b.ravel()])
+    s_flat = ParamBuffer([enc], [head_w, head_b]).flat.copy()
     s_worst = check(s_flat, s_analytic, s_loss, 1000)
 
     # factorizer reconstruction objective
@@ -243,19 +241,19 @@ def test_criterion_5_gradient_checks(small_library):
         mode="mlp", feature_config=feature_config,
     )
     ctx = fz.build_context(small_library, feature_config)
-    chis = [csl.decode_index(small_library, g) for g in (1, 44, 77, 120, 149)]
+    rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [1, 44, 77, 120, 149]))
     targets = rng.standard_normal((5, 6))
-    _, grads = fz.reconstruction_loss_and_grads(factor, ctx, small_library, chis, targets)
-    f_analytic = np.concatenate([g.ravel() for g in grads])
-    f_flat = factor.get_flat()
+    fz.reconstruction_loss_and_grads(factor, ctx, rows, targets)
+    f_analytic = factor.buffer.grad.copy()
+    f_flat = factor.buffer.flat.copy()
 
     def f_loss(flat):
-        factor.set_flat(flat)
-        l, _ = fz.reconstruction_loss_and_grads(factor, ctx, small_library, chis, targets)
+        factor.buffer.flat[...] = flat
+        l, _ = fz.reconstruction_loss_and_grads(factor, ctx, rows, targets)
         return l
 
     f_worst = check(f_flat, f_analytic, f_loss, 1000)
-    factor.set_flat(f_flat)
+    factor.buffer.flat[...] = f_flat
 
     elapsed = time.perf_counter() - t0
     ok = s_worst < 1e-4 and f_worst < 1e-4 and elapsed < 120

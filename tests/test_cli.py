@@ -224,10 +224,18 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "lower": "low"}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": [5]}]}',
         '{"objective": {"task": "dock_a"}, "chunk_size": "big"}',
+        '{"objective": {"task": "dock_a"}, "k": 1.7}',
+        '{"objective": {"task": "dock_a"}, "k": true}',
+        '{"objective": {"task": "dock_a"}, "k": "10"}',
+        '{"objective": {"task": "dock_a"}, "chunk_size": "4096"}',
+        '{"objective": {"task": "dock_a"}, "chunk_size": 10.5}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": false}]}',
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
         "lower_not_number", "upper_not_number", "chunk_size_not_number",
+        "k_fraction", "k_bool", "k_string", "chunk_size_string", "chunk_size_fraction",
+        "upper_bool",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"
@@ -259,6 +267,27 @@ class TestErrors:
                    "--query", str(pipeline["query"]), "--out", str(pipeline["dir"] / "x.tsv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_table_short_of_pair_rows(self, pipeline, capsys):
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline["table"])
+        arrays["values"] = arrays["values"][:, :-3]
+        bad = pipeline["dir"] / "table_short.blob"
+        blobio.save_blob(bad, meta, arrays)
+        assert run("search", "--library", str(pipeline["library"]), "--table", str(bad),
+                   "--query", str(pipeline["query"]), "--out", str(pipeline["dir"] / "x.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "shapes" in err
+
+    def test_integral_float_k_accepted(self, pipeline):
+        q = pipeline["dir"] / "query_k_float.json"
+        q.write_text(json.dumps({"objective": {"task": "dock_a"}, "k": 3.0}))
+        out = pipeline["dir"] / "hits_k_float.tsv"
+        assert run("search", "--library", str(pipeline["library"]),
+                   "--table", str(pipeline["table"]), "--query", str(q), "--out", str(out)) == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 3
 
     def test_missing_library(self, pipeline, capsys):
         assert run("cost", "--library", str(pipeline["dir"] / "absent.csl")) == 1

@@ -148,6 +148,27 @@ class TestDecodeIndices:
                 csl.decode_indices(small_library, np.array(bad))
 
 
+class TestPairRows:
+    def test_synthon_ids_and_pair_rows_match_scalar(self, medium_library):
+        lib = medium_library
+        gidx = np.random.default_rng(2).integers(0, csl.product_count(lib), size=500)
+        pos, digits = csl.decode_indices(lib, gidx)
+        sids = csl.synthon_ids(lib, pos, digits)
+        rows = csl.pair_rows(lib, pos, digits)
+        first_row, n = {}, 0
+        for rg in lib.iter_rgroups():
+            first_row[rg.rgroup_id] = n
+            n += len(rg.synthon_ids)
+        member_ids = [s for rg in lib.iter_rgroups() for s in rg.synthon_ids]
+        for g, sid_row, pr_row in zip(gidx.tolist(), sids.tolist(), rows.tolist()):
+            chi = csl.decode_index(lib, g)
+            width = len(chi.assignment)
+            assert sid_row == list(chi.synthon_ids()) + [-1] * (len(sid_row) - width)
+            assert pr_row[:width] == [first_row[r] + lib.synthon_digit(r, s) for r, s in chi.assignment]
+            assert pr_row[width:] == [-1] * (len(pr_row) - width)
+            assert [member_ids[r] for r in pr_row[:width]] == list(chi.synthon_ids())
+
+
 class TestEnumerate:
     def test_full_enumeration_distinct(self, small_library):
         total = csl.product_count(small_library)

@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -289,6 +290,23 @@ class TestTableIO:
         assert loaded.task_names == table.task_names
         assert loaded.fingerprint == table.fingerprint
         loaded.check_library(library)
+
+    @pytest.mark.parametrize("change", [
+        "values_1d", "values_short", "values_extra_task", "biases_short", "member_ids_short",
+        "rg_offsets_long",
+    ])
+    def test_rejects_disagreeing_shapes(self, exact_setup, change):
+        _, _, table = exact_setup
+        fields = {
+            "values_1d": {"values": table.values[0]},
+            "values_short": {"values": table.values[:, :-3]},
+            "values_extra_task": {"values": np.vstack([table.values, table.values[:1]])},
+            "biases_short": {"biases": table.biases[:-1]},
+            "member_ids_short": {"member_ids": table.member_ids[:-1]},
+            "rg_offsets_long": {"rg_offsets": np.append(table.rg_offsets, table.rg_offsets[-1])},
+        }[change]
+        with pytest.raises(engine.EngineError, match="shapes"):
+            dataclasses.replace(table, **fields)
 
     def test_load_rejects_every_truncation_and_trailing_bytes(self, exact_setup, tmp_path):
         _, _, table = exact_setup

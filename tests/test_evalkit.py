@@ -1,10 +1,12 @@
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
-from conftest import f32_round_latents, perfect_additive_table
+from conftest import f32_round_latents, mixed_libraries, perfect_additive_table
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +32,13 @@ class TestOracleTopK:
         rows.sort()
         expected = [g for _, g in rows[:8]]
         truth = evalkit.oracle_topk(library, oracle, q, 8)
-        assert [e.global_index for e in truth.entries] == expected
+        assert truth.global_index.tolist() == expected
 
     def test_minimize_direction(self, exact_setup):
         library, oracle, _ = exact_setup
         q = engine.QuerySpec("obj", "minimize", (), k=3)
         truth = evalkit.oracle_topk(library, oracle, q, 3)
-        objs = [e.objective for e in truth.entries]
+        objs = truth.objective.tolist()
         assert objs == sorted(objs)
 
     def test_index_range(self, exact_setup):
@@ -45,7 +47,7 @@ class TestOracleTopK:
         off = library.reaction_offset(1)
         size = library.reaction_size(1)
         truth = evalkit.oracle_topk(library, oracle, q, 4, index_range=(off, off + size))
-        assert all(off <= e.global_index < off + size for e in truth.entries)
+        assert all(off <= g < off + size for g in truth.global_index.tolist())
 
     def test_enumeration_guard(self, exact_setup):
         library, oracle, _ = exact_setup
@@ -55,6 +57,67 @@ class TestOracleTopK:
         q = engine.QuerySpec("obj", "maximize", (), k=1)
         with pytest.raises(evalkit.EvalError, match="guard"):
             evalkit.oracle_topk(big, oracle, q, 1)
+
+
+def reference_oracle_topk(library, oracle, query, j, index_range=None):
+    """The per-product heap loop `oracle_topk` replaced: (global index,
+    objective) pairs, signed objective descending, then lower index."""
+    start, end = index_range if index_range is not None else (0, csl.product_count(library))
+    heap = []  # (signed objective, -g); root is the worst kept
+    for ti, fd, g0, lo, hi in engine.iter_blocks(library, start, end):
+        obj = props.oracle_block_values(oracle, library, query.objective, ti, fd)[lo:hi]
+        s = obj if query.direction == "maximize" else -obj
+        if query.constraints:
+            cons = [props.oracle_block_values(oracle, library, con.task, ti, fd)[lo:hi]
+                    for con in query.constraints]
+            feasible = np.asarray(engine.violation(cons, query.constraints)) == 0.0
+        else:
+            feasible = np.ones(len(obj), dtype=bool)
+        for i in np.nonzero(feasible)[0]:
+            item = (float(s[i]), -(g0 + lo + int(i)))
+            if len(heap) < j:
+                heapq.heappush(heap, item)
+            elif item > heap[0]:
+                heapq.heapreplace(heap, item)
+    ordered = sorted(heap, key=lambda e: (-e[0], -e[1]))
+    return [(-ng, s if query.direction == "maximize" else -s) for s, ng in ordered]
+
+
+@st.composite
+def oracle_topk_cases(draw):
+    library = draw(mixed_libraries())
+    n = len(library.synthons)
+    n_cons = draw(st.integers(0, 2))
+    levels = [-1.0, -0.0, 0.0, 1.0]  # few values, so objectives tie
+    tasks = [
+        props.TaskDef(
+            name, draw(st.sampled_from(["additive", "additive+nonlinear+pairwise"])),
+            np.asarray(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))),
+            nonlinear_scale=0.5, pair_scale=0.25, pair_density=0.3,
+        )
+        for name in ["obj"] + [f"c{i}" for i in range(n_cons)]
+    ]
+    oracle = props.GroundTruthOracle(tasks, seed=draw(st.integers(0, 3)))
+    bounds = [(float("-inf"), 0.0), (0.0, float("inf")), (-1.0, 1.0), (1.5, 2.5), (9.0, float("inf"))]
+    constraints = tuple(engine.Constraint(f"c{i}", *draw(st.sampled_from(bounds))) for i in range(n_cons))
+    query = engine.QuerySpec("obj", draw(st.sampled_from(["maximize", "minimize"])), constraints)
+    total = csl.product_count(library)
+    start = draw(st.integers(0, total))
+    end = draw(st.integers(start, total))
+    return library, oracle, query, draw(st.integers(1, total + 3)), (start, end)
+
+
+class TestOracleTopKReference:
+    @given(case=oracle_topk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_heap_loop(self, case):
+        library, oracle, query, j, index_range = case
+        truth = evalkit.oracle_topk(library, oracle, query, j, index_range=index_range)
+        expected = reference_oracle_topk(library, oracle, query, j, index_range)
+        assert truth.global_index.tolist() == [g for g, _ in expected]
+        assert truth.objective.tobytes() == np.asarray([o for _, o in expected], dtype=np.float64).tobytes()
+        for jj in (1, j // 2):
+            assert truth.top(jj).global_index.tolist() == [g for g, _ in expected[:jj]]
 
 
 class TestRecall:
@@ -83,7 +146,9 @@ class TestRecall:
 
     def test_empty_truth_is_none(self, exact_setup):
         library, _, table = exact_setup
-        empty = evalkit.OracleTopK(entries=[], query=engine.QuerySpec("obj", "maximize", k=5), j=5)
+        empty = evalkit.OracleTopK(
+            np.zeros(0, dtype=np.int64), np.zeros(0), engine.QuerySpec("obj", "maximize", k=5), 5
+        )
         retrieved = engine.search_topk_stream(
             library, table, engine.QuerySpec("obj", "maximize", (), k=5)
         )

@@ -13,6 +13,15 @@ def tiny_surrogate(small_library, small_oracle):
     return surrogate.train_surrogate(ds, small_library, cfg)
 
 
+def reconstruct(cache, library, chi):
+    """Reference reconstruction: the assignment's associative embeddings
+    summed from zero, in R-group order."""
+    out = np.zeros(cache.u.shape[1])
+    for rgroup_id, synthon_id in chi.assignment:
+        out = out + cache.u[cache.pair_row(library, rgroup_id, synthon_id)]
+    return out
+
+
 def _fast_train_config(**kw):
     base = dict(steps=5, batch_size=16, seed=0, dims=fz.FactorizerDims(d_s=16, d_r=16, d_t=16, d_u=8, d=16))
     base.update(kw)
@@ -64,7 +73,7 @@ class TestHierarchy:
         manual = np.zeros(cache.u.shape[1])
         for r, s in chi.assignment:
             manual = manual + cache.u[cache.pair_row(small_library, r, s)]
-        np.testing.assert_array_equal(fz.reconstruct(cache, small_library, chi), manual)
+        np.testing.assert_array_equal(reconstruct(cache, small_library, chi), manual)
 
     def test_unknown_rgroup_in_pair_row(self, small_library, tiny_surrogate):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -82,7 +91,15 @@ class TestTraining:
     def test_deterministic(self, small_library, tiny_surrogate):
         a = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         b = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        np.testing.assert_array_equal(a.get_flat(), b.get_flat())
+        np.testing.assert_array_equal(a.buffer.flat, b.buffer.flat)
+
+    def test_per_reaction_sampling_deterministic(self, small_library, tiny_surrogate):
+        cfg = _fast_train_config(sampling="per_reaction")
+        a = fz.train_factorizer(small_library, tiny_surrogate, cfg)
+        b = fz.train_factorizer(small_library, tiny_surrogate, cfg)
+        np.testing.assert_array_equal(a.buffer.flat, b.buffer.flat)
+        with pytest.raises(ValueError, match="sampling"):
+            fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config(sampling="stratified"))
 
     def test_loss_decreases(self, small_library, tiny_surrogate):
         gap0 = fz.factorization_gap(
@@ -99,15 +116,38 @@ class TestTraining:
         # one 2-component and one 3-component multi-index in the same batch
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         ctx = fz.build_context(small_library, tiny_surrogate.feature_config)
-        chis = [csl.decode_index(small_library, 0), csl.decode_index(small_library, 149)]
-        assert len(chis[0].assignment) != len(chis[1].assignment)
-        feats = fz.product_feature_matrix_cached(
-            small_library, chis, tiny_surrogate.feature_config, ctx.features
-        )
+        pos, digits = csl.decode_indices(small_library, [0, 149])
+        assert (digits[0] >= 0).sum() != (digits[1] >= 0).sum()
+        sids = csl.synthon_ids(small_library, pos, digits)
+        feats = props.product_feature_matrix(small_library, sids, tiny_surrogate.feature_config)
         targets = tiny_surrogate.encoder.forward(feats)
-        loss, grads = fz.reconstruction_loss_and_grads(f, ctx, small_library, chis, targets)
+        rows = csl.pair_rows(small_library, pos, digits)
+        loss, grads = fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads)
+
+    def test_gap_and_loss_match_per_product_reference(self, small_library, tiny_surrogate):
+        # mixed 2- and 3-component products; sums as the per-product code made them
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        fc = tiny_surrogate.feature_config
+        gap = fz.factorization_gap(f, tiny_surrogate, small_library, 64, seed=5)
+        gidx = np.random.default_rng(5).integers(0, csl.product_count(small_library), size=64)
+        chis = [csl.decode_index(small_library, int(g)) for g in gidx]
+        cache = fz.encode_hierarchy(f, small_library)
+        target = tiny_surrogate.encoder.forward(
+            np.stack([props.product_features(small_library, chi, fc) for chi in chis])
+        )
+        recon = np.stack([reconstruct(cache, small_library, chi) for chi in chis])
+        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, gidx))
+        assert fz._gather_sum(cache.u, rows).tobytes() == recon.tobytes()
+        dist = np.linalg.norm(target - recon, axis=1)
+        assert gap == {
+            "mean": float(dist.mean()),
+            "p95": float(np.quantile(dist, 0.95)),
+            "embedding_rms": float(np.sqrt(np.mean(target * target))),
+        }
+        loss, _ = fz.reconstruction_loss_and_grads(f, fz.build_context(small_library, fc), rows, target)
+        assert loss == float(np.sum((recon - target) ** 2)) / len(gidx)
 
     def test_linear_mode_exact_on_linear_surrogate(self, small_library):
         # a linear surrogate over additive features is exactly factorizable
@@ -142,16 +182,16 @@ class TestGradients:
             feature_config=tiny_surrogate.feature_config,
         )
         ctx = fz.build_context(small_library, tiny_surrogate.feature_config)
-        chis = [csl.decode_index(small_library, g) for g in (3, 60, 140)]
+        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [3, 60, 140]))
         targets = rng.standard_normal((3, dims.d))
 
-        _, grads = fz.reconstruction_loss_and_grads(f, ctx, small_library, chis, targets)
-        flat_grads = np.concatenate([g.ravel() for g in grads])
-        flat = f.get_flat()
+        fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
+        flat_grads = f.buffer.grad.copy()
+        flat = f.buffer.flat.copy()
 
         def loss_at(x):
-            f.set_flat(x)
-            l, _ = fz.reconstruction_loss_and_grads(f, ctx, small_library, chis, targets)
+            f.buffer.flat[...] = x
+            l, _ = fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
             return l
 
         h = 1e-6
@@ -165,7 +205,7 @@ class TestGradients:
                 denom = max(abs(fd), abs(flat_grads[i]), 1e-8)
                 assert abs(fd - flat_grads[i]) / denom < 1e-4
         finally:
-            f.set_flat(flat)
+            f.buffer.flat[...] = flat
 
 
 class TestCheckpoint:
@@ -174,7 +214,7 @@ class TestCheckpoint:
         path = tmp_path / "factorizer.blob"
         fz.save_factorizer(f, path)
         loaded = fz.load_factorizer(path)
-        np.testing.assert_array_equal(loaded.get_flat(), f.get_flat())
+        np.testing.assert_array_equal(loaded.buffer.flat, f.buffer.flat)
         assert loaded.mode == f.mode
         assert loaded.dims == f.dims
 
@@ -187,6 +227,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.u, cache.u)
         assert loaded.fingerprint == cache.fingerprint
         assert loaded.rg_pos == cache.rg_pos
+
+    def test_cache_version_checked(self, small_library, tiny_surrogate, tmp_path):
+        from apexcsl.blobio import load_blob, save_blob
+
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        path = tmp_path / "cache.blob"
+        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
+        meta, arrays = load_blob(path)
+        save_blob(path, {**meta, "version": 2}, arrays)
+        with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
+            fz.load_cache(path)
 
     def test_save_is_byte_deterministic(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, props
+from conftest import mixed_libraries
+
+# few distinct values, signed zeros included: synthon vectors and latents tie
+LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
 class TestSynthonFeatures:
@@ -63,6 +72,42 @@ class TestProductFeatures:
         np.testing.assert_allclose(out[:16], v)
         expected = props._cross_projection(16, 4, cfg.seed) @ (v * v)
         np.testing.assert_allclose(out[16:], expected)
+        batch = props.product_feature_matrix(lib, np.array([[0]]), cfg)
+        assert _bits(batch[0]) == _bits(out)
+
+
+class TestBatchFeatures:
+    """`product_feature_matrix` against stacked scalar `product_features`."""
+
+    @given(library=mixed_libraries(), p=st.sampled_from([3, 8, 64]), q=st.sampled_from([0, 1, 16]),
+           coarse=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stacked_product_features(self, library, p, q, coarse, data):
+        cfg = props.FeatureConfig(p=p, q=q, seed=data.draw(st.integers(0, 3)))
+        if coarse:  # many synthons share a norm, and whole vectors repeat
+            mat = np.asarray(data.draw(st.lists(
+                st.sampled_from(LEVELS), min_size=len(library.synthons) * p,
+                max_size=len(library.synthons) * p,
+            ))).reshape(len(library.synthons), p)
+        else:
+            mat = props.library_synthon_features(library, cfg)
+        total = csl.product_count(library)
+        gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=30))
+        sids = csl.synthon_ids(library, *csl.decode_indices(library, gidx))
+        batch = props.product_feature_matrix(library, sids, cfg, mat)
+        expected = [props.product_features(library, csl.decode_index(library, g), cfg, mat) for g in gidx]
+        assert batch.shape == (len(gidx), p + q)
+        assert _bits(batch) == _bits(np.reshape(expected, (len(gidx), p + q)))
+
+    def test_default_synthon_matrix(self, small_library):
+        cfg = props.FeatureConfig(p=16, q=4)
+        g = np.arange(csl.product_count(small_library))
+        batch = props.product_feature_matrix(
+            small_library, csl.synthon_ids(small_library, *csl.decode_indices(small_library, g)), cfg
+        )
+        expected = np.stack([props.product_features(small_library, csl.decode_index(small_library, i), cfg)
+                             for i in g.tolist()])
+        assert _bits(batch) == _bits(expected)
 
 
 class TestGroundTruth:
@@ -140,6 +185,26 @@ class TestGroundTruth:
         )
         assert abs(delta) <= 0.7
 
+    @given(library=mixed_libraries(), mode=st.sampled_from([
+               "additive", "additive+nonlinear", "additive+pairwise", "additive+nonlinear+pairwise"]),
+           coarse=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_values_match_ground_truth(self, library, mode, coarse, data):
+        n = len(library.synthons)
+        if coarse:
+            latent = np.asarray(data.draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)))
+        else:
+            latent = np.random.default_rng(data.draw(st.integers(0, 9))).standard_normal(n)
+        other = props.TaskDef("other", "additive", np.zeros(n))
+        task = props.TaskDef("t", mode, latent, nonlinear_scale=0.7, nonlinear_alpha=0.9,
+                             pair_scale=0.3, pair_density=data.draw(st.sampled_from([0.05, 0.5, 1.0])))
+        oracle = props.GroundTruthOracle([other, task], seed=data.draw(st.integers(0, 5)))
+        total = csl.product_count(library)
+        gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=40))
+        values = props.oracle_values(oracle, library, "t", np.asarray(gidx, dtype=np.int64))
+        expected = [props.ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
+        assert _bits(values) == _bits(expected)
+
     def test_oracle_roundtrip(self, small_oracle, tmp_path):
         path = tmp_path / "oracle.json"
         props.save_oracle(small_oracle, path)
@@ -171,6 +236,19 @@ class TestLabelLibrary:
         )
         full_set = {(r.chi, r.task, r.value) for r in full.rows}
         assert all((r.chi, r.task, r.value) in full_set for r in sample.rows)
+
+    def test_matches_per_product_ground_truth(self, small_library, small_oracle):
+        tasks = ["dock_a", "mw"]
+        ds = props.label_library(small_oracle, small_library, tasks, props.SampleSpec(size=60, seed=3))
+        rng = np.random.default_rng(3)
+        gidxs = np.sort(rng.choice(csl.product_count(small_library), size=60, replace=False))
+        expected = []
+        for g in gidxs:
+            chi = csl.decode_index(small_library, int(g))
+            for task in tasks:
+                expected.append(props.LabelRow(chi, task, props.ground_truth(small_oracle, small_library, chi, task)))
+        assert ds.rows == expected
+        assert _bits([r.value for r in ds.rows]) == _bits([r.value for r in expected])
 
     def test_deterministic(self, small_library, small_oracle):
         a = props.label_library(small_oracle, small_library, ["mw"], props.SampleSpec(size=30, seed=1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apexcsl import csl, props, surrogate
-from apexcsl.nn import MLP
+from apexcsl.nn import MLP, ParamBuffer
 
 
 def _tiny_dataset(library, oracle, tasks=("mw", "logp"), size=80, seed=0):
@@ -21,6 +21,12 @@ class TestTraining:
         a = surrogate.train_surrogate(ds, small_library, _fast_config())
         b = surrogate.train_surrogate(ds, small_library, _fast_config())
         assert a.checksum() == b.checksum()
+
+    def test_several_noise_draws_deterministic(self, small_library, small_oracle):
+        ds = _tiny_dataset(small_library, small_oracle)
+        a = surrogate.train_surrogate(ds, small_library, _fast_config(noise_draws=3))
+        b = surrogate.train_surrogate(ds, small_library, _fast_config(noise_draws=3))
+        assert a.checksum() == b.checksum() != surrogate.train_surrogate(ds, small_library, _fast_config()).checksum()
 
     def test_seed_changes_model(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle)
@@ -63,8 +69,8 @@ class TestPredict:
     def test_batch_matches_scalar(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle)
         model = surrogate.train_surrogate(ds, small_library, _fast_config())
-        chis = [csl.decode_index(small_library, g) for g in (0, 7, 120)]
-        X = props.product_feature_matrix(small_library, chis, model.feature_config)
+        sids = csl.synthon_ids(small_library, *csl.decode_indices(small_library, [0, 7, 120]))
+        X = props.product_feature_matrix(small_library, sids, model.feature_config)
         batch = surrogate.predict(model, X, "mw")
         singles = [surrogate.predict(model, x, "mw") for x in X]
         np.testing.assert_array_equal(batch, np.asarray(singles))
@@ -108,14 +114,12 @@ class TestGradients:
 
         def loss_at(flat):
             enc2 = MLP([6, 8, 4], np.random.default_rng(0))
-            n_enc = sum(p.size for p in enc2.params)
-            enc2.set_flat(flat[:n_enc])
-            w2 = flat[n_enc : n_enc + head_w.size].reshape(head_w.shape)
-            b2 = flat[n_enc + head_w.size :]
-            l, *_ = surrogate.surrogate_loss_and_grads(enc2, w2, b2, X, ti, y, eps)
+            buf = ParamBuffer([enc2], [head_w, head_b])
+            buf.flat[...] = flat
+            l, *_ = surrogate.surrogate_loss_and_grads(enc2, *buf.extra, X, ti, y, eps)
             return l
 
-        flat = np.concatenate([enc.get_flat(), head_w.ravel(), head_b.ravel()])
+        flat = ParamBuffer([enc], [head_w, head_b]).flat.copy()
         h = 1e-6
         idx = rng.choice(flat.size, size=40, replace=False)
         for i in idx:
