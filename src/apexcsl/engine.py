@@ -6,10 +6,10 @@ scanned in blocks: a block is one (reaction, first-R-group digit) slab of
 contiguous global indices. Two scan variants are provided and are required
 (and tested) to produce identical results.
 
-`search_topk_batched` scores every block and keeps the winners of each chain
-of batches; it is the exhaustive reference. `search_topk_stream` scores only
-the blocks that can still contribute, following the threshold algorithm of
-Fagin, Lotem & Naor (PODS 2001):
+`search_topk_batched` scores every block, in chunk order; it is the
+exhaustive reference. `search_topk_stream` scores only the blocks that can
+still contribute, following the threshold algorithm of Fagin, Lotem & Naor
+(PODS 2001):
 
 * Bound. For every block it computes an upper bound on the selection key
   (violation, signed objective). Each task's value is bounded below and above
@@ -29,14 +29,17 @@ Fagin, Lotem & Naor (PODS 2001):
   equals the k-th key is still scored, because a tied key can win on a lower
   global index.
 * Selection. Each scored block is filtered against the k-th key, and the
-  survivors are appended to a buffer; once k are pending, one lexsort
-  compacts the buffer to the best k.
+  survivors are kept pending in `_TopKBuffer`; once k are pending, it
+  compacts to the best k.
 
-Both variants hand their best k over as key arrays in key order. The result
-is columnar: predicted violators are dropped with a mask, every hit is decoded
-in one pass (`csl.decode_indices`), and each constraint's value is gathered
-from the table by pair row and summed as `apex_score` sums it. `save_result`
-writes the hit file column by column, a chunk of rows at a time.
+Both variants and `evalkit.oracle_topk` select with that one buffer. It finds
+the best-k set by partition in linear time (violation, then signed objective
+among its ties, then the lowest global indices), and sorts only the survivors,
+once, to hand them over in key order. The result is columnar: predicted
+violators are dropped with a mask, every hit is decoded in one pass
+(`csl.decode_indices`), and each constraint's value is gathered from the table
+by pair row and summed as `apex_score` sums it. `save_result` writes the hit
+file column by column, a chunk of rows at a time.
 
 Reproducibility contract: contributions are stored as 4-byte floats and
 accumulated in 8-byte floats in R-group declaration order, and ties are broken
@@ -58,6 +61,7 @@ from .csl import (
     assemble_rows,
     decode_indices,
     library_fingerprint,
+    pair_rows,
     product_count,
 )
 from .factorizer import HierarchyCache
@@ -120,8 +124,15 @@ class ContributionTable:
         return int(self.rg_offsets[j]) + library.synthon_digit(rgroup_id, synthon_id)
 
     def check_library(self, library: CslLibrary) -> None:
+        """The table must come from this library and share its pair-row layout."""
         if self.fingerprint != library_fingerprint(library):
             raise EngineError("library fingerprint does not match the contribution table")
+        rgroups = list(library.iter_rgroups())
+        offsets = np.cumsum([0] + [len(rg.synthon_ids) for rg in rgroups])
+        if not (np.array_equal(self.member_ids, library._pair_layout[0])
+                and np.array_equal(self.rg_ids, [rg.rgroup_id for rg in rgroups])
+                and np.array_equal(self.rg_offsets, offsets)):
+            raise EngineError("contribution table's pair rows are not laid out as the library's")
 
 
 def precompute_flops_per_task(n_pairs: int, d: int) -> int:
@@ -258,18 +269,12 @@ class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
     def __init__(self, table: ContributionTable, library: CslLibrary, reaction_id: int, tasks: list[str]):
-        rx = library.reaction(reaction_id)
-        self.per_task: list[list[np.ndarray]] = []
-        for name in tasks:
-            i = table.task_index(name)
-            arrs = []
-            for rg in rx.rgroups:
-                j = table._rg_pos[rg.rgroup_id]
-                lo, hi = int(table.rg_offsets[j]), int(table.rg_offsets[j + 1])
-                if hi - lo != len(rg.synthon_ids):
-                    raise EngineError(f"table rows for R-group {rg.rgroup_id} do not match library")
-                arrs.append(table.values[i, lo:hi].astype(np.float64))
-            self.per_task.append(arrs)
+        rgroups = library.reaction(reaction_id).rgroups
+        first_row = library._pair_layout[1][reaction_id]
+        rows = [slice(first_row[j], first_row[j] + len(rg.synthon_ids)) for j, rg in enumerate(rgroups)]
+        self.per_task = [
+            [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
+        ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
 
     def block_values(self, task_pos: int, first_digit: int) -> np.ndarray:
@@ -343,16 +348,15 @@ def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray
 class _TopKBuffer:
     """Exact top-k under the key (violation, signed objective, lower global index).
 
-    Scored blocks are filtered against the current k-th key and their
-    survivors kept pending; once k are pending, one lexsort compacts the
-    buffer back to the best k and raises the k-th key.
+    Offered keys are filtered against the current k-th key and kept pending;
+    once k are pending, the buffer is compacted back to the best k by
+    partition, and the k-th key is raised. Only `kept` sorts, and only the
+    survivors.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.c = np.empty(0)
-        self.s = np.empty(0)
-        self.g = np.empty(0, dtype=np.int64)
+        self.c, self.s, self.g = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.n_pending = 0
         self.kth: tuple[float, float, int] | None = None
@@ -375,21 +379,38 @@ class _TopKBuffer:
             self.pending.append((c, s, g))
             self.n_pending += len(g)
             if self.n_pending >= self.k:
-                self._compact()
+                self.compact()
 
-    def _compact(self) -> None:
+    def compact(self) -> None:
+        """Keep the best k of the kept and pending keys, in no particular order;
+        once k are kept, the worst of them is the k-th key."""
+        if not self.pending:
+            return
         c = np.concatenate([self.c] + [p[0] for p in self.pending])
         s = np.concatenate([self.s] + [p[1] for p in self.pending])
         g = np.concatenate([self.g] + [p[2] for p in self.pending])
-        best = np.lexsort((g, -s, -c))[: self.k]
-        self.c, self.s, self.g = c[best], s[best], g[best]
         self.pending, self.n_pending = [], 0
-        if 0 < len(best) == self.k:
-            self.kth = (float(self.c[-1]), float(self.s[-1]), int(self.g[-1]))
+        if 0 < self.k <= len(g):
+            cand, parts, need = np.arange(len(g)), [], self.k
+            # key by key: keep what beats the need-th largest (-0.0 equals 0.0), pass its ties on
+            for key in (c, s, -g):
+                x = key[cand]
+                t = np.partition(x, len(x) - need)[len(x) - need]
+                parts.append(cand[x > t])
+                need -= len(parts[-1])
+                cand = cand[x == t]
+            # global indices are unique, so the one tie left is the k-th key
+            (w,) = cand
+            self.kth = (float(c[w]), float(s[w]), int(g[w]))
+            keep = np.concatenate(parts + [cand])
+            c, s, g = c[keep], s[keep], g[keep]
+        self.c, self.s, self.g = c[: self.k], s[: self.k], g[: self.k]
 
     def kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The best k (violation, signed objective, global index) keys, in key order."""
-        self._compact()
+        self.compact()
+        order = np.lexsort((self.g, -self.s, -self.c))
+        self.c, self.s, self.g = self.c[order], self.s[order], self.g[order]
         return self.c, self.s, self.g
 
 
@@ -402,18 +423,13 @@ def _constraint_values(
 ) -> np.ndarray:
     """Each constraint's value at every decoded hit, summed as `apex_score`
     sums it: from 0.0, R-groups in declaration order, then the bias."""
-    width = digits.shape[1]
-    first_row = np.zeros((len(library.reactions), width), dtype=np.int64)
-    for t, rx in enumerate(library.reactions):
-        for j, rg in enumerate(rx.rgroups):
-            first_row[t, j] = table.rg_offsets[table._rg_pos[rg.rgroup_id]]
-    rows = first_row[pos] + digits
-    present = digits >= 0
+    rows = pair_rows(library, pos, digits)
+    present = rows >= 0
     out = np.empty((len(query.constraints), len(pos)))
     for ci, con in enumerate(query.constraints):
         i = table.task_index(con.task)
         acc = np.zeros(len(pos))
-        for j in range(width):
+        for j in range(rows.shape[1]):
             m = present[:, j]
             acc[m] += table.values[i, rows[m, j]]
         out[ci] = acc + table.biases[i]
@@ -424,13 +440,18 @@ def _result_from_selection(
     library: CslLibrary,
     table: ContributionTable,
     query: QuerySpec,
-    c: np.ndarray,  # violation, signed objective and global index of the best k, in key order
-    s: np.ndarray,
-    g: np.ndarray,
+    buf: _TopKBuffer,
+    t0: float,
     scanned: int,
     scored: int,
-    timing: dict[str, float],
 ) -> TopKResult:
+    """The buffer's best k as a columnar result; the scan's time, from t0,
+    ends once they are selected, before they are decoded."""
+    c, s, g = buf.kept()
+    scan_time = time.perf_counter() - t0
+    timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
+    if scan_time > 0:
+        timing["products_per_second"] = scanned / scan_time
     feasible = c >= 0.0
     g = g[feasible]
     pos, digits = decode_indices(library, g)
@@ -448,11 +469,20 @@ def _result_from_selection(
     )
 
 
-def _scan_timing(scan_time: float, scanned: int) -> dict[str, float]:
-    timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
-    if scan_time > 0:
-        timing["products_per_second"] = scanned / scan_time
-    return timing
+def _scan_setup(library: CslLibrary, table: ContributionTable, query: QuerySpec,
+                index_range: tuple[int, int] | None):
+    """Check the table against the library and the query, and the index range;
+    return the range, the scan's start time and a _ReactionView per reaction."""
+    table.check_library(library)
+    query.validate_tasks(table)
+    total = product_count(library)
+    start, end = index_range if index_range is not None else (0, total)
+    if not 0 <= start <= end <= total:
+        raise EngineError(f"index range [{start}, {end}) invalid")
+    t0 = time.perf_counter()
+    tasks = [query.objective] + [c.task for c in query.constraints]
+    views = [_ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
+    return start, end, t0, views
 
 
 def search_topk_stream(
@@ -469,16 +499,7 @@ def search_topk_stream(
     end, so fewer than k entries may be returned. `scanned` counts the
     products in the range, `scored` those whose keys were computed.
     """
-    table.check_library(library)
-    query.validate_tasks(table)
-    total = product_count(library)
-    start, end = index_range if index_range is not None else (0, total)
-    if not 0 <= start <= end <= total:
-        raise EngineError(f"index range [{start}, {end}) invalid")
-    t0 = time.perf_counter()
-    tasks = [query.objective] + [c.task for c in query.constraints]
-    views = {ti: _ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))}
-
+    start, end, t0, views = _scan_setup(library, table, query, index_range)
     buf = _TopKBuffer(query.k)
     scored = 0
     ranges = list(_reaction_block_ranges(library, start, end))
@@ -504,9 +525,7 @@ def search_topk_stream(
             offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
             buf.offer(c_arr, s_arr, offsets + g0)
             scored += hi - lo
-    c, s, g = buf.kept()
-    timing = _scan_timing(time.perf_counter() - t0, end - start)
-    return _result_from_selection(library, table, query, c, s, g, end - start, scored, timing)
+    return _result_from_selection(library, table, query, buf, t0, end - start, scored)
 
 
 def make_batches(library: CslLibrary, chunk_size: int, start: int = 0, end: int | None = None):
@@ -517,17 +536,13 @@ def make_batches(library: CslLibrary, chunk_size: int, start: int = 0, end: int 
     if end is None:
         end = product_count(library)
     batches: list[list[tuple[int, int, int, int, int]]] = []
-    current: list[tuple[int, int, int, int, int]] = []
-    current_size = 0
+    size = 0
     for blk in iter_blocks(library, start, end):
-        size = blk[4] - blk[3]
-        if current and current_size + size > chunk_size:
-            batches.append(current)
-            current, current_size = [], 0
-        current.append(blk)
-        current_size += size
-    if current:
-        batches.append(current)
+        if not batches or size + blk[4] - blk[3] > chunk_size:
+            batches.append([])
+            size = 0
+        batches[-1].append(blk)
+        size += blk[4] - blk[3]
     return batches
 
 
@@ -546,48 +561,27 @@ def search_topk_batched(
     index_range: tuple[int, int] | None = None,
     trace: BatchTrace | None = None,
 ) -> TopKResult:
-    """Chain-of-batches top-k: per batch, the running winners are prepended to
-    the batch's score arrays before selection, and selected positions at or
-    beyond the carry length are new elements from the batch."""
-    table.check_library(library)
-    query.validate_tasks(table)
+    """Exhaustive top-k: every block of the index range, in chunk order, is
+    scored against the current k-th key and offered to the top-k buffer, which
+    compacts at the end of each batch. Batches are ascending index ranges, so
+    the kept entries at or past a batch's first index are its new elements."""
     if chunk_size < 1:
         raise EngineError("chunk size must be >= 1")
-    total = product_count(library)
-    start, end = index_range if index_range is not None else (0, total)
-    if not 0 <= start <= end <= total:
-        raise EngineError(f"index range [{start}, {end}) invalid")
-    t0 = time.perf_counter()
-    tasks = [query.objective] + [c.task for c in query.constraints]
-    views = {ti: _ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))}
-
-    k = query.k
-    carry_c = np.empty(0)
-    carry_s = np.empty(0)
-    carry_g = np.empty(0, dtype=np.int64)
-    if k > 0:
+    start, end, t0, views = _scan_setup(library, table, query, index_range)
+    buf = _TopKBuffer(query.k)
+    trace = trace if trace is not None else BatchTrace([], [], [])
+    if query.k > 0:
         for batch in make_batches(library, chunk_size, start, end):
-            cs, ss, gs = [carry_c], [carry_s], [carry_g]
             for ti, j, g0, lo, hi in batch:
-                offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi)
-                cs.append(c_arr)
-                ss.append(s_arr)
-                gs.append(offsets + g0)
-            c_all = np.concatenate(cs)
-            s_all = np.concatenate(ss)
-            g_all = np.concatenate(gs)
-            order = np.lexsort((g_all, -s_all, -c_all))
-            sel = order[:k]
-            if trace is not None:
-                n_carry = len(carry_g)
-                trace.batch_sizes.append(len(g_all) - n_carry)
-                trace.new_elements.append(int(np.sum(sel >= n_carry)))
-                trace.carried_elements.append(int(np.sum(sel < n_carry)))
-            carry_c, carry_s, carry_g = c_all[sel], s_all[sel], g_all[sel]
-    timing = _scan_timing(time.perf_counter() - t0, end - start)
-    return _result_from_selection(
-        library, table, query, carry_c, carry_s, carry_g, end - start, end - start, timing
-    )
+                offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
+                buf.offer(c_arr, s_arr, offsets + g0)
+            buf.compact()
+            _, _, g0, lo, _ = batch[0]
+            new = int(np.count_nonzero(buf.g >= g0 + lo))
+            trace.batch_sizes.append(sum(hi - lo for *_, lo, hi in batch))
+            trace.new_elements.append(new)
+            trace.carried_elements.append(len(buf.g) - new)
+    return _result_from_selection(library, table, query, buf, t0, end - start, end - start)
 
 
 def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:

@@ -303,8 +303,8 @@ def oracle_block_values(
         shape[axis] = len(arr)
         return arr.reshape(shape)
 
-    # additive base, summed left to right with broadcasting
-    base = np.float64(lats[0][first_digit])
+    # additive base, summed left to right from 0.0 with broadcasting
+    base = 0.0 + np.float64(lats[0][first_digit])
     for j in range(1, c):
         base = base + along(j - 1, lats[j])
     base = np.ascontiguousarray(np.broadcast_to(base, inner_shape))

@@ -357,12 +357,25 @@ def test_criterion_9_throughput():
     table = random_table(library, ["obj"], rng)
     query = engine.QuerySpec("obj", "maximize", (), k=10)
     result = engine.search_topk_stream(library, table, query)
-    rate = result.timing.get("products_per_second", 0.0)
-    # tracked benchmark, not gating: record the measured rate against the
+    scan_seconds = result.timing["scan_seconds"]
+    # the stream skips blocks, so products covered per second is not a scan
+    # rate; products scored per second and the exhaustive (batched) rates are
+    batched = {
+        k: engine.search_topk_batched(library, table, engine.QuerySpec("obj", "maximize", (), k=k), 1 << 20)
+        for k in (10, 100_000)
+    }
+
+    def vs_target(rate):
+        return f"{rate:.3g}/s ({'above' if rate >= 1e7 else 'below'} 1e7 target)"
+
+    # tracked benchmark, not gating: record the measured rates against the
     # 1e7 products/second target and only require a completed scan
-    status = "above" if rate >= 1e7 else "below"
     report(9, "throughput (tracked, not gating)", result.scanned == 8_000_000,
-           f"{rate:.3g} products/s ({status} 1e7 target) on {result.scanned} products")
+           f"stream k=10: covered {vs_target(result.scanned / scan_seconds)}, "
+           f"scored {vs_target(result.scored / scan_seconds)} ({result.scored} scored); "
+           f"batched: k=10 {vs_target(batched[10].timing['products_per_second'])}, "
+           f"k=1e5 {vs_target(batched[100_000].timing['products_per_second'])}; "
+           f"on {result.scanned} products")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -281,6 +281,27 @@ class TestErrors:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "shapes" in err
 
+    @pytest.mark.parametrize("change", ["member_ids_permuted", "rg_ids_reversed", "rg_offsets_moved"])
+    def test_table_with_another_pair_layout(self, pipeline, capsys, change):
+        # the fingerprint and every shape still match: only the pair-row layout differs
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline["table"])
+        if change == "member_ids_permuted":
+            arrays["member_ids"] = arrays["member_ids"][::-1].copy()
+        elif change == "rg_ids_reversed":
+            arrays["rg_ids"] = arrays["rg_ids"][::-1].copy()
+        else:
+            arrays["rg_offsets"] = arrays["rg_offsets"].copy()
+            arrays["rg_offsets"][1] += 1
+        bad = pipeline["dir"] / f"table_{change}.blob"
+        blobio.save_blob(bad, meta, arrays)
+        assert run("search", "--library", str(pipeline["library"]), "--table", str(bad),
+                   "--query", str(pipeline["query"]), "--out", str(pipeline["dir"] / "x.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "laid out" in err
+
     def test_integral_float_k_accepted(self, pipeline):
         q = pipeline["dir"] / "query_k_float.json"
         q.write_text(json.dumps({"objective": {"task": "dock_a"}, "k": 3.0}))

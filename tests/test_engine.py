@@ -460,6 +460,125 @@ class TestBlockSkipping:
         assert stream.global_index.tolist() == list(range(3 * block, 3 * block + q.k))
 
 
+# ---------------------------------------------------------------------------
+# the partition-compacting buffer against the lexsort buffer and carry loop it replaced
+# ---------------------------------------------------------------------------
+
+class ReferenceTopKBuffer:
+    """The buffer that the partition compaction replaced: every compaction
+    lexsorts the kept and pending keys and keeps the first k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.c = np.empty(0)
+        self.s = np.empty(0)
+        self.g = np.empty(0, dtype=np.int64)
+        self.pending = []
+        self.n_pending = 0
+        self.kth = None
+
+    def offer(self, c, s, g):
+        if self.kth is not None:
+            tc, ts, tg = self.kth
+            keep = np.flatnonzero((c > tc) | ((c == tc) & ((s > ts) | ((s == ts) & (g < tg)))))
+            c, s, g = c[keep], s[keep], g[keep]
+        if len(g):
+            self.pending.append((c, s, g))
+            self.n_pending += len(g)
+            if self.n_pending >= self.k:
+                self._compact()
+
+    def _compact(self):
+        c = np.concatenate([self.c] + [p[0] for p in self.pending])
+        s = np.concatenate([self.s] + [p[1] for p in self.pending])
+        g = np.concatenate([self.g] + [p[2] for p in self.pending])
+        best = np.lexsort((g, -s, -c))[: self.k]
+        self.c, self.s, self.g = c[best], s[best], g[best]
+        self.pending, self.n_pending = [], 0
+        if 0 < len(best) == self.k:
+            self.kth = (float(self.c[-1]), float(self.s[-1]), int(self.g[-1]))
+
+    def kept(self):
+        self._compact()
+        return self.c, self.s, self.g
+
+
+def reference_batched(library, table, query, chunk_size, index_range):
+    """The chain-of-batches loop that the buffer replaced: per batch, the
+    running winners are prepended to the batch's keys, one lexsort selects the
+    best k, and selected positions past the carry are new elements."""
+    start, end = index_range
+    tasks = [query.objective] + [c.task for c in query.constraints]
+    views = [engine._ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
+    trace = engine.BatchTrace([], [], [])
+    carry_c, carry_s, carry_g = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    if query.k > 0:
+        for batch in engine.make_batches(library, chunk_size, start, end):
+            cs, ss, gs = [carry_c], [carry_s], [carry_g]
+            for ti, j, g0, lo, hi in batch:
+                offsets, c_arr, s_arr = engine._block_keys(views[ti], query, j, lo, hi)
+                cs.append(c_arr)
+                ss.append(s_arr)
+                gs.append(offsets + g0)
+            c_all, s_all, g_all = np.concatenate(cs), np.concatenate(ss), np.concatenate(gs)
+            sel = np.lexsort((g_all, -s_all, -c_all))[: query.k]
+            n_carry = len(carry_g)
+            trace.batch_sizes.append(len(g_all) - n_carry)
+            trace.new_elements.append(int(np.sum(sel >= n_carry)))
+            trace.carried_elements.append(int(np.sum(sel < n_carry)))
+            carry_c, carry_s, carry_g = c_all[sel], s_all[sel], g_all[sel]
+    return trace, (carry_c, carry_s, carry_g)
+
+
+@st.composite
+def offer_sequences(draw):
+    """Blocks of heavily tied keys over a shuffled set of global indices, each
+    block sorted by index as a scan offers it, with signed zeros on both keys;
+    k from 0 to past the number of keys, and optional compactions between."""
+    n = draw(st.integers(0, 60))
+    violations = draw(st.lists(st.sampled_from([0.0, -0.0, -1.0, -2.5]), min_size=2, max_size=3))
+    objectives = draw(st.lists(st.sampled_from([1.0, 0.0, -0.0, -3.0, 2.0]), min_size=2, max_size=3))
+    c = np.asarray(draw(st.lists(st.sampled_from(violations), min_size=n, max_size=n)), dtype=np.float64)
+    s = np.asarray(draw(st.lists(st.sampled_from(objectives), min_size=n, max_size=n)), dtype=np.float64)
+    g = np.asarray(draw(st.permutations(range(n))), dtype=np.int64) + draw(st.integers(0, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        order = np.argsort(g[lo:hi]) + lo
+        blocks.append((c[order], s[order], g[order], draw(st.booleans())))
+    return draw(st.integers(0, n + 2)), blocks
+
+
+class TestPartitionBuffer:
+    @given(case=offer_sequences())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_lexsort_buffer(self, case):
+        k, blocks = case
+        new, ref = engine._TopKBuffer(k), ReferenceTopKBuffer(k)
+        for c, s, g, compact in blocks:
+            new.offer(c, s, g)
+            ref.offer(c, s, g)
+            if compact:
+                new.compact()
+                ref._compact()
+            assert repr(new.kth) == repr(ref.kth)
+        for got, want in zip(new.kept(), ref.kept()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert repr(new.kth) == repr(ref.kth)
+
+    @given(case=tied_search_cases(), chunk_size=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_trace_matches_carry_loop(self, case, chunk_size):
+        library, table, query, index_range = case
+        trace = engine.BatchTrace([], [], [])
+        got = engine.search_topk_batched(library, table, query, chunk_size, index_range, trace=trace)
+        want_trace, (c, s, g) = reference_batched(library, table, query, chunk_size, index_range)
+        assert trace == want_trace
+        feasible = c >= 0.0
+        assert got.global_index.tobytes() == g[feasible].tobytes()
+        assert got.violation.tobytes() == c[feasible].tobytes()
+
+
 def reference_save_result(keys, query, path, library, table, assemble):
     """The per-hit writer that the columnar save_result replaced: decode_index,
     apex_score and assemble once per hit, one f-string per row. `keys` are the

@@ -168,6 +168,21 @@ class TestGroundTruth:
             )
             assert np.array_equal(vec, scalar)
 
+    def test_block_values_of_negative_zero_latents(self):
+        # the additive base starts from 0.0, as in ground_truth: -0.0 + -0.0 stays -0.0
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=1, components=(2,), synthons_per_rgroup=2), seed=0
+        )
+        task = props.TaskDef("z", "additive", np.full(len(library.synthons), -0.0))
+        oracle = props.GroundTruthOracle([task], seed=0)
+        vec = np.concatenate([props.oracle_block_values(oracle, library, "z", 0, j) for j in range(2)])
+        total = csl.product_count(library)
+        expected = [props.ground_truth(oracle, library, chi, "z")
+                    for chi in csl.enumerate_products(library, 0, total)]
+        assert total == 4
+        assert _bits(vec) == _bits(expected) == _bits(np.zeros(4))
+        assert _bits(vec) == _bits(props.oracle_values(oracle, library, "z", np.arange(total)))
+
     def test_unknown_task(self, small_library, small_oracle):
         with pytest.raises(props.OracleError, match="unknown task"):
             props.ground_truth(small_oracle, small_library, csl.decode_index(small_library, 0), "nope")
