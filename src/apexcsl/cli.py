@@ -56,7 +56,7 @@ def parse_query_file(path, table: engine.ContributionTable):
             raise CliError(f"{path}: each constraint must be a JSON object, got {item!r}")
         if "preset" in item:
             name = item["preset"]
-            if name not in PRESET_CONSTRAINTS:
+            if not isinstance(name, str) or name not in PRESET_CONSTRAINTS:
                 raise CliError(f"{path}: unknown preset {name!r} (have {sorted(PRESET_CONSTRAINTS)})")
             constraints.extend(PRESET_CONSTRAINTS[name])
         elif "task" not in item:
@@ -82,7 +82,17 @@ def parse_query_file(path, table: engine.ContributionTable):
     variant = doc.get("variant", "stream")
     if variant not in ("stream", "batched"):
         raise CliError(f"{path}: variant must be stream or batched")
-    return query, variant, number(doc, "chunk_size", int, 1 << 20)
+    chunk_size = number(doc, "chunk_size", int, 1 << 20)
+    if chunk_size < 1:
+        raise CliError(f"{path}: chunk_size must be >= 1, got {chunk_size}")
+    return query, variant, chunk_size
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _feature_config(args) -> props.FeatureConfig:
@@ -102,7 +112,7 @@ def cmd_generate(args) -> int:
             raise CliError("--from-library requires --downsample")
         library = csl.downsample(library, args.downsample, args.seed)
     else:
-        components = tuple(int(c) for c in args.components.split(","))
+        components = tuple(_int_list("--components", args.components))
         config = csl.SyntheticConfig(
             n_reactions=args.reactions,
             components=components,
@@ -197,7 +207,9 @@ def cmd_search(args) -> int:
     query, variant, chunk_size = parse_query_file(args.query, table)
     if args.variant:
         variant = args.variant
-    if args.chunk_size:
+    if args.chunk_size is not None:
+        if args.chunk_size < 1:
+            raise CliError(f"--chunk-size must be >= 1, got {args.chunk_size}")
         chunk_size = args.chunk_size
     if variant == "stream":
         result = engine.search_topk_stream(library, table, query)
@@ -222,10 +234,7 @@ def cmd_evaluate(args) -> int:
         retrieved = engine.search_topk_stream(library, table, query)
     else:
         retrieved = engine.search_topk_batched(library, table, query, chunk_size)
-    try:
-        js = [int(j) for j in args.j.split(",")]
-    except ValueError:
-        raise CliError(f"--j must be comma-separated integers, got {args.j!r}") from None
+    js = _int_list("--j", args.j)
     if min(js) < 1:
         raise CliError("--j values must be >= 1")
     # the oracle order is total, so every top-j is a prefix of the largest one
@@ -247,7 +256,7 @@ def cmd_compare_ts(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table)
     oracle = props.load_oracle(args.oracle)
-    budgets = tuple(int(b) for b in args.budgets.split(","))
+    budgets = tuple(_int_list("--budgets", args.budgets))
     seeds = tuple(range(args.seed, args.seed + args.n_seeds))
     rows = evalkit.compare_apex_vs_ts(
         library, oracle, table, args.objective, args.direction,

@@ -21,6 +21,7 @@ import numpy as np
 MAX_COUNT = 2**64 - 1
 
 LIBRARY_FORMAT_VERSION = "cslv1"
+ENUMERATE_CHUNK = 1 << 14
 
 
 class LibraryError(ValueError):
@@ -56,6 +57,74 @@ class MultiIndex:
         return tuple(s for _, s in self.assignment)
 
 
+@dataclass(frozen=True, eq=False)
+class PairLayout:
+    """The row layout that every per-(R-group, synthon) array shares: one row
+    per eligible pair, R-groups in declaration order, each one's synthons in
+    digit order. Built once per library (`CslLibrary.layout`); read-only."""
+
+    member_ids: np.ndarray  # (n_pairs,) synthon id per pair row
+    rg_ids: np.ndarray      # (n_rg,) R-group id per R-group position
+    rg_offsets: np.ndarray  # (n_rg+1,) first pair row per R-group position
+    rx_offsets: np.ndarray  # (n_rx+1,) first R-group position per reaction position
+    rg_parent: np.ndarray   # (n_rg,) reaction position per R-group position
+    n_rgroups: np.ndarray   # (n_rx,) R-groups per reaction
+    # (n_rx, widest reaction's R-groups): per R-group position of each reaction,
+    # its first pair row (0 past the reaction's R-groups) and its synthon
+    # count, the decode radix (1 past them)
+    first_row: np.ndarray
+    radix: np.ndarray
+
+    @classmethod
+    def of(cls, reactions: tuple[ReactionSpec, ...]) -> PairLayout:
+        rgroups = [rg for rx in reactions for rg in rx.rgroups]
+        sizes = np.asarray([len(rg.synthon_ids) for rg in rgroups], dtype=np.int64)
+        n_rgroups = np.asarray([len(rx.rgroups) for rx in reactions], dtype=np.int64)
+        rx_offsets = np.concatenate(([0], np.cumsum(n_rgroups)))
+        rg_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        rg_parent = np.repeat(np.arange(len(reactions)), n_rgroups)
+        col = np.arange(len(rgroups)) - rx_offsets[rg_parent]
+        shape = (len(reactions), int(n_rgroups.max(initial=0)))
+        first_row, radix = np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=np.int64)
+        first_row[rg_parent, col] = rg_offsets[:-1]
+        radix[rg_parent, col] = sizes
+        arrays = (
+            np.asarray([s for rg in rgroups for s in rg.synthon_ids], dtype=np.int64),
+            np.asarray([rg.rgroup_id for rg in rgroups], dtype=np.int64),
+            rg_offsets, rx_offsets, rg_parent, n_rgroups, first_row, radix,
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.member_ids)
+
+    @cached_property
+    def _row_of(self) -> dict[tuple[int, int], int]:
+        rgroup = np.repeat(self.rg_ids, np.diff(self.rg_offsets))
+        return {pair: row for row, pair in enumerate(zip(rgroup.tolist(), self.member_ids.tolist()))}
+
+    def pair_row(self, rgroup_id: int, synthon_id: int) -> int:
+        try:
+            return self._row_of[rgroup_id, synthon_id]
+        except KeyError:
+            raise LibraryError(
+                f"synthon {synthon_id} is not eligible for R-group {rgroup_id}"
+            ) from None
+
+    def reaction_rows(self, reaction_pos: int) -> list[slice]:
+        """The pair rows of each R-group of one reaction, in declaration order."""
+        bounds = self.rg_offsets[self.rx_offsets[reaction_pos] : self.rx_offsets[reaction_pos + 1] + 1].tolist()
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def matches(self, member_ids, rg_offsets, rg_ids) -> bool:
+        """True if the stored arrays of a table or cache lay out pair rows as this layout does."""
+        pairs = ((member_ids, self.member_ids), (rg_offsets, self.rg_offsets), (rg_ids, self.rg_ids))
+        return all(np.array_equal(a, b) for a, b in pairs)
+
+
 @dataclass
 class CslLibrary:
     reactions: tuple[ReactionSpec, ...]
@@ -65,58 +134,35 @@ class CslLibrary:
     _reaction_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _reaction_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # len = n+1
     _digit_of: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
-    _rgroup_to_reaction: dict[int, int] = field(init=False, repr=False, compare=False)
-    _synthon_token: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = []
         offsets = [0]
         digit_of: dict[int, dict[int, int]] = {}
-        r2t: dict[int, int] = {}
         for rx in self.reactions:
             size = 1
             for rg in rx.rgroups:
                 size *= len(rg.synthon_ids)
                 digit_of[rg.rgroup_id] = {s: i for i, s in enumerate(rg.synthon_ids)}
-                r2t[rg.rgroup_id] = rx.reaction_id
             sizes.append(size)
             offsets.append(offsets[-1] + size)
         self._reaction_sizes = tuple(sizes)
         self._reaction_offsets = tuple(offsets)
         self._digit_of = digit_of
-        self._rgroup_to_reaction = r2t
-        self._synthon_token = {s.synthon_id: s.token for s in self.synthons}
-
-    @property
-    def synthon_token(self) -> dict[int, str]:
-        return self._synthon_token
 
     @cached_property
-    def _fragment_ranks(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    def _fragment_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct fragments (tokens without '*' markers) in sorted order,
-        and per R-group the rank of each digit's fragment among them."""
-        fragment = {s.synthon_id: _fragment(s.token) for s in self.synthons}
-        ordered = sorted(set(fragment.values()))
+        and per synthon id the rank of its fragment among them."""
+        fragment = [_fragment(s.token) for s in self.synthons]
+        ordered = sorted(set(fragment))
         rank = {f: i for i, f in enumerate(ordered)}
-        per_rgroup = {
-            rg.rgroup_id: np.asarray([rank[fragment[s]] for s in rg.synthon_ids], dtype=np.int64)
-            for rg in self.iter_rgroups()
-        }
-        return np.asarray(ordered, dtype=object), per_rgroup
+        return np.asarray(ordered, dtype=object), np.asarray([rank[f] for f in fragment], dtype=np.int64)
 
     @cached_property
-    def _pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Synthon ids in pair-row order (R-groups in declaration order, each
-        one's synthons in digit order), and the first pair row of every
-        (reaction position, R-group position), 0 past a reaction's R-groups."""
-        width = max((len(rx.rgroups) for rx in self.reactions), default=0)
-        first_row = np.zeros((len(self.reactions), width), dtype=np.int64)
-        member_ids: list[int] = []
-        for t, rx in enumerate(self.reactions):
-            for j, rg in enumerate(rx.rgroups):
-                first_row[t, j] = len(member_ids)
-                member_ids.extend(rg.synthon_ids)
-        return np.asarray(member_ids, dtype=np.int64), first_row
+    def layout(self) -> PairLayout:
+        """The library's pair-row layout, built once."""
+        return PairLayout.of(self.reactions)
 
     def reaction(self, reaction_id: int) -> ReactionSpec:
         return self.reactions[reaction_id]
@@ -126,9 +172,6 @@ class CslLibrary:
 
     def reaction_offset(self, reaction_id: int) -> int:
         return self._reaction_offsets[reaction_id]
-
-    def rgroup_reaction(self, rgroup_id: int) -> int:
-        return self._rgroup_to_reaction[rgroup_id]
 
     def synthon_digit(self, rgroup_id: int, synthon_id: int) -> int:
         try:
@@ -145,9 +188,13 @@ class CslLibrary:
 
 def check_library(library: CslLibrary) -> None:
     """Raise LibraryError on any violated structural invariant."""
-    known = {s.synthon_id for s in library.synthons}
-    if len(known) != len(library.synthons):
-        raise LibraryError("duplicate synthon ids")
+    # per-synthon arrays are indexed by synthon id, and reactions are looked up by id
+    for kind, ids in (("synthon", [s.synthon_id for s in library.synthons]),
+                      ("reaction", [rx.reaction_id for rx in library.reactions])):
+        wrong = [(i, x) for i, x in enumerate(ids) if x != i]
+        if wrong:
+            raise LibraryError(f"{kind} id {wrong[0][1]} at position {wrong[0][0]}: ids must be 0..n-1 in order")
+    known = set(range(len(library.synthons)))
     seen_rgroups: set[int] = set()
     for rx in library.reactions:
         if len(rx.rgroups) < 2:
@@ -168,12 +215,7 @@ def check_library(library: CslLibrary) -> None:
 
 def product_count(library: CslLibrary) -> int:
     """Total number of products; sum over reactions of the product of R-group sizes."""
-    total = 0
-    for rx in library.reactions:
-        size = 1
-        for rg in rx.rgroups:
-            size *= len(rg.synthon_ids)
-        total += size
+    total = library._reaction_offsets[-1]
     if total > MAX_COUNT:
         raise LibraryError(f"product count {total} exceeds unsigned 64-bit range")
     return total
@@ -224,63 +266,45 @@ def decode_indices(library: CslLibrary, gidx: np.ndarray) -> tuple[np.ndarray, n
     offsets = np.asarray(library._reaction_offsets, dtype=np.int64)
     if len(gidx) and not (0 <= gidx.min() and gidx.max() < offsets[-1]):
         raise LibraryError(f"global index out of range [0, {offsets[-1]})")
-    width = max((len(rx.rgroups) for rx in library.reactions), default=0)
-    # radix 1 past a reaction's last R-group: digit 0 there, remainder unchanged
-    radix = np.ones((len(library.reactions), width), dtype=np.int64)
-    for t, rx in enumerate(library.reactions):
-        radix[t, : len(rx.rgroups)] = [len(rg.synthon_ids) for rg in rx.rgroups]
+    layout = library.layout
+    width = layout.radix.shape[1]
     pos = np.searchsorted(offsets, gidx, side="right") - 1
     rem = gidx - offsets[pos]
     digits = np.empty((len(gidx), width), dtype=np.int64)
     for j in range(width - 1, -1, -1):
-        rem, digits[:, j] = np.divmod(rem, radix[pos, j])
-    n_rgroups = np.asarray([len(rx.rgroups) for rx in library.reactions], dtype=np.int64)
-    digits[np.arange(width) >= n_rgroups[pos][:, None]] = -1
+        rem, digits[:, j] = np.divmod(rem, layout.radix[pos, j])
+    digits[np.arange(width) >= layout.n_rgroups[pos][:, None]] = -1
     return pos, digits
 
 
 def pair_rows(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The pair row of every cell of `decode_indices`' output; -1 where the digit is -1."""
-    _, first_row = library._pair_layout
-    return np.where(digits >= 0, first_row[pos] + digits, -1)
+    return np.where(digits >= 0, library.layout.first_row[pos] + digits, -1)
 
 
 def synthon_ids(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The synthon id of every cell of `decode_indices`' output; -1 where the digit is -1."""
-    member_ids, _ = library._pair_layout
     rows = pair_rows(library, pos, digits)
-    return np.where(rows >= 0, member_ids[rows], -1)
+    return np.where(rows >= 0, library.layout.member_ids[rows], -1)
+
+
+def multi_indices(library: CslLibrary, gidx: np.ndarray) -> list[MultiIndex]:
+    """decode_index at every global index of an array, decoded in one pass."""
+    pos, digits = decode_indices(library, gidx)
+    out = []
+    for t, sids in zip(pos.tolist(), synthon_ids(library, pos, digits).tolist()):
+        rx = library.reactions[t]
+        out.append(MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids))))
+    return out
 
 
 def enumerate_products(library: CslLibrary, start: int, end: int) -> Iterator[MultiIndex]:
-    """Yield decode_index(g) for g in [start, end), ascending, without materializing."""
+    """Yield decode_index(g) for g in [start, end), ascending, a chunk of indices at a time."""
     total = library._reaction_offsets[-1]
     if not 0 <= start <= end <= total:
         raise LibraryError(f"range [{start}, {end}) invalid for product count {total}")
-    g = start
-    while g < end:
-        chi = decode_index(library, g)
-        yield chi
-        # odometer increment while we stay inside the current reaction
-        rx = library.reactions[chi.reaction_id]
-        digits = [library.synthon_digit(r, s) for r, s in chi.assignment]
-        g += 1
-        reaction_end = library.reaction_offset(chi.reaction_id) + library.reaction_size(chi.reaction_id)
-        while g < min(end, reaction_end):
-            j = len(digits) - 1
-            while True:
-                digits[j] += 1
-                if digits[j] < len(rx.rgroups[j].synthon_ids):
-                    break
-                digits[j] = 0
-                j -= 1
-            yield MultiIndex(
-                reaction_id=rx.reaction_id,
-                assignment=tuple(
-                    (rg.rgroup_id, rg.synthon_ids[d]) for rg, d in zip(rx.rgroups, digits)
-                ),
-            )
-            g += 1
+    for lo in range(start, end, ENUMERATE_CHUNK):
+        yield from multi_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
 
 
 def assemble(library: CslLibrary, chi: MultiIndex) -> str:
@@ -290,8 +314,7 @@ def assemble(library: CslLibrary, chi: MultiIndex) -> str:
     join time; fragments are joined in sorted order so any two assignments with
     the same synthon multiset under the same reaction assemble identically.
     """
-    tokens = library.synthon_token
-    fragments = sorted(_fragment(tokens[s]) for _, s in chi.assignment)
+    fragments = sorted(_fragment(library.synthons[s].token) for _, s in chi.assignment)
     return f"t{chi.reaction_id}|" + ".".join(fragments)
 
 
@@ -307,7 +330,8 @@ def assemble_rows(library: CslLibrary, reaction_pos: int, digits: np.ndarray) ->
     """
     ordered, ranks = library._fragment_ranks
     rx = library.reactions[reaction_pos]
-    rank = np.column_stack([ranks[rg.rgroup_id][digits[:, j]] for j, rg in enumerate(rx.rgroups)])
+    layout = library.layout
+    rank = ranks[layout.member_ids[layout.first_row[reaction_pos, : len(rx.rgroups)] + digits]]
     rank.sort(axis=1)
     prefix = f"t{rx.reaction_id}|"
     return [prefix + s for s in map(".".join, zip(*(ordered[col].tolist() for col in rank.T)))]
@@ -428,7 +452,10 @@ def deserialize_library(text: str) -> CslLibrary:
     header = lines[0].split()
     if len(header) != 4 or header[0] != LIBRARY_FORMAT_VERSION:
         raise LibraryError(f"bad header: {lines[0]!r}")
-    n_s, n_r, n_t = map(int, header[1:])
+    try:
+        n_s, n_r, n_t = map(int, header[1:])
+    except ValueError:
+        raise LibraryError(f"bad header: {lines[0]!r}") from None
     synthons: list[SynthonRecord] = []
     rgroups: dict[int, RgroupSpec] = {}
     reactions: list[ReactionSpec] = []

@@ -50,7 +50,7 @@ variants.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .csl import (
     library_fingerprint,
     pair_rows,
     product_count,
+    synthon_ids,
 )
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
@@ -79,12 +80,11 @@ class ContributionTable:
     values: np.ndarray        # float32, (n_tasks, n_pairs), pair-row order
     biases: np.ndarray        # float64, (n_tasks,)
     task_names: list[str]
-    member_ids: np.ndarray    # synthon id per pair row
-    rg_offsets: np.ndarray    # (n_rg+1,) pair-row offsets per positional R-group
-    rg_ids: np.ndarray        # rgroup_id per positional R-group
+    # the pair-row layout the table was built with, as csl.PairLayout holds it
+    member_ids: np.ndarray
+    rg_offsets: np.ndarray
+    rg_ids: np.ndarray
     fingerprint: str          # library the table was built from
-
-    _rg_pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_pairs = self.rg_offsets[-1] if len(self.rg_offsets) else 0
@@ -101,7 +101,6 @@ class ContributionTable:
             )
         if not (np.isfinite(self.values).all() and np.isfinite(self.biases).all()):
             raise EngineError("contribution table has a non-finite value or bias")
-        self._rg_pos = {int(r): i for i, r in enumerate(self.rg_ids)}
 
     @property
     def n_tasks(self) -> int:
@@ -117,21 +116,11 @@ class ContributionTable:
         except ValueError:
             raise EngineError(f"unknown task {name!r}") from None
 
-    def pair_row(self, library: CslLibrary, rgroup_id: int, synthon_id: int) -> int:
-        j = self._rg_pos.get(rgroup_id)
-        if j is None:
-            raise EngineError(f"R-group {rgroup_id} not in table")
-        return int(self.rg_offsets[j]) + library.synthon_digit(rgroup_id, synthon_id)
-
     def check_library(self, library: CslLibrary) -> None:
         """The table must come from this library and share its pair-row layout."""
         if self.fingerprint != library_fingerprint(library):
             raise EngineError("library fingerprint does not match the contribution table")
-        rgroups = list(library.iter_rgroups())
-        offsets = np.cumsum([0] + [len(rg.synthon_ids) for rg in rgroups])
-        if not (np.array_equal(self.member_ids, library._pair_layout[0])
-                and np.array_equal(self.rg_ids, [rg.rgroup_id for rg in rgroups])
-                and np.array_equal(self.rg_offsets, offsets)):
+        if not library.layout.matches(self.member_ids, self.rg_offsets, self.rg_ids):
             raise EngineError("contribution table's pair rows are not laid out as the library's")
 
 
@@ -143,24 +132,24 @@ def precompute_flops_per_task(n_pairs: int, d: int) -> int:
 def precompute_contributions(cache: HierarchyCache, surrogate: SurrogateModel) -> ContributionTable:
     """Dot each task head with every cached associative embedding."""
     values = (surrogate.head_w @ cache.u.T).astype(np.float32)
-    rg_ids = np.asarray(sorted(cache.rg_pos, key=cache.rg_pos.get))
     return ContributionTable(
         values=values,
         biases=surrogate.head_b.astype(np.float64).copy(),
         task_names=list(surrogate.task_names),
-        member_ids=cache.member_ids.copy(),
-        rg_offsets=cache.rg_offsets.copy(),
-        rg_ids=rg_ids,
+        member_ids=cache.layout.member_ids,
+        rg_offsets=cache.layout.rg_offsets,
+        rg_ids=cache.layout.rg_ids,
         fingerprint=cache.fingerprint,
     )
 
 
 def apex_score(table: ContributionTable, library: CslLibrary, chi: MultiIndex, task: str) -> float:
-    """Sum of the assignment's contributions plus the task bias (c adds for c components)."""
+    """Sum of the assignment's contributions plus the task bias (c adds for c
+    components); the table's pair rows are the library's (`check_library`)."""
     i = table.task_index(task)
     acc = 0.0
     for rgroup_id, synthon_id in chi.assignment:
-        acc += float(table.values[i, table.pair_row(library, rgroup_id, synthon_id)])
+        acc += float(table.values[i, library.layout.pair_row(rgroup_id, synthon_id)])
     return acc + float(table.biases[i])
 
 
@@ -268,10 +257,8 @@ def iter_blocks(library: CslLibrary, start: int, end: int):
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
-    def __init__(self, table: ContributionTable, library: CslLibrary, reaction_id: int, tasks: list[str]):
-        rgroups = library.reaction(reaction_id).rgroups
-        first_row = library._pair_layout[1][reaction_id]
-        rows = [slice(first_row[j], first_row[j] + len(rg.synthon_ids)) for j, rg in enumerate(rgroups)]
+    def __init__(self, table: ContributionTable, library: CslLibrary, reaction_pos: int, tasks: list[str]):
+        rows = library.layout.reaction_rows(reaction_pos)
         self.per_task = [
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
@@ -588,7 +575,7 @@ def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
     """Closed-form accounting, reported under both the no-sharing assumption
     (one pair row per synthon) and the actual per-(R-group, synthon) row count."""
     n_synthons = len(library.synthons)
-    pairs_actual = sum(len(rg.synthon_ids) for rg in library.iter_rgroups())
+    pairs_actual = library.layout.n_pairs
     scoring_flops = 0
     for ti, rx in enumerate(library.reactions):
         # c contributions summed plus the bias: c adds per product
@@ -654,7 +641,8 @@ def _reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, 
     """Per hit, the reaction id, the comma-joined synthon ids and, with
     `assemble`, the assembled token; built one reaction at a time."""
     n = len(pos)
-    reaction_id, synthon_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
+    reaction_id, joined_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
+    sids = synthon_ids(library, pos, digits)
     order = np.argsort(pos, kind="stable")
     sorted_pos = pos[order]
     starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))
@@ -662,13 +650,12 @@ def _reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, 
         rows = order[a:b]
         t = int(sorted_pos[a])
         rx = library.reactions[t]
-        d = digits[rows, : len(rx.rgroups)]
+        width = len(rx.rgroups)
         reaction_id[rows] = str(rx.reaction_id)
-        ids = (map(str, np.asarray(rg.synthon_ids)[d[:, j]].tolist()) for j, rg in enumerate(rx.rgroups))
-        synthon_ids[rows] = list(map(",".join, zip(*ids)))
+        joined_ids[rows] = list(map(",".join, zip(*(map(str, col) for col in sids[rows, :width].T.tolist()))))
         if assemble:
-            assembled[rows] = assemble_rows(library, t, d)
-    return reaction_id.tolist(), synthon_ids.tolist(), assembled.tolist() if assemble else None
+            assembled[rows] = assemble_rows(library, t, digits[rows, :width])
+    return reaction_id.tolist(), joined_ids.tolist(), assembled.tolist() if assemble else None
 
 
 def save_result(
@@ -690,14 +677,14 @@ def save_result(
         fh.write(cols + "\n")
         for lo in range(0, result.retained, RESULT_CHUNK_ROWS):
             hi = min(lo + RESULT_CHUNK_ROWS, result.retained)
-            reaction_id, synthon_ids, assembled = _reaction_columns(
+            reaction_id, joined_ids, assembled = _reaction_columns(
                 library, result.reaction_pos[lo:hi], result.digits[lo:hi], assemble
             )
             columns = [
                 map(str, range(lo, hi)),
                 map(str, result.global_index[lo:hi].tolist()),
                 reaction_id,
-                synthon_ids,
+                joined_ids,
                 map(repr, result.objective[lo:hi].tolist()),
                 map(repr, result.violation[lo:hi].tolist()),
                 *(map(repr, v[lo:hi].tolist()) for v in result.constraint_values),

@@ -12,12 +12,12 @@ holds to ~1e-6 relative tolerance (float summation order), not bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blobio import load_blob, save_blob
-from .csl import CslLibrary, decode_indices, library_fingerprint, pair_rows, product_count, synthon_ids
+from .csl import CslLibrary, PairLayout, decode_indices, library_fingerprint, pair_rows, product_count, synthon_ids
 from .nn import MLP, Adam, ParamBuffer
 from .props import FeatureConfig, library_synthon_features, product_feature_matrix, synthon_norms
 from .surrogate import SurrogateModel
@@ -65,41 +65,20 @@ class DeepSet:
 
 @dataclass
 class LibraryContext:
-    """Flat array view of a library's hierarchy, shared by forward and backward."""
+    """A library's synthon features and pair-row layout, shared by forward and backward."""
 
     features: np.ndarray          # (|S|, p) hashed synthon features
     norms: np.ndarray             # (|S|,) their norms, as product features rank them
-    member_ids: np.ndarray        # concatenated synthon ids per R-group (pair-row order)
-    rg_offsets: np.ndarray        # (n_rg+1,) offsets into member_ids / pair rows
-    rg_parent: np.ndarray         # (n_rg,) positional reaction index per R-group
-    rx_offsets: np.ndarray        # (n_rx+1,) offsets into the R-group axis
-    rg_pos: dict[int, int]        # rgroup_id -> positional index
+    layout: PairLayout
     fingerprint: str
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.member_ids)
 
 
 def build_context(library: CslLibrary, feature_config: FeatureConfig) -> LibraryContext:
     features = library_synthon_features(library, feature_config)
-    member_ids, rg_offsets, rg_parent, rx_offsets = [], [0], [], [0]
-    rg_pos: dict[int, int] = {}
-    for ti, rx in enumerate(library.reactions):
-        for rg in rx.rgroups:
-            rg_pos[rg.rgroup_id] = len(rg_parent)
-            member_ids.extend(rg.synthon_ids)
-            rg_offsets.append(len(member_ids))
-            rg_parent.append(ti)
-        rx_offsets.append(len(rg_parent))
     return LibraryContext(
         features=features,
         norms=synthon_norms(features),
-        member_ids=np.asarray(member_ids),
-        rg_offsets=np.asarray(rg_offsets),
-        rg_parent=np.asarray(rg_parent),
-        rx_offsets=np.asarray(rx_offsets),
-        rg_pos=rg_pos,
+        layout=library.layout,
         fingerprint=library_fingerprint(library),
     )
 
@@ -143,17 +122,18 @@ class Factorizer:
 
     def forward_cache(self, ctx: LibraryContext):
         """Full-hierarchy forward; returns the pair-row matrix u and all caches."""
+        layout = ctx.layout
         h_s, c_syn = self.synthon_encoder.forward_cache(ctx.features)
-        h_r, c_rg = self.rgroup_encoder.forward_cache(h_s[ctx.member_ids], ctx.rg_offsets)
-        h_t, c_rx = self.reaction_encoder.forward_cache(h_r, ctx.rx_offsets)
+        h_r, c_rg = self.rgroup_encoder.forward_cache(h_s[layout.member_ids], layout.rg_offsets)
+        h_t, c_rx = self.reaction_encoder.forward_cache(h_r, layout.rx_offsets)
         v, c_val = self.value_encoder.forward_cache(h_s)
-        key_in = np.concatenate([h_r, h_t[ctx.rg_parent]], axis=1)
+        key_in = np.concatenate([h_r, h_t[layout.rg_parent]], axis=1)
         k_flat, c_key = self.key_encoder.forward_cache(key_in)
         K = k_flat.reshape(len(h_r), self.dims.d, self.dims.d_u)
-        u = np.empty((ctx.n_pairs, self.dims.d))
+        u = np.empty((layout.n_pairs, self.dims.d))
         for j in range(len(h_r)):
-            lo, hi = ctx.rg_offsets[j], ctx.rg_offsets[j + 1]
-            u[lo:hi] = v[ctx.member_ids[lo:hi]] @ K[j].T
+            lo, hi = layout.rg_offsets[j], layout.rg_offsets[j + 1]
+            u[lo:hi] = v[layout.member_ids[lo:hi]] @ K[j].T
         cache = (h_s, h_r, h_t, v, K, c_syn, c_rg, c_rx, c_val, c_key)
         return u, cache
 
@@ -161,19 +141,20 @@ class Factorizer:
         """Gradients of a scalar loss given its cotangent on the pair rows u,
         written to `self.buffer.grad`; returns its per-parameter views."""
         h_s, h_r, h_t, v, K, c_syn, c_rg, c_rx, c_val, c_key = cache
+        layout = ctx.layout
         n_rg = len(h_r)
         dK = np.zeros_like(K)
         dv = np.zeros_like(v)
         for j in range(n_rg):
-            lo, hi = ctx.rg_offsets[j], ctx.rg_offsets[j + 1]
-            members = ctx.member_ids[lo:hi]
+            lo, hi = layout.rg_offsets[j], layout.rg_offsets[j + 1]
+            members = layout.member_ids[lo:hi]
             du_block = du[lo:hi]
             dK[j] = du_block.T @ v[members]
             dv[members] += du_block @ K[j]  # an R-group lists each synthon once
         _, dkey_in = self.key_encoder.backward(c_key, dK.reshape(n_rg, -1))
         dh_r = dkey_in[:, : self.dims.d_r].copy()
         dh_t = np.zeros_like(h_t)
-        np.add.at(dh_t, ctx.rg_parent, dkey_in[:, self.dims.d_r :])
+        np.add.at(dh_t, layout.rg_parent, dkey_in[:, self.dims.d_r :])
         _, dh_s_val = self.value_encoder.backward(c_val, dv)
         _, dh_r_from_rx = self.reaction_encoder.backward(c_rx, dh_t)
         dh_r += dh_r_from_rx
@@ -181,8 +162,8 @@ class Factorizer:
         dh_s = dh_s_val
         # R-group by R-group: a synthon's rows add up in pair-row order
         for j in range(n_rg):
-            lo, hi = ctx.rg_offsets[j], ctx.rg_offsets[j + 1]
-            dh_s[ctx.member_ids[lo:hi]] += dmember[lo:hi]
+            lo, hi = layout.rg_offsets[j], layout.rg_offsets[j + 1]
+            dh_s[layout.member_ids[lo:hi]] += dmember[lo:hi]
         self.synthon_encoder.backward(c_syn, dh_s)
         return self.buffer.grads
 
@@ -193,17 +174,9 @@ class HierarchyCache:
     h_r: np.ndarray               # (n_rg, d_r)
     h_t: np.ndarray               # (n_rx, d_t)
     u: np.ndarray                 # (n_pairs, d) associative embeddings, pair-row order
-    member_ids: np.ndarray
-    rg_offsets: np.ndarray
-    rg_pos: dict[int, int]
+    layout: PairLayout
     fingerprint: str
     synthon_encoder_evals: int
-
-    def pair_row(self, library: CslLibrary, rgroup_id: int, synthon_id: int) -> int:
-        j = self.rg_pos.get(rgroup_id)
-        if j is None:
-            raise FactorizerError(f"R-group {rgroup_id} not in cache")
-        return int(self.rg_offsets[j]) + library.synthon_digit(rgroup_id, synthon_id)
 
 
 def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCache:
@@ -216,9 +189,7 @@ def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCa
         h_r=h_r,
         h_t=h_t,
         u=u,
-        member_ids=ctx.member_ids,
-        rg_offsets=ctx.rg_offsets,
-        rg_pos=ctx.rg_pos,
+        layout=ctx.layout,
         fingerprint=ctx.fingerprint,
         synthon_encoder_evals=len(library.synthons),
     )
@@ -332,15 +303,16 @@ def factorization_gap(
     seed: int,
 ) -> dict[str, float]:
     """Mean and p95 of the embedding reconstruction distance on a uniform sample."""
+    fc = surrogate.feature_config
+    if factorizer.feature_config != fc:
+        raise FactorizerError("factorizer and surrogate use different feature configs")
     rng = np.random.default_rng(seed)
     pos, digits = _sample_chis(library, sample_size, rng, "global_uniform")
-    cache = encode_hierarchy(factorizer, library)
-    fc = surrogate.feature_config
+    ctx = build_context(library, fc)
+    u, _ = factorizer.forward_cache(ctx)
     sids = synthon_ids(library, pos, digits)
-    target = surrogate.encoder.forward(
-        product_feature_matrix(library, sids, fc, library_synthon_features(library, fc))
-    )
-    recon = _gather_sum(cache.u, pair_rows(library, pos, digits))
+    target = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
+    recon = _gather_sum(u, pair_rows(library, pos, digits))
     dist = np.linalg.norm(target - recon, axis=1)
     emb_rms = float(np.sqrt(np.mean(target * target)))
     return {
@@ -391,7 +363,6 @@ def load_factorizer(path) -> Factorizer:
 
 def save_cache(cache: HierarchyCache, path) -> None:
     """Dense export of the associative embeddings with a pair-row index header."""
-    rg_ids = np.asarray(sorted(cache.rg_pos, key=cache.rg_pos.get))
     meta = {
         "kind": "hierarchy_cache",
         "version": CHECKPOINT_VERSION,
@@ -406,26 +377,29 @@ def save_cache(cache: HierarchyCache, path) -> None:
             "h_s": cache.h_s,
             "h_r": cache.h_r,
             "h_t": cache.h_t,
-            "member_ids": cache.member_ids,
-            "rg_offsets": cache.rg_offsets,
-            "rg_ids": rg_ids,
+            "member_ids": cache.layout.member_ids,
+            "rg_offsets": cache.layout.rg_offsets,
+            "rg_ids": cache.layout.rg_ids,
         },
     )
 
 
-def load_cache(path) -> HierarchyCache:
+def load_cache(path, library: CslLibrary) -> HierarchyCache:
+    """A cache written by save_cache for this library."""
     meta, arrays = load_blob(path)
     if meta.get("kind") != "hierarchy_cache" or meta.get("version") != CHECKPOINT_VERSION:
         raise FactorizerError(f"{path}: not a version-{CHECKPOINT_VERSION} hierarchy cache")
-    rg_pos = {int(r): i for i, r in enumerate(arrays["rg_ids"])}
+    if meta.get("fingerprint") != library_fingerprint(library):
+        raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
+    layout = library.layout
+    if not layout.matches(arrays["member_ids"], arrays["rg_offsets"], arrays["rg_ids"]):
+        raise FactorizerError(f"{path}: hierarchy cache's pair rows are not laid out as the library's")
     return HierarchyCache(
         h_s=arrays["h_s"],
         h_r=arrays["h_r"],
         h_t=arrays["h_t"],
         u=arrays["u"],
-        member_ids=arrays["member_ids"],
-        rg_offsets=arrays["rg_offsets"],
-        rg_pos=rg_pos,
+        layout=layout,
         fingerprint=meta["fingerprint"],
         synthon_encoder_evals=meta["synthon_encoder_evals"],
     )

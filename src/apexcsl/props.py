@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csl import CslLibrary, LibraryError, MultiIndex, decode_indices, product_count, synthon_ids
+from .csl import CslLibrary, LibraryError, MultiIndex, decode_indices, multi_indices, product_count, synthon_ids
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -291,8 +291,7 @@ def oracle_block_values(
     bit-identical to per-compound ground_truth.
     """
     task = oracle.task(task_name)
-    rx = library.reaction(reaction_id)
-    ids = [np.asarray(rg.synthon_ids) for rg in rx.rgroups]
+    ids = [library.layout.member_ids[rows] for rows in library.layout.reaction_rows(reaction_id)]
     lats = [task.latent[i] for i in ids]
     c = len(ids)
     first_id = int(ids[0][first_digit])
@@ -478,11 +477,8 @@ def label_library(
         n = min(sample.size, total)
         gidxs = np.sort(rng.choice(total, size=n, replace=False)) if n else np.zeros(0, dtype=np.int64)
     values = [oracle_values(oracle, library, task, gidxs).tolist() for task in task_names]
-    pos, digits = decode_indices(library, gidxs)
     rows = []
-    for i, (t, sids) in enumerate(zip(pos.tolist(), synthon_ids(library, pos, digits).tolist())):
-        rx = library.reactions[t]
-        chi = MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
+    for i, chi in enumerate(multi_indices(library, gidxs)):
         for task, vals in zip(task_names, values):
             rows.append(LabelRow(chi, task, vals[i]))
     return LabeledDataset(rows=rows)

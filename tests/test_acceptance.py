@@ -30,7 +30,7 @@ def _materialize_keys(library, table, query):
             i = table.task_index(name)
             arrs = []
             for rg in rx.rgroups:
-                j = table._rg_pos[rg.rgroup_id]
+                j = table.rg_ids.tolist().index(rg.rgroup_id)
                 lo, hi = int(table.rg_offsets[j]), int(table.rg_offsets[j + 1])
                 arrs.append(table.values[i, lo:hi].astype(np.float64))
             return functools.reduce(np.add.outer, arrs).ravel() + float(table.biases[i])

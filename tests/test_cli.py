@@ -230,12 +230,14 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "chunk_size": "4096"}',
         '{"objective": {"task": "dock_a"}, "chunk_size": 10.5}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": false}]}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"preset": []}]}',
+        '{"objective": {"task": "dock_a"}, "chunk_size": 0}',
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
         "lower_not_number", "upper_not_number", "chunk_size_not_number",
         "k_fraction", "k_bool", "k_string", "chunk_size_string", "chunk_size_fraction",
-        "upper_bool",
+        "upper_bool", "preset_list", "chunk_size_zero",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"
@@ -301,6 +303,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "laid out" in err
+
+    @pytest.mark.parametrize("flag", ["components", "budgets", "chunk_size"])
+    def test_bad_flag_value(self, pipeline, capsys, flag):
+        p = {k: str(v) for k, v in pipeline.items()}
+        argv = {
+            "components": ["generate", "--out", p["dir"] + "/x.csl", "--components", "2,x"],
+            "budgets": ["compare-ts", "--library", p["library"], "--table", p["table"],
+                        "--oracle", p["oracle"], "--objective", "dock_a", "--budgets", "1,x",
+                        "--out", p["dir"] + "/x.tsv"],
+            "chunk_size": ["search", "--library", p["library"], "--table", p["table"],
+                           "--query", p["query"], "--out", p["dir"] + "/x.tsv", "--chunk-size", "0"],
+        }[flag]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag.replace('_', '-')} ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("records", [
+        "S 10 ab*\nS 11 cd*\nS 12 ef*\nS 13 gh*\nR 0 10 11\nR 1 12 13\nT 0 0 1",
+        "S 0 ab*\nS 1 cd*\nS 2 ef*\nS 3 gh*\nR 0 0 1\nR 1 2 3\nT 7 0 1",
+    ], ids=["synthon_ids_from_10", "reaction_id_7"])
+    def test_library_ids_not_positional(self, pipeline, capsys, records):
+        library = pipeline["dir"] / "ids.csl"
+        library.write_text("cslv1 4 2 1\n" + records + "\n")
+        assert run("label", "--library", str(library), "--out", str(pipeline["dir"] / "ids.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_integral_float_k_accepted(self, pipeline):
         q = pipeline["dir"] / "query_k_float.json"

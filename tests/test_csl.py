@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apexcsl import csl
+from conftest import mixed_libraries, pair_count, table_from_values
 
 
 def trillion_library():
@@ -312,6 +313,11 @@ class TestSerialization:
         with pytest.raises(csl.LibraryError, match="header"):
             csl.deserialize_library("nope 1 2 3\n")
 
+    @pytest.mark.parametrize("header", ["cslv1 x 1 1", "cslv1 1 1.5 1"])
+    def test_non_integer_header_counts(self, header):
+        with pytest.raises(csl.LibraryError, match="header"):
+            csl.deserialize_library(header + "\nS 0 a*\n")
+
     def test_malformed_record(self):
         with pytest.raises(csl.LibraryError):
             csl.deserialize_library("cslv1 1 0 0\nS zero tok\n")
@@ -335,6 +341,16 @@ class TestCheckLibrary:
         )
         with pytest.raises(csl.LibraryError, match="unknown synthons"):
             csl.check_library(lib)
+
+    @pytest.mark.parametrize("text, match", [
+        ("cslv1 4 2 1\nS 10 a*\nS 11 b*\nS 12 c*\nS 13 d*\nR 0 10 11\nR 1 12 13\nT 0 0 1\n",
+         "synthon id 10 at position 0"),
+        ("cslv1 2 2 1\nS 1 a*\nS 0 b*\nR 0 0\nR 1 1\nT 0 0 1\n", "synthon id 1 at position 0"),
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b*\nR 0 0\nR 1 1\nT 7 0 1\n", "reaction id 7 at position 0"),
+    ], ids=["synthons_from_10", "synthons_swapped", "reaction_7"])
+    def test_rejects_ids_out_of_position(self, text, match):
+        with pytest.raises(csl.LibraryError, match=match):
+            csl.deserialize_library(text)
 
     def test_rejects_duplicate_rgroup_membership(self):
         rg = csl.RgroupSpec(0, (0,))
@@ -372,3 +388,46 @@ def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token
         n = len(lib.reactions[t].rgroups)
         expected = [csl.assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
         assert csl.assemble_rows(lib, t, digits[:, :n]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(library=mixed_libraries())
+def test_pair_layout_matches_per_rgroup_construction(library):
+    layout = library.layout
+    assert layout is library.layout
+    # conftest spells the stored arrays out R-group by R-group
+    table = table_from_values(library, ["t"], np.zeros((1, pair_count(library))), [0.0])
+    assert layout.matches(table.member_ids, table.rg_offsets, table.rg_ids)
+    for name in ("member_ids", "rg_offsets", "rg_ids"):
+        assert getattr(layout, name).tobytes() == getattr(table, name).tobytes()
+    assert layout.n_pairs == pair_count(library)
+    width = max(len(rx.rgroups) for rx in library.reactions)
+    assert layout.first_row.shape == layout.radix.shape == (len(library.reactions), width)
+    r = 0
+    for t, rx in enumerate(library.reactions):
+        assert (layout.rx_offsets[t], layout.n_rgroups[t]) == (r, len(rx.rgroups))
+        rows = layout.reaction_rows(t)
+        for j in range(width):
+            if j >= len(rx.rgroups):
+                assert (layout.first_row[t, j], layout.radix[t, j]) == (0, 1)
+                continue
+            rg = rx.rgroups[j]
+            lo = int(table.rg_offsets[r])
+            assert layout.rg_parent[r] == t
+            assert (layout.first_row[t, j], layout.radix[t, j]) == (lo, len(rg.synthon_ids))
+            assert rows[j] == slice(lo, lo + len(rg.synthon_ids))
+            for d, s in enumerate(rg.synthon_ids):
+                assert layout.pair_row(rg.rgroup_id, s) == lo + d
+            r += 1
+    assert layout.rx_offsets[-1] == len(layout.rg_parent) == r
+    for a in (layout.member_ids, layout.first_row, layout.radix):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+    # layout.pair_row agrees with csl.pair_rows at every decoded cell
+    gidx = np.arange(csl.product_count(library))
+    rows = csl.pair_rows(library, *csl.decode_indices(library, gidx))
+    for g, row in zip(gidx.tolist(), rows.tolist()):
+        chi = csl.decode_index(library, g)
+        expected = [layout.pair_row(rg_id, s) for rg_id, s in chi.assignment]
+        assert row == expected + [-1] * (width - len(expected))

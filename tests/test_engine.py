@@ -352,7 +352,7 @@ def numpy_topk_keys(library, table, query, start, end):
         for rx in library.reactions:
             val = None
             for rg in rx.rgroups:
-                row = table._rg_pos[rg.rgroup_id]
+                row = table.rg_ids.tolist().index(rg.rgroup_id)
                 a = table.values[i, table.rg_offsets[row]:table.rg_offsets[row + 1]].astype(np.float64)
                 val = a if val is None else (val[:, None] + a).reshape(-1)
             per_reaction.append(val + table.biases[i])
@@ -674,12 +674,8 @@ class TestNonFiniteTables:
             table_from_values(small_library, ["obj"], values, biases)
 
     def test_precompute_rejects(self, exact_setup):
-        _, _, table = exact_setup
-        cache = SimpleNamespace(
-            u=np.ones((table.n_pairs, 2)),
-            rg_pos={int(r): i for i, r in enumerate(table.rg_ids)},
-            member_ids=table.member_ids, rg_offsets=table.rg_offsets, fingerprint=table.fingerprint,
-        )
+        library, _, table = exact_setup
+        cache = SimpleNamespace(u=np.ones((table.n_pairs, 2)), layout=library.layout, fingerprint=table.fingerprint)
         surrogate = SimpleNamespace(head_w=np.array([[1.0, np.nan]]), head_b=np.zeros(1), task_names=["obj"])
         with pytest.raises(engine.EngineError, match="non-finite"):
             engine.precompute_contributions(cache, surrogate)

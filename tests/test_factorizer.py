@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apexcsl import csl, factorizer as fz, props, surrogate
+from apexcsl.blobio import load_blob, save_blob
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def reconstruct(cache, library, chi):
     summed from zero, in R-group order."""
     out = np.zeros(cache.u.shape[1])
     for rgroup_id, synthon_id in chi.assignment:
-        out = out + cache.u[cache.pair_row(library, rgroup_id, synthon_id)]
+        out = out + cache.u[cache.layout.pair_row(rgroup_id, synthon_id)]
     return out
 
 
@@ -70,16 +71,18 @@ class TestHierarchy:
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         cache = fz.encode_hierarchy(f, small_library)
         chi = csl.decode_index(small_library, 77)
+        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [77]))[0]
         manual = np.zeros(cache.u.shape[1])
-        for r, s in chi.assignment:
-            manual = manual + cache.u[cache.pair_row(small_library, r, s)]
+        for row in rows[rows >= 0]:
+            manual = manual + cache.u[row]
         np.testing.assert_array_equal(reconstruct(cache, small_library, chi), manual)
 
     def test_unknown_rgroup_in_pair_row(self, small_library, tiny_surrogate):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         cache = fz.encode_hierarchy(f, small_library)
-        with pytest.raises(fz.FactorizerError, match="R-group"):
-            cache.pair_row(small_library, 999, 0)
+        assert cache.layout is small_library.layout
+        with pytest.raises(csl.LibraryError, match="R-group"):
+            cache.layout.pair_row(999, 0)
 
     def test_dims_follow_surrogate(self, small_library, tiny_surrogate):
         cfg = _fast_train_config(dims=fz.FactorizerDims(d=64))
@@ -148,6 +151,20 @@ class TestTraining:
         }
         loss, _ = fz.reconstruction_loss_and_grads(f, fz.build_context(small_library, fc), rows, target)
         assert loss == float(np.sum((recon - target) ** 2)) / len(gidx)
+
+    def test_gap_featurizes_synthons_once(self, small_library, tiny_surrogate, monkeypatch):
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        calls = []
+        featurize = fz.library_synthon_features
+        monkeypatch.setattr(fz, "library_synthon_features", lambda *a: calls.append(a) or featurize(*a))
+        fz.factorization_gap(f, tiny_surrogate, small_library, 16, seed=0)
+        assert len(calls) == 1
+
+    def test_gap_rejects_feature_config_mismatch(self, small_library, tiny_surrogate):
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        f.feature_config = props.FeatureConfig(seed=f.feature_config.seed + 1)
+        with pytest.raises(fz.FactorizerError, match="feature configs"):
+            fz.factorization_gap(f, tiny_surrogate, small_library, 16, seed=0)
 
     def test_linear_mode_exact_on_linear_surrogate(self, small_library):
         # a linear surrogate over additive features is exactly factorizable
@@ -223,21 +240,44 @@ class TestCheckpoint:
         cache = fz.encode_hierarchy(f, small_library)
         path = tmp_path / "cache.blob"
         fz.save_cache(cache, path)
-        loaded = fz.load_cache(path)
+        loaded = fz.load_cache(path, small_library)
         np.testing.assert_array_equal(loaded.u, cache.u)
         assert loaded.fingerprint == cache.fingerprint
-        assert loaded.rg_pos == cache.rg_pos
+        assert loaded.layout is small_library.layout
+        _, arrays = load_blob(path)
+        for name in ("member_ids", "rg_offsets", "rg_ids"):
+            assert arrays[name].tobytes() == getattr(cache.layout, name).tobytes()
+
+    @pytest.mark.parametrize("change", ["other_library", "member_ids_permuted", "rg_ids_reversed",
+                                        "rg_offsets_moved"])
+    def test_cache_of_another_layout_rejected(self, small_library, medium_library, tiny_surrogate,
+                                              tmp_path, change):
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        path = tmp_path / "cache.blob"
+        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
+        if change == "other_library":
+            with pytest.raises(fz.FactorizerError, match="fingerprint"):
+                fz.load_cache(path, medium_library)
+            return
+        meta, arrays = load_blob(path)
+        if change == "member_ids_permuted":
+            arrays["member_ids"] = arrays["member_ids"][::-1].copy()
+        elif change == "rg_ids_reversed":
+            arrays["rg_ids"] = arrays["rg_ids"][::-1].copy()
+        else:
+            arrays["rg_offsets"][1] += 1
+        save_blob(path, meta, arrays)
+        with pytest.raises(fz.FactorizerError, match="laid out"):
+            fz.load_cache(path, small_library)
 
     def test_cache_version_checked(self, small_library, tiny_surrogate, tmp_path):
-        from apexcsl.blobio import load_blob, save_blob
-
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         path = tmp_path / "cache.blob"
         fz.save_cache(fz.encode_hierarchy(f, small_library), path)
         meta, arrays = load_blob(path)
         save_blob(path, {**meta, "version": 2}, arrays)
         with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
-            fz.load_cache(path)
+            fz.load_cache(path, small_library)
 
     def test_save_is_byte_deterministic(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
