@@ -144,7 +144,7 @@ def cmd_label(args) -> int:
     tasks = args.tasks.split(",") if args.tasks else oracle.task_names
     sample = props.SampleSpec(size=args.sample_size, seed=args.seed)
     dataset = props.label_library(oracle, library, tasks, sample)
-    props.save_labels(dataset, args.out)
+    props.save_labels(dataset, args.out, library)
     print(f"wrote {args.out}: {len(dataset)} rows over {len(tasks)} tasks")
     return 0
 

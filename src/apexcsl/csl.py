@@ -133,22 +133,18 @@ class CslLibrary:
     # derived lookups, built once; the library is immutable after construction
     _reaction_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _reaction_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # len = n+1
-    _digit_of: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = []
         offsets = [0]
-        digit_of: dict[int, dict[int, int]] = {}
         for rx in self.reactions:
             size = 1
             for rg in rx.rgroups:
                 size *= len(rg.synthon_ids)
-                digit_of[rg.rgroup_id] = {s: i for i, s in enumerate(rg.synthon_ids)}
             sizes.append(size)
             offsets.append(offsets[-1] + size)
         self._reaction_sizes = tuple(sizes)
         self._reaction_offsets = tuple(offsets)
-        self._digit_of = digit_of
 
     @cached_property
     def _fragment_ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +161,8 @@ class CslLibrary:
         return PairLayout.of(self.reactions)
 
     def reaction(self, reaction_id: int) -> ReactionSpec:
+        if not 0 <= reaction_id < len(self.reactions):
+            raise LibraryError(f"reaction {reaction_id} out of range [0, {len(self.reactions)})")
         return self.reactions[reaction_id]
 
     def reaction_size(self, reaction_id: int) -> int:
@@ -172,14 +170,6 @@ class CslLibrary:
 
     def reaction_offset(self, reaction_id: int) -> int:
         return self._reaction_offsets[reaction_id]
-
-    def synthon_digit(self, rgroup_id: int, synthon_id: int) -> int:
-        try:
-            return self._digit_of[rgroup_id][synthon_id]
-        except KeyError:
-            raise LibraryError(
-                f"synthon {synthon_id} is not eligible for R-group {rgroup_id}"
-            ) from None
 
     def iter_rgroups(self) -> Iterator[RgroupSpec]:
         for rx in self.reactions:
@@ -228,12 +218,23 @@ def encode_index(library: CslLibrary, chi: MultiIndex) -> int:
         raise LibraryError(
             f"assignment covers {len(chi.assignment)} R-groups, reaction has {len(rx.rgroups)}"
         )
-    idx = 0
-    for rg, (rgroup_id, synthon_id) in zip(rx.rgroups, chi.assignment):
+    for rg, (rgroup_id, _) in zip(rx.rgroups, chi.assignment):
         if rgroup_id != rg.rgroup_id:
             raise LibraryError(f"assignment R-group {rgroup_id} does not match {rg.rgroup_id}")
-        idx = idx * len(rg.synthon_ids) + library.synthon_digit(rgroup_id, synthon_id)
-    return library.reaction_offset(chi.reaction_id) + idx
+    return product_index(library, chi.reaction_id, chi.synthon_ids())
+
+
+def product_index(library: CslLibrary, reaction_id: int, synthon_ids) -> int:
+    """Global index of the product of a reaction with one synthon per R-group,
+    in declaration order. Each digit is the synthon's pair row minus its
+    R-group's first row; LibraryError if a synthon is not eligible."""
+    rx = library.reaction(reaction_id)
+    layout = library.layout
+    idx = 0
+    for rg, s, first, radix in zip(rx.rgroups, synthon_ids, layout.first_row[reaction_id].tolist(),
+                                   layout.radix[reaction_id].tolist()):
+        idx = idx * radix + layout.pair_row(rg.rgroup_id, s) - first
+    return library.reaction_offset(reaction_id) + idx
 
 
 def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
@@ -288,13 +289,13 @@ def synthon_ids(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.
     return np.where(rows >= 0, library.layout.member_ids[rows], -1)
 
 
-def multi_indices(library: CslLibrary, gidx: np.ndarray) -> list[MultiIndex]:
-    """decode_index at every global index of an array, decoded in one pass."""
-    pos, digits = decode_indices(library, gidx)
-    out = []
-    for t, sids in zip(pos.tolist(), synthon_ids(library, pos, digits).tolist()):
-        rx = library.reactions[t]
-        out.append(MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids))))
+def gather_sum(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row of an index matrix, arr at its indices summed from 0.0, column
+    by column (R-group order), skipping -1; one row of arr per index."""
+    out = np.zeros((len(idx),) + arr.shape[1:])
+    present = (idx >= 0).reshape(idx.shape + (1,) * (arr.ndim - 1))
+    for j in range(idx.shape[1]):
+        np.add(out, arr[idx[:, j]], out=out, where=present[:, j])
     return out
 
 
@@ -304,7 +305,31 @@ def enumerate_products(library: CslLibrary, start: int, end: int) -> Iterator[Mu
     if not 0 <= start <= end <= total:
         raise LibraryError(f"range [{start}, {end}) invalid for product count {total}")
     for lo in range(start, end, ENUMERATE_CHUNK):
-        yield from multi_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
+        pos, digits = decode_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
+        for t, sids in zip(pos.tolist(), synthon_ids(library, pos, digits).tolist()):
+            rx = library.reactions[t]
+            yield MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
+
+
+def reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, assemble: bool):
+    """The reaction id, comma-joined synthon ids and, with `assemble`, assembled token of every
+    decoded product, as strings, built a reaction at a time: columns of hit and label files."""
+    n = len(pos)
+    reaction_id, joined_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
+    sids = synthon_ids(library, pos, digits)
+    order = np.argsort(pos, kind="stable")
+    sorted_pos = pos[order]
+    starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        rows = order[a:b]
+        t = int(sorted_pos[a])
+        rx = library.reactions[t]
+        width = len(rx.rgroups)
+        reaction_id[rows] = str(rx.reaction_id)
+        joined_ids[rows] = list(map(",".join, zip(*(map(str, col) for col in sids[rows, :width].T.tolist()))))
+        if assemble:
+            assembled[rows] = assemble_rows(library, t, digits[rows, :width])
+    return reaction_id.tolist(), joined_ids.tolist(), assembled.tolist() if assemble else None
 
 
 def assemble(library: CslLibrary, chi: MultiIndex) -> str:

@@ -58,12 +58,12 @@ from .blobio import load_blob, save_blob
 from .csl import (
     CslLibrary,
     MultiIndex,
-    assemble_rows,
     decode_indices,
+    gather_sum,
     library_fingerprint,
     pair_rows,
     product_count,
-    synthon_ids,
+    reaction_columns,
 )
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
@@ -410,17 +410,8 @@ def _constraint_values(
 ) -> np.ndarray:
     """Each constraint's value at every decoded hit, summed as `apex_score`
     sums it: from 0.0, R-groups in declaration order, then the bias."""
-    rows = pair_rows(library, pos, digits)
-    present = rows >= 0
-    out = np.empty((len(query.constraints), len(pos)))
-    for ci, con in enumerate(query.constraints):
-        i = table.task_index(con.task)
-        acc = np.zeros(len(pos))
-        for j in range(rows.shape[1]):
-            m = present[:, j]
-            acc[m] += table.values[i, rows[m, j]]
-        out[ci] = acc + table.biases[i]
-    return out
+    tasks = [table.task_index(con.task) for con in query.constraints]
+    return gather_sum(table.values[tasks].T, pair_rows(library, pos, digits)).T + table.biases[tasks, None]
 
 
 def _result_from_selection(
@@ -574,6 +565,8 @@ def search_topk_batched(
 def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
     """Closed-form accounting, reported under both the no-sharing assumption
     (one pair row per synthon) and the actual per-(R-group, synthon) row count."""
+    if d < 1 or k < 0:
+        raise EngineError(f"cost needs d >= 1 and k >= 0, got d={d}, k={k}")
     n_synthons = len(library.synthons)
     pairs_actual = library.layout.n_pairs
     scoring_flops = 0
@@ -637,27 +630,6 @@ RESULT_HEADER_PREFIX = "rank\tglobal_index\treaction_id\tsynthon_ids\tobjective\
 RESULT_CHUNK_ROWS = 1 << 14
 
 
-def _reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, assemble: bool):
-    """Per hit, the reaction id, the comma-joined synthon ids and, with
-    `assemble`, the assembled token; built one reaction at a time."""
-    n = len(pos)
-    reaction_id, joined_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
-    sids = synthon_ids(library, pos, digits)
-    order = np.argsort(pos, kind="stable")
-    sorted_pos = pos[order]
-    starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))
-    for a, b in zip(starts.tolist(), starts[1:].tolist() + [n]):
-        rows = order[a:b]
-        t = int(sorted_pos[a])
-        rx = library.reactions[t]
-        width = len(rx.rgroups)
-        reaction_id[rows] = str(rx.reaction_id)
-        joined_ids[rows] = list(map(",".join, zip(*(map(str, col) for col in sids[rows, :width].T.tolist()))))
-        if assemble:
-            assembled[rows] = assemble_rows(library, t, digits[rows, :width])
-    return reaction_id.tolist(), joined_ids.tolist(), assembled.tolist() if assemble else None
-
-
 def save_result(
     result: TopKResult,
     query: QuerySpec,
@@ -677,7 +649,7 @@ def save_result(
         fh.write(cols + "\n")
         for lo in range(0, result.retained, RESULT_CHUNK_ROWS):
             hi = min(lo + RESULT_CHUNK_ROWS, result.retained)
-            reaction_id, joined_ids, assembled = _reaction_columns(
+            reaction_id, joined_ids, assembled = reaction_columns(
                 library, result.reaction_pos[lo:hi], result.digits[lo:hi], assemble
             )
             columns = [

@@ -150,7 +150,7 @@ class TsConfig:
 
     def __post_init__(self):
         if self.warmup < 1 or self.iterations < 1:
-            raise ValueError("warmup and iterations must be >= 1")
+            raise EvalError(f"warmup and iterations must be >= 1, got {self.warmup} and {self.iterations}")
 
 
 def default_warmup(n_components: int) -> int:
@@ -275,6 +275,8 @@ def compare_apex_vs_ts(
 ) -> list[dict]:
     """Per (reaction, TS iteration budget, j): APEX recall at k = total TS
     evaluations vs the TS recall over its evaluated set, within the reaction."""
+    if not seeds:
+        raise EvalError("compare_apex_vs_ts needs at least one seed")
     order = sorted(
         range(len(library.reactions)),
         key=lambda t: (-library.reaction_size(t), t),

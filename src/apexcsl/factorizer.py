@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blobio import load_blob, save_blob
-from .csl import CslLibrary, PairLayout, decode_indices, library_fingerprint, pair_rows, product_count, synthon_ids
+from .csl import CslLibrary, PairLayout, decode_indices, gather_sum, library_fingerprint, pair_rows, product_count, synthon_ids
 from .nn import MLP, Adam, ParamBuffer
 from .props import FeatureConfig, library_synthon_features, product_feature_matrix, synthon_norms
 from .surrogate import SurrogateModel
@@ -208,7 +208,7 @@ class FactorizerTrainConfig:
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
+            raise FactorizerError(f"steps and batch_size must be >= 1, got {self.steps} and {self.batch_size}")
 
 
 def _sample_chis(
@@ -230,14 +230,6 @@ def _sample_chis(
     return decode_indices(library, gidxs)
 
 
-def _gather_sum(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each product's pair rows of u summed from zero, in R-group order."""
-    out = np.zeros((len(rows), u.shape[1]))
-    for j in range(rows.shape[1]):
-        np.add(out, u[rows[:, j]], out=out, where=rows[:, j, None] >= 0)
-    return out
-
-
 def reconstruction_loss_and_grads(
     factorizer: Factorizer,
     ctx: LibraryContext,
@@ -250,7 +242,7 @@ def reconstruction_loss_and_grads(
     -1 past its reaction's R-groups, as `csl.pair_rows` gives them.
     """
     u, cache = factorizer.forward_cache(ctx)
-    pred = _gather_sum(u, rows)
+    pred = gather_sum(u, rows)
     resid = pred - targets
     n = len(rows)
     loss = float(np.sum(resid * resid)) / n
@@ -304,6 +296,8 @@ def factorization_gap(
 ) -> dict[str, float]:
     """Mean and p95 of the embedding reconstruction distance on a uniform sample."""
     fc = surrogate.feature_config
+    if sample_size < 1:
+        raise FactorizerError(f"gap sample size must be >= 1, got {sample_size}")
     if factorizer.feature_config != fc:
         raise FactorizerError("factorizer and surrogate use different feature configs")
     rng = np.random.default_rng(seed)
@@ -312,7 +306,7 @@ def factorization_gap(
     u, _ = factorizer.forward_cache(ctx)
     sids = synthon_ids(library, pos, digits)
     target = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
-    recon = _gather_sum(u, pair_rows(library, pos, digits))
+    recon = gather_sum(u, pair_rows(library, pos, digits))
     dist = np.linalg.norm(target - recon, axis=1)
     emb_rms = float(np.sqrt(np.mean(target * target)))
     return {

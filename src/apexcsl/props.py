@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csl import CslLibrary, LibraryError, MultiIndex, decode_indices, multi_indices, product_count, synthon_ids
+from .csl import (CslLibrary, LibraryError, MultiIndex, decode_indices, gather_sum, product_count,
+                  product_index, reaction_columns, synthon_ids)
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -38,6 +39,10 @@ class FeatureConfig:
     p: int = DEFAULT_FEATURE_DIM   # hashed n-gram buckets
     q: int = DEFAULT_CROSS_TERMS   # random-projection cross terms
     seed: int = 0                  # seeds the hash salt and projection matrix
+
+    def __post_init__(self):
+        if self.p < 1 or self.q < 0:
+            raise OracleError(f"feature dimensions need p >= 1 and q >= 0, got p={self.p}, q={self.q}")
 
 
 def _bucket(ngram: str, salt: int, p: int) -> int:
@@ -121,10 +126,8 @@ def product_feature_matrix(
     sids = np.asarray(sids, dtype=np.int64)
     present = sids >= 0
     n = len(sids)
-    out = np.zeros((n, config.p + config.q))
-    summed = out[:, : config.p]
-    for j in range(sids.shape[1]):
-        np.add(summed, synthon_matrix[sids[:, j]], out=summed, where=present[:, j, None])
+    out = np.empty((n, config.p + config.q))
+    out[:, : config.p] = gather_sum(synthon_matrix, sids)
     # largest norm first, ties by position; absent columns last
     order = np.argsort(np.where(present, -norms[sids], np.inf), axis=1, kind="stable")
     rows = np.arange(n)
@@ -263,9 +266,7 @@ def oracle_values(
     task = oracle.task(task_name)
     sids = synthon_ids(library, *decode_indices(library, gidx))
     present = sids >= 0
-    base = np.zeros(len(sids))
-    for j in range(sids.shape[1]):
-        np.add(base, task.latent[sids[:, j]], out=base, where=present[:, j])
+    base = gather_sum(task.latent, sids)
     value = base.copy()
     if task.has_nonlinear:
         value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
@@ -434,25 +435,19 @@ def make_additive_oracle(
 # labeled datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelRow:
-    chi: MultiIndex
-    task: str
-    value: float
-
-
 @dataclass
 class LabeledDataset:
-    rows: list[LabelRow]
+    """Oracle labels as columns: label i gives product `global_index[i]` the
+    value `value[i]` on task `task_names[task[i]]`. Task names are numbered in
+    order of first appearance."""
+
+    global_index: np.ndarray  # int64
+    task: np.ndarray          # int64 index into task_names
+    value: np.ndarray         # float64
+    task_names: list[str]
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def tasks(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.task, None)
-        return list(seen)
+        return len(self.global_index)
 
 
 @dataclass(frozen=True)
@@ -462,6 +457,10 @@ class SampleSpec:
     size: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.size is not None and self.size < 0:
+            raise OracleError(f"sample size must be >= 0, got {self.size}")
+
 
 def label_library(
     oracle: GroundTruthOracle,
@@ -469,6 +468,10 @@ def label_library(
     task_names: list[str],
     sample: SampleSpec = SampleSpec(),
 ) -> LabeledDataset:
+    """Every sampled product labeled on every task: products ascending, each
+    one's tasks in the given order."""
+    if len(set(task_names)) != len(task_names):
+        raise OracleError(f"tasks must be distinct, got {','.join(task_names)}")
     total = product_count(library)
     if sample.size is None:
         gidxs = np.arange(total)
@@ -476,27 +479,35 @@ def label_library(
         rng = np.random.default_rng(sample.seed)
         n = min(sample.size, total)
         gidxs = np.sort(rng.choice(total, size=n, replace=False)) if n else np.zeros(0, dtype=np.int64)
-    values = [oracle_values(oracle, library, task, gidxs).tolist() for task in task_names]
-    rows = []
-    for i, chi in enumerate(multi_indices(library, gidxs)):
-        for task, vals in zip(task_names, values):
-            rows.append(LabelRow(chi, task, vals[i]))
-    return LabeledDataset(rows=rows)
+    values = np.empty((len(gidxs), len(task_names)))
+    for t, task in enumerate(task_names):
+        values[:, t] = oracle_values(oracle, library, task, gidxs)
+    task = np.tile(np.arange(len(task_names), dtype=np.int64), len(gidxs))
+    return LabeledDataset(np.repeat(gidxs, len(task_names)), task, values.reshape(-1), list(task_names))
 
 
 LABEL_HEADER = "reaction_id\tsynthon_ids\ttask\tvalue"
+LABEL_CHUNK_ROWS = 1 << 14
 
 
-def save_labels(dataset: LabeledDataset, path) -> None:
+def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
+    """One label per line, written column by column, LABEL_CHUNK_ROWS lines at a time."""
+    names = np.asarray(dataset.task_names, dtype=object)
     with open(path, "w") as fh:
         fh.write(LABEL_HEADER + "\n")
-        for row in dataset.rows:
-            sids = ",".join(map(str, row.chi.synthon_ids()))
-            fh.write(f"{row.chi.reaction_id}\t{sids}\t{row.task}\t{row.value!r}\n")
+        for lo in range(0, len(dataset), LABEL_CHUNK_ROWS):
+            hi = min(lo + LABEL_CHUNK_ROWS, len(dataset))
+            reaction_id, joined_ids, _ = reaction_columns(
+                library, *decode_indices(library, dataset.global_index[lo:hi]), assemble=False
+            )
+            columns = [reaction_id, joined_ids, names[dataset.task[lo:hi]].tolist(),
+                       map(repr, dataset.value[lo:hi].tolist())]
+            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
 
 
 def load_labels(path, library: CslLibrary) -> LabeledDataset:
-    rows = []
+    gidxs, tasks, values = [], [], []
+    task_of: dict[str, int] = {}
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != LABEL_HEADER:
@@ -509,19 +520,18 @@ def load_labels(path, library: CslLibrary) -> LabeledDataset:
                 raise OracleError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
                 reaction_id = int(parts[0])
-                sids = tuple(int(x) for x in parts[1].split(","))
+                sids = [int(x) for x in parts[1].split(",")]
                 value = float(parts[3])
             except ValueError as exc:
                 raise OracleError(f"line {lineno}: malformed field: {exc}") from None
             try:
                 rx = library.reaction(reaction_id)
-            except IndexError:
+            except LibraryError:
                 raise OracleError(f"line {lineno}: unknown reaction {reaction_id}") from None
             if len(sids) != len(rx.rgroups):
                 raise OracleError(f"line {lineno}: expected {len(rx.rgroups)} synthons")
-            assignment = tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids))
-            chi = MultiIndex(reaction_id, assignment)
-            for rg, s in zip(rx.rgroups, sids):
-                library.synthon_digit(rg.rgroup_id, s)  # raises on ineligible synthon
-            rows.append(LabelRow(chi, parts[2], value))
-    return LabeledDataset(rows=rows)
+            gidxs.append(product_index(library, reaction_id, sids))  # raises on an ineligible synthon
+            tasks.append(task_of.setdefault(parts[2], len(task_of)))
+            values.append(value)
+    return LabeledDataset(np.asarray(gidxs, dtype=np.int64), np.asarray(tasks, dtype=np.int64),
+                          np.asarray(values, dtype=np.float64), list(task_of))

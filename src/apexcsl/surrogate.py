@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blobio import load_blob, save_blob
-from .csl import CslLibrary
+from .csl import CslLibrary, decode_indices, synthon_ids
 from .nn import MLP, Adam, ParamBuffer, params_checksum
 from .props import FeatureConfig, LabeledDataset, product_feature_matrix
 
@@ -45,9 +45,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.noise_draws < 1:
-            raise ValueError("epochs, batch_size, noise_draws must be positive")
+            raise SurrogateError(f"epochs, batch_size and noise_draws must be >= 1, got "
+                                 f"{self.epochs}, {self.batch_size} and {self.noise_draws}")
         if not 0.0 < self.val_split < 1.0:
-            raise ValueError("val_split must be in (0, 1)")
+            raise SurrogateError(f"val_split must be in (0, 1), got {self.val_split}")
 
 
 @dataclass
@@ -134,25 +135,10 @@ def surrogate_loss_and_grads(
 
 
 def _build_examples(dataset: LabeledDataset, library: CslLibrary, feature_config: FeatureConfig):
-    """Deduplicate multi-indices into a feature matrix plus per-example rows."""
-    chi_row: dict = {}
-    task_names: list[str] = []
-    task_of: dict[str, int] = {}
-    rows, tasks, ys = [], [], []
-    for row in dataset.rows:
-        key = (row.chi.reaction_id, row.chi.synthon_ids())
-        if key not in chi_row:
-            chi_row[key] = len(chi_row)
-        if row.task not in task_of:
-            task_of[row.task] = len(task_names)
-            task_names.append(row.task)
-        rows.append(chi_row[key])
-        tasks.append(task_of[row.task])
-        ys.append(row.value)
-    width = max(len(ids) for _, ids in chi_row)
-    sids = np.asarray([ids + (-1,) * (width - len(ids)) for _, ids in chi_row], dtype=np.int64)
-    X = product_feature_matrix(library, sids, feature_config)
-    return X, np.asarray(rows), np.asarray(tasks), np.asarray(ys, dtype=np.float64), task_names
+    """The features of each distinct labeled product, and per label the row of its product."""
+    products, feat_rows = np.unique(dataset.global_index, return_inverse=True)
+    sids = synthon_ids(library, *decode_indices(library, products))
+    return product_feature_matrix(library, sids, feature_config), feat_rows
 
 
 def _make_encoder(config: TrainConfig, feature_dim: int, rng: np.random.Generator) -> MLP:
@@ -170,9 +156,10 @@ def train_surrogate(
     config: TrainConfig,
     feature_config: FeatureConfig = FeatureConfig(),
 ) -> SurrogateModel:
-    if not dataset.rows:
+    if not len(dataset):
         raise SurrogateError("empty dataset")
-    X, feat_rows, task_idx, y, task_names = _build_examples(dataset, library, feature_config)
+    X, feat_rows = _build_examples(dataset, library, feature_config)
+    task_idx, y, task_names = dataset.task, dataset.value, dataset.task_names
     n_tasks = len(task_names)
     n = len(task_idx)
     for t in range(n_tasks):
@@ -254,19 +241,20 @@ def train_surrogate(
         encoder=encoder,
         head_w=head_w_out,
         head_b=head_b_out,
-        task_names=task_names,
+        task_names=list(task_names),
         feature_config=feature_config,
     )
 
 
 def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, library: CslLibrary) -> dict[str, float | None]:
     """Coefficient of determination per task; None when the target has zero variance."""
-    if not dataset.rows:
+    if not len(dataset):
         raise SurrogateError("empty dataset")
-    X, feat_rows, task_idx, y, task_names = _build_examples(dataset, library, model.feature_config)
+    X, feat_rows = _build_examples(dataset, library, model.feature_config)
+    task_idx, y = dataset.task, dataset.value
     emb = encode(model, X)
     out: dict[str, float | None] = {}
-    for t, name in enumerate(task_names):
+    for t, name in enumerate(dataset.task_names):
         i = model.task_index(name)
         sel = task_idx == t
         pred = emb[feat_rows[sel]] @ model.head_w[i] + model.head_b[i]

@@ -319,6 +319,42 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --{flag.replace('_', '-')} ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("case", [
+        "epochs_0", "batch_size_0", "steps_0", "gap_sample_0", "budgets_0", "n_seeds_0",
+        "sample_size_negative", "feature_p_0", "tasks_repeated", "cost_negative", "labels_reaction_negative",
+    ])
+    def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
+        # each once ended in a traceback or was accepted silently
+        p = {k: str(v) for k, v in pipeline.items()}
+        out = p["dir"] + "/bad_" + case
+        labels = pipeline["dir"] / "labels_negative.tsv"  # reaction 1's labels say reaction -1
+        if case == "labels_reaction_negative":
+            labels.write_text("".join("-" + ln if ln.startswith("1\t") else ln
+                                      for ln in pipeline["labels"].read_text().splitlines(keepends=True)))
+        surrogate = ["train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", out]
+        factorizer = ["train-factorizer", "--library", p["library"], "--surrogate", p["surrogate"],
+                      "--out", out, "--steps", "1"]
+        compare = ["compare-ts", "--library", p["library"], "--table", p["table"], "--oracle", p["oracle"],
+                   "--objective", "dock_a", "--budgets", "5", "--n-seeds", "1", "--out", out]
+        label = ["label", "--library", p["library"], "--out", out]
+        argv = {
+            "epochs_0": surrogate + ["--epochs", "0"],
+            "batch_size_0": surrogate + ["--batch-size", "0"],
+            "steps_0": factorizer + ["--steps", "0"],
+            "gap_sample_0": factorizer + ["--gap-sample", "0"],
+            "budgets_0": compare + ["--budgets", "0"],
+            "n_seeds_0": compare + ["--n-seeds", "0"],
+            "sample_size_negative": label + ["--sample-size", "-1"],
+            "feature_p_0": label + ["--feature-p", "0"],
+            "tasks_repeated": label + ["--tasks", "mw,mw"],
+            "cost_negative": ["cost", "--library", p["library"], "--d", "-1", "--k", "-5"],
+            "labels_reaction_negative": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
+        }[case]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert case != "cost_negative" or not captured.out
+
     @pytest.mark.parametrize("records", [
         "S 10 ab*\nS 11 cd*\nS 12 ef*\nS 13 gh*\nR 0 10 11\nR 1 12 13\nT 0 0 1",
         "S 0 ab*\nS 1 cd*\nS 2 ef*\nS 3 gh*\nR 0 0 1\nR 1 2 3\nT 7 0 1",

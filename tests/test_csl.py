@@ -18,6 +18,11 @@ def trillion_library():
     )
 
 
+def synthon_digit(library, rgroup_id, synthon_id):
+    """A synthon's position in its R-group's synthon list: the decode digit."""
+    return next(rg for rg in library.iter_rgroups() if rg.rgroup_id == rgroup_id).synthon_ids.index(synthon_id)
+
+
 class TestProductCount:
     def test_one_trillion(self):
         assert csl.product_count(trillion_library()) == 1_000_000_000_000
@@ -110,6 +115,15 @@ class TestIndexCodec:
         with pytest.raises(csl.LibraryError, match="not eligible"):
             csl.encode_index(small_library, bad)
 
+    @pytest.mark.parametrize("reaction_id", [-1, 2])
+    def test_reaction_id_out_of_range(self, small_library, reaction_id):
+        # a negative id must not index from the end of the reaction list
+        chi = csl.decode_index(small_library, 0)
+        with pytest.raises(csl.LibraryError, match="out of range"):
+            small_library.reaction(reaction_id)
+        with pytest.raises(csl.LibraryError, match="out of range"):
+            csl.encode_index(small_library, csl.MultiIndex(reaction_id, chi.assignment))
+
 
 class TestDecodeIndices:
     @staticmethod
@@ -119,7 +133,7 @@ class TestDecodeIndices:
         rows = []
         for g in gidx:
             chi = csl.decode_index(library, int(g))
-            digits = [library.synthon_digit(r, s) for r, s in chi.assignment]
+            digits = [synthon_digit(library, r, s) for r, s in chi.assignment]
             rows.append((chi.reaction_id, digits + [-1] * (width - len(digits))))
         return rows
 
@@ -165,7 +179,7 @@ class TestPairRows:
             chi = csl.decode_index(lib, g)
             width = len(chi.assignment)
             assert sid_row == list(chi.synthon_ids()) + [-1] * (len(sid_row) - width)
-            assert pr_row[:width] == [first_row[r] + lib.synthon_digit(r, s) for r, s in chi.assignment]
+            assert pr_row[:width] == [first_row[r] + synthon_digit(lib, r, s) for r, s in chi.assignment]
             assert pr_row[width:] == [-1] * (len(pr_row) - width)
             assert [member_ids[r] for r in pr_row[:width]] == list(chi.synthon_ids())
 

@@ -244,6 +244,16 @@ class TestThompsonSampling:
                 library, oracle, "obj", "maximize", evalkit.TsConfig(warmup=1, iterations=1)
             )
 
+    @pytest.mark.parametrize("reaction_id", [-1, 2])
+    def test_reaction_id_out_of_range(self, exact_setup, reaction_id):
+        # -1 once sampled the last reaction's synthons under the wrong global offset
+        library, oracle, _ = exact_setup
+        with pytest.raises(csl.LibraryError, match="out of range"):
+            evalkit.thompson_sampling(
+                library, oracle, "obj", "maximize", evalkit.TsConfig(warmup=1, iterations=1),
+                reaction_id=reaction_id,
+            )
+
 
 class TestCompare:
     def test_comparison_rows(self, exact_setup):

@@ -142,7 +142,7 @@ class TestTraining:
         )
         recon = np.stack([reconstruct(cache, small_library, chi) for chi in chis])
         rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, gidx))
-        assert fz._gather_sum(cache.u, rows).tobytes() == recon.tobytes()
+        assert csl.gather_sum(cache.u, rows).tobytes() == recon.tobytes()
         dist = np.linalg.norm(target - recon, axis=1)
         assert gap == {
             "mean": float(dist.mean()),

@@ -1,8 +1,12 @@
+import pathlib
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apexcsl import csl, props
+from apexcsl import csl, props, surrogate
 from conftest import mixed_libraries
 
 # few distinct values, signed zeros included: synthon vectors and latents tie
@@ -11,6 +15,22 @@ LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _columns(ds):
+    """A label set's columns, dtypes and value bits, for equality checks."""
+    cols = (ds.global_index, ds.task, ds.value)
+    return [c.dtype.str for c in cols], ds.global_index.tolist(), ds.task.tolist(), _bits(ds.value), ds.task_names
+
+
+def reference_save_labels(dataset, path, library):
+    """The per-row label writer `save_labels` replaced: one decode_index per label."""
+    with open(path, "w") as fh:
+        fh.write(props.LABEL_HEADER + "\n")
+        for g, t, v in zip(dataset.global_index.tolist(), dataset.task.tolist(), dataset.value.tolist()):
+            chi = csl.decode_index(library, g)
+            sids = ",".join(map(str, chi.synthon_ids()))
+            fh.write(f"{chi.reaction_id}\t{sids}\t{dataset.task_names[t]}\t{v!r}\n")
 
 
 class TestSynthonFeatures:
@@ -249,8 +269,12 @@ class TestLabelLibrary:
         sample = props.label_library(
             small_oracle, small_library, ["mw"], props.SampleSpec(size=20, seed=4)
         )
-        full_set = {(r.chi, r.task, r.value) for r in full.rows}
-        assert all((r.chi, r.task, r.value) in full_set for r in sample.rows)
+
+        def triples(ds):
+            return list(zip(ds.global_index.tolist(), [ds.task_names[t] for t in ds.task], ds.value.tolist()))
+
+        full_set = set(triples(full))
+        assert len(sample) == 20 and all(row in full_set for row in triples(sample))
 
     def test_matches_per_product_ground_truth(self, small_library, small_oracle):
         tasks = ["dock_a", "mw"]
@@ -258,17 +282,27 @@ class TestLabelLibrary:
         rng = np.random.default_rng(3)
         gidxs = np.sort(rng.choice(csl.product_count(small_library), size=60, replace=False))
         expected = []
-        for g in gidxs:
-            chi = csl.decode_index(small_library, int(g))
+        for g in gidxs.tolist():
+            chi = csl.decode_index(small_library, g)
             for task in tasks:
-                expected.append(props.LabelRow(chi, task, props.ground_truth(small_oracle, small_library, chi, task)))
-        assert ds.rows == expected
-        assert _bits([r.value for r in ds.rows]) == _bits([r.value for r in expected])
+                expected.append((g, task, props.ground_truth(small_oracle, small_library, chi, task)))
+        assert ds.task_names == tasks
+        assert ds.global_index.tolist() == [g for g, _, _ in expected]
+        assert [ds.task_names[t] for t in ds.task] == [t for _, t, _ in expected]
+        assert _bits(ds.value) == _bits([v for _, _, v in expected])
 
     def test_deterministic(self, small_library, small_oracle):
         a = props.label_library(small_oracle, small_library, ["mw"], props.SampleSpec(size=30, seed=1))
         b = props.label_library(small_oracle, small_library, ["mw"], props.SampleSpec(size=30, seed=1))
-        assert a.rows == b.rows
+        assert _columns(a) == _columns(b)
+
+    def test_repeated_task_rejected(self, small_library, small_oracle):
+        with pytest.raises(props.OracleError, match="distinct"):
+            props.label_library(small_oracle, small_library, ["mw", "dock_a", "mw"])
+
+    def test_negative_sample_size_rejected(self):
+        with pytest.raises(props.OracleError, match="sample size"):
+            props.SampleSpec(size=-1)
 
 
 class TestLabelFiles:
@@ -277,13 +311,14 @@ class TestLabelFiles:
             small_oracle, small_library, ["mw", "dock_a"], props.SampleSpec(size=25, seed=2)
         )
         path = tmp_path / "labels.tsv"
-        props.save_labels(ds, path)
-        assert props.load_labels(path, small_library).rows == ds.rows
+        props.save_labels(ds, path, small_library)
+        assert _columns(props.load_labels(path, small_library)) == _columns(ds)
 
     def test_empty_file_with_header(self, small_library, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text(props.LABEL_HEADER + "\n")
-        assert props.load_labels(path, small_library).rows == []
+        ds = props.load_labels(path, small_library)
+        assert len(ds) == 0 and ds.task_names == []
 
     def test_malformed_numeric_names_line(self, small_library, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -297,6 +332,18 @@ class TestLabelFiles:
         with pytest.raises(props.OracleError, match="unknown reaction"):
             props.load_labels(path, small_library)
 
+    def test_negative_reaction_rejected(self, small_library, small_oracle, tmp_path):
+        # -1 once read as the last reaction, and its labels were trained on
+        ds = props.label_library(small_oracle, small_library, ["mw"], props.SampleSpec(size=40, seed=0))
+        path = tmp_path / "labels.tsv"
+        props.save_labels(ds, path, small_library)
+        lines = path.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("1\t"))
+        path.write_text("\n".join(ln.replace("1\t", "-1\t", 1) if ln.startswith("1\t") else ln
+                                  for ln in lines) + "\n")
+        with pytest.raises(props.OracleError, match=f"line {first + 1}: unknown reaction -1"):
+            props.load_labels(path, small_library)
+
     def test_ineligible_synthon_rejected(self, small_library, tmp_path):
         rx = small_library.reactions[0]
         bad = ",".join(["999"] * len(rx.rgroups))
@@ -304,3 +351,36 @@ class TestLabelFiles:
         path.write_text(props.LABEL_HEADER + f"\n0\t{bad}\tmw\t1.0\n")
         with pytest.raises(csl.LibraryError):
             props.load_labels(path, small_library)
+
+
+class TestLabelColumns:
+    """Columnar labels against the per-row reference writer and per-product features."""
+
+    @given(library=mixed_libraries(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_reference(self, library, data):
+        oracle = props.make_default_oracle(library, seed=data.draw(st.integers(0, 3)))
+        # any subset of the tasks, in --tasks order; every product repeats them
+        tasks = data.draw(st.lists(st.sampled_from(oracle.task_names), min_size=1, max_size=4, unique=True))
+        size = data.draw(st.one_of(st.none(), st.integers(0, 40)))
+        ds = props.label_library(oracle, library, tasks, props.SampleSpec(size, data.draw(st.integers(0, 9))))
+        if data.draw(st.booleans()):  # signed zeros and values whose repr is long
+            ds.value = np.asarray(data.draw(st.lists(st.sampled_from(LEVELS + [1e-300, 1 / 3, -2.5e17]),
+                                                     min_size=len(ds), max_size=len(ds))), dtype=np.float64)
+        chunk_rows = data.draw(st.sampled_from([1, 7, props.LABEL_CHUNK_ROWS]))
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, got = pathlib.Path(tmp, "ref.tsv"), pathlib.Path(tmp, "got.tsv")
+            reference_save_labels(ds, ref, library)
+            with mock.patch.object(props, "LABEL_CHUNK_ROWS", chunk_rows):
+                props.save_labels(ds, got, library)
+            assert got.read_bytes() == ref.read_bytes()
+            loaded = props.load_labels(got, library)
+        expected = _columns(ds)
+        if not len(ds):  # an empty file names no tasks
+            expected = expected[:4] + ([],)
+        assert _columns(loaded) == expected
+        cfg = props.FeatureConfig(p=8, q=4)
+        X, rows = surrogate._build_examples(loaded, library, cfg)
+        expected = [props.product_features(library, csl.decode_index(library, g), cfg)
+                    for g in ds.global_index.tolist()]
+        assert _bits(X[rows]) == _bits(np.reshape(expected, (len(ds), cfg.p + cfg.q)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,18 +52,21 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self, small_library):
         with pytest.raises(surrogate.SurrogateError, match="empty"):
-            surrogate.train_surrogate(props.LabeledDataset(rows=[]), small_library, _fast_config())
+            surrogate.train_surrogate(
+                props.LabeledDataset(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), []),
+                small_library, _fast_config(),
+            )
 
     def test_nan_targets_abort(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle, size=40)
-        rows = [props.LabelRow(r.chi, r.task, float("nan")) for r in ds.rows]
+        nan = dataclasses.replace(ds, value=np.full(len(ds), np.nan))
         with pytest.raises(surrogate.SurrogateError, match="non-finite"):
-            surrogate.train_surrogate(props.LabeledDataset(rows=rows), small_library, _fast_config())
+            surrogate.train_surrogate(nan, small_library, _fast_config())
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(surrogate.SurrogateError):
             surrogate.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(surrogate.SurrogateError):
             surrogate.TrainConfig(val_split=1.5)
 
 
@@ -94,7 +99,7 @@ class TestEvaluate:
     def test_zero_variance_target_is_none(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle, tasks=("mw",), size=30)
         model = surrogate.train_surrogate(ds, small_library, _fast_config())
-        const = props.LabeledDataset(rows=[props.LabelRow(r.chi, r.task, 1.0) for r in ds.rows])
+        const = dataclasses.replace(ds, value=np.ones(len(ds)))
         assert surrogate.evaluate_r2(model, const, small_library)["mw"] is None
 
 
