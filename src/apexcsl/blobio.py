@@ -65,3 +65,29 @@ def load_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         if remaining:
             raise BlobError(f"{path}: {remaining} trailing bytes after the last array")
     return meta, arrays
+
+
+def load_meta_blob(path, kind: str, version: int, error: type[Exception], **fields):
+    """load_blob for a blob of this kind and version whose meta holds every
+    field as its spec says (`fits`); `error`, the loading module's own, otherwise."""
+    meta, arrays = load_blob(path)
+    name = kind.replace("_", " ")
+    if not (isinstance(meta, dict) and meta.get("kind") == kind and meta.get("version") == version):
+        raise error(f"{path}: not a version-{version} {name}")
+    for field, spec in fields.items():
+        if not fits(meta.get(field), spec):
+            raise error(f"{path}: {name} meta field {field!r} is missing or malformed")
+    return meta, arrays
+
+
+def fits(value, spec) -> bool:
+    """True if a JSON value has the spec's shape: a type or tuple of types (a
+    boolean fits only bool), a list of item specs (one for any length, else one
+    per item), or a dict of specs with exactly the spec's keys."""
+    if isinstance(spec, list):
+        each = spec * len(value) if isinstance(value, list) and len(spec) == 1 else spec
+        return isinstance(value, list) and len(value) == len(each) and all(map(fits, value, each))
+    if isinstance(spec, dict):
+        return (isinstance(value, dict) and value.keys() == spec.keys()
+                and all(fits(value[k], s) for k, s in spec.items()))
+    return isinstance(value, spec) and (spec is bool or not isinstance(value, bool))

@@ -132,6 +132,7 @@ def cmd_label(args) -> int:
     library = csl.load_library(args.library)
     if args.oracle_in:
         oracle = props.load_oracle(args.oracle_in)
+        oracle.check_library(library)
     else:
         oracle = props.make_default_oracle(
             library, args.seed, _feature_config(args),
@@ -229,6 +230,7 @@ def cmd_evaluate(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table)
     oracle = props.load_oracle(args.oracle)
+    oracle.check_library(library)
     query, variant, chunk_size = parse_query_file(args.query, table)
     if variant == "stream":
         retrieved = engine.search_topk_stream(library, table, query)
@@ -256,6 +258,7 @@ def cmd_compare_ts(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table)
     oracle = props.load_oracle(args.oracle)
+    oracle.check_library(library)
     budgets = tuple(_int_list("--budgets", args.budgets))
     seeds = tuple(range(args.seed, args.seed + args.n_seeds))
     rows = evalkit.compare_apex_vs_ts(

@@ -11,9 +11,11 @@ contiguous in global index.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -130,21 +132,11 @@ class CslLibrary:
     reactions: tuple[ReactionSpec, ...]
     synthons: tuple[SynthonRecord, ...]
 
-    # derived lookups, built once; the library is immutable after construction
-    _reaction_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _reaction_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # len = n+1
-
-    def __post_init__(self):
-        sizes = []
-        offsets = [0]
-        for rx in self.reactions:
-            size = 1
-            for rg in rx.rgroups:
-                size *= len(rg.synthon_ids)
-            sizes.append(size)
-            offsets.append(offsets[-1] + size)
-        self._reaction_sizes = tuple(sizes)
-        self._reaction_offsets = tuple(offsets)
+    @cached_property
+    def _reaction_offsets(self) -> tuple[int, ...]:
+        """Each reaction's first global index, then the product count: sums of
+        the products of the layout's radix rows, as exact Python ints."""
+        return tuple(accumulate(map(math.prod, self.layout.radix.tolist()), initial=0))
 
     @cached_property
     def _fragment_ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +158,7 @@ class CslLibrary:
         return self.reactions[reaction_id]
 
     def reaction_size(self, reaction_id: int) -> int:
-        return self._reaction_sizes[reaction_id]
+        return self._reaction_offsets[reaction_id + 1] - self._reaction_offsets[reaction_id]
 
     def reaction_offset(self, reaction_id: int) -> int:
         return self._reaction_offsets[reaction_id]

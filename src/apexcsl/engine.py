@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blobio import load_blob, save_blob
+from .blobio import load_meta_blob, save_blob
 from .csl import (
     CslLibrary,
     MultiIndex,
@@ -220,38 +220,28 @@ class TopKResult:
 # block decomposition and vectorized block scoring
 # ---------------------------------------------------------------------------
 
-def _reaction_block_ranges(library: CslLibrary, start: int, end: int):
-    """Yield (reaction positional index, first-digit lo, first-digit hi, reaction offset,
-    block size) for every reaction whose blocks overlap [start, end)."""
-    for ti, rx in enumerate(library.reactions):
-        r_off = library.reaction_offset(ti)
-        r_size = library.reaction_size(ti)
-        if r_off + r_size <= start or r_off >= end:
-            continue
-        n_first = len(rx.rgroups[0].synthon_ids)
-        inner = r_size // n_first
-        first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
-        first_hi = min(n_first, -(-(end - r_off) // inner))
-        yield ti, int(first_lo), int(first_hi), r_off, inner
-
-
-def _clip_block(g0: int, inner: int, start: int, end: int) -> tuple[int, int]:
-    """The block's [lo, hi) offsets inside [start, end)."""
-    return max(start, g0) - g0, min(end, g0 + inner) - g0
+def _block_table(library: CslLibrary, start: int, end: int):
+    """Every block that overlaps [start, end), in index order, as int64 arrays:
+    reaction position, first digit, block start, and the block's [lo, hi)
+    offsets clipped to the range. Each of a reaction's blocks holds the
+    product of its later R-groups' radices; a library without reactions has
+    no blocks."""
+    offsets = np.asarray(library._reaction_offsets, dtype=np.int64)
+    size = library.layout.radix[:, 1:].prod(axis=1)
+    # per reaction, the first digit whose block ends past start, and the first one past the range
+    first = np.maximum((start - offsets[:-1]) // size, 0)
+    stop = np.minimum(-((offsets[:-1] - end) // size), np.diff(offsets) // size)
+    count = np.maximum(stop - first, 0) if start < end else np.zeros_like(first)
+    rx = np.repeat(np.arange(len(size)), count)
+    digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count - first, count)
+    g0 = offsets[rx] + digit * size[rx]
+    return rx, digit, g0, np.maximum(start - g0, 0), np.minimum(end - g0, size[rx])
 
 
 def iter_blocks(library: CslLibrary, start: int, end: int):
-    """Yield (reaction positional index, first digit, block global start, lo, hi).
-
-    Blocks are (reaction, first-R-group digit) slabs; lo/hi clip the block's
-    flat range to [start, end).
-    """
-    for ti, first_lo, first_hi, r_off, inner in _reaction_block_ranges(library, start, end):
-        for j in range(first_lo, first_hi):
-            g0 = r_off + j * inner
-            lo, hi = _clip_block(g0, inner, start, end)
-            if lo < hi:
-                yield ti, j, g0, int(lo), int(hi)
+    """Yield (reaction positional index, first digit, block global start, lo, hi)
+    for every block of `_block_table`, as Python ints."""
+    yield from zip(*(a.tolist() for a in _block_table(library, start, end)))
 
 
 class _ReactionView:
@@ -480,29 +470,21 @@ def search_topk_stream(
     start, end, t0, views = _scan_setup(library, table, query, index_range)
     buf = _TopKBuffer(query.k)
     scored = 0
-    ranges = list(_reaction_block_ranges(library, start, end))
-    if query.k > 0 and ranges:
-        c_ub, s_ub, range_pos, digits = [], [], [], []
-        for pos, (ti, first_lo, first_hi, _, _) in enumerate(ranges):
-            c, s = _block_key_bounds(views[ti], query)
-            c_ub.append(c[first_lo:first_hi])
-            s_ub.append(s[first_lo:first_hi])
-            range_pos.append(np.full(first_hi - first_lo, pos))
-            digits.append(np.arange(first_lo, first_hi))
-        c_ub, s_ub = np.concatenate(c_ub), np.concatenate(s_ub)
-        range_pos, digits = np.concatenate(range_pos), np.concatenate(digits)
-        # best bound first; ties by reaction, then digit, i.e. in global index order
-        order = np.lexsort((digits, range_pos, -s_ub, -c_ub))
+    rx, digit, g0, lo, hi = _block_table(library, start, end)
+    if query.k > 0 and len(rx):
+        bounds = [_block_key_bounds(view, query) for view in views]
+        # each block's row in the reactions' bounds laid end to end
+        row = np.cumsum([0] + [len(c) for c, _ in bounds])[rx] + digit
+        c_ub, s_ub = (np.concatenate(b)[row] for b in zip(*bounds))
+        # best bound first; ties in global index order, i.e. by reaction, then digit
+        order = np.lexsort((g0, -s_ub, -c_ub))
+        rx, digit, g0, lo, hi = (a.tolist() for a in (rx, digit, g0, lo, hi))
         for b, bc, bs in zip(order.tolist(), c_ub[order].tolist(), s_ub[order].tolist()):
             if buf.below_kth(bc, bs):
                 break
-            ti, _, _, r_off, inner = ranges[range_pos[b]]
-            j = int(digits[b])
-            g0 = r_off + j * inner
-            lo, hi = _clip_block(g0, inner, start, end)
-            offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
-            buf.offer(c_arr, s_arr, offsets + g0)
-            scored += hi - lo
+            offsets, c_arr, s_arr = _block_keys(views[rx[b]], query, digit[b], lo[b], hi[b], buf.kth)
+            buf.offer(c_arr, s_arr, offsets + g0[b])
+            scored += hi[b] - lo[b]
     return _result_from_selection(library, table, query, buf, t0, end - start, scored)
 
 
@@ -569,10 +551,9 @@ def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
         raise EngineError(f"cost needs d >= 1 and k >= 0, got d={d}, k={k}")
     n_synthons = len(library.synthons)
     pairs_actual = library.layout.n_pairs
-    scoring_flops = 0
-    for ti, rx in enumerate(library.reactions):
-        # c contributions summed plus the bias: c adds per product
-        scoring_flops += library.reaction_size(ti) * len(rx.rgroups)
+    offsets, n_rgroups = library._reaction_offsets, library.layout.n_rgroups.tolist()
+    # c contributions summed plus the bias: c adds per product
+    scoring_flops = sum((b - a) * c for a, b, c in zip(offsets, offsets[1:], n_rgroups))
     out = {
         "synthon_encoder_evals": n_synthons,
         "pair_rows_no_sharing": n_synthons,
@@ -612,9 +593,8 @@ def save_table(table: ContributionTable, path) -> None:
 
 
 def load_table(path) -> ContributionTable:
-    meta, arrays = load_blob(path)
-    if meta.get("kind") != "contribution_table" or meta.get("version") != TABLE_VERSION:
-        raise EngineError(f"{path}: not a version-{TABLE_VERSION} contribution table")
+    meta, arrays = load_meta_blob(path, "contribution_table", TABLE_VERSION, EngineError,
+                                  task_names=[str], fingerprint=str)
     return ContributionTable(
         values=arrays["values"],
         biases=arrays["biases"],

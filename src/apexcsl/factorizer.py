@@ -12,14 +12,15 @@ holds to ~1e-6 relative tolerance (float summation order), not bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .blobio import load_blob, save_blob
+from .blobio import load_meta_blob, save_blob
 from .csl import CslLibrary, PairLayout, decode_indices, gather_sum, library_fingerprint, pair_rows, product_count, synthon_ids
 from .nn import MLP, Adam, ParamBuffer
-from .props import FeatureConfig, library_synthon_features, product_feature_matrix, synthon_norms
+from .props import (FEATURE_CONFIG_SPEC, FeatureConfig, library_synthon_features, product_feature_matrix,
+                    synthon_norms)
 from .surrogate import SurrogateModel
 
 
@@ -34,6 +35,10 @@ class FactorizerDims:
     d_t: int = 64
     d_u: int = 32
     d: int = 64
+
+    def __post_init__(self):
+        if min(astuple(self)) < 1:
+            raise FactorizerError(f"factorizer widths must be >= 1, got {self}")
 
 
 class DeepSet:
@@ -320,34 +325,27 @@ CHECKPOINT_VERSION = 1
 
 
 def save_factorizer(factorizer: Factorizer, path) -> None:
-    d = factorizer.dims
     meta = {
         "kind": "factorizer",
         "version": CHECKPOINT_VERSION,
         "mode": factorizer.mode,
-        "dims": [d.d_s, d.d_r, d.d_t, d.d_u, d.d],
+        "dims": list(astuple(factorizer.dims)),
         "feature_dim": factorizer.synthon_encoder.dims[0],
-        "feature_config": {
-            "p": factorizer.feature_config.p,
-            "q": factorizer.feature_config.q,
-            "seed": factorizer.feature_config.seed,
-        },
+        "feature_config": asdict(factorizer.feature_config),
     }
     arrays = {f"p_{i}": p for i, p in enumerate(factorizer.params)}
     save_blob(path, meta, arrays)
 
 
 def load_factorizer(path) -> Factorizer:
-    meta, arrays = load_blob(path)
-    if meta.get("kind") != "factorizer" or meta.get("version") != CHECKPOINT_VERSION:
-        raise FactorizerError(f"{path}: not a version-{CHECKPOINT_VERSION} factorizer checkpoint")
-    fc = meta["feature_config"]
+    meta, arrays = load_meta_blob(path, "factorizer", CHECKPOINT_VERSION, FactorizerError, mode=str,
+                                  dims=[int] * 5, feature_dim=int, feature_config=FEATURE_CONFIG_SPEC)
     factorizer = Factorizer(
         meta["feature_dim"],
         FactorizerDims(*meta["dims"]),
         np.random.default_rng(0),
         mode=meta["mode"],
-        feature_config=FeatureConfig(p=fc["p"], q=fc["q"], seed=fc["seed"]),
+        feature_config=FeatureConfig(**meta["feature_config"]),
     )
     params = factorizer.params
     for i, p in enumerate(params):
@@ -380,10 +378,9 @@ def save_cache(cache: HierarchyCache, path) -> None:
 
 def load_cache(path, library: CslLibrary) -> HierarchyCache:
     """A cache written by save_cache for this library."""
-    meta, arrays = load_blob(path)
-    if meta.get("kind") != "hierarchy_cache" or meta.get("version") != CHECKPOINT_VERSION:
-        raise FactorizerError(f"{path}: not a version-{CHECKPOINT_VERSION} hierarchy cache")
-    if meta.get("fingerprint") != library_fingerprint(library):
+    meta, arrays = load_meta_blob(path, "hierarchy_cache", CHECKPOINT_VERSION, FactorizerError,
+                                  fingerprint=str, synthon_encoder_evals=int)
+    if meta["fingerprint"] != library_fingerprint(library):
         raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
     layout = library.layout
     if not layout.matches(arrays["member_ids"], arrays["rg_offsets"], arrays["rg_ids"]):

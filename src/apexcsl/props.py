@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .blobio import fits
 from .csl import (CslLibrary, LibraryError, MultiIndex, decode_indices, gather_sum, product_count,
                   product_index, reaction_columns, synthon_ids)
 
@@ -43,6 +44,9 @@ class FeatureConfig:
     def __post_init__(self):
         if self.p < 1 or self.q < 0:
             raise OracleError(f"feature dimensions need p >= 1 and q >= 0, got p={self.p}, q={self.q}")
+
+
+FEATURE_CONFIG_SPEC = {"p": int, "q": int, "seed": int}  # a FeatureConfig in blob meta (blobio.fits)
 
 
 def _bucket(ngram: str, salt: int, p: int) -> int:
@@ -159,6 +163,9 @@ class TaskDef:
         parts = set(self.mode.split("+"))
         if "additive" not in parts or not parts <= {"additive", "nonlinear", "pairwise"}:
             raise OracleError(f"bad task mode {self.mode!r}")
+        scales = [self.nonlinear_scale, self.nonlinear_alpha, self.pair_scale, self.pair_density]
+        if not (np.isfinite(self.latent).all() and np.isfinite(scales).all()):
+            raise OracleError(f"task {self.name!r} has a non-finite latent or scale")
 
     @property
     def has_nonlinear(self) -> bool:
@@ -196,6 +203,12 @@ class GroundTruthOracle:
     @property
     def task_names(self) -> list[str]:
         return [t.name for t in self.tasks]
+
+    def check_library(self, library: CslLibrary) -> None:
+        """Every task must hold one latent per synthon of the library."""
+        for t in self.tasks:
+            if np.shape(t.latent) != (len(library.synthons),):
+                raise OracleError(f"task {t.name!r} needs one latent per synthon ({len(library.synthons)})")
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
@@ -327,43 +340,28 @@ def oracle_block_values(
     return value.reshape(-1)
 
 
+_NUMBER = (int, float)
+# an oracle file's shape, as blobio.fits checks it
+ORACLE_SPEC = {"version": int, "seed": int, "tasks": [{
+    "name": str, "mode": str, "latent": [_NUMBER], "nonlinear_scale": _NUMBER,
+    "nonlinear_alpha": _NUMBER, "pair_scale": _NUMBER, "pair_density": _NUMBER,
+}]}
+
+
 def save_oracle(oracle: GroundTruthOracle, path) -> None:
-    payload = {
-        "version": 1,
-        "seed": oracle.seed,
-        "tasks": [
-            {
-                "name": t.name,
-                "mode": t.mode,
-                "latent": t.latent.tolist(),
-                "nonlinear_scale": t.nonlinear_scale,
-                "nonlinear_alpha": t.nonlinear_alpha,
-                "pair_scale": t.pair_scale,
-                "pair_density": t.pair_density,
-            }
-            for t in oracle.tasks
-        ],
-    }
+    tasks = [{**asdict(t), "latent": t.latent.tolist()} for t in oracle.tasks]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump({"version": 1, "seed": oracle.seed, "tasks": tasks}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_oracle(path) -> GroundTruthOracle:
+    """An oracle written by save_oracle; OracleError if the file is shaped otherwise."""
     with open(path) as fh:
         payload = json.load(fh)
-    tasks = [
-        TaskDef(
-            name=t["name"],
-            mode=t["mode"],
-            latent=np.asarray(t["latent"], dtype=np.float64),
-            nonlinear_scale=t["nonlinear_scale"],
-            nonlinear_alpha=t["nonlinear_alpha"],
-            pair_scale=t["pair_scale"],
-            pair_density=t["pair_density"],
-        )
-        for t in payload["tasks"]
-    ]
+    if not fits(payload, ORACLE_SPEC):
+        raise OracleError(f"{path}: not an oracle file: a version, an integer seed and tasks with save_oracle's fields")
+    tasks = [TaskDef(**{**t, "latent": np.asarray(t["latent"], dtype=np.float64)}) for t in payload["tasks"]]
     return GroundTruthOracle(tasks=tasks, seed=payload["seed"])
 
 
@@ -524,6 +522,8 @@ def load_labels(path, library: CslLibrary) -> LabeledDataset:
                 value = float(parts[3])
             except ValueError as exc:
                 raise OracleError(f"line {lineno}: malformed field: {exc}") from None
+            if not np.isfinite(value):
+                raise OracleError(f"line {lineno}: non-finite value")
             try:
                 rx = library.reaction(reaction_id)
             except LibraryError:

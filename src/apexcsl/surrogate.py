@@ -7,14 +7,14 @@ error later introduced when the factorizer replaces the encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blobio import load_blob, save_blob
+from .blobio import load_meta_blob, save_blob
 from .csl import CslLibrary, decode_indices, synthon_ids
 from .nn import MLP, Adam, ParamBuffer, params_checksum
-from .props import FeatureConfig, LabeledDataset, product_feature_matrix
+from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
 
 DEFAULT_EMBEDDING_DIM = 64
 
@@ -49,6 +49,9 @@ class TrainConfig:
                                  f"{self.epochs}, {self.batch_size} and {self.noise_draws}")
         if not 0.0 < self.val_split < 1.0:
             raise SurrogateError(f"val_split must be in (0, 1), got {self.val_split}")
+        if min(self.embedding_dim, *self.hidden) < 1:
+            raise SurrogateError(f"embedding_dim and hidden widths must be >= 1, got "
+                                 f"{self.embedding_dim} and {self.hidden}")
 
 
 @dataclass
@@ -278,11 +281,7 @@ def save_surrogate(model: SurrogateModel, path) -> None:
         "dims": model.encoder.dims,
         "bias": model.encoder.bias,
         "task_names": model.task_names,
-        "feature_config": {
-            "p": model.feature_config.p,
-            "q": model.feature_config.q,
-            "seed": model.feature_config.seed,
-        },
+        "feature_config": asdict(model.feature_config),
     }
     arrays = {f"enc_{i}": p for i, p in enumerate(model.encoder.params)}
     arrays["head_w"] = model.head_w
@@ -291,16 +290,14 @@ def save_surrogate(model: SurrogateModel, path) -> None:
 
 
 def load_surrogate(path) -> SurrogateModel:
-    meta, arrays = load_blob(path)
-    if meta.get("kind") != "surrogate" or meta.get("version") != CHECKPOINT_VERSION:
-        raise SurrogateError(f"{path}: not a version-{CHECKPOINT_VERSION} surrogate checkpoint")
+    meta, arrays = load_meta_blob(path, "surrogate", CHECKPOINT_VERSION, SurrogateError, dims=[int], bias=bool,
+                                  task_names=[str], feature_config=FEATURE_CONFIG_SPEC)
     encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
     encoder.params = [arrays[f"enc_{i}"] for i in range(len(encoder.params))]
-    fc = meta["feature_config"]
     return SurrogateModel(
         encoder=encoder,
         head_w=arrays["head_w"],
         head_b=arrays["head_b"],
         task_names=list(meta["task_names"]),
-        feature_config=FeatureConfig(p=fc["p"], q=fc["q"], seed=fc["seed"]),
+        feature_config=FeatureConfig(**meta["feature_config"]),
     )

@@ -322,6 +322,7 @@ class TestErrors:
     @pytest.mark.parametrize("case", [
         "epochs_0", "batch_size_0", "steps_0", "gap_sample_0", "budgets_0", "n_seeds_0",
         "sample_size_negative", "feature_p_0", "tasks_repeated", "cost_negative", "labels_reaction_negative",
+        "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf",
     ])
     def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
         # each once ended in a traceback or was accepted silently
@@ -331,6 +332,9 @@ class TestErrors:
         if case == "labels_reaction_negative":
             labels.write_text("".join("-" + ln if ln.startswith("1\t") else ln
                                       for ln in pipeline["labels"].read_text().splitlines(keepends=True)))
+        if case == "labels_inf":  # the last label's value is inf
+            labels = pipeline["dir"] / "labels_inf.tsv"
+            labels.write_text(pipeline["labels"].read_text().rstrip("\n").rsplit("\t", 1)[0] + "\tinf\n")
         surrogate = ["train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", out]
         factorizer = ["train-factorizer", "--library", p["library"], "--surrogate", p["surrogate"],
                       "--out", out, "--steps", "1"]
@@ -349,11 +353,77 @@ class TestErrors:
             "tasks_repeated": label + ["--tasks", "mw,mw"],
             "cost_negative": ["cost", "--library", p["library"], "--d", "-1", "--k", "-5"],
             "labels_reaction_negative": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
+            "embedding_dim_0": surrogate + ["--embedding-dim", "0"],
+            "d_u_0": factorizer + ["--d-u", "0"],
+            "hardness_nan": label + ["--hardness", "nan"],
+            "labels_inf": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
         }[case]
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
         assert case != "cost_negative" or not captured.out
+        assert case != "labels_inf" or "non-finite value" in captured.err
+
+    @pytest.mark.parametrize("command", ["label", "evaluate", "compare-ts"])
+    @pytest.mark.parametrize("case", [
+        "no_tasks", "top_level_list", "short_latent", "long_latent", "nan_latent", "string_scale",
+    ])
+    def test_bad_oracle_file(self, pipeline, capsys, case, command):
+        # each once ended in a traceback, or was used with exit 0
+        p = {k: str(v) for k, v in pipeline.items()}
+        doc = json.loads(pipeline["oracle"].read_text())
+        tasks = doc["tasks"]
+        doc = {
+            "no_tasks": {k: v for k, v in doc.items() if k != "tasks"},
+            "top_level_list": [doc],
+            "short_latent": {**doc, "tasks": [{**t, "latent": t["latent"][:-1]} for t in tasks]},
+            "long_latent": {**doc, "tasks": [{**t, "latent": t["latent"] + [0.5]} for t in tasks]},
+            "nan_latent": {**doc, "tasks": [{**t, "latent": [float("nan")] + t["latent"][1:]} for t in tasks]},
+            "string_scale": {**doc, "tasks": [{**t, "nonlinear_scale": "0.5"} for t in tasks]},
+        }[case]
+        oracle = pipeline["dir"] / f"oracle_{case}.json"
+        oracle.write_text(json.dumps(doc))
+        out = p["dir"] + f"/bad_oracle_{case}_{command}"
+        argv = {
+            "label": ["label", "--library", p["library"], "--oracle-in", str(oracle), "--out", out],
+            "evaluate": ["evaluate", "--library", p["library"], "--table", p["table"], "--oracle", str(oracle),
+                         "--query", p["query"], "--out", out],
+            "compare-ts": ["compare-ts", "--library", p["library"], "--table", p["table"], "--oracle", str(oracle),
+                           "--objective", "dock_a", "--budgets", "5", "--n-seeds", "1", "--out", out],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("blob,field", [
+        ("surrogate", "dims"), ("surrogate", "bias"), ("surrogate", "task_names"), ("surrogate", "feature_config"),
+        ("factorizer", "mode"), ("factorizer", "dims"), ("factorizer", "feature_dim"),
+        ("factorizer", "feature_config"), ("table", "task_names"), ("table", "fingerprint"),
+    ])
+    @pytest.mark.parametrize("change", ["missing", "wrong_type"])
+    def test_blob_meta_field(self, pipeline, capsys, blob, field, change):
+        # the kind and version are right, one meta field is not
+        from apexcsl import blobio
+
+        p = {k: str(v) for k, v in pipeline.items()}
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        if change == "missing":
+            del meta[field]
+        else:
+            meta[field] = [None]
+        bad = p["dir"] + f"/bad_{blob}_{field}_{change}.blob"
+        blobio.save_blob(bad, meta, arrays)
+        p[blob] = bad
+        out = p["dir"] + "/bad_meta_out"
+        if blob == "table":
+            argv = ["search", "--library", p["library"], "--table", p["table"], "--query", p["query"], "--out", out]
+        else:
+            argv = ["precompute", "--library", p["library"], "--surrogate", p["surrogate"],
+                    "--factorizer", p["factorizer"], "--out", out]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"meta field {field!r}" in err
 
     @pytest.mark.parametrize("records", [
         "S 10 ab*\nS 11 cd*\nS 12 ef*\nS 13 gh*\nR 0 10 11\nR 1 12 13\nT 0 0 1",

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
-from conftest import f32_round_latents, pair_count, perfect_additive_table, table_from_values
+from conftest import f32_round_latents, mixed_libraries, pair_count, perfect_additive_table, table_from_values
 
 
 @pytest.fixture(scope="module")
@@ -235,15 +236,29 @@ class TestBatches:
         assert covered == list(range(total))
 
     def test_batch_size_limit(self, medium_library):
-        chunk = 500
+        # blocks hold 12 products in the 2-component reactions and 144 in the 3-component ones
         block_sizes = []
         for ti in range(len(medium_library.reactions)):
             rx = medium_library.reactions[ti]
             inner = medium_library.reaction_size(ti) // len(rx.rgroups[0].synthon_ids)
             block_sizes.append(inner)
-        for batch in engine.make_batches(medium_library, chunk):
-            size = sum(hi - lo for _, _, _, lo, hi in batch)
-            assert size <= chunk or len(batch) == 1
+        for chunk in (100, 500):
+            batches = engine.make_batches(medium_library, chunk)
+            over = 0
+            for batch, following in zip(batches, batches[1:] + [None]):
+                size = sum(hi - lo for _, _, _, lo, hi in batch)
+                if size > chunk:
+                    # a batch over the chunk is one whole block that is larger than the chunk
+                    (ti, _, _, lo, hi), = batch
+                    assert (lo, hi) == (0, block_sizes[ti]) and block_sizes[ti] > chunk
+                    over += 1
+                if following is not None:
+                    # maximal: the next block would not have fit
+                    _, _, _, lo, hi = following[0]
+                    assert size + hi - lo > chunk
+            # every block larger than the chunk (none at 500) is a batch of its own
+            assert over == sum(len(rx.rgroups[0].synthon_ids)
+                               for rx, size in zip(medium_library.reactions, block_sizes) if size > chunk)
 
     def test_trace_accounting(self, exact_setup):
         library, _, table = exact_setup
@@ -260,6 +275,90 @@ class TestBatches:
             n + c == min(q.k, sum(trace.batch_sizes[: i + 1]))
             for i, (n, c) in enumerate(zip(trace.new_elements, trace.carried_elements))
         )
+
+
+def reference_block_ranges(library, start, end):
+    """(reaction position, first-digit lo, first-digit hi, reaction offset, block
+    size) for every reaction whose blocks overlap [start, end): the per-reaction
+    walk that engine.iter_blocks once used, kept as its reference."""
+    for ti, rx in enumerate(library.reactions):
+        r_off = library.reaction_offset(ti)
+        r_size = library.reaction_size(ti)
+        if r_off + r_size <= start or r_off >= end:
+            continue
+        n_first = len(rx.rgroups[0].synthon_ids)
+        inner = r_size // n_first
+        first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
+        first_hi = min(n_first, -(-(end - r_off) // inner))
+        yield ti, int(first_lo), int(first_hi), r_off, inner
+
+
+def reference_clip_block(g0, inner, start, end):
+    return max(start, g0) - g0, min(end, g0 + inner) - g0
+
+
+def reference_iter_blocks(library, start, end):
+    for ti, first_lo, first_hi, r_off, inner in reference_block_ranges(library, start, end):
+        for j in range(first_lo, first_hi):
+            g0 = r_off + j * inner
+            lo, hi = reference_clip_block(g0, inner, start, end)
+            if lo < hi:
+                yield ti, j, g0, int(lo), int(hi)
+
+
+@st.composite
+def block_ranges(draw):
+    """A library and an index range of one kind: empty, inside one block,
+    ending mid-block, across reactions, the whole library, or any."""
+    library = draw(mixed_libraries())
+    total = csl.product_count(library)
+    blocks = list(reference_iter_blocks(library, 0, total))
+    kind = draw(st.sampled_from(["empty", "in_block", "ends_mid_block", "across_reactions", "whole", "any"]))
+    wide = [b for b in blocks if b[4] > 1]
+    if kind == "empty":
+        g = draw(st.integers(0, total))
+        return library, g, g, kind
+    if kind == "in_block":
+        _, _, g0, _, hi = draw(st.sampled_from(blocks))
+        start = draw(st.integers(g0, g0 + hi - 1))
+        return library, start, draw(st.integers(start + 1, g0 + hi)), kind
+    if kind == "ends_mid_block" and wide:
+        _, _, g0, _, hi = draw(st.sampled_from(wide))
+        end = draw(st.integers(g0 + 1, g0 + hi - 1))
+        return library, draw(st.integers(0, end - 1)), end, kind
+    if kind == "across_reactions" and len(library.reactions) > 1:
+        t = draw(st.integers(0, len(library.reactions) - 2))
+        start = draw(st.integers(0, library.reaction_offset(t + 1) - 1))
+        return library, start, draw(st.integers(library.reaction_offset(t + 1) + 1, total)), kind
+    if kind == "whole":
+        return library, 0, total, kind
+    start = draw(st.integers(0, total))
+    return library, start, draw(st.integers(start, total)), "any"
+
+
+class TestBlockTable:
+    @given(case=block_ranges())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_walk(self, case):
+        library, start, end, _ = case
+        sizes = [math.prod(len(rg.synthon_ids) for rg in rx.rgroups) for rx in library.reactions]
+        for t, size in enumerate(sizes):
+            assert library.reaction_size(t) == size
+            assert library.reaction_offset(t) == sum(sizes[:t])
+        assert csl.product_count(library) == sum(sizes)
+        got = list(engine.iter_blocks(library, start, end))
+        assert got == list(reference_iter_blocks(library, start, end))
+        assert all(type(x) is int for blk in got for x in blk)
+
+    def test_library_without_reactions(self):
+        # a valid library with no products: every scan finds nothing
+        library = csl.deserialize_library("cslv1 0 0 0\n")
+        table = table_from_values(library, ["obj"], np.zeros((1, 0)), [0.0])
+        q = engine.QuerySpec("obj", "maximize", (), k=5)
+        for res in (engine.search_topk_stream(library, table, q), engine.search_topk_batched(library, table, q, 10)):
+            assert (res.retained, res.scanned, res.scored, res.discarded_for_violation) == (0, 0, 0, 0)
+        assert list(engine.iter_blocks(library, 0, 0)) == []
+        assert engine.make_batches(library, 10) == []
 
 
 class TestCost:

@@ -279,6 +279,26 @@ class TestCheckpoint:
         with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
             fz.load_cache(path, small_library)
 
+    @pytest.mark.parametrize("field", ["fingerprint", "synthon_encoder_evals"])
+    @pytest.mark.parametrize("change", ["missing", "wrong_type"])
+    def test_cache_meta_fields_checked(self, small_library, tiny_surrogate, tmp_path, field, change):
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        path = tmp_path / "cache.blob"
+        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
+        meta, arrays = load_blob(path)
+        if change == "missing":
+            del meta[field]
+        else:
+            meta[field] = [None]
+        save_blob(path, meta, arrays)
+        with pytest.raises(fz.FactorizerError, match=f"meta field '{field}'"):
+            fz.load_cache(path, small_library)
+
+    @pytest.mark.parametrize("width", ["d_s", "d_r", "d_t", "d_u", "d"])
+    def test_zero_width_rejected(self, width):
+        with pytest.raises(fz.FactorizerError, match="widths"):
+            fz.FactorizerDims(**{width: 0})
+
     def test_save_is_byte_deterministic(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         p1, p2 = tmp_path / "a.blob", tmp_path / "b.blob"

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import pathlib
 import tempfile
 from unittest import mock
@@ -250,6 +252,48 @@ class TestGroundTruth:
             assert np.array_equal(a.latent, b.latent)
             assert a.mode == b.mode
 
+    @pytest.mark.parametrize("field", ["latent", "nonlinear_scale", "pair_density"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_task_rejected(self, field, value):
+        kw = {"latent": np.zeros(4), field: np.full(4, value) if field == "latent" else value}
+        with pytest.raises(props.OracleError, match="non-finite"):
+            props.TaskDef(name="t", mode="additive+nonlinear+pairwise", **kw)
+
+    @pytest.mark.parametrize("hardness", [np.nan, np.inf])
+    def test_non_finite_hardness_rejected(self, small_library, hardness):
+        # a nan hardness once gave every docking label the value nan
+        with pytest.raises(props.OracleError, match="non-finite"):
+            props.make_default_oracle(small_library, seed=0, hardness=hardness)
+
+    @pytest.mark.parametrize("case", ["no_tasks", "top_level_list", "task_without_latent", "extra_field",
+                                      "string_scale", "float_seed"])
+    def test_malformed_oracle_file_rejected(self, small_oracle, tmp_path, case):
+        path = tmp_path / "oracle.json"
+        props.save_oracle(small_oracle, path)
+        doc = json.loads(path.read_text())
+        tasks = doc["tasks"]
+        doc = {
+            "no_tasks": {k: v for k, v in doc.items() if k != "tasks"},
+            "top_level_list": [doc],
+            "task_without_latent": {**doc, "tasks": [{k: v for k, v in t.items() if k != "latent"} for t in tasks]},
+            "extra_field": {**doc, "tasks": [{**t, "weight": 1.0} for t in tasks]},
+            "string_scale": {**doc, "tasks": [{**t, "pair_scale": "0.2"} for t in tasks]},
+            "float_seed": {**doc, "seed": 3.5},
+        }[case]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(props.OracleError, match="not an oracle file"):
+            props.load_oracle(path)
+
+    @pytest.mark.parametrize("n", [-1, 1])
+    def test_latent_length_checked_against_library(self, small_library, small_oracle, n):
+        small_oracle.check_library(small_library)
+        task = small_oracle.tasks[0]
+        other = props.GroundTruthOracle(
+            [dataclasses.replace(task, latent=np.zeros(len(small_library.synthons) + n))], seed=0
+        )
+        with pytest.raises(props.OracleError, match="one latent per synthon"):
+            other.check_library(small_library)
+
 
 class TestLabelLibrary:
     def test_full_enumeration_row_count(self, small_library, small_oracle):
@@ -342,6 +386,14 @@ class TestLabelFiles:
         path.write_text("\n".join(ln.replace("1\t", "-1\t", 1) if ln.startswith("1\t") else ln
                                   for ln in lines) + "\n")
         with pytest.raises(props.OracleError, match=f"line {first + 1}: unknown reaction -1"):
+            props.load_labels(path, small_library)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, small_library, tmp_path, value):
+        # once accepted, so training failed only at its first epoch
+        path = tmp_path / "labels.tsv"
+        path.write_text(props.LABEL_HEADER + f"\n0\t0,5\tmw\t1.0\n0\t0,5\tlogp\t{value}\n")
+        with pytest.raises(props.OracleError, match="line 3: non-finite value"):
             props.load_labels(path, small_library)
 
     def test_ineligible_synthon_rejected(self, small_library, tmp_path):

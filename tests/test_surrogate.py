@@ -69,6 +69,12 @@ class TestTraining:
         with pytest.raises(surrogate.SurrogateError):
             surrogate.TrainConfig(val_split=1.5)
 
+    @pytest.mark.parametrize("kw", [{"embedding_dim": 0}, {"hidden": (32, 0)}, {"hidden": (-1,)}])
+    def test_zero_width_rejected(self, kw):
+        # a 0-wide embedding once trained to R2 -0.0000 on every task
+        with pytest.raises(surrogate.SurrogateError, match="widths"):
+            surrogate.TrainConfig(**kw)
+
 
 class TestPredict:
     def test_batch_matches_scalar(self, small_library, small_oracle):
