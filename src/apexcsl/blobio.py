@@ -80,10 +80,25 @@ def load_meta_blob(path, kind: str, version: int, error: type[Exception], **fiel
     return meta, arrays
 
 
+def check_arrays(path, arrays: dict[str, np.ndarray], expected: dict[str, np.ndarray], error: type[Exception]):
+    """Raise `error` unless the blob's arrays have exactly the expected names,
+    each with the expected array's dtype and shape."""
+    if arrays.keys() != expected.keys():
+        raise error(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(expected)}")
+    for name, want in expected.items():
+        got = arrays[name]
+        if (got.dtype, got.shape) != (want.dtype, want.shape):
+            raise error(f"{path}: array dtypes and shapes do not match: {name!r} is {got.dtype} "
+                        f"{list(got.shape)}, expected {want.dtype} {list(want.shape)}")
+
+
 def fits(value, spec) -> bool:
     """True if a JSON value has the spec's shape: a type or tuple of types (a
-    boolean fits only bool), a list of item specs (one for any length, else one
-    per item), or a dict of specs with exactly the spec's keys."""
+    boolean fits only bool), a set of the strings allowed, a list of item specs
+    (one for any length, else one per item), or a dict of specs with exactly
+    the spec's keys."""
+    if isinstance(spec, frozenset):
+        return isinstance(value, str) and value in spec
     if isinstance(spec, list):
         each = spec * len(value) if isinstance(value, list) and len(spec) == 1 else spec
         return isinstance(value, list) and len(value) == len(each) and all(map(fits, value, each))

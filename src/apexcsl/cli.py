@@ -204,7 +204,7 @@ def cmd_precompute(args) -> int:
 
 def cmd_search(args) -> int:
     library = csl.load_library(args.library)
-    table = engine.load_table(args.table)
+    table = engine.load_table(args.table, library)
     query, variant, chunk_size = parse_query_file(args.query, table)
     if args.variant:
         variant = args.variant
@@ -228,7 +228,7 @@ def cmd_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     library = csl.load_library(args.library)
-    table = engine.load_table(args.table)
+    table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
     query, variant, chunk_size = parse_query_file(args.query, table)
@@ -256,7 +256,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare_ts(args) -> int:
     library = csl.load_library(args.library)
-    table = engine.load_table(args.table)
+    table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
     budgets = tuple(_int_list("--budgets", args.budgets))
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--mode", choices=["mlp", "linear"], default="mlp")
+    p.add_argument("--mode", choices=fz.MODES, default="mlp")
     p.add_argument("--d-u", type=int, default=32)
     p.add_argument("--gap-sample", type=int, default=1000)
     p.set_defaults(func=cmd_train_factorizer)

@@ -50,11 +50,11 @@ variants.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blobio import load_meta_blob, save_blob
+from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import (
     CslLibrary,
     MultiIndex,
@@ -572,6 +572,12 @@ def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _table_arrays(table: ContributionTable) -> dict[str, np.ndarray]:
+    """A contribution table blob's arrays: the values and biases, then the pair-row layout."""
+    return {"values": table.values, "biases": table.biases, "member_ids": table.member_ids,
+            "rg_offsets": table.rg_offsets, "rg_ids": table.rg_ids}
+
+
 def save_table(table: ContributionTable, path) -> None:
     meta = {
         "kind": "contribution_table",
@@ -579,31 +585,20 @@ def save_table(table: ContributionTable, path) -> None:
         "task_names": table.task_names,
         "fingerprint": table.fingerprint,
     }
-    save_blob(
-        path,
-        meta,
-        {
-            "values": table.values,
-            "biases": table.biases,
-            "member_ids": table.member_ids,
-            "rg_offsets": table.rg_offsets,
-            "rg_ids": table.rg_ids,
-        },
-    )
+    save_blob(path, meta, _table_arrays(table))
 
 
-def load_table(path) -> ContributionTable:
+def load_table(path, library: CslLibrary) -> ContributionTable:
+    """A table whose arrays have the dtypes and shapes of this library's pair
+    rows; `check_library` compares its fingerprint and layout."""
     meta, arrays = load_meta_blob(path, "contribution_table", TABLE_VERSION, EngineError,
                                   task_names=[str], fingerprint=str)
-    return ContributionTable(
-        values=arrays["values"],
-        biases=arrays["biases"],
-        task_names=list(meta["task_names"]),
-        member_ids=arrays["member_ids"],
-        rg_offsets=arrays["rg_offsets"],
-        rg_ids=arrays["rg_ids"],
-        fingerprint=meta["fingerprint"],
-    )
+    n_tasks, layout = len(meta["task_names"]), library.layout
+    empty = ContributionTable(np.zeros((n_tasks, layout.n_pairs), np.float32), np.zeros(n_tasks),
+                              list(meta["task_names"]), layout.member_ids, layout.rg_offsets, layout.rg_ids,
+                              meta["fingerprint"])
+    check_arrays(path, arrays, _table_arrays(empty), EngineError)
+    return replace(empty, **arrays)
 
 
 RESULT_HEADER_PREFIX = "rank\tglobal_index\treaction_id\tsynthon_ids\tobjective\tviolation"

@@ -12,11 +12,11 @@ holds to ~1e-6 relative tolerance (float summation order), not bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .blobio import load_meta_blob, save_blob
+from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary, PairLayout, decode_indices, gather_sum, library_fingerprint, pair_rows, product_count, synthon_ids
 from .nn import MLP, Adam, ParamBuffer
 from .props import (FEATURE_CONFIG_SPEC, FeatureConfig, library_synthon_features, product_feature_matrix,
@@ -26,6 +26,9 @@ from .surrogate import SurrogateModel
 
 class FactorizerError(RuntimeError):
     pass
+
+
+MODES = ("mlp", "linear")
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class Factorizer:
         mode: str = "mlp",
         feature_config: FeatureConfig = FeatureConfig(),
     ):
-        if mode not in ("mlp", "linear"):
+        if mode not in MODES:
             raise ValueError(f"unknown factorizer mode {mode!r}")
         self.dims = dims
         self.mode = mode
@@ -324,6 +327,11 @@ def factorization_gap(
 CHECKPOINT_VERSION = 1
 
 
+def _factorizer_arrays(factorizer: Factorizer) -> dict[str, np.ndarray]:
+    """A factorizer blob's arrays: views of `factorizer.buffer`, in its order."""
+    return {f"p_{i}": p for i, p in enumerate(factorizer.params)}
+
+
 def save_factorizer(factorizer: Factorizer, path) -> None:
     meta = {
         "kind": "factorizer",
@@ -333,12 +341,11 @@ def save_factorizer(factorizer: Factorizer, path) -> None:
         "feature_dim": factorizer.synthon_encoder.dims[0],
         "feature_config": asdict(factorizer.feature_config),
     }
-    arrays = {f"p_{i}": p for i, p in enumerate(factorizer.params)}
-    save_blob(path, meta, arrays)
+    save_blob(path, meta, _factorizer_arrays(factorizer))
 
 
 def load_factorizer(path) -> Factorizer:
-    meta, arrays = load_meta_blob(path, "factorizer", CHECKPOINT_VERSION, FactorizerError, mode=str,
+    meta, arrays = load_meta_blob(path, "factorizer", CHECKPOINT_VERSION, FactorizerError, mode=frozenset(MODES),
                                   dims=[int] * 5, feature_dim=int, feature_config=FEATURE_CONFIG_SPEC)
     factorizer = Factorizer(
         meta["feature_dim"],
@@ -347,10 +354,17 @@ def load_factorizer(path) -> Factorizer:
         mode=meta["mode"],
         feature_config=FeatureConfig(**meta["feature_config"]),
     )
-    params = factorizer.params
-    for i, p in enumerate(params):
-        p[...] = arrays[f"p_{i}"]
+    expected = _factorizer_arrays(factorizer)
+    check_arrays(path, arrays, expected, FactorizerError)
+    factorizer.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in expected])
     return factorizer
+
+
+def _cache_arrays(cache: HierarchyCache) -> dict[str, np.ndarray]:
+    """A hierarchy cache blob's arrays: the embeddings, then the pair-row layout."""
+    layout = cache.layout
+    return {"u": cache.u, "h_s": cache.h_s, "h_r": cache.h_r, "h_t": cache.h_t,
+            "member_ids": layout.member_ids, "rg_offsets": layout.rg_offsets, "rg_ids": layout.rg_ids}
 
 
 def save_cache(cache: HierarchyCache, path) -> None:
@@ -361,36 +375,20 @@ def save_cache(cache: HierarchyCache, path) -> None:
         "fingerprint": cache.fingerprint,
         "synthon_encoder_evals": cache.synthon_encoder_evals,
     }
-    save_blob(
-        path,
-        meta,
-        {
-            "u": cache.u,
-            "h_s": cache.h_s,
-            "h_r": cache.h_r,
-            "h_t": cache.h_t,
-            "member_ids": cache.layout.member_ids,
-            "rg_offsets": cache.layout.rg_offsets,
-            "rg_ids": cache.layout.rg_ids,
-        },
-    )
+    save_blob(path, meta, _cache_arrays(cache))
 
 
-def load_cache(path, library: CslLibrary) -> HierarchyCache:
-    """A cache written by save_cache for this library."""
+def load_cache(path, library: CslLibrary, dims: FactorizerDims) -> HierarchyCache:
+    """A cache written by save_cache for this library by a factorizer of these widths."""
     meta, arrays = load_meta_blob(path, "hierarchy_cache", CHECKPOINT_VERSION, FactorizerError,
                                   fingerprint=str, synthon_encoder_evals=int)
     if meta["fingerprint"] != library_fingerprint(library):
         raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
     layout = library.layout
+    empty = HierarchyCache(np.empty((len(library.synthons), dims.d_s)), np.empty((len(layout.rg_ids), dims.d_r)),
+                           np.empty((len(library.reactions), dims.d_t)), np.empty((layout.n_pairs, dims.d)),
+                           layout, meta["fingerprint"], meta["synthon_encoder_evals"])
+    check_arrays(path, arrays, _cache_arrays(empty), FactorizerError)
     if not layout.matches(arrays["member_ids"], arrays["rg_offsets"], arrays["rg_ids"]):
         raise FactorizerError(f"{path}: hierarchy cache's pair rows are not laid out as the library's")
-    return HierarchyCache(
-        h_s=arrays["h_s"],
-        h_r=arrays["h_r"],
-        h_t=arrays["h_t"],
-        u=arrays["u"],
-        layout=layout,
-        fingerprint=meta["fingerprint"],
-        synthon_encoder_evals=meta["synthon_encoder_evals"],
-    )
+    return replace(empty, h_s=arrays["h_s"], h_r=arrays["h_r"], h_t=arrays["h_t"], u=arrays["u"])

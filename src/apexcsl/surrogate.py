@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blobio import load_meta_blob, save_blob
+from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary, decode_indices, synthon_ids
 from .nn import MLP, Adam, ParamBuffer, params_checksum
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
@@ -274,6 +274,12 @@ def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, library: CslLibr
 CHECKPOINT_VERSION = 1
 
 
+def _surrogate_arrays(model: SurrogateModel) -> dict[str, np.ndarray]:
+    """A surrogate blob's arrays: views of `model.buffer`, in its order."""
+    arrays = {f"enc_{i}": p for i, p in enumerate(model.encoder.params)}
+    return {**arrays, "head_w": model.head_w, "head_b": model.head_b}
+
+
 def save_surrogate(model: SurrogateModel, path) -> None:
     meta = {
         "kind": "surrogate",
@@ -283,21 +289,17 @@ def save_surrogate(model: SurrogateModel, path) -> None:
         "task_names": model.task_names,
         "feature_config": asdict(model.feature_config),
     }
-    arrays = {f"enc_{i}": p for i, p in enumerate(model.encoder.params)}
-    arrays["head_w"] = model.head_w
-    arrays["head_b"] = model.head_b
-    save_blob(path, meta, arrays)
+    save_blob(path, meta, _surrogate_arrays(model))
 
 
 def load_surrogate(path) -> SurrogateModel:
     meta, arrays = load_meta_blob(path, "surrogate", CHECKPOINT_VERSION, SurrogateError, dims=[int], bias=bool,
                                   task_names=[str], feature_config=FEATURE_CONFIG_SPEC)
     encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
-    encoder.params = [arrays[f"enc_{i}"] for i in range(len(encoder.params))]
-    return SurrogateModel(
-        encoder=encoder,
-        head_w=arrays["head_w"],
-        head_b=arrays["head_b"],
-        task_names=list(meta["task_names"]),
-        feature_config=FeatureConfig(**meta["feature_config"]),
-    )
+    n_tasks = len(meta["task_names"])
+    model = SurrogateModel(encoder, np.zeros((n_tasks, encoder.dims[-1])), np.zeros(n_tasks),
+                           list(meta["task_names"]), FeatureConfig(**meta["feature_config"]))
+    expected = _surrogate_arrays(model)
+    check_arrays(path, arrays, expected, SurrogateError)
+    model.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in expected])
+    return model

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from apexcsl import cli
@@ -7,6 +8,21 @@ from apexcsl import cli
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def run_on_blob(pipeline, blob, tag, meta, arrays):
+    """Write a changed copy of one pipeline blob and run the command that reads it:
+    search for the table, precompute for the surrogate and the factorizer."""
+    from apexcsl import blobio
+
+    p = {k: str(v) for k, v in pipeline.items()}
+    p[blob] = p["dir"] + f"/bad_{blob}_{tag}.blob"
+    blobio.save_blob(p[blob], meta, arrays)
+    out = p["dir"] + "/bad_blob_out"
+    if blob == "table":
+        return run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"], "--out", out)
+    return run("precompute", "--library", p["library"], "--surrogate", p["surrogate"],
+               "--factorizer", p["factorizer"], "--out", out)
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +145,7 @@ class TestPipeline:
             "--out", str(out), "--j", "100,10",
         ) == 0
         library = csl.load_library(pipeline["library"])
-        table = engine.load_table(pipeline["table"])
+        table = engine.load_table(pipeline["table"], library)
         oracle = props.load_oracle(pipeline["oracle"])
         query, _, _ = cli.parse_query_file(pipeline["query"], table)
         retrieved = engine.search_topk_stream(library, table, query)
@@ -405,25 +421,51 @@ class TestErrors:
         # the kind and version are right, one meta field is not
         from apexcsl import blobio
 
-        p = {k: str(v) for k, v in pipeline.items()}
         meta, arrays = blobio.load_blob(pipeline[blob])
         if change == "missing":
             del meta[field]
         else:
             meta[field] = [None]
-        bad = p["dir"] + f"/bad_{blob}_{field}_{change}.blob"
-        blobio.save_blob(bad, meta, arrays)
-        p[blob] = bad
-        out = p["dir"] + "/bad_meta_out"
-        if blob == "table":
-            argv = ["search", "--library", p["library"], "--table", p["table"], "--query", p["query"], "--out", out]
-        else:
-            argv = ["precompute", "--library", p["library"], "--surrogate", p["surrogate"],
-                    "--factorizer", p["factorizer"], "--out", out]
-        assert run(*argv) == 1
+        assert run_on_blob(pipeline, blob, f"{field}_{change}", meta, arrays) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert f"meta field {field!r}" in err
+
+    def test_unknown_factorizer_mode(self, pipeline, capsys):
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline["factorizer"])
+        assert run_on_blob(pipeline, "factorizer", "mode_xyz", {**meta, "mode": "xyz"}, arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "meta field 'mode'" in err
+
+    @pytest.mark.parametrize("blob,name,change", [
+        ("surrogate", "head_w", "missing"), ("surrogate", "extra", "added"), ("surrogate", "head_b", "float32"),
+        ("surrogate", "enc_0", "3_columns"), ("surrogate", "head_w", "transposed"),
+        ("factorizer", "p_3", "missing"), ("factorizer", "extra", "added"), ("factorizer", "p_0", "float32"),
+        ("factorizer", "p_0", "one_row"),
+        ("table", "biases", "missing"), ("table", "extra", "added"), ("table", "values", "int64"),
+        ("table", "values", "float64"), ("table", "rg_ids", "int32"), ("table", "member_ids", "column"),
+    ])
+    def test_blob_array(self, pipeline, capsys, blob, name, change):
+        # the meta is right, one array is missing, added, or of another dtype or shape
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        if change == "missing":
+            del arrays[name]
+        elif change == "added":
+            arrays[name] = np.zeros(3)
+        elif change in ("float32", "float64", "int32", "int64"):
+            arrays[name] = arrays[name].astype(change)
+        else:
+            arrays[name] = {"3_columns": lambda a: a[:, :3], "one_row": lambda a: a[:1],
+                            "transposed": lambda a: a.T, "column": lambda a: a[:, None]}[change](arrays[name])
+        assert run_on_blob(pipeline, blob, f"{name}_{change}", meta, arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert repr(name) in err
 
     @pytest.mark.parametrize("records", [
         "S 10 ab*\nS 11 cd*\nS 12 ef*\nS 13 gh*\nR 0 10 11\nR 1 12 13\nT 0 0 1",

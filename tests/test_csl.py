@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from apexcsl import csl
 from conftest import mixed_libraries, pair_count, table_from_values
 
 
+@functools.lru_cache(maxsize=None)
 def trillion_library():
-    """1 reaction, 3 R-groups x 10,000 synthons each (ids only, never enumerated)."""
+    """1 reaction, 3 R-groups x 10,000 synthons each (ids only, never enumerated).
+    Built once: the tests only read it, and its layout arrays are read-only."""
     synthons = tuple(csl.SynthonRecord(i, f"x{i}*") for i in range(30000))
     rgroups = tuple(
         csl.RgroupSpec(r, tuple(range(r * 10000, (r + 1) * 10000))) for r in range(3)

@@ -383,7 +383,7 @@ class TestTableIO:
         library, _, table = exact_setup
         path = tmp_path / "table.blob"
         engine.save_table(table, path)
-        loaded = engine.load_table(path)
+        loaded = engine.load_table(path, library)
         np.testing.assert_array_equal(loaded.values, table.values)
         np.testing.assert_array_equal(loaded.biases, table.biases)
         assert loaded.task_names == table.task_names
@@ -408,7 +408,7 @@ class TestTableIO:
             dataclasses.replace(table, **fields)
 
     def test_load_rejects_every_truncation_and_trailing_bytes(self, exact_setup, tmp_path):
-        _, _, table = exact_setup
+        library, _, table = exact_setup
         path = tmp_path / "table.blob"
         engine.save_table(table, path)
         data = path.read_bytes()
@@ -416,7 +416,7 @@ class TestTableIO:
         for blob in damaged:
             path.write_bytes(blob)
             with pytest.raises(BlobError):
-                engine.load_table(path)
+                engine.load_table(path, library)
 
     def test_save_is_byte_deterministic(self, exact_setup, tmp_path):
         _, _, table = exact_setup
@@ -789,7 +789,7 @@ class TestNonFiniteTables:
         bad.values[0, 0] = np.nan  # written behind the constructor's back
         engine.save_table(bad, tmp_path / "table.blob")
         with pytest.raises(engine.EngineError, match="non-finite"):
-            engine.load_table(tmp_path / "table.blob")
+            engine.load_table(tmp_path / "table.blob", library)
 
         csl.save_library(library, tmp_path / "lib.csl")
         (tmp_path / "query.json").write_text('{"objective": {"task": "obj"}, "k": 3}')

@@ -240,7 +240,7 @@ class TestCheckpoint:
         cache = fz.encode_hierarchy(f, small_library)
         path = tmp_path / "cache.blob"
         fz.save_cache(cache, path)
-        loaded = fz.load_cache(path, small_library)
+        loaded = fz.load_cache(path, small_library, f.dims)
         np.testing.assert_array_equal(loaded.u, cache.u)
         assert loaded.fingerprint == cache.fingerprint
         assert loaded.layout is small_library.layout
@@ -257,7 +257,7 @@ class TestCheckpoint:
         fz.save_cache(fz.encode_hierarchy(f, small_library), path)
         if change == "other_library":
             with pytest.raises(fz.FactorizerError, match="fingerprint"):
-                fz.load_cache(path, medium_library)
+                fz.load_cache(path, medium_library, f.dims)
             return
         meta, arrays = load_blob(path)
         if change == "member_ids_permuted":
@@ -268,7 +268,16 @@ class TestCheckpoint:
             arrays["rg_offsets"][1] += 1
         save_blob(path, meta, arrays)
         with pytest.raises(fz.FactorizerError, match="laid out"):
-            fz.load_cache(path, small_library)
+            fz.load_cache(path, small_library, f.dims)
+
+    def test_cache_of_other_widths_rejected(self, small_library, tiny_surrogate, tmp_path):
+        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        path = tmp_path / "cache.blob"
+        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
+        meta, arrays = load_blob(path)
+        save_blob(path, meta, {**arrays, "u": arrays["u"][:, :3]})
+        with pytest.raises(fz.FactorizerError, match="'u' is float64 \\[\\d+, 3\\]"):
+            fz.load_cache(path, small_library, f.dims)
 
     def test_cache_version_checked(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -277,7 +286,7 @@ class TestCheckpoint:
         meta, arrays = load_blob(path)
         save_blob(path, {**meta, "version": 2}, arrays)
         with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
-            fz.load_cache(path, small_library)
+            fz.load_cache(path, small_library, f.dims)
 
     @pytest.mark.parametrize("field", ["fingerprint", "synthon_encoder_evals"])
     @pytest.mark.parametrize("change", ["missing", "wrong_type"])
@@ -292,7 +301,7 @@ class TestCheckpoint:
             meta[field] = [None]
         save_blob(path, meta, arrays)
         with pytest.raises(fz.FactorizerError, match=f"meta field '{field}'"):
-            fz.load_cache(path, small_library)
+            fz.load_cache(path, small_library, f.dims)
 
     @pytest.mark.parametrize("width", ["d_s", "d_r", "d_t", "d_u", "d"])
     def test_zero_width_rejected(self, width):
