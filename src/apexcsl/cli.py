@@ -8,6 +8,7 @@ with identical inputs produce identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -286,6 +287,7 @@ def cmd_cost(args) -> int:
     return 0
 
 
+@functools.cache  # once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="apexcsl")
     sub = parser.add_subparsers(dest="command", required=True)

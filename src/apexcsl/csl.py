@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterator
+from itertools import accumulate, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class LibraryError(ValueError):
     """Structural problem in a library definition or an index out of range."""
 
 
-@dataclass(frozen=True)
-class SynthonRecord:
+class SynthonRecord(NamedTuple):
     synthon_id: int
     token: str  # fragment token string, may contain '*' attachment markers
 
@@ -131,6 +130,7 @@ class PairLayout:
 class CslLibrary:
     reactions: tuple[ReactionSpec, ...]
     synthons: tuple[SynthonRecord, ...]
+    text_sha256: str | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _reaction_offsets(self) -> tuple[int, ...]:
@@ -169,29 +169,36 @@ class CslLibrary:
 
 
 def check_library(library: CslLibrary) -> None:
-    """Raise LibraryError on any violated structural invariant."""
+    """Raise LibraryError on the first violated structural invariant, in declaration order."""
     # per-synthon arrays are indexed by synthon id, and reactions are looked up by id
     for kind, ids in (("synthon", [s.synthon_id for s in library.synthons]),
                       ("reaction", [rx.reaction_id for rx in library.reactions])):
-        wrong = [(i, x) for i, x in enumerate(ids) if x != i]
-        if wrong:
-            raise LibraryError(f"{kind} id {wrong[0][1]} at position {wrong[0][0]}: ids must be 0..n-1 in order")
-    known = set(range(len(library.synthons)))
-    seen_rgroups: set[int] = set()
-    for rx in library.reactions:
-        if len(rx.rgroups) < 2:
-            raise LibraryError(f"reaction {rx.reaction_id} has fewer than 2 R-groups")
-        for rg in rx.rgroups:
-            if rg.rgroup_id in seen_rgroups:
-                raise LibraryError(f"R-group {rg.rgroup_id} appears in more than one reaction")
-            seen_rgroups.add(rg.rgroup_id)
-            if not rg.synthon_ids:
-                raise LibraryError(f"R-group {rg.rgroup_id} has no eligible synthons")
-            if len(set(rg.synthon_ids)) != len(rg.synthon_ids):
-                raise LibraryError(f"R-group {rg.rgroup_id} synthon list has duplicates")
-            missing = set(rg.synthon_ids) - known
-            if missing:
-                raise LibraryError(f"R-group {rg.rgroup_id} references unknown synthons {sorted(missing)}")
+        if ids != list(range(len(ids))):
+            i, x = next((i, x) for i, x in enumerate(ids) if x != i)
+            raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
+    try:
+        layout = library.layout
+    except OverflowError:
+        raise LibraryError("an R-group or synthon id exceeds the 64-bit range") from None
+    sizes, members = np.diff(layout.rg_offsets), layout.member_ids
+    pair_rg = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((members, pair_rg))
+    twin = (np.diff(pair_rg[order]) == 0) & (np.diff(members[order]) == 0)
+    unknown = (members < 0) | (members >= len(library.synthons))
+    seen_before = ~np.isin(np.arange(len(sizes)), np.unique(layout.rg_ids, return_index=True)[1])
+    # per R-group position, its checks in the order they are reported
+    failed = np.stack([seen_before, sizes == 0, np.bincount(pair_rg[order[1:]][twin], minlength=len(sizes)) > 0,
+                       np.bincount(pair_rg[unknown], minlength=len(sizes)) > 0])
+    bad = np.flatnonzero(failed.any(axis=0))
+    few = np.flatnonzero(layout.n_rgroups < 2)
+    # a reaction's R-group count is checked before its R-groups
+    if len(few) and (not len(bad) or few[0] <= layout.rg_parent[bad[0]]):
+        raise LibraryError(f"reaction {library.reactions[few[0]].reaction_id} has fewer than 2 R-groups")
+    if len(bad):
+        missing = np.unique(members[unknown & (pair_rg == bad[0])]).tolist()
+        problems = ("appears in more than one reaction", "has no eligible synthons",
+                    "synthon list has duplicates", f"references unknown synthons {missing}")
+        raise LibraryError(f"R-group {layout.rg_ids[bad[0]]} {problems[np.argmax(failed[:, bad[0]])]}")
     product_count(library)  # raises on 64-bit overflow
 
 
@@ -462,37 +469,50 @@ def serialize_library(library: CslLibrary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def deserialize_library(text: str) -> CslLibrary:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LibraryError("empty library file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != LIBRARY_FORMAT_VERSION:
-        raise LibraryError(f"bad header: {lines[0]!r}")
+def _records(rows: list[list[str]]):
+    """The synthons, R-groups and reactions of a library's split lines, header first, or None if a line
+    is malformed, which no later line decides: the S lines in one pass, then R and T lines in file order."""
+    rgroups, reactions = {}, []
     try:
-        n_s, n_r, n_t = map(int, header[1:])
+        s_rows = [p for p in rows[1:] if p[0] == "S"]
+        _, synthon_ids, tokens = zip(*s_rows, strict=True) if s_rows else ((), (), ())
+        # SynthonRecord's own constructor, without a Python call per record
+        synthons = tuple(map(tuple.__new__, repeat(SynthonRecord), zip(map(int, synthon_ids), tokens)))
+        for kind, record_id, *ids in (p for p in rows[1:] if p[0] != "S"):
+            record_id, ids = int(record_id), tuple(map(int, ids))
+            if kind == "R" and record_id not in rgroups:
+                rgroups[record_id] = RgroupSpec(record_id, ids)
+            elif kind == "T":  # naming R-groups defined above it
+                reactions.append(ReactionSpec(record_id, tuple(map(rgroups.__getitem__, ids))))
+            else:
+                return None
+    except (ValueError, KeyError):
+        return None
+    return synthons, rgroups, reactions
+
+
+def deserialize_library(text: str) -> CslLibrary:
+    """Parse the text format; the library keeps the text's SHA-256 for `fingerprint_matches`."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    rows = list(map(str.split, lines))
+    if not rows:
+        raise LibraryError("empty library file")
+    try:  # the version, then three counts
+        n_s, n_r, n_t = map(int, rows[0][1:] if rows[0][0] == LIBRARY_FORMAT_VERSION else ())
     except ValueError:
         raise LibraryError(f"bad header: {lines[0]!r}") from None
-    synthons: list[SynthonRecord] = []
-    rgroups: dict[int, RgroupSpec] = {}
-    reactions: list[ReactionSpec] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        try:
-            if parts[0] == "S":
-                synthons.append(SynthonRecord(int(parts[1]), parts[2]))
-            elif parts[0] == "R":
-                rgroups[int(parts[1])] = RgroupSpec(int(parts[1]), tuple(map(int, parts[2:])))
-            elif parts[0] == "T":
-                rids = list(map(int, parts[2:]))
-                reactions.append(ReactionSpec(int(parts[1]), tuple(rgroups[r] for r in rids)))
-            else:
-                raise LibraryError(f"line {lineno}: unknown record type {parts[0]!r}")
-        except (IndexError, ValueError, KeyError) as exc:
-            raise LibraryError(f"line {lineno}: malformed record: {ln!r}") from exc
+    records = _records(rows)
+    if records is None:
+        # the first malformed line ends the shortest malformed prefix of the lines
+        n = bisect_left(range(len(rows) + 1), True, key=lambda m: _records(rows[:m]) is None)
+        raise LibraryError(f"line {n}: malformed record: {lines[n - 1]!r}")
+    synthons, rgroups, reactions = records
     if len(synthons) != n_s or len(rgroups) != n_r or len(reactions) != n_t:
         raise LibraryError("header counts do not match record counts")
-    library = CslLibrary(reactions=tuple(reactions), synthons=tuple(synthons))
+    unused = rgroups.keys() - {rg.rgroup_id for rx in reactions for rg in rx.rgroups}
+    if unused:
+        raise LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
+    library = CslLibrary(tuple(reactions), synthons, hashlib.sha256(text.encode()).hexdigest())
     check_library(library)
     return library
 
@@ -510,3 +530,9 @@ def load_library(path) -> CslLibrary:
 def library_fingerprint(library: CslLibrary) -> str:
     """SHA-256 of the canonical serialization; used to pin downstream artifacts."""
     return hashlib.sha256(serialize_library(library).encode()).hexdigest()
+
+
+def fingerprint_matches(library: CslLibrary, fingerprint: str) -> bool:
+    """library_fingerprint(library) == fingerprint; True at once if the library was parsed from
+    the fingerprinted text, which is the serialization of a library that parses back to it."""
+    return fingerprint == library.text_sha256 or fingerprint == library_fingerprint(library)

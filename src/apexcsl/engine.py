@@ -59,8 +59,8 @@ from .csl import (
     CslLibrary,
     MultiIndex,
     decode_indices,
+    fingerprint_matches,
     gather_sum,
-    library_fingerprint,
     pair_rows,
     product_count,
     reaction_columns,
@@ -118,7 +118,7 @@ class ContributionTable:
 
     def check_library(self, library: CslLibrary) -> None:
         """The table must come from this library and share its pair-row layout."""
-        if self.fingerprint != library_fingerprint(library):
+        if not fingerprint_matches(library, self.fingerprint):
             raise EngineError("library fingerprint does not match the contribution table")
         if not library.layout.matches(self.member_ids, self.rg_offsets, self.rg_ids):
             raise EngineError("contribution table's pair rows are not laid out as the library's")
@@ -131,6 +131,9 @@ def precompute_flops_per_task(n_pairs: int, d: int) -> int:
 
 def precompute_contributions(cache: HierarchyCache, surrogate: SurrogateModel) -> ContributionTable:
     """Dot each task head with every cached associative embedding."""
+    if surrogate.head_w.shape[1] != cache.u.shape[1]:
+        raise EngineError(f"the surrogate's embeddings are {surrogate.head_w.shape[1]} wide, "
+                          f"the factorizer's {cache.u.shape[1]}")
     values = (surrogate.head_w @ cache.u.T).astype(np.float32)
     return ContributionTable(
         values=values,

@@ -17,7 +17,8 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, PairLayout, decode_indices, gather_sum, library_fingerprint, pair_rows, product_count, synthon_ids
+from .csl import (CslLibrary, PairLayout, decode_indices, fingerprint_matches, gather_sum, library_fingerprint, pair_rows,
+                  product_count, synthon_ids)
 from .nn import MLP, Adam, ParamBuffer
 from .props import (FEATURE_CONFIG_SPEC, FeatureConfig, library_synthon_features, product_feature_matrix,
                     synthon_norms)
@@ -347,6 +348,8 @@ def save_factorizer(factorizer: Factorizer, path) -> None:
 def load_factorizer(path) -> Factorizer:
     meta, arrays = load_meta_blob(path, "factorizer", CHECKPOINT_VERSION, FactorizerError, mode=frozenset(MODES),
                                   dims=[int] * 5, feature_dim=int, feature_config=FEATURE_CONFIG_SPEC)
+    if meta["feature_dim"] < 1:
+        raise FactorizerError(f"{path}: factorizer meta field 'feature_dim' must be >= 1, got {meta['feature_dim']}")
     factorizer = Factorizer(
         meta["feature_dim"],
         FactorizerDims(*meta["dims"]),
@@ -382,7 +385,7 @@ def load_cache(path, library: CslLibrary, dims: FactorizerDims) -> HierarchyCach
     """A cache written by save_cache for this library by a factorizer of these widths."""
     meta, arrays = load_meta_blob(path, "hierarchy_cache", CHECKPOINT_VERSION, FactorizerError,
                                   fingerprint=str, synthon_encoder_evals=int)
-    if meta["fingerprint"] != library_fingerprint(library):
+    if not fingerprint_matches(library, meta["fingerprint"]):
         raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
     layout = library.layout
     empty = HierarchyCache(np.empty((len(library.synthons), dims.d_s)), np.empty((len(layout.rg_ids), dims.d_r)),

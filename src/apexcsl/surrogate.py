@@ -295,6 +295,8 @@ def save_surrogate(model: SurrogateModel, path) -> None:
 def load_surrogate(path) -> SurrogateModel:
     meta, arrays = load_meta_blob(path, "surrogate", CHECKPOINT_VERSION, SurrogateError, dims=[int], bias=bool,
                                   task_names=[str], feature_config=FEATURE_CONFIG_SPEC)
+    if len(meta["dims"]) < 2 or min(meta["dims"]) < 1:
+        raise SurrogateError(f"{path}: surrogate meta field 'dims' needs two or more widths >= 1, got {meta['dims']}")
     encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
     n_tasks = len(meta["task_names"])
     model = SurrogateModel(encoder, np.zeros((n_tasks, encoder.dims[-1])), np.zeros(n_tasks),

@@ -478,6 +478,76 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["search", "label"])
+    @pytest.mark.parametrize("record", ["synthon_extra_field", "rgroup_repeated", "rgroup_unused"])
+    def test_library_record_dropped_silently(self, pipeline, capsys, command, record):
+        # each was accepted with exit 0, and the record was lost from the library
+        lines = pipeline["library"].read_text().splitlines()
+        first_r = next(i for i, ln in enumerate(lines) if ln.startswith("R "))
+        if record == "synthon_extra_field":
+            lines[2] += " junk"
+        elif record == "rgroup_repeated":
+            lines.insert(first_r, lines[first_r])
+        else:
+            version, n_s, n_r, n_t = lines[0].split()
+            lines[0] = f"{version} {n_s} {int(n_r) + 1} {n_t}"
+            lines.insert(first_r, "R 99 0 1")
+        library = pipeline["dir"] / f"dropped_{record}.csl"
+        library.write_text("\n".join(lines) + "\n")
+        p = {k: str(v) for k, v in pipeline.items()}
+        out = p["dir"] + f"/dropped_{record}_{command}"
+        argv = {"search": ["search", "--library", str(library), "--table", p["table"], "--query", p["query"],
+                           "--out", out],
+                "label": ["label", "--library", str(library), "--out", out]}[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_search_reads_library_in_any_spacing(self, pipeline, capsys):
+        # a tab-separated copy with blank lines is the same library, so the table's
+        # fingerprint matches it; another library's does not
+        tabbed = pipeline["dir"] / "library_tabbed.csl"
+        tabbed.write_text(pipeline["library"].read_text().replace(" ", "\t").replace("\n", "\n\n"))
+        out = pipeline["dir"] / "hits_tabbed.tsv"
+        assert run("search", "--library", str(tabbed), "--table", str(pipeline["table"]),
+                   "--query", str(pipeline["query"]), "--out", str(out)) == 0
+        assert out.read_bytes() == pipeline["hits"].read_bytes()
+        other = pipeline["dir"] / "library_other.csl"
+        assert run("generate", "--out", str(other), "--reactions", "2", "--components", "2,3",
+                   "--synthons", "4", "--seed", "6") == 0
+        capsys.readouterr()
+        assert run("search", "--library", str(other), "--table", str(pipeline["table"]),
+                   "--query", str(pipeline["query"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "fingerprint" in err
+
+    @pytest.mark.parametrize("blob,field,value", [
+        ("surrogate", "dims", []), ("surrogate", "dims", [-1, 16]), ("factorizer", "feature_dim", -3),
+    ])
+    def test_blob_meta_width(self, pipeline, capsys, blob, field, value):
+        # each ended in a traceback: the model was built from the widths before any check
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        assert run_on_blob(pipeline, blob, f"{field}_{len(str(value))}", {**meta, field: value}, arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"meta field {field!r}" in err
+
+    def test_embedding_widths_differ(self, pipeline, capsys):
+        # the pipeline's factorizer was trained on a 16-wide surrogate
+        p = {k: str(v) for k, v in pipeline.items()}
+        narrow = p["dir"] + "/surrogate_8.blob"
+        assert run("train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", narrow,
+                   "--epochs", "1", "--embedding-dim", "8") == 0
+        capsys.readouterr()
+        assert run("precompute", "--library", p["library"], "--surrogate", narrow, "--factorizer", p["factorizer"],
+                   "--out", p["dir"] + "/table_8.blob") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "8 wide" in err and "16" in err
+
     def test_integral_float_k_accepted(self, pipeline):
         q = pipeline["dir"] / "query_k_float.json"
         q.write_text(json.dumps({"objective": {"task": "dock_a"}, "k": 3.0}))

@@ -340,11 +340,42 @@ class TestSerialization:
         with pytest.raises(csl.LibraryError):
             csl.deserialize_library("cslv1 1 0 0\nS zero tok\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b* junk\nR 0 0\nR 1 1\nT 0 0 1\n", r"line 3: malformed record: 'S 1 b\* junk'"),
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b*\nR 0 0\nR 1 1\nR 1 0\nT 0 0 1\n", "line 6: malformed record: 'R 1 0'"),
+        ("cslv1 2 3 1\nS 0 a*\nS 1 b*\nR 0 0\nR 1 1\nR 2 0 1\nT 0 0 1\n", r"R-groups \[2\] are used by no reaction"),
+    ], ids=["synthon_extra_field", "rgroup_repeated", "rgroup_unused"])
+    def test_records_dropped_silently_are_rejected(self, text, match):
+        # each was accepted, and lost from the library, by the line-at-a-time parser
+        with pytest.raises(csl.LibraryError, match=match):
+            csl.deserialize_library(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("cslv1 2 2 1\n\nS 0 a*\n  \nS x b*\nR 0 0\nR 1 1\nT 0 0 1\n", 3),
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b*\nT 0 0 1\nR 0 0\nR 1 1\n", 4),
+        ("cslv1 2 2 1\nR 0 0\nR 1 1 y\nS 0 a*\nS x b*\nT 0 0 1\n", 3),
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b*\nR 0 0\nR 1 1\nQ 0 0 1\nT 0 0 1\n", 6),
+        ("cslv1 2 2 1\nS 0 a*\nS 1 b*\nR 0 0\nR\nT 0 0 1\n", 5),
+    ], ids=["blank_lines_not_counted", "reaction_before_its_rgroups", "first_of_two", "unknown_kind", "no_id"])
+    def test_malformed_line_number(self, text, line):
+        with pytest.raises(csl.LibraryError, match=f"^line {line}: malformed record"):
+            csl.deserialize_library(text)
+
 
 class TestCheckLibrary:
     def test_rejects_single_rgroup_reaction(self):
         lib = csl.CslLibrary(
             reactions=(csl.ReactionSpec(0, (csl.RgroupSpec(0, (0,)),)),),
+            synthons=(csl.SynthonRecord(0, "a*"),),
+        )
+        with pytest.raises(csl.LibraryError, match="fewer than 2"):
+            csl.check_library(lib)
+
+    @pytest.mark.parametrize("synthon_ids", [(), (0, 0), (5,)])
+    def test_reaction_reported_before_its_rgroup(self, synthon_ids):
+        # the reaction is reported before the faults of its one R-group
+        lib = csl.CslLibrary(
+            reactions=(csl.ReactionSpec(0, (csl.RgroupSpec(0, synthon_ids),)),),
             synthons=(csl.SynthonRecord(0, "a*"),),
         )
         with pytest.raises(csl.LibraryError, match="fewer than 2"):
@@ -449,3 +480,172 @@ def test_pair_layout_matches_per_rgroup_construction(library):
         chi = csl.decode_index(library, g)
         expected = [layout.pair_row(rg_id, s) for rg_id, s in chi.assignment]
         assert row == expected + [-1] * (width - len(expected))
+
+
+def reference_deserialize(text):
+    """The line-at-a-time parser that the bulk one replaced, plus the checks
+    added with it: an S record has three fields, an R record's id is new, and
+    every R-group is used by a reaction."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise csl.LibraryError("empty library file")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != csl.LIBRARY_FORMAT_VERSION:
+        raise csl.LibraryError(f"bad header: {lines[0]!r}")
+    try:
+        n_s, n_r, n_t = map(int, header[1:])
+    except ValueError:
+        raise csl.LibraryError(f"bad header: {lines[0]!r}") from None
+    synthons, rgroups, reactions = [], {}, []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        try:
+            if parts[0] == "S" and len(parts) == 3:
+                synthons.append(csl.SynthonRecord(int(parts[1]), parts[2]))
+            elif parts[0] == "R" and int(parts[1]) not in rgroups:
+                rgroups[int(parts[1])] = csl.RgroupSpec(int(parts[1]), tuple(map(int, parts[2:])))
+            elif parts[0] == "T":
+                rids = list(map(int, parts[2:]))
+                reactions.append(csl.ReactionSpec(int(parts[1]), tuple(rgroups[r] for r in rids)))
+            else:
+                raise KeyError(parts[0])
+        except (IndexError, ValueError, KeyError):
+            raise csl.LibraryError(f"line {lineno}: malformed record: {ln!r}") from None
+    if len(synthons) != n_s or len(rgroups) != n_r or len(reactions) != n_t:
+        raise csl.LibraryError("header counts do not match record counts")
+    unused = set(rgroups) - {rg.rgroup_id for rx in reactions for rg in rx.rgroups}
+    if unused:
+        raise csl.LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
+    library = csl.CslLibrary(tuple(reactions), tuple(synthons))
+    reference_check_library(library)
+    return library
+
+
+def reference_check_library(library):
+    """The R-group-at-a-time check_library that the array one replaced."""
+    for kind, ids in (("synthon", [s.synthon_id for s in library.synthons]),
+                      ("reaction", [rx.reaction_id for rx in library.reactions])):
+        wrong = [(i, x) for i, x in enumerate(ids) if x != i]
+        if wrong:
+            raise csl.LibraryError(f"{kind} id {wrong[0][1]} at position {wrong[0][0]}: ids must be 0..n-1 in order")
+    known = set(range(len(library.synthons)))
+    seen_rgroups = set()
+    for rx in library.reactions:
+        if len(rx.rgroups) < 2:
+            raise csl.LibraryError(f"reaction {rx.reaction_id} has fewer than 2 R-groups")
+        for rg in rx.rgroups:
+            if rg.rgroup_id in seen_rgroups:
+                raise csl.LibraryError(f"R-group {rg.rgroup_id} appears in more than one reaction")
+            seen_rgroups.add(rg.rgroup_id)
+            if not rg.synthon_ids:
+                raise csl.LibraryError(f"R-group {rg.rgroup_id} has no eligible synthons")
+            if len(set(rg.synthon_ids)) != len(rg.synthon_ids):
+                raise csl.LibraryError(f"R-group {rg.rgroup_id} synthon list has duplicates")
+            missing = set(rg.synthon_ids) - known
+            if missing:
+                raise csl.LibraryError(f"R-group {rg.rgroup_id} references unknown synthons {sorted(missing)}")
+    csl.product_count(library)
+
+
+def outcome(parse, text):
+    """The library a parser returns, or the message of the LibraryError it raises."""
+    try:
+        return parse(text)
+    except csl.LibraryError as exc:
+        return str(exc)
+
+
+@st.composite
+def perturbed_lines(draw, edits):
+    """A drawn library's serialization as a list of lines, each edit drawn from `edits` applied in turn."""
+    lines = csl.serialize_library(draw(mixed_libraries())).splitlines()
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=4)):
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "blank_line":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+        elif edit == "space_runs":
+            lines[i] = lines[i].replace(" ", " " * draw(st.integers(2, 3))) + " "
+        elif edit == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+        elif edit == "crlf":
+            lines = [ln + "\r" for ln in lines]
+        elif edit == "leading_zeros":
+            lines[i] = " ".join(f"0{p}" if p.isdigit() else p for p in lines[i].split(" "))
+        elif edit == "rgroups_first":  # right after the header
+            h = next((i + 1 for i, ln in enumerate(lines) if ln.startswith("cslv1")), 1)
+            lines = lines[:h] + [ln for ln in lines[h:] if ln.startswith("R")] + [
+                ln for ln in lines[h:] if not ln.startswith("R")]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "add_field":
+            lines[i] += " " + draw(st.sampled_from(["7", "x*"]))
+        elif edit == "drop_field":
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        elif edit == "bad_token":
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(["x", "-1", "+2", "1.5", "Q", "9"]))
+            lines[i] = " ".join(parts)
+    return lines
+
+
+CANONICAL_EDITS = ["blank_line", "space_runs", "tabs", "crlf", "leading_zeros", "rgroups_first"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=perturbed_lines(CANONICAL_EDITS + ["swap", "repeat", "drop", "add_field", "drop_field", "bad_token"]))
+def test_deserialize_matches_line_at_a_time_parser(lines):
+    # the same library, or the same message naming the same line
+    text = "\n".join(lines) + "\n"
+    assert outcome(csl.deserialize_library, text) == outcome(reference_deserialize, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=perturbed_lines(CANONICAL_EDITS), other=mixed_libraries())
+def test_fingerprint_matches_is_exact(lines, other):
+    text = "\n".join(lines) + "\n"
+    library = csl.deserialize_library(text)
+    canonical = csl.serialize_library(library)
+    assert csl.deserialize_library(canonical) == library
+    assert (library.text_sha256 == csl.library_fingerprint(library)) == (text == canonical)
+    for fingerprint in (csl.library_fingerprint(library), csl.library_fingerprint(other)):
+        assert csl.fingerprint_matches(library, fingerprint) == (csl.library_fingerprint(library) == fingerprint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(library=mixed_libraries(), data=st.data())
+def test_check_library_matches_rgroup_at_a_time_check(library, data):
+    # the same first failure, or none, after a few edits of the reactions and synthons
+    reactions = [[[rg.rgroup_id, list(rg.synthon_ids)] for rg in rx.rgroups] for rx in library.reactions]
+    reaction_ids, synthon_ids = list(range(len(reactions))), list(range(len(library.synthons)))
+    n = len(synthon_ids)
+    for edit in data.draw(st.lists(st.sampled_from(
+            ["drop_rgroup", "empty", "repeat_synthon", "unknown_synthon", "share_rgroup", "reaction_id",
+             "synthon_id", "rgroup_id"]), max_size=3)):
+        rx = reactions[data.draw(st.integers(0, len(reactions) - 1))]
+        rg = rx[data.draw(st.integers(0, len(rx) - 1))] if rx else None
+        if edit == "drop_rgroup" and rx:
+            rx.remove(rg)
+        elif edit == "empty" and rg:
+            rg[1] = []
+        elif edit == "repeat_synthon" and rg and rg[1]:
+            rg[1].append(data.draw(st.sampled_from(rg[1])))
+        elif edit == "unknown_synthon" and rg:
+            rg[1].insert(data.draw(st.integers(0, len(rg[1]))), data.draw(st.sampled_from([-1, n, n + 3])))
+        elif edit == "share_rgroup":
+            rx.append(list(data.draw(st.sampled_from([g for r in reactions for g in r] or [[0, [0]]]))))
+        elif edit == "reaction_id":
+            reaction_ids[data.draw(st.integers(0, len(reactions) - 1))] = data.draw(st.integers(0, 4))
+        elif edit == "synthon_id":
+            synthon_ids[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n))
+        elif edit == "rgroup_id" and rg:
+            rg[0] = data.draw(st.integers(0, 8))
+    edited = csl.CslLibrary(
+        tuple(csl.ReactionSpec(t, tuple(csl.RgroupSpec(g, tuple(ids)) for g, ids in rx))
+              for t, rx in zip(reaction_ids, reactions)),
+        tuple(csl.SynthonRecord(i, s.token) for i, s in zip(synthon_ids, library.synthons)))
+    assert outcome(csl.check_library, edited) == outcome(reference_check_library, edited)
