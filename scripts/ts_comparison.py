@@ -32,7 +32,7 @@ def main() -> int:
     model = sg.train_surrogate(
         dataset, library,
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=args.seed, encoder="linear",
-                       embedding_dim=16, noise=sg.NoiseConfig(sigma=0.0)),
+                       embedding_dim=16, sigma=0.0),
         fc,
     )
     trained = fz.train_factorizer(

@@ -159,7 +159,7 @@ def cmd_train_surrogate(args) -> int:
         batch_size=args.batch_size,
         lr=args.lr,
         seed=args.seed,
-        noise=sg.NoiseConfig(sigma=args.sigma),
+        sigma=args.sigma,
         encoder=args.encoder,
         embedding_dim=args.embedding_dim,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -176,6 +177,10 @@ def check_library(library: CslLibrary) -> None:
         if ids != list(range(len(ids))):
             i, x = next((i, x) for i, x in enumerate(ids) if x != i)
             raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
+    tokens = [s.token for s in library.synthons]
+    if not all(tokens) or re.search(r"\s", "".join(tokens)):  # a token is one field of the text format
+        i = next(i for i, t in enumerate(tokens) if t.split() != [t])
+        raise LibraryError(f"synthon {i} token {tokens[i]!r} is empty or holds whitespace")
     try:
         layout = library.layout
     except OverflowError:

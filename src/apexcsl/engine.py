@@ -131,6 +131,8 @@ def precompute_flops_per_task(n_pairs: int, d: int) -> int:
 
 def precompute_contributions(cache: HierarchyCache, surrogate: SurrogateModel) -> ContributionTable:
     """Dot each task head with every cached associative embedding."""
+    if surrogate.feature_config != cache.feature_config:
+        raise EngineError("the surrogate and the factorizer use different feature configs")
     if surrogate.head_w.shape[1] != cache.u.shape[1]:
         raise EngineError(f"the surrogate's embeddings are {surrogate.head_w.shape[1]} wide, "
                           f"the factorizer's {cache.u.shape[1]}")

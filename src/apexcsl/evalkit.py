@@ -1,13 +1,13 @@
 """Ground-truth evaluation: exhaustive oracle top-k, recall and satisfaction
-metrics, score CDF export, and a Thompson sampling baseline."""
+metrics, and a Thompson sampling baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .csl import CslLibrary, MultiIndex, product_count
+from .csl import CslLibrary, MultiIndex, encode_index, product_count
 from .engine import (
     Constraint,
     ContributionTable,
@@ -122,19 +122,6 @@ def satisfaction_rate(
     return {"rate": rate, "base_rate": base}
 
 
-def score_cdf_export(score_sets: dict[str, np.ndarray]) -> list[tuple[str, float, float]]:
-    """(label, score, cumulative fraction) rows; monotone in score per label."""
-    rows = []
-    for label, scores in score_sets.items():
-        scores = np.sort(np.asarray(scores, dtype=np.float64))
-        if len(scores) == 0:
-            raise EvalError(f"empty score set {label!r}")
-        n = len(scores)
-        for i, s in enumerate(scores):
-            rows.append((label, float(s), (i + 1) / n))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Thompson sampling baseline
 # ---------------------------------------------------------------------------
@@ -143,9 +130,6 @@ def score_cdf_export(score_sets: dict[str, np.ndarray]) -> list[tuple[str, float
 class TsConfig:
     warmup: int = 3              # warmup evaluations per synthon
     iterations: int = 100
-    prior_mean: float = 0.0
-    prior_var: float = 1.0
-    obs_var: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -168,16 +152,6 @@ class TsResult:
         return {g for g, _ in self.evaluated}
 
 
-class _CountingOracle:
-    def __init__(self, oracle: GroundTruthOracle):
-        self.oracle = oracle
-        self.calls = 0
-
-    def value(self, library: CslLibrary, chi: MultiIndex, task: str) -> float:
-        self.calls += 1
-        return ground_truth(self.oracle, library, chi, task)
-
-
 def thompson_sampling(
     library: CslLibrary,
     oracle: GroundTruthOracle,
@@ -188,7 +162,8 @@ def thompson_sampling(
 ) -> TsResult:
     """Gaussian-arm Thompson sampling over one reaction's synthons.
 
-    Independent normal arms per synthon with additive reward decomposition:
+    Independent normal arms per synthon, each with an N(0, 1) prior and unit
+    observation variance, with additive reward decomposition:
     every evaluated compound's (sign-adjusted) value updates the posteriors of
     all its constituent synthons. Warmup evaluates each synthon `warmup` times
     in uniformly random completions; each iteration assembles the per-R-group
@@ -201,15 +176,12 @@ def thompson_sampling(
         reaction_id = 0
     rx = library.reaction(reaction_id)
     rng = np.random.default_rng(config.seed)
-    counted = _CountingOracle(oracle)
     sign = 1.0 if direction == "maximize" else -1.0
 
     arms: dict[int, tuple[float, float]] = {}  # synthon -> (posterior mean, precision)
-    prior_prec = 1.0 / config.prior_var
-    obs_prec = 1.0 / config.obs_var
     for rg in rx.rgroups:
         for s in rg.synthon_ids:
-            arms.setdefault(s, (config.prior_mean, prior_prec))
+            arms.setdefault(s, (0.0, 1.0))
 
     evaluated: list[tuple[int, float]] = []
     best_traj: list[float] = []
@@ -218,17 +190,14 @@ def thompson_sampling(
     def evaluate(assignment: tuple[tuple[int, int], ...]) -> None:
         nonlocal best
         chi = MultiIndex(reaction_id, assignment)
-        value = counted.value(library, chi, objective)
+        value = ground_truth(oracle, library, chi, objective)
         reward = sign * value
-        from .csl import encode_index
-
         evaluated.append((encode_index(library, chi), value))
         best = max(best, reward)
         best_traj.append(sign * best)
         for _, s in assignment:
             mean, prec = arms[s]
-            new_prec = prec + obs_prec
-            arms[s] = ((mean * prec + reward * obs_prec) / new_prec, new_prec)
+            arms[s] = ((mean * prec + reward) / (prec + 1.0), prec + 1.0)
 
     # warmup: each synthon of each R-group, `warmup` times, random completions
     for focus_idx, rg in enumerate(rx.rgroups):
@@ -255,7 +224,7 @@ def thompson_sampling(
             assignment.append((rg.rgroup_id, rg.synthon_ids[int(np.argmax(samples))]))
         evaluate(tuple(assignment))
 
-    return TsResult(evaluated=evaluated, best_trajectory=best_traj, oracle_calls=counted.calls)
+    return TsResult(evaluated=evaluated, best_trajectory=best_traj, oracle_calls=len(evaluated))
 
 
 def reaction_synthon_count(library: CslLibrary, reaction_id: int) -> int:

@@ -48,13 +48,13 @@ class FactorizerDims:
 class DeepSet:
     """Elementwise feature map, mean pooling, post-pooling network."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, mode: str, hidden: int = 64):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, mode: str):
         if mode == "linear":
             self.phi = MLP([d_in, d_out], rng)
             self.rho = MLP([d_out, d_out], rng)
         else:
-            self.phi = MLP([d_in, hidden, d_out], rng)
-            self.rho = MLP([d_out, hidden, d_out], rng)
+            self.phi = MLP([d_in, 64, d_out], rng)
+            self.rho = MLP([d_out, 64, d_out], rng)
 
     def forward_cache(self, rows: np.ndarray, offsets: np.ndarray):
         """rows: concatenated member features; offsets: (n_groups+1,) slice bounds."""
@@ -186,6 +186,7 @@ class HierarchyCache:
     layout: PairLayout
     fingerprint: str
     synthon_encoder_evals: int
+    feature_config: FeatureConfig  # the factorizer's; a cache blob does not store it
 
 
 def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCache:
@@ -201,6 +202,7 @@ def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCa
         layout=ctx.layout,
         fingerprint=ctx.fingerprint,
         synthon_encoder_evals=len(library.synthons),
+        feature_config=factorizer.feature_config,
     )
 
 
@@ -213,30 +215,16 @@ class FactorizerTrainConfig:
     seed: int = 0
     dims: FactorizerDims = FactorizerDims()
     mode: str = "mlp"
-    sampling: str = "global_uniform"  # or "per_reaction" (reactions weighted equally)
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise FactorizerError(f"steps and batch_size must be >= 1, got {self.steps} and {self.batch_size}")
 
 
-def _sample_chis(
-    library: CslLibrary, n: int, rng: np.random.Generator, sampling: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """n sampled products as csl.decode_indices gives them: (reaction positions, digits)."""
-    total = product_count(library)
-    if sampling == "global_uniform":
-        gidxs = rng.integers(0, total, size=n)
-    elif sampling == "per_reaction":
-        ts = rng.integers(0, len(library.reactions), size=n)
-        # one scalar draw per product: an array `high` would change the random stream
-        gidxs = [
-            library.reaction_offset(int(t)) + int(rng.integers(0, library.reaction_size(int(t))))
-            for t in ts
-        ]
-    else:
-        raise ValueError(f"unknown sampling {sampling!r}")
-    return decode_indices(library, gidxs)
+def _sample_chis(library: CslLibrary, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n products drawn uniformly over the library, as csl.decode_indices gives
+    them: (reaction positions, digits)."""
+    return decode_indices(library, rng.integers(0, product_count(library), size=n))
 
 
 def reconstruction_loss_and_grads(
@@ -283,7 +271,7 @@ def train_factorizer(
 
     for step in range(config.steps):
         opt.lr = config.lr * (config.lr_decay ** (step / max(1, config.steps)))
-        pos, digits = _sample_chis(library, config.batch_size, rng, config.sampling)
+        pos, digits = _sample_chis(library, config.batch_size, rng)
         sids = synthon_ids(library, pos, digits)
         targets = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
         loss, _ = reconstruction_loss_and_grads(factorizer, ctx, pair_rows(library, pos, digits), targets)
@@ -310,7 +298,7 @@ def factorization_gap(
     if factorizer.feature_config != fc:
         raise FactorizerError("factorizer and surrogate use different feature configs")
     rng = np.random.default_rng(seed)
-    pos, digits = _sample_chis(library, sample_size, rng, "global_uniform")
+    pos, digits = _sample_chis(library, sample_size, rng)
     ctx = build_context(library, fc)
     u, _ = factorizer.forward_cache(ctx)
     sids = synthon_ids(library, pos, digits)
@@ -348,14 +336,16 @@ def save_factorizer(factorizer: Factorizer, path) -> None:
 def load_factorizer(path) -> Factorizer:
     meta, arrays = load_meta_blob(path, "factorizer", CHECKPOINT_VERSION, FactorizerError, mode=frozenset(MODES),
                                   dims=[int] * 5, feature_dim=int, feature_config=FEATURE_CONFIG_SPEC)
-    if meta["feature_dim"] < 1:
-        raise FactorizerError(f"{path}: factorizer meta field 'feature_dim' must be >= 1, got {meta['feature_dim']}")
+    feature_config = FeatureConfig(**meta["feature_config"])
+    if meta["feature_dim"] != feature_config.p:
+        raise FactorizerError(f"{path}: factorizer meta field 'feature_dim' is {meta['feature_dim']}, "
+                              "not its feature config's p")
     factorizer = Factorizer(
         meta["feature_dim"],
         FactorizerDims(*meta["dims"]),
         np.random.default_rng(0),
         mode=meta["mode"],
-        feature_config=FeatureConfig(**meta["feature_config"]),
+        feature_config=feature_config,
     )
     expected = _factorizer_arrays(factorizer)
     check_arrays(path, arrays, expected, FactorizerError)
@@ -381,16 +371,17 @@ def save_cache(cache: HierarchyCache, path) -> None:
     save_blob(path, meta, _cache_arrays(cache))
 
 
-def load_cache(path, library: CslLibrary, dims: FactorizerDims) -> HierarchyCache:
-    """A cache written by save_cache for this library by a factorizer of these widths."""
+def load_cache(path, library: CslLibrary, factorizer: Factorizer) -> HierarchyCache:
+    """A cache written by save_cache for this library by a factorizer of this
+    one's widths and feature config, which the blob does not store."""
     meta, arrays = load_meta_blob(path, "hierarchy_cache", CHECKPOINT_VERSION, FactorizerError,
                                   fingerprint=str, synthon_encoder_evals=int)
     if not fingerprint_matches(library, meta["fingerprint"]):
         raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
-    layout = library.layout
+    layout, dims = library.layout, factorizer.dims
     empty = HierarchyCache(np.empty((len(library.synthons), dims.d_s)), np.empty((len(layout.rg_ids), dims.d_r)),
                            np.empty((len(library.reactions), dims.d_t)), np.empty((layout.n_pairs, dims.d)),
-                           layout, meta["fingerprint"], meta["synthon_encoder_evals"])
+                           layout, meta["fingerprint"], meta["synthon_encoder_evals"], factorizer.feature_config)
     check_arrays(path, arrays, _cache_arrays(empty), FactorizerError)
     if not layout.matches(arrays["member_ids"], arrays["rg_offsets"], arrays["rg_ids"]):
         raise FactorizerError(f"{path}: hierarchy cache's pair rows are not laid out as the library's")

@@ -116,12 +116,12 @@ def _views(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
 class Adam:
     """Adam over one flat parameter buffer; `m`, `v` and the scratch are flat too."""
 
-    def __init__(self, size: int, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, size: int, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)

@@ -1,8 +1,10 @@
 """Multi-task surrogate: a feedforward encoder with per-task linear heads.
 
-Training perturbs each example's embedding with fresh isotropic noise before
-the linear head, so the learned embedding space tolerates the reconstruction
-error later introduced when the factorizer replaces the encoder.
+Training perturbs each example's embedding with fresh isotropic noise (one
+draw per batch) before the linear head, so the learned embedding space
+tolerates the reconstruction error later introduced when the factorizer
+replaces the encoder. Adam steps at a constant rate, and the epoch with the
+lowest loss on a held-out 10% of the labels is kept.
 """
 
 from __future__ import annotations
@@ -24,31 +26,20 @@ class SurrogateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    # None resolves to 0.1 * embedding RMS, measured on a warmup pass
-    sigma: float | None = None
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batch_size: int = 256
     lr: float = 3e-3
-    lr_decay: float = 1.0  # multiplicative per-epoch step size schedule
     seed: int = 0
-    noise: NoiseConfig = NoiseConfig()
-    val_split: float = 0.1
-    noise_draws: int = 1
+    # embedding noise scale; None resolves to 0.1 * embedding RMS, measured on a warmup pass
+    sigma: float | None = None
     encoder: str = "mlp"  # "mlp" or "linear" (single affine map, no bias)
     hidden: tuple[int, ...] = (128, 128)
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.noise_draws < 1:
-            raise SurrogateError(f"epochs, batch_size and noise_draws must be >= 1, got "
-                                 f"{self.epochs}, {self.batch_size} and {self.noise_draws}")
-        if not 0.0 < self.val_split < 1.0:
-            raise SurrogateError(f"val_split must be in (0, 1), got {self.val_split}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise SurrogateError(f"epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
         if min(self.embedding_dim, *self.hidden) < 1:
             raise SurrogateError(f"embedding_dim and hidden widths must be >= 1, got "
                                  f"{self.embedding_dim} and {self.hidden}")
@@ -72,10 +63,6 @@ class SurrogateModel:
     def d(self) -> int:
         return self.encoder.dims[-1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder.dims[0]
-
     def task_index(self, name: str) -> int:
         try:
             return self.task_names.index(name)
@@ -84,25 +71,6 @@ class SurrogateModel:
 
     def checksum(self) -> str:
         return params_checksum(self.buffer.flat)
-
-
-def encode(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features[None, :]
-    if features.shape[1] != model.feature_dim:
-        raise SurrogateError(
-            f"feature dimension {features.shape[1]} != model input {model.feature_dim}"
-        )
-    out = model.encoder.forward(features)
-    return out[0] if single else out
-
-
-def predict(model: SurrogateModel, features: np.ndarray, task: str) -> float | np.ndarray:
-    i = model.task_index(task)
-    emb = encode(model, features)
-    return emb @ model.head_w[i] + model.head_b[i]
 
 
 def surrogate_loss_and_grads(
@@ -171,8 +139,11 @@ def train_surrogate(
 
     rng = np.random.default_rng(config.seed)
     encoder = _make_encoder(config, X.shape[1], rng)
-    head_w = rng.standard_normal((n_tasks, config.embedding_dim)) * 0.01
-    head_b = np.zeros(n_tasks)
+    model = SurrogateModel(encoder, rng.standard_normal((n_tasks, config.embedding_dim)) * 0.01,
+                           np.zeros(n_tasks), list(task_names), feature_config)
+    buf = model.buffer
+    head_w, head_b = model.head_w, model.head_b
+    grad_w, grad_b = buf.extra_grads
 
     # standardize targets per task; heads are unstandardized on export
     mean = np.zeros(n_tasks)
@@ -185,46 +156,30 @@ def train_surrogate(
     y_std = (y - mean[task_idx]) / std[task_idx]
 
     perm = rng.permutation(n)
-    n_val = max(1, int(round(config.val_split * n))) if n > 1 else 0
+    n_val = max(1, int(round(0.1 * n))) if n > 1 else 0  # a 10% validation split, < n for every n
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if len(train_idx) == 0:
-        train_idx, val_idx = perm, perm
 
-    sigma = config.noise.sigma
+    sigma = config.sigma
     if sigma is None:
         warm = encoder.forward(X[feat_rows[train_idx[: min(len(train_idx), 1024)]]])
         sigma = 0.1 * float(np.sqrt(np.mean(warm * warm)))
 
-    buf = ParamBuffer([encoder], [head_w, head_b])
-    head_w, head_b = buf.extra
-    grad_w, grad_b = buf.extra_grads
     opt = Adam(buf.flat.size, lr=config.lr)
     best_val = np.inf
     best = buf.flat.copy()
 
     for epoch in range(config.epochs):
-        opt.lr = config.lr * (config.lr_decay**epoch)
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), config.batch_size):
             batch = train_idx[order[start : start + config.batch_size]]
-            bx = X[feat_rows[batch]]
-            bt = task_idx[batch]
-            by = y_std[batch]
-            loss = 0.0
-            for draw in range(config.noise_draws):
-                eps = sigma * rng.standard_normal((len(batch), config.embedding_dim)) if sigma > 0 else np.zeros((len(batch), config.embedding_dim))
-                l, _, dW, db = surrogate_loss_and_grads(encoder, head_w, head_b, bx, bt, by, eps)
-                grad_w[...], grad_b[...] = dW, db  # the encoder's land in buf.grad directly
-                loss += l
-                if draw == 0:
-                    agg = buf.grad.copy()
-                else:
-                    agg += buf.grad
-            loss /= config.noise_draws
+            shape = (len(batch), config.embedding_dim)
+            eps = sigma * rng.standard_normal(shape) if sigma > 0 else np.zeros(shape)
+            loss, _, dW, db = surrogate_loss_and_grads(encoder, head_w, head_b, X[feat_rows[batch]],
+                                                       task_idx[batch], y_std[batch], eps)
+            grad_w[...], grad_b[...] = dW, db  # the encoder's land in buf.grad directly
             if not np.isfinite(loss):
                 raise SurrogateError(f"non-finite training loss at epoch {epoch}: {loss}")
-            agg /= config.noise_draws
-            opt.step(buf.flat, agg)
+            opt.step(buf.flat, buf.grad)
 
         vx = X[feat_rows[val_idx]]
         vemb = encoder.forward(vx)
@@ -238,15 +193,10 @@ def train_surrogate(
     buf.flat[...] = best
 
     # fold per-task standardization back into the heads
-    head_w_out = head_w * std[:, None]
-    head_b_out = head_b * std + mean
-    return SurrogateModel(
-        encoder=encoder,
-        head_w=head_w_out,
-        head_b=head_b_out,
-        task_names=list(task_names),
-        feature_config=feature_config,
-    )
+    head_w *= std[:, None]
+    head_b *= std
+    head_b += mean
+    return model
 
 
 def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, library: CslLibrary) -> dict[str, float | None]:
@@ -255,7 +205,7 @@ def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, library: CslLibr
         raise SurrogateError("empty dataset")
     X, feat_rows = _build_examples(dataset, library, model.feature_config)
     task_idx, y = dataset.task, dataset.value
-    emb = encode(model, X)
+    emb = model.encoder.forward(X)
     out: dict[str, float | None] = {}
     for t, name in enumerate(dataset.task_names):
         i = model.task_index(name)
@@ -297,10 +247,14 @@ def load_surrogate(path) -> SurrogateModel:
                                   task_names=[str], feature_config=FEATURE_CONFIG_SPEC)
     if len(meta["dims"]) < 2 or min(meta["dims"]) < 1:
         raise SurrogateError(f"{path}: surrogate meta field 'dims' needs two or more widths >= 1, got {meta['dims']}")
+    feature_config = FeatureConfig(**meta["feature_config"])
+    if meta["dims"][0] != feature_config.p + feature_config.q:
+        raise SurrogateError(f"{path}: surrogate meta field 'dims' starts at {meta['dims'][0]}, "
+                             "not at its feature config's p + q")
     encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
     n_tasks = len(meta["task_names"])
     model = SurrogateModel(encoder, np.zeros((n_tasks, encoder.dims[-1])), np.zeros(n_tasks),
-                           list(meta["task_names"]), FeatureConfig(**meta["feature_config"]))
+                           list(meta["task_names"]), feature_config)
     expected = _surrogate_arrays(model)
     check_arrays(path, arrays, expected, SurrogateError)
     model.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in expected])

@@ -129,7 +129,7 @@ def test_criterion_3_factorization_exactness_additive():
     model = sg.train_surrogate(
         dataset, library,
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=0, encoder="linear",
-                       embedding_dim=16, noise=sg.NoiseConfig(sigma=0.0)),
+                       embedding_dim=16, sigma=0.0),
         fc,
     )
     trained = fz.train_factorizer(
@@ -324,7 +324,7 @@ def test_criterion_8_apex_vs_ts():
     model = sg.train_surrogate(
         dataset, library,
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=0, encoder="linear",
-                       embedding_dim=16, noise=sg.NoiseConfig(sigma=0.0)),
+                       embedding_dim=16, sigma=0.0),
         fc,
     )
     trained = fz.train_factorizer(

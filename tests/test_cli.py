@@ -548,6 +548,46 @@ class TestErrors:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "8 wide" in err and "16" in err
 
+    def test_surrogate_input_width_not_feature_width(self, pipeline, capsys):
+        # ended in a matmul traceback: the encoder was built from the meta's dims
+        from apexcsl import blobio
+
+        p = {k: str(v) for k, v in pipeline.items()}
+        meta, arrays = blobio.load_blob(p["surrogate"])
+        fc = meta["feature_config"]
+        bad = p["dir"] + "/surrogate_p_wider.blob"
+        blobio.save_blob(bad, {**meta, "feature_config": {**fc, "p": fc["p"] + 32}}, arrays)
+        assert run("train-factorizer", "--library", p["library"], "--surrogate", bad,
+                   "--out", p["dir"] + "/factorizer_p_wider.blob", "--steps", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "meta field 'dims'" in err and "p + q" in err
+
+    def test_factorizer_input_width_not_feature_width(self, pipeline, capsys):
+        # ended in a matmul traceback when precompute encoded the hierarchy
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline["factorizer"])
+        fc = meta["feature_config"]
+        assert run_on_blob(pipeline, "factorizer", "p_wider", {**meta, "feature_config": {**fc, "p": fc["p"] + 32}},
+                           arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "meta field 'feature_dim'" in err
+
+    def test_feature_configs_differ(self, pipeline, capsys):
+        # equal embedding widths, so this wrote a table from mismatched features and exited 0
+        p = {k: str(v) for k, v in pipeline.items()}
+        narrow = p["dir"] + "/surrogate_p32.blob"
+        assert run("train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", narrow,
+                   "--epochs", "1", "--embedding-dim", "16", "--feature-p", "32") == 0
+        capsys.readouterr()
+        assert run("precompute", "--library", p["library"], "--surrogate", narrow, "--factorizer", p["factorizer"],
+                   "--out", p["dir"] + "/table_p32.blob") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "different feature configs" in err
+
     def test_integral_float_k_accepted(self, pipeline):
         q = pipeline["dir"] / "query_k_float.json"
         q.write_text(json.dumps({"objective": {"task": "dock_a"}, "k": 3.0}))

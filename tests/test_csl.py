@@ -401,6 +401,16 @@ class TestCheckLibrary:
         with pytest.raises(csl.LibraryError, match=match):
             csl.deserialize_library(text)
 
+    @pytest.mark.parametrize("token", ["", "a b*", " a*", "a*\n", "a b"])
+    def test_rejects_token_that_is_not_one_field(self, token):
+        # such a library once passed, and its saved file failed to reload ('S 0 a b*': malformed record)
+        lib = csl.CslLibrary(
+            reactions=(csl.ReactionSpec(0, (csl.RgroupSpec(0, (0,)), csl.RgroupSpec(1, (1,)))),),
+            synthons=(csl.SynthonRecord(0, "a*"), csl.SynthonRecord(1, token)),
+        )
+        with pytest.raises(csl.LibraryError, match="synthon 1 token .* is empty or holds whitespace"):
+            csl.check_library(lib)
+
     def test_rejects_duplicate_rgroup_membership(self):
         rg = csl.RgroupSpec(0, (0,))
         lib = csl.CslLibrary(

@@ -774,8 +774,11 @@ class TestNonFiniteTables:
 
     def test_precompute_rejects(self, exact_setup):
         library, _, table = exact_setup
-        cache = SimpleNamespace(u=np.ones((table.n_pairs, 2)), layout=library.layout, fingerprint=table.fingerprint)
-        surrogate = SimpleNamespace(head_w=np.array([[1.0, np.nan]]), head_b=np.zeros(1), task_names=["obj"])
+        fc = props.FeatureConfig()
+        cache = SimpleNamespace(u=np.ones((table.n_pairs, 2)), layout=library.layout, fingerprint=table.fingerprint,
+                                feature_config=fc)
+        surrogate = SimpleNamespace(head_w=np.array([[1.0, np.nan]]), head_b=np.zeros(1), task_names=["obj"],
+                                    feature_config=fc)
         with pytest.raises(engine.EngineError, match="non-finite"):
             engine.precompute_contributions(cache, surrogate)
 

@@ -96,14 +96,6 @@ class TestTraining:
         b = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         np.testing.assert_array_equal(a.buffer.flat, b.buffer.flat)
 
-    def test_per_reaction_sampling_deterministic(self, small_library, tiny_surrogate):
-        cfg = _fast_train_config(sampling="per_reaction")
-        a = fz.train_factorizer(small_library, tiny_surrogate, cfg)
-        b = fz.train_factorizer(small_library, tiny_surrogate, cfg)
-        np.testing.assert_array_equal(a.buffer.flat, b.buffer.flat)
-        with pytest.raises(ValueError, match="sampling"):
-            fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config(sampling="stratified"))
-
     def test_loss_decreases(self, small_library, tiny_surrogate):
         gap0 = fz.factorization_gap(
             fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config(steps=1)),
@@ -174,7 +166,7 @@ class TestTraining:
         ds = props.label_library(oracle, small_library, ["a"])
         scfg = surrogate.TrainConfig(
             epochs=60, batch_size=64, lr=3e-2, seed=0, encoder="linear",
-            embedding_dim=16, noise=surrogate.NoiseConfig(sigma=0.0),
+            embedding_dim=16, sigma=0.0,
         )
         model = surrogate.train_surrogate(ds, small_library, scfg, fc)
         fcfg = fz.FactorizerTrainConfig(
@@ -240,7 +232,7 @@ class TestCheckpoint:
         cache = fz.encode_hierarchy(f, small_library)
         path = tmp_path / "cache.blob"
         fz.save_cache(cache, path)
-        loaded = fz.load_cache(path, small_library, f.dims)
+        loaded = fz.load_cache(path, small_library, f)
         np.testing.assert_array_equal(loaded.u, cache.u)
         assert loaded.fingerprint == cache.fingerprint
         assert loaded.layout is small_library.layout
@@ -257,7 +249,7 @@ class TestCheckpoint:
         fz.save_cache(fz.encode_hierarchy(f, small_library), path)
         if change == "other_library":
             with pytest.raises(fz.FactorizerError, match="fingerprint"):
-                fz.load_cache(path, medium_library, f.dims)
+                fz.load_cache(path, medium_library, f)
             return
         meta, arrays = load_blob(path)
         if change == "member_ids_permuted":
@@ -268,7 +260,7 @@ class TestCheckpoint:
             arrays["rg_offsets"][1] += 1
         save_blob(path, meta, arrays)
         with pytest.raises(fz.FactorizerError, match="laid out"):
-            fz.load_cache(path, small_library, f.dims)
+            fz.load_cache(path, small_library, f)
 
     def test_cache_of_other_widths_rejected(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -277,7 +269,7 @@ class TestCheckpoint:
         meta, arrays = load_blob(path)
         save_blob(path, meta, {**arrays, "u": arrays["u"][:, :3]})
         with pytest.raises(fz.FactorizerError, match="'u' is float64 \\[\\d+, 3\\]"):
-            fz.load_cache(path, small_library, f.dims)
+            fz.load_cache(path, small_library, f)
 
     def test_cache_version_checked(self, small_library, tiny_surrogate, tmp_path):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -286,7 +278,7 @@ class TestCheckpoint:
         meta, arrays = load_blob(path)
         save_blob(path, {**meta, "version": 2}, arrays)
         with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
-            fz.load_cache(path, small_library, f.dims)
+            fz.load_cache(path, small_library, f)
 
     @pytest.mark.parametrize("field", ["fingerprint", "synthon_encoder_evals"])
     @pytest.mark.parametrize("change", ["missing", "wrong_type"])
@@ -301,7 +293,7 @@ class TestCheckpoint:
             meta[field] = [None]
         save_blob(path, meta, arrays)
         with pytest.raises(fz.FactorizerError, match=f"meta field '{field}'"):
-            fz.load_cache(path, small_library, f.dims)
+            fz.load_cache(path, small_library, f)
 
     @pytest.mark.parametrize("width", ["d_s", "d_r", "d_t", "d_u", "d"])
     def test_zero_width_rejected(self, width):
