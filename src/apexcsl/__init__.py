@@ -11,13 +11,12 @@ from .csl import (
     decode_index,
     downsample,
     encode_index,
-    enumerate_products,
     generate_synthetic,
     product_count,
 )
 from .engine import Constraint, ContributionTable, QuerySpec, TopKResult
 from .props import FeatureConfig, GroundTruthOracle, LabeledDataset
 from .surrogate import SurrogateModel
-from .factorizer import Factorizer, HierarchyCache
+from .factorizer import Factorizer, HierarchyCache, load_cache
 
 __version__ = "0.1.0"

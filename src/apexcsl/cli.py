@@ -26,7 +26,7 @@ def parse_query_file(path, table: engine.ContributionTable):
     """Read a declarative query config; preset names expand to their bound lists.
 
     Returns (QuerySpec, variant, chunk_size). Unknown task names are rejected
-    here against the table header.
+    here against the table header, and unknown keys at every level.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -45,9 +45,17 @@ def parse_query_file(path, table: engine.ContributionTable):
             raise CliError(f"{path}: {key} must be {what}, got {value!r}")
         return kind(value)
 
+    def known_keys(item: dict, allowed: tuple[str, ...], what: str) -> None:
+        """Reject keys outside `allowed`: a misspelled key would otherwise drop its setting silently."""
+        unknown = sorted(set(item) - set(allowed))
+        if unknown:
+            raise CliError(f"{path}: {what} has unknown keys {unknown} (allowed: {', '.join(allowed)})")
+
+    known_keys(doc, ("objective", "constraints", "k", "variant", "chunk_size"), "the query")
     obj = doc.get("objective")
     if not isinstance(obj, dict) or "task" not in obj:
         raise CliError(f"{path}: query file needs an objective.task")
+    known_keys(obj, ("task", "direction"), "the objective")
     items = doc.get("constraints", [])
     if not isinstance(items, list):
         raise CliError(f"{path}: constraints must be a JSON list")
@@ -56,6 +64,7 @@ def parse_query_file(path, table: engine.ContributionTable):
         if not isinstance(item, dict):
             raise CliError(f"{path}: each constraint must be a JSON object, got {item!r}")
         if "preset" in item:
+            known_keys(item, ("preset",), "a preset constraint")
             name = item["preset"]
             if not isinstance(name, str) or name not in PRESET_CONSTRAINTS:
                 raise CliError(f"{path}: unknown preset {name!r} (have {sorted(PRESET_CONSTRAINTS)})")
@@ -63,6 +72,7 @@ def parse_query_file(path, table: engine.ContributionTable):
         elif "task" not in item:
             raise CliError(f"{path}: constraint {item!r} needs a task or a preset")
         else:
+            known_keys(item, ("task", "lower", "upper"), "a task constraint")
             constraints.append(
                 engine.Constraint(
                     task=item["task"],

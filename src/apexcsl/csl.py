@@ -24,7 +24,6 @@ import numpy as np
 MAX_COUNT = 2**64 - 1
 
 LIBRARY_FORMAT_VERSION = "cslv1"
-ENUMERATE_CHUNK = 1 << 14
 
 
 class LibraryError(ValueError):
@@ -132,6 +131,8 @@ class CslLibrary:
     reactions: tuple[ReactionSpec, ...]
     synthons: tuple[SynthonRecord, ...]
     text_sha256: str | None = field(default=None, compare=False, repr=False)
+    # per FeatureConfig, the synthon features and their norms (`props.synthon_features_of`)
+    synthon_feature_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _reaction_offsets(self) -> tuple[int, ...]:
@@ -303,18 +304,6 @@ def gather_sum(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def enumerate_products(library: CslLibrary, start: int, end: int) -> Iterator[MultiIndex]:
-    """Yield decode_index(g) for g in [start, end), ascending, a chunk of indices at a time."""
-    total = library._reaction_offsets[-1]
-    if not 0 <= start <= end <= total:
-        raise LibraryError(f"range [{start}, {end}) invalid for product count {total}")
-    for lo in range(start, end, ENUMERATE_CHUNK):
-        pos, digits = decode_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
-        for t, sids in zip(pos.tolist(), synthon_ids(library, pos, digits).tolist()):
-            rx = library.reactions[t]
-            yield MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
-
-
 def reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, assemble: bool):
     """The reaction id, comma-joined synthon ids and, with `assemble`, assembled token of every
     decoded product, as strings, built a reaction at a time: columns of hit and label files."""
@@ -336,27 +325,15 @@ def reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, a
     return reaction_id.tolist(), joined_ids.tolist(), assembled.tolist() if assemble else None
 
 
-def assemble(library: CslLibrary, chi: MultiIndex) -> str:
-    """Canonical product token string.
-
-    Attachment markers are resolved positionally by dropping the '*' markers at
-    join time; fragments are joined in sorted order so any two assignments with
-    the same synthon multiset under the same reaction assemble identically.
-    """
-    fragments = sorted(_fragment(library.synthons[s].token) for _, s in chi.assignment)
-    return f"t{chi.reaction_id}|" + ".".join(fragments)
-
-
 def _fragment(token: str) -> str:
     return token.replace("*", "")
 
 
 def assemble_rows(library: CslLibrary, reaction_pos: int, digits: np.ndarray) -> list[str]:
-    """assemble() for every row of one reaction's digit matrix (rows x R-groups).
-
-    Sorting the fragments' ranks sorts the fragments, because the ranks follow
-    the sorted order of the distinct fragments.
-    """
+    """Each row's product token, for one reaction's digit matrix (rows x R-groups):
+    `t<reaction id>|` and the fragments (tokens without '*' markers), sorted and
+    joined by '.'. Sorting the fragments' ranks sorts the fragments, because the
+    ranks follow the sorted order of the distinct fragments."""
     ordered, ranks = library._fragment_ranks
     rx = library.reactions[reaction_pos]
     layout = library.layout

@@ -38,8 +38,8 @@ among its ties, then the lowest global indices), and sorts only the survivors,
 once, to hand them over in key order. The result is columnar: predicted
 violators are dropped with a mask, every hit is decoded in one pass
 (`csl.decode_indices`), and each constraint's value is gathered from the table
-by pair row and summed as `apex_score` sums it. `save_result` writes the hit
-file column by column, a chunk of rows at a time.
+by pair row and summed from 0.0, R-groups in declaration order, then the bias.
+`save_result` writes the hit file column by column, a chunk of rows at a time.
 
 Reproducibility contract: contributions are stored as 4-byte floats and
 accumulated in 8-byte floats in R-group declaration order, and ties are broken
@@ -57,7 +57,6 @@ import numpy as np
 from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import (
     CslLibrary,
-    MultiIndex,
     decode_indices,
     fingerprint_matches,
     gather_sum,
@@ -146,16 +145,6 @@ def precompute_contributions(cache: HierarchyCache, surrogate: SurrogateModel) -
         rg_ids=cache.layout.rg_ids,
         fingerprint=cache.fingerprint,
     )
-
-
-def apex_score(table: ContributionTable, library: CslLibrary, chi: MultiIndex, task: str) -> float:
-    """Sum of the assignment's contributions plus the task bias (c adds for c
-    components); the table's pair rows are the library's (`check_library`)."""
-    i = table.task_index(task)
-    acc = 0.0
-    for rgroup_id, synthon_id in chi.assignment:
-        acc += float(table.values[i, library.layout.pair_row(rgroup_id, synthon_id)])
-    return acc + float(table.biases[i])
 
 
 @dataclass(frozen=True)
@@ -403,8 +392,8 @@ def _constraint_values(
     pos: np.ndarray,
     digits: np.ndarray,
 ) -> np.ndarray:
-    """Each constraint's value at every decoded hit, summed as `apex_score`
-    sums it: from 0.0, R-groups in declaration order, then the bias."""
+    """Each constraint's value at every decoded hit: the hit's contributions
+    summed from 0.0, R-groups in declaration order, then the task bias."""
     tasks = [table.task_index(con.task) for con in query.constraints]
     return gather_sum(table.values[tasks].T, pair_rows(library, pos, digits)).T + table.biases[tasks, None]
 

@@ -158,7 +158,7 @@ def thompson_sampling(
     objective: str,
     direction: str,
     config: TsConfig,
-    reaction_id: int | None = None,
+    reaction_id: int,
 ) -> TsResult:
     """Gaussian-arm Thompson sampling over one reaction's synthons.
 
@@ -170,10 +170,6 @@ def thompson_sampling(
     argmax of posterior samples. Total evaluations are exactly
     |S_reaction| * warmup + iterations.
     """
-    if reaction_id is None:
-        if len(library.reactions) != 1:
-            raise EvalError("thompson_sampling needs a single reaction (or an explicit reaction_id)")
-        reaction_id = 0
     rx = library.reaction(reaction_id)
     rng = np.random.default_rng(config.seed)
     sign = 1.0 if direction == "maximize" else -1.0
@@ -257,6 +253,10 @@ def compare_apex_vs_ts(
         end = start + library.reaction_size(t)
         w = default_warmup(len(rx.rgroups))
         n_syn = reaction_synthon_count(library, t)
+        # the oracle order is total, so every top-j is a prefix of the largest one
+        j_max = max(j_values)
+        truth_max = oracle_topk(library, oracle, QuerySpec(objective=objective, direction=direction, k=j_max),
+                                j_max, index_range=(start, end))
         for iters in budgets:
             total_evals = n_syn * w + iters
             query = QuerySpec(objective=objective, direction=direction, k=total_evals)
@@ -271,11 +271,7 @@ def compare_apex_vs_ts(
                 for seed in seeds
             ]
             for j in j_values:
-                truth = oracle_topk(
-                    library, oracle, QuerySpec(objective=objective, direction=direction, k=j),
-                    j, index_range=(start, end),
-                )
-                truth_idx = truth.global_indices()
+                truth_idx = truth_max.top(j).global_indices()
                 if not truth_idx:
                     continue
                 apex_recall = len(truth_idx & apex_idx) / len(truth_idx)

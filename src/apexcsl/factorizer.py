@@ -20,8 +20,7 @@ from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import (CslLibrary, PairLayout, decode_indices, fingerprint_matches, gather_sum, library_fingerprint, pair_rows,
                   product_count, synthon_ids)
 from .nn import MLP, Adam, ParamBuffer
-from .props import (FEATURE_CONFIG_SPEC, FeatureConfig, library_synthon_features, product_feature_matrix,
-                    synthon_norms)
+from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
 
 
@@ -72,26 +71,6 @@ class DeepSet:
         return phi_grads + rho_grads, din
 
 
-@dataclass
-class LibraryContext:
-    """A library's synthon features and pair-row layout, shared by forward and backward."""
-
-    features: np.ndarray          # (|S|, p) hashed synthon features
-    norms: np.ndarray             # (|S|,) their norms, as product features rank them
-    layout: PairLayout
-    fingerprint: str
-
-
-def build_context(library: CslLibrary, feature_config: FeatureConfig) -> LibraryContext:
-    features = library_synthon_features(library, feature_config)
-    return LibraryContext(
-        features=features,
-        norms=synthon_norms(features),
-        layout=library.layout,
-        fingerprint=library_fingerprint(library),
-    )
-
-
 class Factorizer:
     def __init__(
         self,
@@ -129,10 +108,10 @@ class Factorizer:
     def params(self) -> list[np.ndarray]:
         return self.buffer.params
 
-    def forward_cache(self, ctx: LibraryContext):
+    def forward_cache(self, library: CslLibrary):
         """Full-hierarchy forward; returns the pair-row matrix u and all caches."""
-        layout = ctx.layout
-        h_s, c_syn = self.synthon_encoder.forward_cache(ctx.features)
+        layout = library.layout
+        h_s, c_syn = self.synthon_encoder.forward_cache(synthon_features_of(library, self.feature_config)[0])
         h_r, c_rg = self.rgroup_encoder.forward_cache(h_s[layout.member_ids], layout.rg_offsets)
         h_t, c_rx = self.reaction_encoder.forward_cache(h_r, layout.rx_offsets)
         v, c_val = self.value_encoder.forward_cache(h_s)
@@ -146,11 +125,11 @@ class Factorizer:
         cache = (h_s, h_r, h_t, v, K, c_syn, c_rg, c_rx, c_val, c_key)
         return u, cache
 
-    def backward(self, ctx: LibraryContext, cache, du: np.ndarray) -> list[np.ndarray]:
+    def backward(self, library: CslLibrary, cache, du: np.ndarray) -> list[np.ndarray]:
         """Gradients of a scalar loss given its cotangent on the pair rows u,
         written to `self.buffer.grad`; returns its per-parameter views."""
         h_s, h_r, h_t, v, K, c_syn, c_rg, c_rx, c_val, c_key = cache
-        layout = ctx.layout
+        layout = library.layout
         n_rg = len(h_r)
         dK = np.zeros_like(K)
         dv = np.zeros_like(v)
@@ -191,16 +170,15 @@ class HierarchyCache:
 
 def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCache:
     """One synthon-encoder pass per synthon, then R-group, reaction, and pair stages."""
-    ctx = build_context(library, factorizer.feature_config)
-    u, cache = factorizer.forward_cache(ctx)
+    u, cache = factorizer.forward_cache(library)
     h_s, h_r, h_t = cache[0], cache[1], cache[2]
     return HierarchyCache(
         h_s=h_s,
         h_r=h_r,
         h_t=h_t,
         u=u,
-        layout=ctx.layout,
-        fingerprint=ctx.fingerprint,
+        layout=library.layout,
+        fingerprint=library_fingerprint(library),
         synthon_encoder_evals=len(library.synthons),
         feature_config=factorizer.feature_config,
     )
@@ -229,7 +207,7 @@ def _sample_chis(library: CslLibrary, n: int, rng: np.random.Generator) -> tuple
 
 def reconstruction_loss_and_grads(
     factorizer: Factorizer,
-    ctx: LibraryContext,
+    library: CslLibrary,
     rows: np.ndarray,
     targets: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
@@ -238,7 +216,7 @@ def reconstruction_loss_and_grads(
     `rows` holds each product's pair rows, one column per R-group position and
     -1 past its reaction's R-groups, as `csl.pair_rows` gives them.
     """
-    u, cache = factorizer.forward_cache(ctx)
+    u, cache = factorizer.forward_cache(library)
     pred = gather_sum(u, rows)
     resid = pred - targets
     n = len(rows)
@@ -248,7 +226,7 @@ def reconstruction_loss_and_grads(
     du = np.zeros_like(u)
     # product-major, R-groups in order: a pair row's terms add up product by product
     np.add.at(du, rows[present], (2.0 / n) * resid[flat_chi])
-    grads = factorizer.backward(ctx, cache, du)
+    grads = factorizer.backward(library, cache, du)
     return loss, grads
 
 
@@ -265,7 +243,6 @@ def train_factorizer(
     if dims.d != surrogate.d:
         dims = FactorizerDims(dims.d_s, dims.d_r, dims.d_t, dims.d_u, surrogate.d)
     factorizer = Factorizer(fc.p, dims, rng, mode=config.mode, feature_config=fc)
-    ctx = build_context(library, fc)
     buf = factorizer.buffer
     opt = Adam(buf.flat.size, lr=config.lr)
 
@@ -273,8 +250,8 @@ def train_factorizer(
         opt.lr = config.lr * (config.lr_decay ** (step / max(1, config.steps)))
         pos, digits = _sample_chis(library, config.batch_size, rng)
         sids = synthon_ids(library, pos, digits)
-        targets = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
-        loss, _ = reconstruction_loss_and_grads(factorizer, ctx, pair_rows(library, pos, digits), targets)
+        targets = surrogate.encoder.forward(product_feature_matrix(library, sids, fc))
+        loss, _ = reconstruction_loss_and_grads(factorizer, library, pair_rows(library, pos, digits), targets)
         if not np.isfinite(loss):
             raise FactorizerError(f"non-finite reconstruction loss at step {step}: {loss}")
         opt.step(buf.flat, buf.grad)
@@ -299,10 +276,9 @@ def factorization_gap(
         raise FactorizerError("factorizer and surrogate use different feature configs")
     rng = np.random.default_rng(seed)
     pos, digits = _sample_chis(library, sample_size, rng)
-    ctx = build_context(library, fc)
-    u, _ = factorizer.forward_cache(ctx)
+    u, _ = factorizer.forward_cache(library)
     sids = synthon_ids(library, pos, digits)
-    target = surrogate.encoder.forward(product_feature_matrix(library, sids, fc, ctx.features, ctx.norms))
+    target = surrogate.encoder.forward(product_feature_matrix(library, sids, fc))
     recon = gather_sum(u, pair_rows(library, pos, digits))
     dist = np.linalg.norm(target - recon, axis=1)
     emb_rms = float(np.sqrt(np.mean(target * target)))

@@ -120,7 +120,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, size: int, lr: float = 1e-3):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros(size)

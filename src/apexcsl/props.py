@@ -76,57 +76,29 @@ def library_synthon_features(library: CslLibrary, config: FeatureConfig = Featur
     return np.stack([synthon_features(s.token, config) for s in library.synthons])
 
 
-def product_features(
-    library: CslLibrary,
-    chi: MultiIndex,
-    config: FeatureConfig = FeatureConfig(),
-    synthon_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Summed synthon features plus q cross terms, total dimension p + q.
-
-    The cross terms are fixed random projections of the elementwise product of
-    the two largest-norm constituent synthon vectors (ties broken by position;
-    a single-component assignment crosses its vector with itself).
-    """
-    if synthon_matrix is None:
-        synthon_matrix = library_synthon_features(library, config)
-    vecs = [synthon_matrix[s] for _, s in chi.assignment]
-    summed = np.zeros(config.p)
-    for v in vecs:
-        summed = summed + v
-    norms = [float(np.linalg.norm(v)) for v in vecs]
-    order = sorted(range(len(vecs)), key=lambda i: (-norms[i], i))
-    a = vecs[order[0]]
-    b = vecs[order[1]] if len(vecs) > 1 else a
-    cross = _cross_projection(config.p, config.q, config.seed) @ (a * b)
-    return np.concatenate([summed, cross])
+def synthon_features_of(library: CslLibrary, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The library's synthon features and each one's norm, read-only; built on
+    first use per config and kept on the library."""
+    memo = library.synthon_feature_memo
+    if config not in memo:
+        features = library_synthon_features(library, config)
+        norms = np.asarray([float(np.linalg.norm(v)) for v in features])  # a batched norm rounds differently
+        features.flags.writeable = norms.flags.writeable = False
+        memo[config] = features, norms
+    return memo[config]
 
 
-def synthon_norms(synthon_matrix: np.ndarray) -> np.ndarray:
-    """Each synthon vector's norm, computed as `product_features` computes it."""
-    return np.asarray([float(np.linalg.norm(v)) for v in synthon_matrix])
-
-
-def product_feature_matrix(
-    library: CslLibrary,
-    sids: np.ndarray,
-    config: FeatureConfig = FeatureConfig(),
-    synthon_matrix: np.ndarray | None = None,
-    norms: np.ndarray | None = None,
-) -> np.ndarray:
-    """`product_features` of every row of an (n, width) synthon-id matrix, in one pass.
+def product_feature_matrix(library: CslLibrary, sids: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Product features of every row of an (n, width) synthon-id matrix, in one pass.
 
     Row i lists product i's synthons in R-group order, then -1 past its
     reaction's R-groups (`csl.synthon_ids` gives this layout), so 2- and
-    3-component products mix. Bit-identical to stacking `product_features`:
-    the sum adds the columns to zeros in R-group order, the top-2 pick sorts
-    per-synthon norms stably by position, and the cross term is one
-    matrix-vector product per row.
+    3-component products mix. Its features are its synthon vectors summed from
+    zeros in R-group order, then q cross terms: a fixed projection of the
+    product of its two largest-norm synthon vectors (ties by position; one
+    synthon crosses with itself), one matrix-vector product per row.
     """
-    if synthon_matrix is None:
-        synthon_matrix = library_synthon_features(library, config)
-    if norms is None:
-        norms = synthon_norms(synthon_matrix)
+    synthon_matrix, norms = synthon_features_of(library, config)
     sids = np.asarray(sids, dtype=np.int64)
     present = sids >= 0
     n = len(sids)
@@ -138,8 +110,8 @@ def product_feature_matrix(
     a = sids[rows, order[:, 0]]
     b = np.where(present.sum(axis=1) > 1, sids[rows, order[:, min(1, sids.shape[1] - 1)]], a)
     ab = synthon_matrix[a] * synthon_matrix[b]
-    # np.matmul over the stack is one gemv per row, as in `product_features`;
-    # a single `ab @ P.T` gemm rounds differently
+    # np.matmul over the stack is one gemv per row; a single `ab @ P.T` gemm
+    # rounds differently
     P = _cross_projection(config.p, config.q, config.seed)
     out[:, config.p :] = np.matmul(P, ab[:, :, None])[:, :, 0]
     return out

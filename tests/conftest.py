@@ -74,6 +74,67 @@ def perfect_additive_table(oracle, library, task_names):
     return table_from_values(library, task_names, values, np.zeros(len(task_names)))
 
 
+# ---------------------------------------------------------------------------
+# per-product definitions: the references that the batch code is tested against
+# ---------------------------------------------------------------------------
+
+ENUMERATE_CHUNK = 1 << 14
+
+
+def enumerate_products(library, start, end):
+    """Yield decode_index(g) for g in [start, end), ascending, a chunk of indices at a time."""
+    total = csl.product_count(library)
+    if not 0 <= start <= end <= total:
+        raise csl.LibraryError(f"range [{start}, {end}) invalid for product count {total}")
+    for lo in range(start, end, ENUMERATE_CHUNK):
+        pos, digits = csl.decode_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
+        for t, sids in zip(pos.tolist(), csl.synthon_ids(library, pos, digits).tolist()):
+            rx = library.reactions[t]
+            yield csl.MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
+
+
+def product_features(library, chi, config=props.FeatureConfig(), synthon_matrix=None):
+    """Summed synthon features plus q cross terms, total dimension p + q.
+
+    The cross terms are fixed random projections of the elementwise product of
+    the two largest-norm constituent synthon vectors (ties broken by position;
+    a single-component assignment crosses its vector with itself).
+    """
+    if synthon_matrix is None:
+        synthon_matrix = props.library_synthon_features(library, config)
+    vecs = [synthon_matrix[s] for _, s in chi.assignment]
+    summed = np.zeros(config.p)
+    for v in vecs:
+        summed = summed + v
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    order = sorted(range(len(vecs)), key=lambda i: (-norms[i], i))
+    a = vecs[order[0]]
+    b = vecs[order[1]] if len(vecs) > 1 else a
+    cross = props._cross_projection(config.p, config.q, config.seed) @ (a * b)
+    return np.concatenate([summed, cross])
+
+
+def apex_score(table, library, chi, task):
+    """Sum of the assignment's contributions plus the task bias (c adds for c
+    components); the table's pair rows are the library's."""
+    i = table.task_index(task)
+    acc = 0.0
+    for rgroup_id, synthon_id in chi.assignment:
+        acc += float(table.values[i, library.layout.pair_row(rgroup_id, synthon_id)])
+    return acc + float(table.biases[i])
+
+
+def assemble(library, chi):
+    """Canonical product token string.
+
+    Attachment markers are resolved positionally by dropping the '*' markers at
+    join time; fragments are joined in sorted order so any two assignments with
+    the same synthon multiset under the same reaction assemble identically.
+    """
+    fragments = sorted(library.synthons[s].token.replace("*", "") for _, s in chi.assignment)
+    return f"t{chi.reaction_id}|" + ".".join(fragments)
+
+
 @st.composite
 def mixed_libraries(draw):
     """Small 2- and 3-component libraries; short tokens over a 2-3 letter

@@ -240,16 +240,15 @@ def test_criterion_5_gradient_checks(small_library):
         feature_config.p, fz.FactorizerDims(d_s=8, d_r=8, d_t=8, d_u=4, d=6), rng,
         mode="mlp", feature_config=feature_config,
     )
-    ctx = fz.build_context(small_library, feature_config)
     rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [1, 44, 77, 120, 149]))
     targets = rng.standard_normal((5, 6))
-    fz.reconstruction_loss_and_grads(factor, ctx, rows, targets)
+    fz.reconstruction_loss_and_grads(factor, small_library, rows, targets)
     f_analytic = factor.buffer.grad.copy()
     f_flat = factor.buffer.flat.copy()
 
     def f_loss(flat):
         factor.buffer.flat[...] = flat
-        l, _ = fz.reconstruction_loss_and_grads(factor, ctx, rows, targets)
+        l, _ = fz.reconstruction_loss_and_grads(factor, small_library, rows, targets)
         return l
 
     f_worst = check(f_flat, f_analytic, f_loss, 1000)

@@ -248,12 +248,17 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": false}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"preset": []}]}',
         '{"objective": {"task": "dock_a"}, "chunk_size": 0}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "max": -5}]}',
+        '{"objective": {"task": "dock_a"}, "constraint": [{"task": "mw", "upper": -5}]}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"preset": "lipinski", "upper": -5}]}',
+        '{"objective": {"task": "dock_a", "sense": "minimize"}}',
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
         "lower_not_number", "upper_not_number", "chunk_size_not_number",
         "k_fraction", "k_bool", "k_string", "chunk_size_string", "chunk_size_fraction",
         "upper_bool", "preset_list", "chunk_size_zero",
+        "constraint_unknown_key", "top_level_unknown_key", "preset_with_bound", "objective_unknown_key",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"

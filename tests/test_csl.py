@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apexcsl import csl
-from conftest import mixed_libraries, pair_count, table_from_values
+from conftest import assemble, enumerate_products, mixed_libraries, pair_count, table_from_values
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,29 +191,29 @@ class TestPairRows:
 class TestEnumerate:
     def test_full_enumeration_distinct(self, small_library):
         total = csl.product_count(small_library)
-        seen = list(csl.enumerate_products(small_library, 0, total))
+        seen = list(enumerate_products(small_library, 0, total))
         assert len(seen) == total
         assert len(set(seen)) == total
 
     def test_empty_range(self, small_library):
-        assert list(csl.enumerate_products(small_library, 4, 4)) == []
+        assert list(enumerate_products(small_library, 4, 4)) == []
 
     def test_adjacent_ranges_concatenate(self, medium_library):
         total = csl.product_count(medium_library)
         mid = total // 3
-        joined = list(csl.enumerate_products(medium_library, 0, mid)) + list(
-            csl.enumerate_products(medium_library, mid, total)
+        joined = list(enumerate_products(medium_library, 0, mid)) + list(
+            enumerate_products(medium_library, mid, total)
         )
-        assert joined == list(csl.enumerate_products(medium_library, 0, total))
+        assert joined == list(enumerate_products(medium_library, 0, total))
 
     def test_matches_decode(self, medium_library):
         start, end = 100, 400
         expected = [csl.decode_index(medium_library, g) for g in range(start, end)]
-        assert list(csl.enumerate_products(medium_library, start, end)) == expected
+        assert list(enumerate_products(medium_library, start, end)) == expected
 
     def test_bad_range(self, small_library):
         with pytest.raises(csl.LibraryError):
-            list(csl.enumerate_products(small_library, 5, 4))
+            list(enumerate_products(small_library, 5, 4))
 
 
 class TestAssemble:
@@ -226,11 +226,11 @@ class TestAssemble:
             synthons=synthons,
         )
         chi = csl.decode_index(lib, 0)
-        assert csl.assemble(lib, chi) == "t0|abc.de"
+        assert assemble(lib, chi) == "t0|abc.de"
 
     def test_deterministic(self, small_library):
         chi = csl.decode_index(small_library, 3)
-        assert csl.assemble(small_library, chi) == csl.assemble(small_library, chi)
+        assert assemble(small_library, chi) == assemble(small_library, chi)
 
     def test_same_multiset_same_string(self):
         synthons = (csl.SynthonRecord(0, "aa*"), csl.SynthonRecord(1, "bb*"))
@@ -242,7 +242,7 @@ class TestAssemble:
         )
         chi_ab = csl.MultiIndex(0, ((0, 0), (1, 1)))
         chi_ba = csl.MultiIndex(0, ((0, 1), (1, 0)))
-        assert csl.assemble(lib, chi_ab) == csl.assemble(lib, chi_ba)
+        assert assemble(lib, chi_ab) == assemble(lib, chi_ba)
 
     def test_distinct_within_reaction(self):
         lib = csl.generate_synthetic(
@@ -252,7 +252,7 @@ class TestAssemble:
         total = csl.product_count(lib)
         tokens = [s.token for s in lib.synthons]
         assert len(set(tokens)) == len(tokens)  # precondition: all tokens distinct
-        strings = [csl.assemble(lib, chi) for chi in csl.enumerate_products(lib, 0, total)]
+        strings = [assemble(lib, chi) for chi in enumerate_products(lib, 0, total)]
         assert len(set(strings)) == total
 
 
@@ -445,7 +445,7 @@ def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token
         gidx = np.arange(start, start + lib.reaction_size(t))
         _, digits = csl.decode_indices(lib, gidx)
         n = len(lib.reactions[t].rgroups)
-        expected = [csl.assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
+        expected = [assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
         assert csl.assemble_rows(lib, t, digits[:, :n]) == expected
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
-from conftest import f32_round_latents, mixed_libraries, pair_count, perfect_additive_table, table_from_values
+from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, pair_count,
+                      perfect_additive_table, table_from_values)
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +25,10 @@ def exact_setup(small_library):
 def brute_force_topk(library, table, query):
     rows = []
     total = csl.product_count(library)
-    for g, chi in enumerate(csl.enumerate_products(library, 0, total)):
-        obj = engine.apex_score(table, library, chi, query.objective)
+    for g, chi in enumerate(enumerate_products(library, 0, total)):
+        obj = apex_score(table, library, chi, query.objective)
         s = obj if query.direction == "maximize" else -obj
-        cons = [engine.apex_score(table, library, chi, c.task) for c in query.constraints]
+        cons = [apex_score(table, library, chi, c.task) for c in query.constraints]
         c = float(engine.violation(cons, query.constraints))
         rows.append((c, s, g))
     rows.sort(key=lambda e: (-e[0], -e[1], e[2]))
@@ -47,14 +48,14 @@ class TestApexScore:
         for g in range(0, csl.product_count(library), 3):
             chi = csl.decode_index(library, g)
             for task in ("obj", "c1"):
-                assert engine.apex_score(table, library, chi, task) == props.ground_truth(
+                assert apex_score(table, library, chi, task) == props.ground_truth(
                     oracle, library, chi, task
                 )
 
     def test_unknown_task(self, exact_setup):
         library, _, table = exact_setup
         with pytest.raises(engine.EngineError, match="unknown task"):
-            engine.apex_score(table, library, csl.decode_index(library, 0), "nope")
+            apex_score(table, library, csl.decode_index(library, 0), "nope")
 
     def test_fingerprint_mismatch(self, exact_setup, medium_library):
         _, _, table = exact_setup
@@ -171,7 +172,7 @@ class TestSearchAgreement:
         rows = []
         for g in range(lo, hi):
             chi = csl.decode_index(library, g)
-            rows.append((engine.apex_score(table, library, chi, "obj"), -g))
+            rows.append((apex_score(table, library, chi, "obj"), -g))
         rows.sort(reverse=True)
         assert [-g for _, g in rows[:5]] == got.global_index.tolist()
         assert got.scanned == hi - lo
@@ -678,14 +679,14 @@ class TestPartitionBuffer:
         assert got.violation.tobytes() == c[feasible].tobytes()
 
 
-def reference_save_result(keys, query, path, library, table, assemble):
+def reference_save_result(keys, query, path, library, table, with_assembled):
     """The per-hit writer that the columnar save_result replaced: decode_index,
     apex_score and assemble once per hit, one f-string per row. `keys` are the
     feasible (violation, signed objective, global index) keys, best first."""
     cols = engine.RESULT_HEADER_PREFIX
     for con in query.constraints:
         cols += f"\t{con.task}"
-    if assemble:
+    if with_assembled:
         cols += "\tassembled"
     with open(path, "w") as fh:
         fh.write(cols + "\n")
@@ -695,9 +696,9 @@ def reference_save_result(keys, query, path, library, table, assemble):
             sids = ",".join(map(str, chi.synthon_ids()))
             row = f"{rank}\t{g}\t{chi.reaction_id}\t{sids}\t{obj!r}\t{c!r}"
             for con in query.constraints:
-                row += f"\t{engine.apex_score(table, library, chi, con.task)!r}"
-            if assemble:
-                row += f"\t{csl.assemble(library, chi)}"
+                row += f"\t{apex_score(table, library, chi, con.task)!r}"
+            if with_assembled:
+                row += f"\t{assemble(library, chi)}"
             fh.write(row + "\n")
 
 

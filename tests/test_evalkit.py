@@ -227,13 +227,6 @@ class TestThompsonSampling:
         assert evalkit.default_warmup(2) == 3
         assert evalkit.default_warmup(3) == 10
 
-    def test_reaction_required_when_ambiguous(self, exact_setup):
-        library, oracle, _ = exact_setup
-        with pytest.raises(evalkit.EvalError, match="reaction"):
-            evalkit.thompson_sampling(
-                library, oracle, "obj", "maximize", evalkit.TsConfig(warmup=1, iterations=1)
-            )
-
     @pytest.mark.parametrize("reaction_id", [-1, 2])
     def test_reaction_id_out_of_range(self, exact_setup, reaction_id):
         # -1 once sampled the last reaction's synthons under the wrong global offset

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from apexcsl import csl, factorizer as fz, props, surrogate
 from apexcsl.blobio import load_blob, save_blob
+from conftest import product_features
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +113,13 @@ class TestTraining:
     def test_mixed_component_batch(self, small_library, tiny_surrogate):
         # one 2-component and one 3-component multi-index in the same batch
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        ctx = fz.build_context(small_library, tiny_surrogate.feature_config)
         pos, digits = csl.decode_indices(small_library, [0, 149])
         assert (digits[0] >= 0).sum() != (digits[1] >= 0).sum()
         sids = csl.synthon_ids(small_library, pos, digits)
         feats = props.product_feature_matrix(small_library, sids, tiny_surrogate.feature_config)
         targets = tiny_surrogate.encoder.forward(feats)
         rows = csl.pair_rows(small_library, pos, digits)
-        loss, grads = fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
+        loss, grads = fz.reconstruction_loss_and_grads(f, small_library, rows, targets)
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -130,7 +132,7 @@ class TestTraining:
         chis = [csl.decode_index(small_library, int(g)) for g in gidx]
         cache = fz.encode_hierarchy(f, small_library)
         target = tiny_surrogate.encoder.forward(
-            np.stack([props.product_features(small_library, chi, fc) for chi in chis])
+            np.stack([product_features(small_library, chi, fc) for chi in chis])
         )
         recon = np.stack([reconstruct(cache, small_library, chi) for chi in chis])
         rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, gidx))
@@ -141,16 +143,18 @@ class TestTraining:
             "p95": float(np.quantile(dist, 0.95)),
             "embedding_rms": float(np.sqrt(np.mean(target * target))),
         }
-        loss, _ = fz.reconstruction_loss_and_grads(f, fz.build_context(small_library, fc), rows, target)
+        loss, _ = fz.reconstruction_loss_and_grads(f, small_library, rows, target)
         assert loss == float(np.sum((recon - target) ** 2)) / len(gidx)
 
     def test_gap_featurizes_synthons_once(self, small_library, tiny_surrogate, monkeypatch):
-        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
+        # training and then the gap on one library build its synthon features once
+        library = dataclasses.replace(small_library)  # no features built yet
         calls = []
-        featurize = fz.library_synthon_features
-        monkeypatch.setattr(fz, "library_synthon_features", lambda *a: calls.append(a) or featurize(*a))
-        fz.factorization_gap(f, tiny_surrogate, small_library, 16, seed=0)
-        assert len(calls) == 1
+        featurize = props.library_synthon_features
+        monkeypatch.setattr(props, "library_synthon_features", lambda *a: calls.append(a) or featurize(*a))
+        f = fz.train_factorizer(library, tiny_surrogate, _fast_train_config())
+        fz.factorization_gap(f, tiny_surrogate, library, 16, seed=0)
+        assert calls == [(library, tiny_surrogate.feature_config)]
 
     def test_gap_rejects_feature_config_mismatch(self, small_library, tiny_surrogate):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -190,17 +194,16 @@ class TestGradients:
             tiny_surrogate.feature_config.p, dims, rng, mode="mlp",
             feature_config=tiny_surrogate.feature_config,
         )
-        ctx = fz.build_context(small_library, tiny_surrogate.feature_config)
         rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [3, 60, 140]))
         targets = rng.standard_normal((3, dims.d))
 
-        fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
+        fz.reconstruction_loss_and_grads(f, small_library, rows, targets)
         flat_grads = f.buffer.grad.copy()
         flat = f.buffer.flat.copy()
 
         def loss_at(x):
             f.buffer.flat[...] = x
-            l, _ = fz.reconstruction_loss_and_grads(f, ctx, rows, targets)
+            l, _ = fz.reconstruction_loss_and_grads(f, small_library, rows, targets)
             return l
 
         h = 1e-6

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, props, surrogate
-from conftest import mixed_libraries
+from conftest import enumerate_products, mixed_libraries, product_features
 
 # few distinct values, signed zeros included: synthon vectors and latents tie
 LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]
@@ -61,13 +61,13 @@ class TestProductFeatures:
     def test_dimension(self, small_library):
         chi = csl.decode_index(small_library, 0)
         cfg = props.FeatureConfig(p=32, q=8)
-        assert props.product_features(small_library, chi, cfg).shape == (40,)
+        assert product_features(small_library, chi, cfg).shape == (40,)
 
     def test_first_p_coords_additive(self, small_library):
         cfg = props.FeatureConfig()
         mat = props.library_synthon_features(small_library, cfg)
         chi = csl.decode_index(small_library, 17)
-        full = props.product_features(small_library, chi, cfg, mat)
+        full = product_features(small_library, chi, cfg, mat)
         manual = np.zeros(cfg.p)
         for _, s in chi.assignment:
             manual += mat[s]
@@ -77,8 +77,8 @@ class TestProductFeatures:
         cfg = props.FeatureConfig()
         chi = csl.decode_index(small_library, 60)  # 3-component reaction
         flipped = csl.MultiIndex(chi.reaction_id, chi.assignment[::-1])
-        a = props.product_features(small_library, chi, cfg)
-        b = props.product_features(small_library, flipped, cfg)
+        a = product_features(small_library, chi, cfg)
+        b = product_features(small_library, flipped, cfg)
         np.testing.assert_allclose(a[: cfg.p], b[: cfg.p], atol=1e-12)
 
     def test_single_component_crosses_with_itself(self):
@@ -90,7 +90,7 @@ class TestProductFeatures:
         chi = csl.MultiIndex(0, ((0, 0),))
         cfg = props.FeatureConfig(p=16, q=4)
         v = props.synthon_features("abc*", cfg)
-        out = props.product_features(lib, chi, cfg)
+        out = product_features(lib, chi, cfg)
         np.testing.assert_allclose(out[:16], v)
         expected = props._cross_projection(16, 4, cfg.seed) @ (v * v)
         np.testing.assert_allclose(out[16:], expected)
@@ -99,7 +99,7 @@ class TestProductFeatures:
 
 
 class TestBatchFeatures:
-    """`product_feature_matrix` against stacked scalar `product_features`."""
+    """`product_feature_matrix` against the stacked per-product reference."""
 
     @given(library=mixed_libraries(), p=st.sampled_from([3, 8, 64]), q=st.sampled_from([0, 1, 16]),
            coarse=st.booleans(), data=st.data())
@@ -116,20 +116,28 @@ class TestBatchFeatures:
         total = csl.product_count(library)
         gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=30))
         sids = csl.synthon_ids(library, *csl.decode_indices(library, gidx))
-        batch = props.product_feature_matrix(library, sids, cfg, mat)
-        expected = [props.product_features(library, csl.decode_index(library, g), cfg, mat) for g in gidx]
+        # the library's synthon features are built once, by library_synthon_features
+        with mock.patch.object(props, "library_synthon_features", return_value=mat):
+            batch = props.product_feature_matrix(library, sids, cfg)
+        expected = [product_features(library, csl.decode_index(library, g), cfg, mat) for g in gidx]
         assert batch.shape == (len(gidx), p + q)
         assert _bits(batch) == _bits(np.reshape(expected, (len(gidx), p + q)))
 
-    def test_default_synthon_matrix(self, small_library):
-        cfg = props.FeatureConfig(p=16, q=4)
-        g = np.arange(csl.product_count(small_library))
-        batch = props.product_feature_matrix(
-            small_library, csl.synthon_ids(small_library, *csl.decode_indices(small_library, g)), cfg
-        )
-        expected = np.stack([props.product_features(small_library, csl.decode_index(small_library, i), cfg)
-                             for i in g.tolist()])
-        assert _bits(batch) == _bits(expected)
+    def test_synthon_features_built_once_per_config(self):
+        library = csl.generate_synthetic(csl.SyntheticConfig(n_reactions=1, synthons_per_rgroup=3), seed=2)
+        cfg, other = props.FeatureConfig(p=8, q=2), props.FeatureConfig(p=8, q=2, seed=1)
+        with mock.patch.object(props, "library_synthon_features", wraps=props.library_synthon_features) as build:
+            features, norms = props.synthon_features_of(library, cfg)
+            again = props.synthon_features_of(library, cfg)
+            assert build.call_count == 1
+            assert again[0] is features and again[1] is norms
+            other_features, _ = props.synthon_features_of(library, other)
+            assert build.call_count == 2
+        assert not features.flags.writeable and not norms.flags.writeable
+        assert _bits(features) == _bits(props.library_synthon_features(library, cfg))
+        assert _bits(norms) == _bits([np.linalg.norm(v) for v in features])
+        assert _bits(other_features) == _bits(props.library_synthon_features(library, other))
+        assert not np.array_equal(other_features, features)
 
 
 class TestGroundTruth:
@@ -185,7 +193,7 @@ class TestGroundTruth:
             scalar = np.asarray(
                 [
                     props.ground_truth(small_oracle, small_library, chi, task)
-                    for chi in csl.enumerate_products(small_library, 0, total)
+                    for chi in enumerate_products(small_library, 0, total)
                 ]
             )
             assert np.array_equal(vec, scalar)
@@ -200,7 +208,7 @@ class TestGroundTruth:
         vec = np.concatenate([props.oracle_block_values(oracle, library, "z", 0, j) for j in range(2)])
         total = csl.product_count(library)
         expected = [props.ground_truth(oracle, library, chi, "z")
-                    for chi in csl.enumerate_products(library, 0, total)]
+                    for chi in enumerate_products(library, 0, total)]
         assert total == 4
         assert _bits(vec) == _bits(expected) == _bits(np.zeros(4))
         assert _bits(vec) == _bits(props.oracle_values(oracle, library, "z", np.arange(total)))
@@ -433,6 +441,6 @@ class TestLabelColumns:
         assert _columns(loaded) == expected
         cfg = props.FeatureConfig(p=8, q=4)
         X, rows = surrogate._build_examples(loaded, library, cfg)
-        expected = [props.product_features(library, csl.decode_index(library, g), cfg)
+        expected = [product_features(library, csl.decode_index(library, g), cfg)
                     for g in ds.global_index.tolist()]
         assert _bits(X[rows]) == _bits(np.reshape(expected, (len(ds), cfg.p + cfg.q)))
