@@ -25,8 +25,8 @@ class CliError(RuntimeError):
 def parse_query_file(path, table: engine.ContributionTable):
     """Read a declarative query config; preset names expand to their bound lists.
 
-    Returns (QuerySpec, variant, chunk_size). Unknown task names are rejected
-    here against the table header, and unknown keys at every level.
+    Returns (QuerySpec, variant). Unknown task names are rejected here against
+    the table header, and unknown keys at every level.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -51,7 +51,7 @@ def parse_query_file(path, table: engine.ContributionTable):
         if unknown:
             raise CliError(f"{path}: {what} has unknown keys {unknown} (allowed: {', '.join(allowed)})")
 
-    known_keys(doc, ("objective", "constraints", "k", "variant", "chunk_size"), "the query")
+    known_keys(doc, ("objective", "constraints", "k", "variant"), "the query")
     obj = doc.get("objective")
     if not isinstance(obj, dict) or "task" not in obj:
         raise CliError(f"{path}: query file needs an objective.task")
@@ -93,10 +93,7 @@ def parse_query_file(path, table: engine.ContributionTable):
     variant = doc.get("variant", "stream")
     if variant not in ("stream", "batched"):
         raise CliError(f"{path}: variant must be stream or batched")
-    chunk_size = number(doc, "chunk_size", int, 1 << 20)
-    if chunk_size < 1:
-        raise CliError(f"{path}: chunk_size must be >= 1, got {chunk_size}")
-    return query, variant, chunk_size
+    return query, variant
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -216,17 +213,11 @@ def cmd_precompute(args) -> int:
 def cmd_search(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
-    query, variant, chunk_size = parse_query_file(args.query, table)
+    query, variant = parse_query_file(args.query, table)
     if args.variant:
         variant = args.variant
-    if args.chunk_size is not None:
-        if args.chunk_size < 1:
-            raise CliError(f"--chunk-size must be >= 1, got {args.chunk_size}")
-        chunk_size = args.chunk_size
-    if variant == "stream":
-        result = engine.search_topk_stream(library, table, query)
-    else:
-        result = engine.search_topk_batched(library, table, query, chunk_size)
+    search = engine.search_topk_stream if variant == "stream" else engine.search_topk_batched
+    result = search(library, table, query)
     engine.save_result(result, query, args.out, library, args.assemble)
     wall = result.timing.get("scan_seconds", 0.0)
     print(
@@ -242,11 +233,9 @@ def cmd_evaluate(args) -> int:
     table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
-    query, variant, chunk_size = parse_query_file(args.query, table)
-    if variant == "stream":
-        retrieved = engine.search_topk_stream(library, table, query)
-    else:
-        retrieved = engine.search_topk_batched(library, table, query, chunk_size)
+    query, variant = parse_query_file(args.query, table)
+    search = engine.search_topk_stream if variant == "stream" else engine.search_topk_batched
+    retrieved = search(library, table, query)
     js = _int_list("--j", args.j)
     if min(js) < 1:
         raise CliError("--j values must be >= 1")
@@ -368,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=["stream", "batched"], default=None)
-    p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--assemble", action="store_true", help="add assembled token strings")
     p.set_defaults(func=cmd_search)
 

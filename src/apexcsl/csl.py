@@ -387,6 +387,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> CslLibrary:
     """Deterministic random library; tokens are random strings with one '*' marker."""
     if config.n_reactions < 1 or config.synthons_per_rgroup < 1:
         raise LibraryError("all synthetic config counts must be >= 1")
+    if not 0.0 <= config.share_rate <= 1.0:
+        raise LibraryError(f"share_rate must be a number in [0, 1], got {config.share_rate}")
     rng = np.random.default_rng(seed)
     alphabet = "abcdefghijklmnopqrstuvwxyz"[: config.alphabet_size]
     synthons: list[SynthonRecord] = []

@@ -3,13 +3,14 @@
 Every task prediction is a bias plus one scalar contribution per (R-group,
 synthon) pair, so scoring a product is a handful of adds. The library is
 scanned in blocks: a block is one (reaction, first-R-group digit) slab of
-contiguous global indices. Two scan variants are provided and are required
-(and tested) to produce identical results.
+contiguous global indices. One loop, `_scan`, walks the blocks; the two scan
+variants differ only in the bounds they give it, and are required (and tested)
+to produce identical results.
 
-`search_topk_batched` scores every block, in chunk order; it is the
-exhaustive reference. `search_topk_stream` scores only the blocks that can
-still contribute, following the threshold algorithm of Fagin, Lotem & Naor
-(PODS 2001):
+`search_topk_batched` gives +inf bounds, so every block is scored, in index
+order; it is the exhaustive reference. `search_topk_stream` scores only the
+blocks that can still contribute, following the threshold algorithm of Fagin,
+Lotem & Naor (PODS 2001):
 
 * Bound. For every block it computes an upper bound on the selection key
   (violation, signed objective). Each task's value is bounded below and above
@@ -32,13 +33,14 @@ still contribute, following the threshold algorithm of Fagin, Lotem & Naor
   survivors are kept pending in `_TopKBuffer`; once k are pending, it
   compacts to the best k.
 
-Both variants and `evalkit.oracle_topk` select with that one buffer. It finds
-the best-k set by partition in linear time (violation, then signed objective
-among its ties, then the lowest global indices), and sorts only the survivors,
-once, to hand them over in key order. The result is columnar: predicted
-violators are dropped with a mask, every hit is decoded in one pass
-(`csl.decode_indices`), and each constraint's value is gathered from the table
-by pair row and summed from 0.0, R-groups in declaration order, then the bias.
+Both variants and `evalkit.oracle_topk` scan with that loop into that one
+buffer. The buffer finds the best-k set by partition in linear time
+(violation, then signed objective among its ties, then the lowest global
+indices), and sorts only the survivors, once, to hand them over in key order.
+The result is columnar: predicted violators are dropped with a mask, every hit
+is decoded in one pass (`csl.decode_indices`), and each constraint's value is
+gathered from the table by pair row and summed from 0.0, R-groups in
+declaration order, then the bias.
 `save_result` writes the hit file column by column, a chunk of rows at a time.
 
 Reproducibility contract: contributions are stored as 4-byte floats and
@@ -232,12 +234,6 @@ def _block_table(library: CslLibrary, start: int, end: int):
     return rx, digit, g0, np.maximum(start - g0, 0), np.minimum(end - g0, size[rx])
 
 
-def iter_blocks(library: CslLibrary, start: int, end: int):
-    """Yield (reaction positional index, first digit, block global start, lo, hi)
-    for every block of `_block_table`, as Python ints."""
-    yield from zip(*(a.tolist() for a in _block_table(library, start, end)))
-
-
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
@@ -280,7 +276,7 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _block_keys(view: _ReactionView, query: QuerySpec, first_digit: int, lo: int, hi: int,
+def _block_keys(view, query: QuerySpec, first_digit: int, lo: int, hi: int,
                 kth: tuple[float, float, int] | None = None):
     """Offsets in [lo, hi) of one block, with their (violation, signed
     objective) keys: every offset, or with `kth`, a subset that holds every
@@ -398,19 +394,58 @@ def _constraint_values(
     return gather_sum(table.values[tasks].T, pair_rows(library, pos, digits)).T + table.biases[tasks, None]
 
 
-def _result_from_selection(
-    library: CslLibrary,
-    table: ContributionTable,
-    query: QuerySpec,
-    buf: _TopKBuffer,
-    t0: float,
-    scanned: int,
-    scored: int,
-) -> TopKResult:
-    """The buffer's best k as a columnar result; the scan's time, from t0,
-    ends once they are selected, before they are decoded."""
+def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
+    """Score `_block_table` rows into `buf`; return the number of products scored.
+
+    Blocks are visited best (violation, signed objective) bound first, ties in
+    index order, and the visit stops at the first block whose bound is strictly
+    below the k-th key. `bounds` holds the two bounds per block; without them
+    every bound is +inf, so every block is scored, in index order. Each view
+    gives a reaction's `block_values` and `values_at` for the objective, then
+    each constraint.
+    """
+    if buf.k == 0:
+        return 0
+    c_ub, s_ub = bounds if bounds is not None else [np.full(len(blocks[0]), np.inf)] * 2
+    order = np.lexsort((blocks[2], -s_ub, -c_ub))
+    rx, digit, g0, lo, hi = (a.tolist() for a in blocks)
+    scored = 0
+    for b, bc, bs in zip(order.tolist(), c_ub[order].tolist(), s_ub[order].tolist()):
+        if buf.below_kth(bc, bs):
+            break
+        offsets, c, s = _block_keys(views[rx[b]], query, digit[b], lo[b], hi[b], buf.kth)
+        buf.offer(c, s, offsets + g0[b])
+        scored += hi[b] - lo[b]
+    return scored
+
+
+def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
+            index_range: tuple[int, int] | None, bounded: bool) -> TopKResult:
+    """Check the table against the library and the query, and the index range;
+    scan, with block bounds or without, and return the feasible best k. The
+    scan's time ends once they are selected, before they are decoded."""
+    table.check_library(library)
+    query.validate_tasks(table)
+    total = product_count(library)
+    start, end = index_range if index_range is not None else (0, total)
+    if not 0 <= start <= end <= total:
+        raise EngineError(f"index range [{start}, {end}) invalid")
+    t0 = time.perf_counter()
+    tasks = [query.objective] + [c.task for c in query.constraints]
+    views = [_ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
+    blocks = _block_table(library, start, end)
+    rx, digit = blocks[:2]
+    bounds = None
+    if bounded and len(rx):
+        per_reaction = [_block_key_bounds(view, query) for view in views]
+        # each block's row in the reactions' bounds laid end to end
+        row = np.cumsum([0] + [len(c) for c, _ in per_reaction])[rx] + digit
+        bounds = [np.concatenate(b)[row] for b in zip(*per_reaction)]
+    buf = _TopKBuffer(query.k)
+    scored = _scan(buf, views, query, blocks, bounds)
     c, s, g = buf.kept()
     scan_time = time.perf_counter() - t0
+    scanned = end - start
     timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
     if scan_time > 0:
         timing["products_per_second"] = scanned / scan_time
@@ -431,22 +466,6 @@ def _result_from_selection(
     )
 
 
-def _scan_setup(library: CslLibrary, table: ContributionTable, query: QuerySpec,
-                index_range: tuple[int, int] | None):
-    """Check the table against the library and the query, and the index range;
-    return the range, the scan's start time and a _ReactionView per reaction."""
-    table.check_library(library)
-    query.validate_tasks(table)
-    total = product_count(library)
-    start, end = index_range if index_range is not None else (0, total)
-    if not 0 <= start <= end <= total:
-        raise EngineError(f"index range [{start}, {end}) invalid")
-    t0 = time.perf_counter()
-    tasks = [query.objective] + [c.task for c in query.constraints]
-    views = [_ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
-    return start, end, t0, views
-
-
 def search_topk_stream(
     library: CslLibrary,
     table: ContributionTable,
@@ -461,81 +480,18 @@ def search_topk_stream(
     end, so fewer than k entries may be returned. `scanned` counts the
     products in the range, `scored` those whose keys were computed.
     """
-    start, end, t0, views = _scan_setup(library, table, query, index_range)
-    buf = _TopKBuffer(query.k)
-    scored = 0
-    rx, digit, g0, lo, hi = _block_table(library, start, end)
-    if query.k > 0 and len(rx):
-        bounds = [_block_key_bounds(view, query) for view in views]
-        # each block's row in the reactions' bounds laid end to end
-        row = np.cumsum([0] + [len(c) for c, _ in bounds])[rx] + digit
-        c_ub, s_ub = (np.concatenate(b)[row] for b in zip(*bounds))
-        # best bound first; ties in global index order, i.e. by reaction, then digit
-        order = np.lexsort((g0, -s_ub, -c_ub))
-        rx, digit, g0, lo, hi = (a.tolist() for a in (rx, digit, g0, lo, hi))
-        for b, bc, bs in zip(order.tolist(), c_ub[order].tolist(), s_ub[order].tolist()):
-            if buf.below_kth(bc, bs):
-                break
-            offsets, c_arr, s_arr = _block_keys(views[rx[b]], query, digit[b], lo[b], hi[b], buf.kth)
-            buf.offer(c_arr, s_arr, offsets + g0[b])
-            scored += hi[b] - lo[b]
-    return _result_from_selection(library, table, query, buf, t0, end - start, scored)
-
-
-def make_batches(library: CslLibrary, chunk_size: int, start: int = 0, end: int | None = None):
-    """Group whole (reaction, first-digit) blocks into batches of <= chunk_size.
-
-    A single block larger than chunk_size forms its own batch.
-    """
-    if end is None:
-        end = product_count(library)
-    batches: list[list[tuple[int, int, int, int, int]]] = []
-    size = 0
-    for blk in iter_blocks(library, start, end):
-        if not batches or size + blk[4] - blk[3] > chunk_size:
-            batches.append([])
-            size = 0
-        batches[-1].append(blk)
-        size += blk[4] - blk[3]
-    return batches
-
-
-@dataclass
-class BatchTrace:
-    batch_sizes: list[int]
-    new_elements: list[int]      # per batch: selected entries that came from the batch
-    carried_elements: list[int]  # per batch: selected entries carried from earlier batches
+    return _search(library, table, query, index_range, bounded=True)
 
 
 def search_topk_batched(
     library: CslLibrary,
     table: ContributionTable,
     query: QuerySpec,
-    chunk_size: int,
     index_range: tuple[int, int] | None = None,
-    trace: BatchTrace | None = None,
 ) -> TopKResult:
-    """Exhaustive top-k: every block of the index range, in chunk order, is
-    scored against the current k-th key and offered to the top-k buffer, which
-    compacts at the end of each batch. Batches are ascending index ranges, so
-    the kept entries at or past a batch's first index are its new elements."""
-    if chunk_size < 1:
-        raise EngineError("chunk size must be >= 1")
-    start, end, t0, views = _scan_setup(library, table, query, index_range)
-    buf = _TopKBuffer(query.k)
-    trace = trace if trace is not None else BatchTrace([], [], [])
-    if query.k > 0:
-        for batch in make_batches(library, chunk_size, start, end):
-            for ti, j, g0, lo, hi in batch:
-                offsets, c_arr, s_arr = _block_keys(views[ti], query, j, lo, hi, buf.kth)
-                buf.offer(c_arr, s_arr, offsets + g0)
-            buf.compact()
-            _, _, g0, lo, _ = batch[0]
-            new = int(np.count_nonzero(buf.g >= g0 + lo))
-            trace.batch_sizes.append(sum(hi - lo for *_, lo, hi in batch))
-            trace.new_elements.append(new)
-            trace.carried_elements.append(len(buf.g) - new)
-    return _result_from_selection(library, table, query, buf, t0, end - start, end - start)
+    """Exhaustive top-k: the same scan with no bounds, so every block of the
+    index range is scored, in index order, and none is skipped."""
+    return _search(library, table, query, index_range, bounded=False)
 
 
 def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:

@@ -13,8 +13,9 @@ from .engine import (
     ContributionTable,
     QuerySpec,
     TopKResult,
+    _block_table,
+    _scan,
     _TopKBuffer,
-    iter_blocks,
     search_topk_stream,
     violation,
 )
@@ -45,6 +46,20 @@ class OracleTopK:
         return OracleTopK(self.global_index[:j], self.objective[:j], self.query, j)
 
 
+class _OracleView:
+    """One reaction's oracle values for the query's tasks, the objective first,
+    read the way `engine._scan` reads a view."""
+
+    def __init__(self, oracle: GroundTruthOracle, library: CslLibrary, reaction_pos: int, tasks: list[str]):
+        self.oracle, self.library, self.reaction_pos, self.tasks = oracle, library, reaction_pos, tasks
+
+    def block_values(self, task_pos: int, first_digit: int) -> np.ndarray:
+        return oracle_block_values(self.oracle, self.library, self.tasks[task_pos], self.reaction_pos, first_digit)
+
+    def values_at(self, task_pos: int, first_digit: int, offsets: np.ndarray) -> np.ndarray:
+        return self.block_values(task_pos, first_digit)[offsets]
+
+
 def oracle_topk(
     library: CslLibrary,
     oracle: GroundTruthOracle,
@@ -55,9 +70,10 @@ def oracle_topk(
     """Exhaustive scan of oracle values with the engine's tie-break (lower
     global index wins); only oracle-feasible compounds are eligible.
 
-    Each block's feasible products go to the engine's top-k buffer with
-    violation 0, so the order is signed objective descending, then lower
-    global index.
+    The engine's scan scores every block's oracle keys (violation, signed
+    objective) into a top-j buffer. Every feasible key ranks above every
+    violating one, so the feasible keys are a prefix of the kept ones, ordered
+    by signed objective descending, then lower global index.
     """
     total = product_count(library)
     start, end = index_range if index_range is not None else (0, total)
@@ -66,21 +82,13 @@ def oracle_topk(
             f"range of {end - start} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
+    tasks = [query.objective] + [con.task for con in query.constraints]
+    views = [_OracleView(oracle, library, t, tasks) for t in range(len(library.reactions))]
     buf = _TopKBuffer(j)
-    for ti, fd, g0, lo, hi in iter_blocks(library, start, end):
-        obj = oracle_block_values(oracle, library, query.objective, ti, fd)[lo:hi]
-        s = obj if query.direction == "maximize" else -obj
-        offsets = np.arange(len(s))
-        if query.constraints:
-            cons = [
-                oracle_block_values(oracle, library, con.task, ti, fd)[lo:hi]
-                for con in query.constraints
-            ]
-            offsets = np.flatnonzero(np.asarray(violation(cons, query.constraints)) == 0.0)
-            s = s[offsets]
-        buf.offer(np.zeros(len(s)), s, g0 + lo + offsets)
-    _, s, g = buf.kept()
-    return OracleTopK(g, s if query.direction == "maximize" else -s, query, j)
+    _scan(buf, views, query, _block_table(library, start, end))
+    c, s, g = buf.kept()
+    n = np.count_nonzero(c >= 0.0)
+    return OracleTopK(g[:n], s[:n] if query.direction == "maximize" else -s[:n], query, j)
 
 
 def recall_j_at_k(truth: OracleTopK, retrieved: TopKResult) -> float | None:

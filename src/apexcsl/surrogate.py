@@ -43,6 +43,8 @@ class TrainConfig:
         if min(self.embedding_dim, *self.hidden) < 1:
             raise SurrogateError(f"embedding_dim and hidden widths must be >= 1, got "
                                  f"{self.embedding_dim} and {self.hidden}")
+        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise SurrogateError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass

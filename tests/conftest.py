@@ -151,3 +151,34 @@ def mixed_libraries(draw):
         ),
         seed=draw(st.integers(0, 50)),
     )
+
+
+def reference_block_ranges(library, start, end):
+    """(reaction position, first-digit lo, first-digit hi, reaction offset, block
+    size) for every reaction whose blocks overlap [start, end): the per-reaction
+    walk that the engine's block table replaced, kept as its reference."""
+    for ti, rx in enumerate(library.reactions):
+        r_off = library.reaction_offset(ti)
+        r_size = library.reaction_size(ti)
+        if r_off + r_size <= start or r_off >= end:
+            continue
+        n_first = len(rx.rgroups[0].synthon_ids)
+        inner = r_size // n_first
+        first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
+        first_hi = min(n_first, -(-(end - r_off) // inner))
+        yield ti, int(first_lo), int(first_hi), r_off, inner
+
+
+def reference_clip_block(g0, inner, start, end):
+    return max(start, g0) - g0, min(end, g0 + inner) - g0
+
+
+def reference_iter_blocks(library, start, end):
+    """(reaction position, first digit, block start, lo, hi) for every block
+    that overlaps [start, end), in index order, with [lo, hi) clipped to it."""
+    for ti, first_lo, first_hi, r_off, inner in reference_block_ranges(library, start, end):
+        for j in range(first_lo, first_hi):
+            g0 = r_off + j * inner
+            lo, hi = reference_clip_block(g0, inner, start, end)
+            if lo < hi:
+                yield ti, j, g0, int(lo), int(hi)

@@ -112,8 +112,7 @@ class TestPipeline:
         run("search", "--library", str(pipeline["library"]), "--table", str(pipeline["table"]),
             "--query", str(pipeline["query"]), "--out", str(a), "--variant", "stream")
         run("search", "--library", str(pipeline["library"]), "--table", str(pipeline["table"]),
-            "--query", str(pipeline["query"]), "--out", str(b), "--variant", "batched",
-            "--chunk-size", "7")
+            "--query", str(pipeline["query"]), "--out", str(b), "--variant", "batched")
         assert a.read_bytes() == b.read_bytes()
 
     def test_assemble_adds_column(self, pipeline):
@@ -147,7 +146,7 @@ class TestPipeline:
         library = csl.load_library(pipeline["library"])
         table = engine.load_table(pipeline["table"], library)
         oracle = props.load_oracle(pipeline["oracle"])
-        query, _, _ = cli.parse_query_file(pipeline["query"], table)
+        query, _ = cli.parse_query_file(pipeline["query"], table)
         retrieved = engine.search_topk_stream(library, table, query)
         lines = ["j\trecall\tsatisfaction_rate\tbase_rate"]
         for j in (100, 10):
@@ -239,15 +238,12 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "k": null}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "lower": "low"}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": [5]}]}',
-        '{"objective": {"task": "dock_a"}, "chunk_size": "big"}',
+        '{"objective": {"task": "dock_a"}, "chunk_size": 4096}',
         '{"objective": {"task": "dock_a"}, "k": 1.7}',
         '{"objective": {"task": "dock_a"}, "k": true}',
         '{"objective": {"task": "dock_a"}, "k": "10"}',
-        '{"objective": {"task": "dock_a"}, "chunk_size": "4096"}',
-        '{"objective": {"task": "dock_a"}, "chunk_size": 10.5}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": false}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"preset": []}]}',
-        '{"objective": {"task": "dock_a"}, "chunk_size": 0}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "max": -5}]}',
         '{"objective": {"task": "dock_a"}, "constraint": [{"task": "mw", "upper": -5}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"preset": "lipinski", "upper": -5}]}',
@@ -255,9 +251,9 @@ class TestQueries:
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
-        "lower_not_number", "upper_not_number", "chunk_size_not_number",
-        "k_fraction", "k_bool", "k_string", "chunk_size_string", "chunk_size_fraction",
-        "upper_bool", "preset_list", "chunk_size_zero",
+        "lower_not_number", "upper_not_number", "chunk_size_unknown_key",
+        "k_fraction", "k_bool", "k_string",
+        "upper_bool", "preset_list",
         "constraint_unknown_key", "top_level_unknown_key", "preset_with_bound", "objective_unknown_key",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
@@ -268,6 +264,7 @@ class TestQueries:
                    "--out", str(pipeline["dir"] / "x.tsv")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert '"chunk_size"' not in text or "unknown keys ['chunk_size']" in err
 
 
 class TestErrors:
@@ -325,7 +322,7 @@ class TestErrors:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "laid out" in err
 
-    @pytest.mark.parametrize("flag", ["components", "budgets", "chunk_size"])
+    @pytest.mark.parametrize("flag", ["components", "budgets"])
     def test_bad_flag_value(self, pipeline, capsys, flag):
         p = {k: str(v) for k, v in pipeline.items()}
         argv = {
@@ -333,8 +330,6 @@ class TestErrors:
             "budgets": ["compare-ts", "--library", p["library"], "--table", p["table"],
                         "--oracle", p["oracle"], "--objective", "dock_a", "--budgets", "1,x",
                         "--out", p["dir"] + "/x.tsv"],
-            "chunk_size": ["search", "--library", p["library"], "--table", p["table"],
-                           "--query", p["query"], "--out", p["dir"] + "/x.tsv", "--chunk-size", "0"],
         }[flag]
         assert run(*argv) == 1
         err = capsys.readouterr().err
@@ -343,7 +338,8 @@ class TestErrors:
     @pytest.mark.parametrize("case", [
         "epochs_0", "batch_size_0", "steps_0", "gap_sample_0", "budgets_0", "n_seeds_0",
         "sample_size_negative", "feature_p_0", "tasks_repeated", "cost_negative", "labels_reaction_negative",
-        "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf",
+        "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf", "sigma_nan", "sigma_negative",
+        "share_rate_nan", "share_rate_above_1",
     ])
     def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
         # each once ended in a traceback or was accepted silently
@@ -378,6 +374,10 @@ class TestErrors:
             "d_u_0": factorizer + ["--d-u", "0"],
             "hardness_nan": label + ["--hardness", "nan"],
             "labels_inf": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
+            "sigma_nan": surrogate + ["--epochs", "1", "--sigma", "nan"],
+            "sigma_negative": surrogate + ["--epochs", "1", "--sigma", "-1"],
+            "share_rate_nan": ["generate", "--out", out, "--share-rate", "nan"],
+            "share_rate_above_1": ["generate", "--out", out, "--share-rate", "5"],
         }[case]
         assert run(*argv) == 1
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
 from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, pair_count,
-                      perfect_additive_table, table_from_values)
+                      perfect_additive_table, reference_iter_blocks, table_from_values)
 
 
 @pytest.fixture(scope="module")
@@ -146,12 +146,13 @@ class TestSearchAgreement:
         assert result_keys(got, q.direction) == expected
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10**6])
-    def test_batched_matches_stream(self, exact_setup, qi, chunk_size):
+    @pytest.mark.parametrize("k", [1, 7, 64, 10**6])
+    def test_batched_matches_stream(self, exact_setup, qi, k):
+        # k sets when the buffer compacts: after every block at k=1, never before the end at a k past the library size
         library, _, table = exact_setup
-        q = QUERIES[qi]
+        q = dataclasses.replace(QUERIES[qi], k=k)
         a = engine.search_topk_stream(library, table, q)
-        b = engine.search_topk_batched(library, table, q, chunk_size)
+        b = engine.search_topk_batched(library, table, q)
         assert result_keys(a, q.direction) == result_keys(b, q.direction)
 
     def test_tied_scores_break_on_index(self, small_library):
@@ -160,7 +161,7 @@ class TestSearchAgreement:
         q = engine.QuerySpec("obj", "maximize", (), k=5)
         for res in (
             engine.search_topk_stream(small_library, table, q),
-            engine.search_topk_batched(small_library, table, q, chunk_size=13),
+            engine.search_topk_batched(small_library, table, q),
         ):
             assert res.global_index.tolist() == [0, 1, 2, 3, 4]
 
@@ -190,7 +191,7 @@ class TestSearchEdges:
         q = engine.QuerySpec("obj", "maximize", (), k=0)
         res = engine.search_topk_stream(library, table, q)
         assert res.retained == 0
-        res_b = engine.search_topk_batched(library, table, q, 16)
+        res_b = engine.search_topk_batched(library, table, q)
         assert res_b.retained == 0
 
     def test_k_exceeds_library(self, exact_setup):
@@ -211,12 +212,6 @@ class TestSearchEdges:
         assert res.retained == 0
         assert res.discarded_for_violation == 8
 
-    def test_chunk_size_validation(self, exact_setup):
-        library, _, table = exact_setup
-        q = engine.QuerySpec("obj", "maximize", (), k=1)
-        with pytest.raises(engine.EngineError, match="chunk size"):
-            engine.search_topk_batched(library, table, q, 0)
-
     def test_entries_report_constraint_values(self, exact_setup):
         library, oracle, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c1", upper=10.0),), k=3)
@@ -224,87 +219,6 @@ class TestSearchEdges:
         assert res.constraint_values.shape == (1, res.retained) == (1, 3)
         for g, v in zip(res.global_index.tolist(), res.constraint_values[0].tolist()):
             assert v == props.ground_truth(oracle, library, csl.decode_index(library, g), "c1")
-
-
-class TestBatches:
-    def test_batches_cover_range_with_whole_blocks(self, medium_library):
-        total = csl.product_count(medium_library)
-        batches = engine.make_batches(medium_library, 500)
-        covered = []
-        for batch in batches:
-            for ti, j, g0, lo, hi in batch:
-                covered.extend(range(g0 + lo, g0 + hi))
-        assert covered == list(range(total))
-
-    def test_batch_size_limit(self, medium_library):
-        # blocks hold 12 products in the 2-component reactions and 144 in the 3-component ones
-        block_sizes = []
-        for ti in range(len(medium_library.reactions)):
-            rx = medium_library.reactions[ti]
-            inner = medium_library.reaction_size(ti) // len(rx.rgroups[0].synthon_ids)
-            block_sizes.append(inner)
-        for chunk in (100, 500):
-            batches = engine.make_batches(medium_library, chunk)
-            over = 0
-            for batch, following in zip(batches, batches[1:] + [None]):
-                size = sum(hi - lo for _, _, _, lo, hi in batch)
-                if size > chunk:
-                    # a batch over the chunk is one whole block that is larger than the chunk
-                    (ti, _, _, lo, hi), = batch
-                    assert (lo, hi) == (0, block_sizes[ti]) and block_sizes[ti] > chunk
-                    over += 1
-                if following is not None:
-                    # maximal: the next block would not have fit
-                    _, _, _, lo, hi = following[0]
-                    assert size + hi - lo > chunk
-            # every block larger than the chunk (none at 500) is a batch of its own
-            assert over == sum(len(rx.rgroups[0].synthon_ids)
-                               for rx, size in zip(medium_library.reactions, block_sizes) if size > chunk)
-
-    def test_trace_accounting(self, exact_setup):
-        library, _, table = exact_setup
-        q = engine.QuerySpec("obj", "maximize", (), k=6)
-        trace = engine.BatchTrace([], [], [])
-        engine.search_topk_batched(library, table, q, 20, trace=trace)
-        assert sum(trace.batch_sizes) == csl.product_count(library)
-        for new, carried in zip(trace.new_elements, trace.carried_elements):
-            assert 0 <= new + carried <= q.k
-        # the first batch carries nothing
-        assert trace.carried_elements[0] == 0
-        # every selected element after batch 1 is either new or carried
-        assert all(
-            n + c == min(q.k, sum(trace.batch_sizes[: i + 1]))
-            for i, (n, c) in enumerate(zip(trace.new_elements, trace.carried_elements))
-        )
-
-
-def reference_block_ranges(library, start, end):
-    """(reaction position, first-digit lo, first-digit hi, reaction offset, block
-    size) for every reaction whose blocks overlap [start, end): the per-reaction
-    walk that engine.iter_blocks once used, kept as its reference."""
-    for ti, rx in enumerate(library.reactions):
-        r_off = library.reaction_offset(ti)
-        r_size = library.reaction_size(ti)
-        if r_off + r_size <= start or r_off >= end:
-            continue
-        n_first = len(rx.rgroups[0].synthon_ids)
-        inner = r_size // n_first
-        first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
-        first_hi = min(n_first, -(-(end - r_off) // inner))
-        yield ti, int(first_lo), int(first_hi), r_off, inner
-
-
-def reference_clip_block(g0, inner, start, end):
-    return max(start, g0) - g0, min(end, g0 + inner) - g0
-
-
-def reference_iter_blocks(library, start, end):
-    for ti, first_lo, first_hi, r_off, inner in reference_block_ranges(library, start, end):
-        for j in range(first_lo, first_hi):
-            g0 = r_off + j * inner
-            lo, hi = reference_clip_block(g0, inner, start, end)
-            if lo < hi:
-                yield ti, j, g0, int(lo), int(hi)
 
 
 @st.composite
@@ -347,19 +261,18 @@ class TestBlockTable:
             assert library.reaction_size(t) == size
             assert library.reaction_offset(t) == sum(sizes[:t])
         assert csl.product_count(library) == sum(sizes)
-        got = list(engine.iter_blocks(library, start, end))
-        assert got == list(reference_iter_blocks(library, start, end))
-        assert all(type(x) is int for blk in got for x in blk)
+        got = engine._block_table(library, start, end)
+        assert all(a.dtype == np.int64 for a in got)
+        assert list(zip(*(a.tolist() for a in got))) == list(reference_iter_blocks(library, start, end))
 
     def test_library_without_reactions(self):
         # a valid library with no products: every scan finds nothing
         library = csl.deserialize_library("cslv1 0 0 0\n")
         table = table_from_values(library, ["obj"], np.zeros((1, 0)), [0.0])
         q = engine.QuerySpec("obj", "maximize", (), k=5)
-        for res in (engine.search_topk_stream(library, table, q), engine.search_topk_batched(library, table, q, 10)):
+        for res in (engine.search_topk_stream(library, table, q), engine.search_topk_batched(library, table, q)):
             assert (res.retained, res.scanned, res.scored, res.discarded_for_violation) == (0, 0, 0, 0)
-        assert list(engine.iter_blocks(library, 0, 0)) == []
-        assert engine.make_batches(library, 10) == []
+        assert all(len(a) == 0 for a in engine._block_table(library, 0, 0))
 
 
 class TestCost:
@@ -517,18 +430,19 @@ def _result_bytes(result, query, library):
 
 
 class TestBlockSkipping:
-    @given(case=tied_search_cases(), chunk_size=st.integers(1, 40))
+    @given(case=tied_search_cases())
     @settings(max_examples=300, deadline=None)
-    def test_stream_matches_batched_and_brute_force(self, case, chunk_size):
+    def test_stream_matches_batched_and_brute_force(self, case):
         library, table, query, (start, end) = case
         stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
-        batched = engine.search_topk_batched(library, table, query, chunk_size, index_range=(start, end))
+        batched = engine.search_topk_batched(library, table, query, index_range=(start, end))
         expected = numpy_topk_keys(library, table, query, start, end)
         assert result_keys(stream, query.direction) == expected
         assert result_keys(batched, query.direction) == expected
         assert stream.discarded_for_violation == batched.discarded_for_violation
         assert _result_bytes(stream, query, library) == _result_bytes(batched, query, library)
-        assert stream.scanned == batched.scanned == batched.scored == end - start
+        assert stream.scanned == batched.scanned == end - start
+        assert batched.scored == (end - start if query.k else 0)
         assert 0 <= stream.scored <= stream.scanned
 
     def test_infeasible_block_does_not_end_the_scan(self):
@@ -554,14 +468,14 @@ class TestBlockSkipping:
         block = medium_library.reaction_size(0) // len(medium_library.reactions[0].rgroups[0].synthon_ids)
         q = engine.QuerySpec("obj", "maximize", (), k=block // 2)
         stream = engine.search_topk_stream(medium_library, table, q)
-        batched = engine.search_topk_batched(medium_library, table, q, 1000)
+        batched = engine.search_topk_batched(medium_library, table, q)
         assert stream.scored == block < stream.scanned == csl.product_count(medium_library)
         assert result_keys(stream, "maximize") == result_keys(batched, "maximize")
         assert stream.global_index.tolist() == list(range(3 * block, 3 * block + q.k))
 
 
 # ---------------------------------------------------------------------------
-# the partition-compacting buffer against the lexsort buffer and carry loop it replaced
+# the partition-compacting buffer against the lexsort buffer it replaced
 # ---------------------------------------------------------------------------
 
 class ReferenceTopKBuffer:
@@ -603,33 +517,6 @@ class ReferenceTopKBuffer:
         return self.c, self.s, self.g
 
 
-def reference_batched(library, table, query, chunk_size, index_range):
-    """The chain-of-batches loop that the buffer replaced: per batch, the
-    running winners are prepended to the batch's keys, one lexsort selects the
-    best k, and selected positions past the carry are new elements."""
-    start, end = index_range
-    tasks = [query.objective] + [c.task for c in query.constraints]
-    views = [engine._ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
-    trace = engine.BatchTrace([], [], [])
-    carry_c, carry_s, carry_g = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-    if query.k > 0:
-        for batch in engine.make_batches(library, chunk_size, start, end):
-            cs, ss, gs = [carry_c], [carry_s], [carry_g]
-            for ti, j, g0, lo, hi in batch:
-                offsets, c_arr, s_arr = engine._block_keys(views[ti], query, j, lo, hi)
-                cs.append(c_arr)
-                ss.append(s_arr)
-                gs.append(offsets + g0)
-            c_all, s_all, g_all = np.concatenate(cs), np.concatenate(ss), np.concatenate(gs)
-            sel = np.lexsort((g_all, -s_all, -c_all))[: query.k]
-            n_carry = len(carry_g)
-            trace.batch_sizes.append(len(g_all) - n_carry)
-            trace.new_elements.append(int(np.sum(sel >= n_carry)))
-            trace.carried_elements.append(int(np.sum(sel < n_carry)))
-            carry_c, carry_s, carry_g = c_all[sel], s_all[sel], g_all[sel]
-    return trace, (carry_c, carry_s, carry_g)
-
-
 @st.composite
 def offer_sequences(draw):
     """Blocks of heavily tied keys over a shuffled set of global indices, each
@@ -665,18 +552,6 @@ class TestPartitionBuffer:
         for got, want in zip(new.kept(), ref.kept()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert repr(new.kth) == repr(ref.kth)
-
-    @given(case=tied_search_cases(), chunk_size=st.integers(1, 40))
-    @settings(max_examples=300, deadline=None)
-    def test_batch_trace_matches_carry_loop(self, case, chunk_size):
-        library, table, query, index_range = case
-        trace = engine.BatchTrace([], [], [])
-        got = engine.search_topk_batched(library, table, query, chunk_size, index_range, trace=trace)
-        want_trace, (c, s, g) = reference_batched(library, table, query, chunk_size, index_range)
-        assert trace == want_trace
-        feasible = c >= 0.0
-        assert got.global_index.tobytes() == g[feasible].tobytes()
-        assert got.violation.tobytes() == c[feasible].tobytes()
 
 
 def reference_save_result(keys, query, path, library, table, with_assembled):
@@ -750,7 +625,7 @@ class TestColumnarExport:
         if variant == "stream":
             result = engine.search_topk_stream(library, table, query)
         else:
-            result = engine.search_topk_batched(library, table, query, chunk_size=7)
+            result = engine.search_topk_batched(library, table, query)
         keys = numpy_topk_keys(library, table, query, 0, total)
         with tempfile.TemporaryDirectory() as d:
             got, want = Path(d) / "got.tsv", Path(d) / "want.tsv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
-from conftest import f32_round_latents, mixed_libraries, perfect_additive_table
+from conftest import f32_round_latents, mixed_libraries, perfect_additive_table, reference_iter_blocks
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def reference_oracle_topk(library, oracle, query, j, index_range=None):
     objective) pairs, signed objective descending, then lower index."""
     start, end = index_range if index_range is not None else (0, csl.product_count(library))
     heap = []  # (signed objective, -g); root is the worst kept
-    for ti, fd, g0, lo, hi in engine.iter_blocks(library, start, end):
+    for ti, fd, g0, lo, hi in reference_iter_blocks(library, start, end):
         obj = props.oracle_block_values(oracle, library, query.objective, ti, fd)[lo:hi]
         s = obj if query.direction == "maximize" else -obj
         if query.constraints:
