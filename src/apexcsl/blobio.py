@@ -2,7 +2,8 @@
 
 Used for model checkpoints, hierarchy caches, and contribution tables. The
 byte stream is a pure function of the content, so equal inputs produce equal
-files (required for checksum-based reproducibility checks).
+files (required for checksum-based reproducibility checks). The text files
+(library, labels, oracle, query) are read through `utf8_text`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,6 +67,17 @@ def load_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
         if remaining:
             raise BlobError(f"{path}: {remaining} trailing bytes after the last array")
     return meta, arrays
+
+
+@contextmanager
+def utf8_text(path, error: type[Exception]):
+    """A text file opened for reading as UTF-8. Bytes that do not decode, read
+    anywhere in the with block, raise `error`, the reading module's own."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_meta_blob(path, kind: str, version: int, error: type[Exception], **fields):

@@ -28,7 +28,7 @@ def parse_query_file(path, table: engine.ContributionTable):
     Returns (QuerySpec, variant). Unknown task names are rejected here against
     the table header, and unknown keys at every level.
     """
-    with open(path) as fh:
+    with blobio.utf8_text(path, CliError) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: query file must hold a JSON object")
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share-rate", type=float, default=0.0)
     p.add_argument("--downsample", type=float, default=None, help="per-reaction product fraction")
     p.add_argument("--from-library", default=None, help="downsample this library instead of generating")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("label", help="build or load an oracle and write a labeled dataset")
     p.add_argument("--library", required=True)
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", default=None, help="comma-separated; default: all oracle tasks")
     p.add_argument("--sample-size", type=int, default=None, help="default: full enumeration")
     _add_feature_args(p)
-    p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train-surrogate")
     p.add_argument("--library", required=True)
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", choices=["mlp", "linear"], default="mlp")
     p.add_argument("--embedding-dim", type=int, default=sg.DEFAULT_EMBEDDING_DIM)
     _add_feature_args(p)
-    p.set_defaults(func=cmd_train_surrogate)
 
     p = sub.add_parser("train-factorizer")
     p.add_argument("--library", required=True)
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=fz.MODES, default="mlp")
     p.add_argument("--d-u", type=int, default=32)
     p.add_argument("--gap-sample", type=int, default=1000)
-    p.set_defaults(func=cmd_train_factorizer)
 
     p = sub.add_parser("precompute")
     p.add_argument("--library", required=True)
@@ -349,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factorizer", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cache-out", default=None, help="also export the hierarchy cache")
-    p.set_defaults(func=cmd_precompute)
 
     p = sub.add_parser("search")
     p.add_argument("--library", required=True)
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=["stream", "batched"], default=None)
     p.add_argument("--assemble", action="store_true", help="add assembled token strings")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate")
     p.add_argument("--library", required=True)
@@ -368,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--j", default="10,100,1000")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare-ts")
     p.add_argument("--library", required=True)
@@ -380,22 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-seeds", type=int, default=20)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare_ts)
 
     p = sub.add_parser("cost")
     p.add_argument("--library", required=True)
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--k", type=int, default=10000)
-    p.set_defaults(func=cmd_cost)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # built per call, not bound into the cached parser, so a cmd_* rebound since is the one run
+    command = {
+        "generate": cmd_generate, "label": cmd_label, "train-surrogate": cmd_train_surrogate,
+        "train-factorizer": cmd_train_factorizer, "precompute": cmd_precompute, "search": cmd_search,
+        "evaluate": cmd_evaluate, "compare-ts": cmd_compare_ts, "cost": cmd_cost,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (CliError, OSError, json.JSONDecodeError, blobio.BlobError,
             csl.LibraryError, props.OracleError, sg.SurrogateError,
             fz.FactorizerError, engine.EngineError, evalkit.EvalError) as exc:

@@ -10,6 +10,7 @@ contiguous in global index.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import re
@@ -20,6 +21,8 @@ from itertools import accumulate, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from .blobio import utf8_text
 
 MAX_COUNT = 2**64 - 1
 
@@ -476,7 +479,24 @@ def _records(rows: list[list[str]]):
 
 
 def deserialize_library(text: str) -> CslLibrary:
-    """Parse the text format; the library keeps the text's SHA-256 for `fingerprint_matches`."""
+    """Parse the text format; the library keeps the text's SHA-256 for `fingerprint_matches`.
+
+    Automatic garbage collection is paused while it parses. The parse holds
+    a split list and a SynthonRecord (a tuple subclass, which the collector
+    keeps tracking) per line, so the allocations would set off collections
+    that walk every live object and free nothing: the parse makes no
+    reference cycles. Collection resumes, if it was on, when the parse ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_library(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_library(text: str) -> CslLibrary:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     rows = list(map(str.split, lines))
     if not rows:
@@ -502,13 +522,14 @@ def deserialize_library(text: str) -> CslLibrary:
 
 
 def save_library(library: CslLibrary, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_library(library))
 
 
 def load_library(path) -> CslLibrary:
-    with open(path) as fh:
-        return deserialize_library(fh.read())
+    with utf8_text(path, LibraryError) as fh:
+        text = fh.read()
+    return deserialize_library(text)
 
 
 def library_fingerprint(library: CslLibrary) -> str:

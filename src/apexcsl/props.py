@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blobio import fits
+from .blobio import fits, utf8_text
 from .csl import (CslLibrary, LibraryError, MultiIndex, decode_indices, gather_sum, product_count,
                   product_index, reaction_columns, synthon_ids)
 
@@ -322,14 +322,14 @@ ORACLE_SPEC = {"version": int, "seed": int, "tasks": [{
 
 def save_oracle(oracle: GroundTruthOracle, path) -> None:
     tasks = [{**asdict(t), "latent": t.latent.tolist()} for t in oracle.tasks]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump({"version": 1, "seed": oracle.seed, "tasks": tasks}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_oracle(path) -> GroundTruthOracle:
     """An oracle written by save_oracle; OracleError if the file is shaped otherwise."""
-    with open(path) as fh:
+    with utf8_text(path, OracleError) as fh:
         payload = json.load(fh)
     if not fits(payload, ORACLE_SPEC):
         raise OracleError(f"{path}: not an oracle file: a version, an integer seed and tasks with save_oracle's fields")
@@ -463,7 +463,7 @@ LABEL_CHUNK_ROWS = 1 << 14
 def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
     """One label per line, written column by column, LABEL_CHUNK_ROWS lines at a time."""
     names = np.asarray(dataset.task_names, dtype=object)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABEL_HEADER + "\n")
         for lo in range(0, len(dataset), LABEL_CHUNK_ROWS):
             hi = min(lo + LABEL_CHUNK_ROWS, len(dataset))
@@ -478,7 +478,7 @@ def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
 def load_labels(path, library: CslLibrary) -> LabeledDataset:
     gidxs, tasks, values = [], [], []
     task_of: dict[str, int] = {}
-    with open(path) as fh:
+    with utf8_text(path, OracleError) as fh:
         header = fh.readline().rstrip("\n")
         if header != LABEL_HEADER:
             raise OracleError(f"bad label file header: {header!r}")

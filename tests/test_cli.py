@@ -183,6 +183,17 @@ class TestPipeline:
         assert doc["cache_bytes_no_sharing"] == 20 * 8 * 4
 
 
+def test_dispatch_reads_command_at_call_time(pipeline, monkeypatch):
+    # the parser is built once per process; a cmd_* rebound after that is still the one run
+    argv = ["search", "--library", str(pipeline["library"]), "--table", str(pipeline["table"]),
+            "--query", str(pipeline["query"]), "--out", str(pipeline["dir"] / "hits_dispatch.tsv")]
+    assert run(*argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_search", lambda args: calls.append(args.command) or 7)
+    assert run(*argv) == 7
+    assert calls == ["search"]
+
+
 class TestQueries:
     def test_preset_expansion(self, pipeline):
         q = pipeline["dir"] / "query_preset.json"
@@ -592,6 +603,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "different feature configs" in err
+
+    @pytest.mark.parametrize("kind", ["library", "query", "labels", "oracle"])
+    def test_file_not_utf8(self, pipeline, capsys, kind):
+        # each ended in a UnicodeDecodeError traceback
+        p = {k: str(v) for k, v in pipeline.items()}
+        bad = pipeline["dir"] / f"not_utf8_{kind}"
+        data = pipeline[kind].read_bytes()
+        bad.write_bytes(data[:20] + b"\xff\xfe" + data[20:])
+        p[kind] = str(bad)
+        out = p["dir"] + f"/not_utf8_{kind}_out"
+        argv = {
+            "library": ["cost", "--library", p["library"]],
+            "query": ["search", "--library", p["library"], "--table", p["table"], "--query", p["query"],
+                      "--out", out],
+            "labels": ["train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", out,
+                       "--epochs", "1"],
+            "oracle": ["evaluate", "--library", p["library"], "--table", p["table"], "--oracle", p["oracle"],
+                       "--query", p["query"], "--out", out],
+        }[kind]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"{bad}: not UTF-8 text" in err
 
     def test_integral_float_k_accepted(self, pipeline):
         q = pipeline["dir"] / "query_k_float.json"

@@ -1,4 +1,5 @@
 import functools
+import gc
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def trillion_library():
     return csl.CslLibrary(
         reactions=(csl.ReactionSpec(0, rgroups),), synthons=synthons
     )
+
+
+@functools.lru_cache(maxsize=None)
+def screen_sized_text():
+    """The text of a 4,000-synthon library, about the size of the screen benchmark's."""
+    config = csl.SyntheticConfig(n_reactions=4, components=(2, 3), synthons_per_rgroup=400)
+    return csl.serialize_library(csl.generate_synthetic(config, seed=3))
 
 
 def synthon_digit(library, rgroup_id, synthon_id):
@@ -360,6 +368,47 @@ class TestSerialization:
     def test_malformed_line_number(self, text, line):
         with pytest.raises(csl.LibraryError, match=f"^line {line}: malformed record"):
             csl.deserialize_library(text)
+
+
+class TestParsePausesCollection:
+    """deserialize_library pauses automatic garbage collection while it parses."""
+
+    @pytest.fixture
+    def collection_on(self):
+        enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_collection_on_after(self, collection_on):
+        csl.deserialize_library(screen_sized_text())
+        assert gc.isenabled()
+        with pytest.raises(csl.LibraryError):
+            csl.deserialize_library("cslv1 1 0 0\nS zero tok\n")
+        assert gc.isenabled()
+
+    def test_collection_left_off(self, collection_on):
+        gc.disable()
+        csl.deserialize_library(screen_sized_text())
+        with pytest.raises(csl.LibraryError):
+            csl.deserialize_library("nope 1 2 3\n")
+        assert not gc.isenabled()
+
+    def test_no_collection_during_parse(self, collection_on):
+        # the parse's allocations set off several collections when it does not pause them
+        text = screen_sized_text()
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        gc.callbacks.append(record)
+        try:
+            library = csl.deserialize_library(text)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(library.synthons) >= 4000
+        assert "start" not in phases
 
 
 class TestCheckLibrary:
