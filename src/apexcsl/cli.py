@@ -22,11 +22,11 @@ class CliError(RuntimeError):
     pass
 
 
-def parse_query_file(path, table: engine.ContributionTable):
+def parse_query_file(path, table: engine.ContributionTable) -> engine.QuerySpec:
     """Read a declarative query config; preset names expand to their bound lists.
 
-    Returns (QuerySpec, variant). Unknown task names are rejected here against
-    the table header, and unknown keys at every level.
+    Unknown task names are rejected here against the table header, and unknown
+    keys at every level.
     """
     with blobio.utf8_text(path, CliError) as fh:
         doc = json.load(fh)
@@ -51,7 +51,7 @@ def parse_query_file(path, table: engine.ContributionTable):
         if unknown:
             raise CliError(f"{path}: {what} has unknown keys {unknown} (allowed: {', '.join(allowed)})")
 
-    known_keys(doc, ("objective", "constraints", "k", "variant"), "the query")
+    known_keys(doc, ("objective", "constraints", "k"), "the query")
     obj = doc.get("objective")
     if not isinstance(obj, dict) or "task" not in obj:
         raise CliError(f"{path}: query file needs an objective.task")
@@ -90,10 +90,7 @@ def parse_query_file(path, table: engine.ContributionTable):
         query.validate_tasks(table)
     except engine.EngineError as exc:
         raise CliError(f"{path}: {exc}") from None
-    variant = doc.get("variant", "stream")
-    if variant not in ("stream", "batched"):
-        raise CliError(f"{path}: variant must be stream or batched")
-    return query, variant
+    return query
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -213,10 +210,8 @@ def cmd_precompute(args) -> int:
 def cmd_search(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
-    query, variant = parse_query_file(args.query, table)
-    if args.variant:
-        variant = args.variant
-    search = engine.search_topk_stream if variant == "stream" else engine.search_topk_batched
+    query = parse_query_file(args.query, table)
+    search = engine.search_topk_stream if args.variant == "stream" else engine.search_topk_batched
     result = search(library, table, query)
     engine.save_result(result, query, args.out, library, args.assemble)
     wall = result.timing.get("scan_seconds", 0.0)
@@ -233,9 +228,8 @@ def cmd_evaluate(args) -> int:
     table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
-    query, variant = parse_query_file(args.query, table)
-    search = engine.search_topk_stream if variant == "stream" else engine.search_topk_batched
-    retrieved = search(library, table, query)
+    query = parse_query_file(args.query, table)
+    retrieved = engine.search_topk_stream(library, table, query)
     js = _int_list("--j", args.j)
     if min(js) < 1:
         raise CliError("--j values must be >= 1")
@@ -281,7 +275,7 @@ def cmd_compare_ts(args) -> int:
 
 def cmd_cost(args) -> int:
     library = csl.load_library(args.library)
-    estimate = engine.cost_estimate(library, args.d, args.k)
+    estimate = engine.cost_estimate(library.layout, len(library.synthons), args.d, args.k)
     print(json.dumps(estimate, indent=1, sort_keys=True))
     return 0
 
@@ -351,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=["stream", "batched"], default=None)
+    p.add_argument("--variant", choices=["stream", "batched"], default="stream")
     p.add_argument("--assemble", action="store_true", help="add assembled token strings")
 
     p = sub.add_parser("evaluate")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blobio import utf8_text
 
-MAX_COUNT = 2**64 - 1
+MAX_COUNT = 2**63 - 1  # every global index array is int64
 
 LIBRARY_FORMAT_VERSION = "cslv1"
 
@@ -63,9 +63,10 @@ class MultiIndex:
 
 @dataclass(frozen=True, eq=False)
 class PairLayout:
-    """The row layout that every per-(R-group, synthon) array shares: one row
-    per eligible pair, R-groups in declaration order, each one's synthons in
-    digit order. Built once per library (`CslLibrary.layout`); read-only."""
+    """A library's index geometry: the row layout that every per-(R-group,
+    synthon) array shares, one row per eligible pair, R-groups in declaration
+    order, each one's synthons in digit order; and the codec between global
+    indices and digits. Built once per library (`CslLibrary.layout`); read-only."""
 
     member_ids: np.ndarray  # (n_pairs,) synthon id per pair row
     rg_ids: np.ndarray      # (n_rg,) R-group id per R-group position
@@ -106,6 +107,18 @@ class PairLayout:
         return len(self.member_ids)
 
     @cached_property
+    def product_offsets(self) -> np.ndarray:
+        """(n_rx+1,) each reaction's first global index, then the product count,
+        as int64: sums of the products of the radix rows, taken as exact Python
+        ints; LibraryError if the count exceeds the signed 64-bit range."""
+        offsets = list(accumulate(map(math.prod, self.radix.tolist()), initial=0))
+        if offsets[-1] > MAX_COUNT:
+            raise LibraryError(f"product count {offsets[-1]} exceeds the signed 64-bit range")
+        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
     def _row_of(self) -> dict[tuple[int, int], int]:
         rgroup = np.repeat(self.rg_ids, np.diff(self.rg_offsets))
         return {pair: row for row, pair in enumerate(zip(rgroup.tolist(), self.member_ids.tolist()))}
@@ -128,6 +141,53 @@ class PairLayout:
         pairs = ((member_ids, self.member_ids), (rg_offsets, self.rg_offsets), (rg_ids, self.rg_ids))
         return all(np.array_equal(a, b) for a, b in pairs)
 
+    def decode(self, gidx) -> tuple[np.ndarray, np.ndarray]:
+        """decode_index over an array of global indices, in one pass.
+
+        Returns each index's reaction position and a digit matrix with one
+        column per R-group position of the widest reaction; digit j of a row is
+        the position of its synthon in R-group j, as in decode_index, and the
+        columns past its reaction's R-groups hold -1.
+        """
+        gidx = np.asarray(gidx, dtype=np.int64)
+        offsets = self.product_offsets
+        if len(gidx) and not (0 <= gidx.min() and gidx.max() < offsets[-1]):
+            raise LibraryError(f"global index out of range [0, {offsets[-1]})")
+        width = self.radix.shape[1]
+        pos = np.searchsorted(offsets, gidx, side="right") - 1
+        rem = gidx - offsets[pos]
+        digits = np.empty((len(gidx), width), dtype=np.int64)
+        for j in range(width - 1, -1, -1):
+            rem, digits[:, j] = np.divmod(rem, self.radix[pos, j])
+        digits[np.arange(width) >= self.n_rgroups[pos][:, None]] = -1
+        return pos, digits
+
+    def pair_rows(self, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The pair row of every cell of `decode`'s output; -1 where the digit is -1."""
+        return np.where(digits >= 0, self.first_row[pos] + digits, -1)
+
+    def synthon_ids(self, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The synthon id of every cell of `decode`'s output; -1 where the digit is -1."""
+        rows = self.pair_rows(pos, digits)
+        return np.where(rows >= 0, self.member_ids[rows], -1)
+
+    def blocks(self, start: int, end: int):
+        """Every block that overlaps [start, end), in index order, as int64
+        arrays: reaction position, first digit, block start, and the block's
+        [lo, hi) offsets clipped to the range. Each of a reaction's blocks
+        holds the product of its later R-groups' radices; a library without
+        reactions has no blocks."""
+        offsets = self.product_offsets
+        size = self.radix[:, 1:].prod(axis=1)
+        # per reaction, the first digit whose block ends past start, and the first one past the range
+        first = np.maximum((start - offsets[:-1]) // size, 0)
+        stop = np.minimum(-((offsets[:-1] - end) // size), np.diff(offsets) // size)
+        count = np.maximum(stop - first, 0) if start < end else np.zeros_like(first)
+        rx = np.repeat(np.arange(len(size)), count)
+        digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count - first, count)
+        g0 = offsets[rx] + digit * size[rx]
+        return rx, digit, g0, np.maximum(start - g0, 0), np.minimum(end - g0, size[rx])
+
 
 @dataclass
 class CslLibrary:
@@ -136,12 +196,6 @@ class CslLibrary:
     text_sha256: str | None = field(default=None, compare=False, repr=False)
     # per FeatureConfig, the synthon features and their norms (`props.synthon_features_of`)
     synthon_feature_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @cached_property
-    def _reaction_offsets(self) -> tuple[int, ...]:
-        """Each reaction's first global index, then the product count: sums of
-        the products of the layout's radix rows, as exact Python ints."""
-        return tuple(accumulate(map(math.prod, self.layout.radix.tolist()), initial=0))
 
     @cached_property
     def _fragment_ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +217,11 @@ class CslLibrary:
         return self.reactions[reaction_id]
 
     def reaction_size(self, reaction_id: int) -> int:
-        return self._reaction_offsets[reaction_id + 1] - self._reaction_offsets[reaction_id]
+        offsets = self.layout.product_offsets
+        return int(offsets[reaction_id + 1] - offsets[reaction_id])
 
     def reaction_offset(self, reaction_id: int) -> int:
-        return self._reaction_offsets[reaction_id]
+        return int(self.layout.product_offsets[reaction_id])
 
     def iter_rgroups(self) -> Iterator[RgroupSpec]:
         for rx in self.reactions:
@@ -208,15 +263,12 @@ def check_library(library: CslLibrary) -> None:
         problems = ("appears in more than one reaction", "has no eligible synthons",
                     "synthon list has duplicates", f"references unknown synthons {missing}")
         raise LibraryError(f"R-group {layout.rg_ids[bad[0]]} {problems[np.argmax(failed[:, bad[0]])]}")
-    product_count(library)  # raises on 64-bit overflow
+    product_count(library)  # raises past the signed 64-bit range
 
 
 def product_count(library: CslLibrary) -> int:
     """Total number of products; sum over reactions of the product of R-group sizes."""
-    total = library._reaction_offsets[-1]
-    if total > MAX_COUNT:
-        raise LibraryError(f"product count {total} exceeds unsigned 64-bit range")
-    return total
+    return int(library.layout.product_offsets[-1])
 
 
 def encode_index(library: CslLibrary, chi: MultiIndex) -> int:
@@ -247,12 +299,12 @@ def product_index(library: CslLibrary, reaction_id: int, synthon_ids) -> int:
 
 def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
     """Exact inverse of encode_index."""
-    total = library._reaction_offsets[-1]
+    total = product_count(library)
     if not 0 <= gidx < total:
         raise LibraryError(f"global index {gidx} out of range [0, {total})")
-    t = bisect_right(library._reaction_offsets, gidx) - 1
+    t = bisect_right(library.layout.product_offsets, gidx) - 1
     rx = library.reactions[t]
-    rem = gidx - library._reaction_offsets[t]
+    rem = gidx - library.reaction_offset(t)
     digits = [0] * len(rx.rgroups)
     for j in range(len(rx.rgroups) - 1, -1, -1):
         n = len(rx.rgroups[j].synthon_ids)
@@ -261,40 +313,6 @@ def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
         (rg.rgroup_id, rg.synthon_ids[d]) for rg, d in zip(rx.rgroups, digits)
     )
     return MultiIndex(reaction_id=rx.reaction_id, assignment=assignment)
-
-
-def decode_indices(library: CslLibrary, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """decode_index over an array of global indices, in one pass.
-
-    Returns each index's reaction position and a digit matrix with one column
-    per R-group position of the widest reaction; digit j of a row is the
-    position of its synthon in R-group j, as in decode_index, and the columns
-    past its reaction's R-groups hold -1.
-    """
-    gidx = np.asarray(gidx, dtype=np.int64)
-    offsets = np.asarray(library._reaction_offsets, dtype=np.int64)
-    if len(gidx) and not (0 <= gidx.min() and gidx.max() < offsets[-1]):
-        raise LibraryError(f"global index out of range [0, {offsets[-1]})")
-    layout = library.layout
-    width = layout.radix.shape[1]
-    pos = np.searchsorted(offsets, gidx, side="right") - 1
-    rem = gidx - offsets[pos]
-    digits = np.empty((len(gidx), width), dtype=np.int64)
-    for j in range(width - 1, -1, -1):
-        rem, digits[:, j] = np.divmod(rem, layout.radix[pos, j])
-    digits[np.arange(width) >= layout.n_rgroups[pos][:, None]] = -1
-    return pos, digits
-
-
-def pair_rows(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The pair row of every cell of `decode_indices`' output; -1 where the digit is -1."""
-    return np.where(digits >= 0, library.layout.first_row[pos] + digits, -1)
-
-
-def synthon_ids(library: CslLibrary, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The synthon id of every cell of `decode_indices`' output; -1 where the digit is -1."""
-    rows = pair_rows(library, pos, digits)
-    return np.where(rows >= 0, library.layout.member_ids[rows], -1)
 
 
 def gather_sum(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -312,7 +330,7 @@ def reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, a
     decoded product, as strings, built a reaction at a time: columns of hit and label files."""
     n = len(pos)
     reaction_id, joined_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
-    sids = synthon_ids(library, pos, digits)
+    sids = library.layout.synthon_ids(pos, digits)
     order = np.argsort(pos, kind="stable")
     sorted_pos = pos[order]
     starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))

@@ -33,12 +33,13 @@ Lotem & Naor (PODS 2001):
   survivors are kept pending in `_TopKBuffer`; once k are pending, it
   compacts to the best k.
 
-Both variants and `evalkit.oracle_topk` scan with that loop into that one
-buffer. The buffer finds the best-k set by partition in linear time
-(violation, then signed objective among its ties, then the lowest global
-indices), and sorts only the survivors, once, to hand them over in key order.
+Both variants and `evalkit.oracle_topk` get their top k from `scan_topk`,
+which runs that loop into that one buffer. The buffer finds the best-k set by
+partition in linear time (violation, then signed objective among its ties,
+then the lowest global indices), and sorts only the survivors, once, to hand
+them over in key order.
 The result is columnar: predicted violators are dropped with a mask, every hit
-is decoded in one pass (`csl.decode_indices`), and each constraint's value is
+is decoded in one pass (`PairLayout.decode`), and each constraint's value is
 gathered from the table by pair row and summed from 0.0, R-groups in
 declaration order, then the bias.
 `save_result` writes the hit file column by column, a chunk of rows at a time.
@@ -57,15 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import (
-    CslLibrary,
-    decode_indices,
-    fingerprint_matches,
-    gather_sum,
-    pair_rows,
-    product_count,
-    reaction_columns,
-)
+from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, reaction_columns
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
@@ -173,10 +166,14 @@ class QuerySpec:
         if self.k < 0:
             raise EngineError("k must be >= 0")
 
+    @property
+    def tasks(self) -> list[str]:
+        """The objective's task, then each constraint's, in constraint order."""
+        return [self.objective] + [c.task for c in self.constraints]
+
     def validate_tasks(self, table: ContributionTable) -> None:
-        table.task_index(self.objective)
-        for c in self.constraints:
-            table.task_index(c.task)
+        for name in self.tasks:
+            table.task_index(name)
 
 
 def violation(values, constraints: tuple[Constraint, ...]):
@@ -201,7 +198,7 @@ class TopKResult:
     violation: np.ndarray
     constraint_values: np.ndarray  # (n constraints, n hits), in constraint order
     reaction_pos: np.ndarray       # positional reaction index
-    digits: np.ndarray             # (n hits, R-group positions), as csl.decode_indices gives them
+    digits: np.ndarray             # (n hits, R-group positions), as PairLayout.decode gives them
     scanned: int                   # products covered by the index range
     discarded_for_violation: int
     timing: dict[str, float]
@@ -213,32 +210,14 @@ class TopKResult:
 
 
 # ---------------------------------------------------------------------------
-# block decomposition and vectorized block scoring
+# vectorized block scoring and the scan
 # ---------------------------------------------------------------------------
-
-def _block_table(library: CslLibrary, start: int, end: int):
-    """Every block that overlaps [start, end), in index order, as int64 arrays:
-    reaction position, first digit, block start, and the block's [lo, hi)
-    offsets clipped to the range. Each of a reaction's blocks holds the
-    product of its later R-groups' radices; a library without reactions has
-    no blocks."""
-    offsets = np.asarray(library._reaction_offsets, dtype=np.int64)
-    size = library.layout.radix[:, 1:].prod(axis=1)
-    # per reaction, the first digit whose block ends past start, and the first one past the range
-    first = np.maximum((start - offsets[:-1]) // size, 0)
-    stop = np.minimum(-((offsets[:-1] - end) // size), np.diff(offsets) // size)
-    count = np.maximum(stop - first, 0) if start < end else np.zeros_like(first)
-    rx = np.repeat(np.arange(len(size)), count)
-    digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count - first, count)
-    g0 = offsets[rx] + digit * size[rx]
-    return rx, digit, g0, np.maximum(start - g0, 0), np.minimum(end - g0, size[rx])
-
 
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
-    def __init__(self, table: ContributionTable, library: CslLibrary, reaction_pos: int, tasks: list[str]):
-        rows = library.layout.reaction_rows(reaction_pos)
+    def __init__(self, table: ContributionTable, layout: PairLayout, reaction_pos: int, tasks: list[str]):
+        rows = layout.reaction_rows(reaction_pos)
         self.per_task = [
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
@@ -382,7 +361,7 @@ class _TopKBuffer:
 
 
 def _constraint_values(
-    library: CslLibrary,
+    layout: PairLayout,
     table: ContributionTable,
     query: QuerySpec,
     pos: np.ndarray,
@@ -391,11 +370,11 @@ def _constraint_values(
     """Each constraint's value at every decoded hit: the hit's contributions
     summed from 0.0, R-groups in declaration order, then the task bias."""
     tasks = [table.task_index(con.task) for con in query.constraints]
-    return gather_sum(table.values[tasks].T, pair_rows(library, pos, digits)).T + table.biases[tasks, None]
+    return gather_sum(table.values[tasks].T, layout.pair_rows(pos, digits)).T + table.biases[tasks, None]
 
 
 def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
-    """Score `_block_table` rows into `buf`; return the number of products scored.
+    """Score `PairLayout.blocks` rows into `buf`; return the number of products scored.
 
     Blocks are visited best (violation, signed objective) bound first, ties in
     index order, and the visit stops at the first block whose bound is strictly
@@ -419,21 +398,22 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     return scored
 
 
-def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
-            index_range: tuple[int, int] | None, bounded: bool) -> TopKResult:
-    """Check the table against the library and the query, and the index range;
-    scan, with block bounds or without, and return the feasible best k. The
-    scan's time ends once they are selected, before they are decoded."""
-    table.check_library(library)
-    query.validate_tasks(table)
-    total = product_count(library)
+def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple[int, int]:
+    """The [start, end) global indices a top-k covers: the whole library by default."""
+    total = int(layout.product_offsets[-1])
     start, end = index_range if index_range is not None else (0, total)
     if not 0 <= start <= end <= total:
         raise EngineError(f"index range [{start}, {end}) invalid")
-    t0 = time.perf_counter()
-    tasks = [query.objective] + [c.task for c in query.constraints]
-    views = [_ReactionView(table, library, ti, tasks) for ti in range(len(library.reactions))]
-    blocks = _block_table(library, start, end)
+    return start, end
+
+
+def scan_topk(layout: PairLayout, views, query: QuerySpec, k: int,
+              index_range: tuple[int, int] | None = None, bounded: bool = False):
+    """The best k (violation, signed objective, global index) keys over the
+    index range, in key order, then the products scored and those in the range.
+    `_scan` reads one view per reaction; `bounded` needs `_ReactionView`s."""
+    start, end = index_span(layout, index_range)
+    blocks = layout.blocks(start, end)
     rx, digit = blocks[:2]
     bounds = None
     if bounded and len(rx):
@@ -441,22 +421,35 @@ def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
         # each block's row in the reactions' bounds laid end to end
         row = np.cumsum([0] + [len(c) for c, _ in per_reaction])[rx] + digit
         bounds = [np.concatenate(b)[row] for b in zip(*per_reaction)]
-    buf = _TopKBuffer(query.k)
+    buf = _TopKBuffer(k)
     scored = _scan(buf, views, query, blocks, bounds)
     c, s, g = buf.kept()
+    return c, s, g, scored, end - start
+
+
+def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
+            index_range: tuple[int, int] | None, bounded: bool) -> TopKResult:
+    """Check the table against the library and the query; scan the index
+    range, with block bounds or without, and return the feasible best k. The
+    scan's time ends once they are selected, before they are decoded."""
+    table.check_library(library)
+    query.validate_tasks(table)
+    layout = library.layout
+    t0 = time.perf_counter()
+    views = [_ReactionView(table, layout, ti, query.tasks) for ti in range(len(layout.n_rgroups))]
+    c, s, g, scored, scanned = scan_topk(layout, views, query, query.k, index_range, bounded)
     scan_time = time.perf_counter() - t0
-    scanned = end - start
     timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
     if scan_time > 0:
         timing["products_per_second"] = scanned / scan_time
     feasible = c >= 0.0
     g = g[feasible]
-    pos, digits = decode_indices(library, g)
+    pos, digits = layout.decode(g)
     return TopKResult(
         global_index=g,
         objective=s[feasible] if query.direction == "maximize" else -s[feasible],
         violation=c[feasible],
-        constraint_values=_constraint_values(library, table, query, pos, digits),
+        constraint_values=_constraint_values(layout, table, query, pos, digits),
         reaction_pos=pos,
         digits=digits,
         scanned=scanned,
@@ -494,28 +487,25 @@ def search_topk_batched(
     return _search(library, table, query, index_range, bounded=False)
 
 
-def cost_estimate(library: CslLibrary, d: int, k: int) -> dict[str, int]:
+def cost_estimate(layout: PairLayout, n_synthons: int, d: int, k: int) -> dict[str, int]:
     """Closed-form accounting, reported under both the no-sharing assumption
     (one pair row per synthon) and the actual per-(R-group, synthon) row count."""
     if d < 1 or k < 0:
         raise EngineError(f"cost needs d >= 1 and k >= 0, got d={d}, k={k}")
-    n_synthons = len(library.synthons)
-    pairs_actual = library.layout.n_pairs
-    offsets, n_rgroups = library._reaction_offsets, library.layout.n_rgroups.tolist()
-    # c contributions summed plus the bias: c adds per product
-    scoring_flops = sum((b - a) * c for a, b, c in zip(offsets, offsets[1:], n_rgroups))
-    out = {
+    pairs_actual = layout.n_pairs
+    # c contributions summed plus the bias: c adds per product, counted in Python ints
+    sizes, n_rgroups = np.diff(layout.product_offsets).tolist(), layout.n_rgroups.tolist()
+    return {
         "synthon_encoder_evals": n_synthons,
         "pair_rows_no_sharing": n_synthons,
         "pair_rows_actual": pairs_actual,
         "cache_bytes_no_sharing": n_synthons * d * 4,
         "cache_bytes_actual": pairs_actual * d * 4,
-        "precompute_flops_per_task_no_sharing": precompute_flops_per_task(n_synthons, d) if n_synthons else 0,
-        "precompute_flops_per_task_actual": precompute_flops_per_task(pairs_actual, d) if pairs_actual else 0,
-        "scoring_flops_total": scoring_flops,
+        "precompute_flops_per_task_no_sharing": precompute_flops_per_task(n_synthons, d),
+        "precompute_flops_per_task_actual": precompute_flops_per_task(pairs_actual, d),
+        "scoring_flops_total": sum(size * c for size, c in zip(sizes, n_rgroups)),
         "k": k,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from .engine import (
     ContributionTable,
     QuerySpec,
     TopKResult,
-    _block_table,
-    _scan,
-    _TopKBuffer,
+    index_span,
+    scan_topk,
     search_topk_stream,
     violation,
 )
@@ -48,7 +47,7 @@ class OracleTopK:
 
 class _OracleView:
     """One reaction's oracle values for the query's tasks, the objective first,
-    read the way `engine._scan` reads a view."""
+    read the way `engine.scan_topk` reads a view."""
 
     def __init__(self, oracle: GroundTruthOracle, library: CslLibrary, reaction_pos: int, tasks: list[str]):
         self.oracle, self.library, self.reaction_pos, self.tasks = oracle, library, reaction_pos, tasks
@@ -75,18 +74,14 @@ def oracle_topk(
     violating one, so the feasible keys are a prefix of the kept ones, ordered
     by signed objective descending, then lower global index.
     """
-    total = product_count(library)
-    start, end = index_range if index_range is not None else (0, total)
+    start, end = index_span(library.layout, index_range)
     if end - start > ORACLE_ENUMERATION_GUARD:
         raise EvalError(
             f"range of {end - start} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
-    tasks = [query.objective] + [con.task for con in query.constraints]
-    views = [_OracleView(oracle, library, t, tasks) for t in range(len(library.reactions))]
-    buf = _TopKBuffer(j)
-    _scan(buf, views, query, _block_table(library, start, end))
-    c, s, g = buf.kept()
+    views = [_OracleView(oracle, library, t, query.tasks) for t in range(len(library.reactions))]
+    c, s, g, _, _ = scan_topk(library.layout, views, query, j, (start, end))
     n = np.count_nonzero(c >= 0.0)
     return OracleTopK(g[:n], s[:n] if query.direction == "maximize" else -s[:n], query, j)
 

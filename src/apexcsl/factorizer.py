@@ -17,8 +17,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import (CslLibrary, PairLayout, decode_indices, fingerprint_matches, gather_sum, library_fingerprint, pair_rows,
-                  product_count, synthon_ids)
+from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, library_fingerprint, product_count
 from .nn import MLP, Adam, ParamBuffer
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
@@ -197,12 +196,14 @@ class FactorizerTrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise FactorizerError(f"steps and batch_size must be >= 1, got {self.steps} and {self.batch_size}")
+        if not all(np.isfinite(x) and x > 0 for x in (self.lr, self.lr_decay)):
+            raise FactorizerError(f"lr and lr_decay must be finite and > 0, got {self.lr} and {self.lr_decay}")
 
 
 def _sample_chis(library: CslLibrary, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n products drawn uniformly over the library, as csl.decode_indices gives
+    """n products drawn uniformly over the library, as PairLayout.decode gives
     them: (reaction positions, digits)."""
-    return decode_indices(library, rng.integers(0, product_count(library), size=n))
+    return library.layout.decode(rng.integers(0, product_count(library), size=n))
 
 
 def reconstruction_loss_and_grads(
@@ -214,7 +215,7 @@ def reconstruction_loss_and_grads(
     """Mean squared embedding reconstruction error over a fixed batch.
 
     `rows` holds each product's pair rows, one column per R-group position and
-    -1 past its reaction's R-groups, as `csl.pair_rows` gives them.
+    -1 past its reaction's R-groups, as `PairLayout.pair_rows` gives them.
     """
     u, cache = factorizer.forward_cache(library)
     pred = gather_sum(u, rows)
@@ -249,9 +250,9 @@ def train_factorizer(
     for step in range(config.steps):
         opt.lr = config.lr * (config.lr_decay ** (step / max(1, config.steps)))
         pos, digits = _sample_chis(library, config.batch_size, rng)
-        sids = synthon_ids(library, pos, digits)
+        sids = library.layout.synthon_ids(pos, digits)
         targets = surrogate.encoder.forward(product_feature_matrix(library, sids, fc))
-        loss, _ = reconstruction_loss_and_grads(factorizer, library, pair_rows(library, pos, digits), targets)
+        loss, _ = reconstruction_loss_and_grads(factorizer, library, library.layout.pair_rows(pos, digits), targets)
         if not np.isfinite(loss):
             raise FactorizerError(f"non-finite reconstruction loss at step {step}: {loss}")
         opt.step(buf.flat, buf.grad)
@@ -277,9 +278,9 @@ def factorization_gap(
     rng = np.random.default_rng(seed)
     pos, digits = _sample_chis(library, sample_size, rng)
     u, _ = factorizer.forward_cache(library)
-    sids = synthon_ids(library, pos, digits)
+    sids = library.layout.synthon_ids(pos, digits)
     target = surrogate.encoder.forward(product_feature_matrix(library, sids, fc))
-    recon = gather_sum(u, pair_rows(library, pos, digits))
+    recon = gather_sum(u, library.layout.pair_rows(pos, digits))
     dist = np.linalg.norm(target - recon, axis=1)
     emb_rms = float(np.sqrt(np.mean(target * target)))
     return {

@@ -16,8 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blobio import fits, utf8_text
-from .csl import (CslLibrary, LibraryError, MultiIndex, decode_indices, gather_sum, product_count,
-                  product_index, reaction_columns, synthon_ids)
+from .csl import CslLibrary, LibraryError, MultiIndex, gather_sum, product_count, product_index, reaction_columns
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -92,7 +91,7 @@ def product_feature_matrix(library: CslLibrary, sids: np.ndarray, config: Featur
     """Product features of every row of an (n, width) synthon-id matrix, in one pass.
 
     Row i lists product i's synthons in R-group order, then -1 past its
-    reaction's R-groups (`csl.synthon_ids` gives this layout), so 2- and
+    reaction's R-groups (`PairLayout.synthon_ids` gives this layout), so 2- and
     3-component products mix. Its features are its synthon vectors summed from
     zeros in R-group order, then q cross terms: a fixed projection of the
     product of its two largest-norm synthon vectors (ties by position; one
@@ -249,7 +248,7 @@ def oracle_values(
     order.
     """
     task = oracle.task(task_name)
-    sids = synthon_ids(library, *decode_indices(library, gidx))
+    sids = library.layout.synthon_ids(*library.layout.decode(gidx))
     present = sids >= 0
     base = gather_sum(task.latent, sids)
     value = base.copy()
@@ -468,7 +467,7 @@ def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
         for lo in range(0, len(dataset), LABEL_CHUNK_ROWS):
             hi = min(lo + LABEL_CHUNK_ROWS, len(dataset))
             reaction_id, joined_ids, _ = reaction_columns(
-                library, *decode_indices(library, dataset.global_index[lo:hi]), assemble=False
+                library, *library.layout.decode(dataset.global_index[lo:hi]), assemble=False
             )
             columns = [reaction_id, joined_ids, names[dataset.task[lo:hi]].tolist(),
                        map(repr, dataset.value[lo:hi].tolist())]

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, decode_indices, synthon_ids
+from .csl import CslLibrary
 from .nn import MLP, Adam, ParamBuffer, params_checksum
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
 
@@ -43,6 +43,8 @@ class TrainConfig:
         if min(self.embedding_dim, *self.hidden) < 1:
             raise SurrogateError(f"embedding_dim and hidden widths must be >= 1, got "
                                  f"{self.embedding_dim} and {self.hidden}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise SurrogateError(f"lr must be finite and > 0, got {self.lr}")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise SurrogateError(f"sigma must be finite and >= 0, got {self.sigma}")
 
@@ -110,7 +112,7 @@ def surrogate_loss_and_grads(
 def _build_examples(dataset: LabeledDataset, library: CslLibrary, feature_config: FeatureConfig):
     """The features of each distinct labeled product, and per label the row of its product."""
     products, feat_rows = np.unique(dataset.global_index, return_inverse=True)
-    sids = synthon_ids(library, *decode_indices(library, products))
+    sids = library.layout.synthon_ids(*library.layout.decode(products))
     return product_feature_matrix(library, sids, feature_config), feat_rows
 
 

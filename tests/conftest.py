@@ -60,6 +60,36 @@ def table_from_values(library, task_names, values, biases):
     )
 
 
+def numpy_topk_keys(library, table, query, index_range=None):
+    """Brute-force materialize-and-sort reference: every product's task values
+    summed with numpy in R-group order, then the bias, as the scan sums them;
+    violation penalties worked out here; every key sorted; the feasible ones
+    of the top k, as (violation, signed objective, global index)."""
+    def all_values(task):
+        i = table.task_index(task)
+        per_reaction = []
+        for rx in library.reactions:
+            val = None
+            for rg in rx.rgroups:
+                row = table.rg_ids.tolist().index(rg.rgroup_id)
+                a = table.values[i, table.rg_offsets[row]:table.rg_offsets[row + 1]].astype(np.float64)
+                val = a if val is None else (val[:, None] + a).reshape(-1)
+            per_reaction.append(val + table.biases[i])
+        return np.concatenate(per_reaction)[start:end]
+
+    start, end = index_range if index_range is not None else (0, csl.product_count(library))
+    obj = all_values(query.objective)
+    s = obj if query.direction == "maximize" else -obj
+    c = np.zeros_like(s)
+    for con in query.constraints:
+        v = all_values(con.task)
+        c = c - np.maximum(0.0, con.lower - v)
+        c = c - np.maximum(0.0, v - con.upper)
+    g = np.arange(start, end)
+    top = np.lexsort((g, -s, -c))[: query.k]
+    return [(float(c[i]), float(s[i]), int(g[i])) for i in top if c[i] >= 0.0]
+
+
 def random_table(library, task_names, rng):
     """Standard-normal float32 values and float64 biases, drawn in that order."""
     values = rng.standard_normal((len(task_names), pair_count(library))).astype(np.float32)
@@ -87,8 +117,8 @@ def enumerate_products(library, start, end):
     if not 0 <= start <= end <= total:
         raise csl.LibraryError(f"range [{start}, {end}) invalid for product count {total}")
     for lo in range(start, end, ENUMERATE_CHUNK):
-        pos, digits = csl.decode_indices(library, np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
-        for t, sids in zip(pos.tolist(), csl.synthon_ids(library, pos, digits).tolist()):
+        pos, digits = library.layout.decode(np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
+        for t, sids in zip(pos.tolist(), library.layout.synthon_ids(pos, digits).tolist()):
             rx = library.reactions[t]
             yield csl.MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
 

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a single
 PASS/FAIL line (run with -s or read captured output on failure)."""
 
-import functools
 import hashlib
 import json
 import time
@@ -11,43 +10,13 @@ import pytest
 
 from apexcsl import cli, csl, engine, evalkit, factorizer as fz, props, surrogate as sg
 from apexcsl.nn import MLP, ParamBuffer
-from conftest import random_table
+from conftest import numpy_topk_keys, random_table
 
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} ({name}): {status} {detail}".rstrip())
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _materialize_keys(library, table, query):
-    """Brute-force materialize-and-sort reference: full per-reaction outer sums
-    in R-group order (same accumulation order as the scan kernels), global
-    lexicographic sort, top-k, violators dropped."""
-    obj_parts, con_parts = [], [[] for _ in query.constraints]
-    for ti, rx in enumerate(library.reactions):
-        def task_array(name):
-            i = table.task_index(name)
-            arrs = []
-            for rg in rx.rgroups:
-                j = table.rg_ids.tolist().index(rg.rgroup_id)
-                lo, hi = int(table.rg_offsets[j]), int(table.rg_offsets[j + 1])
-                arrs.append(table.values[i, lo:hi].astype(np.float64))
-            return functools.reduce(np.add.outer, arrs).ravel() + float(table.biases[i])
-
-        obj_parts.append(task_array(query.objective))
-        for ci, con in enumerate(query.constraints):
-            con_parts[ci].append(task_array(con.task))
-    obj = np.concatenate(obj_parts)
-    s = obj if query.direction == "maximize" else -obj
-    if query.constraints:
-        cons = [np.concatenate(parts) for parts in con_parts]
-        c = np.asarray(engine.violation(cons, query.constraints))
-    else:
-        c = np.zeros_like(s)
-    g = np.arange(len(s))
-    sel = np.lexsort((g, -s, -c))[: query.k]
-    return [(float(c[i]), float(s[i]), int(i)) for i in sel if c[i] >= 0.0]
 
 
 def _result_keys(result, direction):
@@ -88,7 +57,7 @@ def test_criterion_1_exact_retrieval_equivalence(tmp_path):
         stream = engine.search_topk_stream(library, table, query)
         rng.integers(1, max(2, total // 3))  # once a batch size; still drawn, so later tables stay the same
         batched = engine.search_topk_batched(library, table, query)
-        expected = _materialize_keys(library, table, query)
+        expected = numpy_topk_keys(library, table, query)
         assert _result_keys(stream, direction) == expected, f"library {li}: stream != brute force"
         assert _result_keys(batched, direction) == expected, f"library {li}: batched != brute force"
 
@@ -107,7 +76,7 @@ def test_criterion_2_cost_accounting():
     library = csl.generate_synthetic(
         csl.SyntheticConfig(n_reactions=1, components=(3,), synthons_per_rgroup=10000), seed=0
     )
-    out = engine.cost_estimate(library, d=1024, k=10000)
+    out = engine.cost_estimate(library.layout, len(library.synthons), d=1024, k=10000)
     flops = out["precompute_flops_per_task_no_sharing"]
     cache = out["cache_bytes_no_sharing"]
     scoring = out["scoring_flops_total"]
@@ -240,7 +209,7 @@ def test_criterion_5_gradient_checks(small_library):
         feature_config.p, fz.FactorizerDims(d_s=8, d_r=8, d_t=8, d_u=4, d=6), rng,
         mode="mlp", feature_config=feature_config,
     )
-    rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [1, 44, 77, 120, 149]))
+    rows = small_library.layout.pair_rows(*small_library.layout.decode([1, 44, 77, 120, 149]))
     targets = rng.standard_normal((5, 6))
     fz.reconstruction_loss_and_grads(factor, small_library, rows, targets)
     f_analytic = factor.buffer.grad.copy()

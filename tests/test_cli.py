@@ -146,7 +146,7 @@ class TestPipeline:
         library = csl.load_library(pipeline["library"])
         table = engine.load_table(pipeline["table"], library)
         oracle = props.load_oracle(pipeline["oracle"])
-        query, _ = cli.parse_query_file(pipeline["query"], table)
+        query = cli.parse_query_file(pipeline["query"], table)
         retrieved = engine.search_topk_stream(library, table, query)
         lines = ["j\trecall\tsatisfaction_rate\tbase_rate"]
         for j in (100, 10):
@@ -259,6 +259,7 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "constraint": [{"task": "mw", "upper": -5}]}',
         '{"objective": {"task": "dock_a"}, "constraints": [{"preset": "lipinski", "upper": -5}]}',
         '{"objective": {"task": "dock_a", "sense": "minimize"}}',
+        '{"objective": {"task": "dock_a"}, "variant": "batched"}',
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
@@ -266,6 +267,7 @@ class TestQueries:
         "k_fraction", "k_bool", "k_string",
         "upper_bool", "preset_list",
         "constraint_unknown_key", "top_level_unknown_key", "preset_with_bound", "objective_unknown_key",
+        "variant_unknown_key",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"
@@ -276,6 +278,7 @@ class TestQueries:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert '"chunk_size"' not in text or "unknown keys ['chunk_size']" in err
+        assert '"variant"' not in text or "unknown keys ['variant']" in err
 
 
 class TestErrors:
@@ -350,7 +353,8 @@ class TestErrors:
         "epochs_0", "batch_size_0", "steps_0", "gap_sample_0", "budgets_0", "n_seeds_0",
         "sample_size_negative", "feature_p_0", "tasks_repeated", "cost_negative", "labels_reaction_negative",
         "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf", "sigma_nan", "sigma_negative",
-        "share_rate_nan", "share_rate_above_1",
+        "share_rate_nan", "share_rate_above_1", "lr_negative", "lr_zero", "lr_nan",
+        "factorizer_lr_negative", "factorizer_lr_zero", "factorizer_lr_nan",
     ])
     def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
         # each once ended in a traceback or was accepted silently
@@ -389,12 +393,46 @@ class TestErrors:
             "sigma_negative": surrogate + ["--epochs", "1", "--sigma", "-1"],
             "share_rate_nan": ["generate", "--out", out, "--share-rate", "nan"],
             "share_rate_above_1": ["generate", "--out", out, "--share-rate", "5"],
+            "lr_negative": surrogate + ["--epochs", "1", "--lr", "-1"],
+            "lr_zero": surrogate + ["--epochs", "1", "--lr", "0"],
+            "lr_nan": surrogate + ["--epochs", "1", "--lr", "nan"],
+            "factorizer_lr_negative": factorizer + ["--lr", "-1"],
+            "factorizer_lr_zero": factorizer + ["--lr", "0"],
+            "factorizer_lr_nan": factorizer + ["--lr", "nan"],
         }[case]
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
         assert case != "cost_negative" or not captured.out
         assert case != "labels_inf" or "non-finite value" in captured.err
+        assert "lr_" not in case or "finite and > 0" in captured.err  # refused before training starts
+
+    @pytest.mark.parametrize("command", ["search", "label"])
+    def test_product_count_past_int64(self, tmp_path, capsys, command):
+        # one reaction of 63 R-groups x 2 synthons: 2^63 products, one past the int64 index range;
+        # both commands once ended in an OverflowError traceback
+        from apexcsl import csl, engine
+
+        synthons = (csl.SynthonRecord(0, "a*"), csl.SynthonRecord(1, "b*"))
+        rgroups = tuple(csl.RgroupSpec(i, (0, 1)) for i in range(63))
+        library = csl.CslLibrary((csl.ReactionSpec(0, rgroups),), synthons)
+        lib = tmp_path / "big.csl"
+        csl.save_library(library, lib)
+        layout = library.layout
+        table = engine.ContributionTable(np.zeros((1, layout.n_pairs), np.float32), np.zeros(1), ["obj"],
+                                         layout.member_ids, layout.rg_offsets, layout.rg_ids,
+                                         csl.library_fingerprint(library))
+        engine.save_table(table, tmp_path / "table.blob")
+        (tmp_path / "query.json").write_text(json.dumps({"objective": {"task": "obj"}, "k": 5}))
+        argv = {
+            "search": ["search", "--library", str(lib), "--table", str(tmp_path / "table.blob"),
+                       "--query", str(tmp_path / "query.json"), "--out", str(tmp_path / "hits.tsv")],
+            "label": ["label", "--library", str(lib), "--out", str(tmp_path / "labels.tsv"), "--sample-size", "5"],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "signed 64-bit" in err
 
     @pytest.mark.parametrize("command", ["label", "evaluate", "compare-ts"])
     @pytest.mark.parametrize("case", [

@@ -151,37 +151,37 @@ class TestDecodeIndices:
 
     def test_matches_scalar_decode_exhaustively(self, small_library):
         gidx = np.arange(csl.product_count(small_library))
-        pos, digits = csl.decode_indices(small_library, gidx)
+        pos, digits = small_library.layout.decode(gidx)
         assert list(zip(pos.tolist(), digits.tolist())) == self.expected(small_library, gidx)
 
     def test_matches_scalar_decode_unordered(self, medium_library):
         gidx = np.random.default_rng(1).integers(0, csl.product_count(medium_library), size=2000)
-        pos, digits = csl.decode_indices(medium_library, gidx)
+        pos, digits = medium_library.layout.decode(gidx)
         assert list(zip(pos.tolist(), digits.tolist())) == self.expected(medium_library, gidx)
 
     def test_large_library(self):
         lib = trillion_library()
         gidx = np.array([0, 123_456_789_012, 10**12 - 1])
-        pos, digits = csl.decode_indices(lib, gidx)
+        pos, digits = lib.layout.decode(gidx)
         assert pos.tolist() == [0, 0, 0]
         assert digits.tolist() == [[0, 0, 0], [1234, 5678, 9012], [9999, 9999, 9999]]
 
     def test_empty_and_out_of_range(self, small_library):
-        pos, digits = csl.decode_indices(small_library, np.empty(0, dtype=np.int64))
+        pos, digits = small_library.layout.decode(np.empty(0, dtype=np.int64))
         assert pos.shape == (0,) and digits.shape == (0, 3)
         total = csl.product_count(small_library)
         for bad in ([total], [0, -1]):
             with pytest.raises(csl.LibraryError):
-                csl.decode_indices(small_library, np.array(bad))
+                small_library.layout.decode(np.array(bad))
 
 
 class TestPairRows:
     def test_synthon_ids_and_pair_rows_match_scalar(self, medium_library):
         lib = medium_library
         gidx = np.random.default_rng(2).integers(0, csl.product_count(lib), size=500)
-        pos, digits = csl.decode_indices(lib, gidx)
-        sids = csl.synthon_ids(lib, pos, digits)
-        rows = csl.pair_rows(lib, pos, digits)
+        pos, digits = lib.layout.decode(gidx)
+        sids = lib.layout.synthon_ids(pos, digits)
+        rows = lib.layout.pair_rows(pos, digits)
         first_row, n = {}, 0
         for rg in lib.iter_rgroups():
             first_row[rg.rgroup_id] = n
@@ -492,7 +492,7 @@ def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token
     for t in range(len(lib.reactions)):
         start = lib.reaction_offset(t)
         gidx = np.arange(start, start + lib.reaction_size(t))
-        _, digits = csl.decode_indices(lib, gidx)
+        _, digits = lib.layout.decode(gidx)
         n = len(lib.reactions[t].rgroups)
         expected = [assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
         assert csl.assemble_rows(lib, t, digits[:, :n]) == expected
@@ -532,9 +532,9 @@ def test_pair_layout_matches_per_rgroup_construction(library):
         with pytest.raises(ValueError):
             a[0] = 1
 
-    # layout.pair_row agrees with csl.pair_rows at every decoded cell
+    # layout.pair_row agrees with layout.pair_rows at every decoded cell
     gidx = np.arange(csl.product_count(library))
-    rows = csl.pair_rows(library, *csl.decode_indices(library, gidx))
+    rows = library.layout.pair_rows(*library.layout.decode(gidx))
     for g, row in zip(gidx.tolist(), rows.tolist()):
         chi = csl.decode_index(library, g)
         expected = [layout.pair_row(rg_id, s) for rg_id, s in chi.assignment]

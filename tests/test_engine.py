@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
-from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, pair_count,
-                      perfect_additive_table, reference_iter_blocks, table_from_values)
+from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, numpy_topk_keys,
+                      pair_count, perfect_additive_table, reference_iter_blocks, table_from_values)
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +261,7 @@ class TestBlockTable:
             assert library.reaction_size(t) == size
             assert library.reaction_offset(t) == sum(sizes[:t])
         assert csl.product_count(library) == sum(sizes)
-        got = engine._block_table(library, start, end)
+        got = library.layout.blocks(start, end)
         assert all(a.dtype == np.int64 for a in got)
         assert list(zip(*(a.tolist() for a in got))) == list(reference_iter_blocks(library, start, end))
 
@@ -272,7 +272,7 @@ class TestBlockTable:
         q = engine.QuerySpec("obj", "maximize", (), k=5)
         for res in (engine.search_topk_stream(library, table, q), engine.search_topk_batched(library, table, q)):
             assert (res.retained, res.scanned, res.scored, res.discarded_for_violation) == (0, 0, 0, 0)
-        assert all(len(a) == 0 for a in engine._block_table(library, 0, 0))
+        assert all(len(a) == 0 for a in library.layout.blocks(0, 0))
 
 
 class TestCost:
@@ -283,7 +283,7 @@ class TestCost:
         lib = csl.generate_synthetic(
             csl.SyntheticConfig(n_reactions=1, components=(3,), synthons_per_rgroup=4), seed=0
         )
-        out = engine.cost_estimate(lib, d=8, k=5)
+        out = engine.cost_estimate(lib.layout, len(lib.synthons), d=8, k=5)
         assert out["synthon_encoder_evals"] == 12
         assert out["pair_rows_no_sharing"] == 12
         assert out["cache_bytes_no_sharing"] == 12 * 8 * 4
@@ -355,33 +355,8 @@ class TestTableIO:
 
 # ---------------------------------------------------------------------------
 # block skipping: the stream scan against the batched scan and a numpy brute force
+# (conftest.numpy_topk_keys)
 # ---------------------------------------------------------------------------
-
-def numpy_topk_keys(library, table, query, start, end):
-    """Materialize every product's task values with numpy, sort all keys, keep the feasible top k."""
-    def all_values(task):
-        i = table.task_index(task)
-        per_reaction = []
-        for rx in library.reactions:
-            val = None
-            for rg in rx.rgroups:
-                row = table.rg_ids.tolist().index(rg.rgroup_id)
-                a = table.values[i, table.rg_offsets[row]:table.rg_offsets[row + 1]].astype(np.float64)
-                val = a if val is None else (val[:, None] + a).reshape(-1)
-            per_reaction.append(val + table.biases[i])
-        return np.concatenate(per_reaction)[start:end]
-
-    obj = all_values(query.objective)
-    s = obj if query.direction == "maximize" else -obj
-    c = np.zeros_like(s)
-    for con in query.constraints:
-        v = all_values(con.task)
-        c = c - np.maximum(0.0, con.lower - v)
-        c = c - np.maximum(0.0, v - con.upper)
-    g = np.arange(start, end)
-    top = np.lexsort((g, -s, -c))[: query.k]
-    return [(float(c[i]), float(s[i]), int(g[i])) for i in top if c[i] >= 0.0]
-
 
 BOUND_CHOICES = [
     (float("-inf"), 0.0), (0.0, float("inf")), (-1.0, 1.0), (-0.5, 0.5),
@@ -436,7 +411,7 @@ class TestBlockSkipping:
         library, table, query, (start, end) = case
         stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
         batched = engine.search_topk_batched(library, table, query, index_range=(start, end))
-        expected = numpy_topk_keys(library, table, query, start, end)
+        expected = numpy_topk_keys(library, table, query, (start, end))
         assert result_keys(stream, query.direction) == expected
         assert result_keys(batched, query.direction) == expected
         assert stream.discarded_for_violation == batched.discarded_for_violation
@@ -626,7 +601,7 @@ class TestColumnarExport:
             result = engine.search_topk_stream(library, table, query)
         else:
             result = engine.search_topk_batched(library, table, query)
-        keys = numpy_topk_keys(library, table, query, 0, total)
+        keys = numpy_topk_keys(library, table, query)
         with tempfile.TemporaryDirectory() as d:
             got, want = Path(d) / "got.tsv", Path(d) / "want.tsv"
             with mock.patch.object(engine, "RESULT_CHUNK_ROWS", chunk_rows):

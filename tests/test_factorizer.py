@@ -74,7 +74,7 @@ class TestHierarchy:
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         cache = fz.encode_hierarchy(f, small_library)
         chi = csl.decode_index(small_library, 77)
-        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [77]))[0]
+        rows = small_library.layout.pair_rows(*small_library.layout.decode([77]))[0]
         manual = np.zeros(cache.u.shape[1])
         for row in rows[rows >= 0]:
             manual = manual + cache.u[row]
@@ -113,12 +113,12 @@ class TestTraining:
     def test_mixed_component_batch(self, small_library, tiny_surrogate):
         # one 2-component and one 3-component multi-index in the same batch
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        pos, digits = csl.decode_indices(small_library, [0, 149])
+        pos, digits = small_library.layout.decode([0, 149])
         assert (digits[0] >= 0).sum() != (digits[1] >= 0).sum()
-        sids = csl.synthon_ids(small_library, pos, digits)
+        sids = small_library.layout.synthon_ids(pos, digits)
         feats = props.product_feature_matrix(small_library, sids, tiny_surrogate.feature_config)
         targets = tiny_surrogate.encoder.forward(feats)
-        rows = csl.pair_rows(small_library, pos, digits)
+        rows = small_library.layout.pair_rows(pos, digits)
         loss, grads = fz.reconstruction_loss_and_grads(f, small_library, rows, targets)
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads)
@@ -135,7 +135,7 @@ class TestTraining:
             np.stack([product_features(small_library, chi, fc) for chi in chis])
         )
         recon = np.stack([reconstruct(cache, small_library, chi) for chi in chis])
-        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, gidx))
+        rows = small_library.layout.pair_rows(*small_library.layout.decode(gidx))
         assert csl.gather_sum(cache.u, rows).tobytes() == recon.tobytes()
         dist = np.linalg.norm(target - recon, axis=1)
         assert gap == {
@@ -155,6 +155,12 @@ class TestTraining:
         f = fz.train_factorizer(library, tiny_surrogate, _fast_train_config())
         fz.factorization_gap(f, tiny_surrogate, library, 16, seed=0)
         assert calls == [(library, tiny_surrogate.feature_config)]
+
+    @pytest.mark.parametrize("kw", [{"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
+                                    {"lr_decay": 0.0}, {"lr_decay": -0.5}, {"lr_decay": float("nan")}])
+    def test_step_size_must_be_finite_and_positive(self, kw):
+        with pytest.raises(fz.FactorizerError, match="finite and > 0"):
+            _fast_train_config(**kw)
 
     def test_gap_rejects_feature_config_mismatch(self, small_library, tiny_surrogate):
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
@@ -194,7 +200,7 @@ class TestGradients:
             tiny_surrogate.feature_config.p, dims, rng, mode="mlp",
             feature_config=tiny_surrogate.feature_config,
         )
-        rows = csl.pair_rows(small_library, *csl.decode_indices(small_library, [3, 60, 140]))
+        rows = small_library.layout.pair_rows(*small_library.layout.decode([3, 60, 140]))
         targets = rng.standard_normal((3, dims.d))
 
         fz.reconstruction_loss_and_grads(f, small_library, rows, targets)

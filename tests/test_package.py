@@ -1,6 +1,7 @@
 """No package code is reached only by tests: every public module-level function
 and class of src/apexcsl is named in the package, its scripts or its benchmark,
-or exported by apexcsl/__init__.py."""
+or exported by apexcsl/__init__.py. No module of the package reaches into
+another's private names."""
 
 import ast
 import pathlib
@@ -31,3 +32,23 @@ def test_every_public_definition_has_a_caller():
                     and not node.name.startswith("_") and node.name not in used):
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def test_no_private_name_crosses_modules():
+    # a `_`-prefixed name is its module's own: another module that imports it,
+    # or reads it off an imported module, depends on what may change unseen
+    crossing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("apexcsl")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        crossing.append(f"{path.stem} imports {alias.name}")
+                    if node.module is None or node.module == "apexcsl":  # `from . import engine`
+                        modules.add(alias.asname or alias.name)
+        crossing += [f"{path.stem} reads {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")]
+    assert crossing == []

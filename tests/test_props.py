@@ -115,7 +115,7 @@ class TestBatchFeatures:
             mat = props.library_synthon_features(library, cfg)
         total = csl.product_count(library)
         gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=30))
-        sids = csl.synthon_ids(library, *csl.decode_indices(library, gidx))
+        sids = library.layout.synthon_ids(*library.layout.decode(gidx))
         # the library's synthon features are built once, by library_synthon_features
         with mock.patch.object(props, "library_synthon_features", return_value=mat):
             batch = props.product_feature_matrix(library, sids, cfg)
