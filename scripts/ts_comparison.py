@@ -46,7 +46,7 @@ def main() -> int:
     budgets = tuple(int(b) for b in args.budgets.split(","))
     rows = evalkit.compare_apex_vs_ts(
         library, oracle, table, "obj", "maximize",
-        budgets=budgets, seeds=tuple(range(args.n_seeds)), j_values=(10, 100),
+        budgets=budgets, seeds=tuple(range(args.n_seeds)),
     )
     print("reaction\titers\tevals\tj\tapex_recall\tts_median\tts_iqr")
     for row in rows:

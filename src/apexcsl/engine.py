@@ -379,9 +379,9 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     Blocks are visited best (violation, signed objective) bound first, ties in
     index order, and the visit stops at the first block whose bound is strictly
     below the k-th key. `bounds` holds the two bounds per block; without them
-    every bound is +inf, so every block is scored, in index order. Each view
-    gives a reaction's `block_values` and `values_at` for the objective, then
-    each constraint.
+    every bound is +inf, so every block is scored, in index order. `views`
+    maps each block's reaction position to a view that gives the reaction's
+    `block_values` and `values_at` for the objective, then each constraint.
     """
     if buf.k == 0:
         return 0
@@ -407,19 +407,21 @@ def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple
     return start, end
 
 
-def scan_topk(layout: PairLayout, views, query: QuerySpec, k: int,
+def scan_topk(layout: PairLayout, view_of, query: QuerySpec, k: int,
               index_range: tuple[int, int] | None = None, bounded: bool = False):
     """The best k (violation, signed objective, global index) keys over the
     index range, in key order, then the products scored and those in the range.
-    `_scan` reads one view per reaction; `bounded` needs `_ReactionView`s."""
+    `view_of(reaction position)` builds the view `_scan` reads, once for each
+    reaction that has a block in the range; `bounded` needs `_ReactionView`s."""
     start, end = index_span(layout, index_range)
     blocks = layout.blocks(start, end)
-    rx, digit = blocks[:2]
+    used, which = np.unique(blocks[0], return_inverse=True)
+    views = {t: view_of(t) for t in used.tolist()}
     bounds = None
-    if bounded and len(rx):
-        per_reaction = [_block_key_bounds(view, query) for view in views]
-        # each block's row in the reactions' bounds laid end to end
-        row = np.cumsum([0] + [len(c) for c, _ in per_reaction])[rx] + digit
+    if bounded and views:
+        per_reaction = [_block_key_bounds(view, query) for view in views.values()]
+        # each block's row in those reactions' bounds laid end to end
+        row = np.cumsum([0] + [len(c) for c, _ in per_reaction])[which] + blocks[1]
         bounds = [np.concatenate(b)[row] for b in zip(*per_reaction)]
     buf = _TopKBuffer(k)
     scored = _scan(buf, views, query, blocks, bounds)
@@ -436,8 +438,8 @@ def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
     query.validate_tasks(table)
     layout = library.layout
     t0 = time.perf_counter()
-    views = [_ReactionView(table, layout, ti, query.tasks) for ti in range(len(layout.n_rgroups))]
-    c, s, g, scored, scanned = scan_topk(layout, views, query, query.k, index_range, bounded)
+    c, s, g, scored, scanned = scan_topk(layout, lambda t: _ReactionView(table, layout, t, query.tasks), query,
+                                         query.k, index_range, bounded)
     scan_time = time.perf_counter() - t0
     timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
     if scan_time > 0:

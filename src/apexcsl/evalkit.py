@@ -21,6 +21,9 @@ from .engine import (
 from .props import GroundTruthOracle, ground_truth, oracle_block_values, oracle_values
 
 ORACLE_ENUMERATION_GUARD = 10**8
+BASE_RATE_SAMPLE = 10000  # products sampled for a constraint set's base rate
+COMPARE_J_VALUES = (10, 100)  # the true top-j sets compare_apex_vs_ts scores recall on
+COMPARE_REACTIONS = 5  # compare_apex_vs_ts runs on this many of the largest reactions
 
 
 class EvalError(RuntimeError):
@@ -80,8 +83,8 @@ def oracle_topk(
             f"range of {end - start} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
-    views = [_OracleView(oracle, library, t, query.tasks) for t in range(len(library.reactions))]
-    c, s, g, _, _ = scan_topk(library.layout, views, query, j, (start, end))
+    c, s, g, _, _ = scan_topk(library.layout, lambda t: _OracleView(oracle, library, t, query.tasks), query, j,
+                              (start, end))
     n = np.count_nonzero(c >= 0.0)
     return OracleTopK(g[:n], s[:n] if query.direction == "maximize" else -s[:n], query, j)
 
@@ -100,11 +103,11 @@ def satisfaction_rate(
     oracle: GroundTruthOracle,
     library: CslLibrary,
     constraints: tuple[Constraint, ...],
-    base_rate_sample: int = 10000,
     seed: int = 0,
 ) -> dict[str, float]:
     """Fraction of retrieved compounds whose *oracle* values satisfy all bounds,
-    plus the library base rate estimated on a seeded uniform sample."""
+    plus the library base rate estimated on a seeded uniform sample of
+    BASE_RATE_SAMPLE products."""
     def satisfied(gidx: np.ndarray) -> np.ndarray:
         vals = [oracle_values(oracle, library, con.task, gidx) for con in constraints]
         return np.asarray(violation(vals, constraints)) == 0.0
@@ -116,7 +119,7 @@ def satisfaction_rate(
 
     total = product_count(library)
     rng = np.random.default_rng(seed)
-    n = min(base_rate_sample, total)
+    n = min(BASE_RATE_SAMPLE, total)
     if constraints and n > 0:
         gidxs = rng.choice(total, size=n, replace=False) if total <= 10**7 else rng.integers(0, total, size=n)
         base = int(satisfied(gidxs).sum()) / n
@@ -238,17 +241,16 @@ def compare_apex_vs_ts(
     direction: str,
     budgets: tuple[int, ...] = (100, 1000, 10000),
     seeds: tuple[int, ...] = tuple(range(20)),
-    j_values: tuple[int, ...] = (10, 100),
-    n_reactions: int = 5,
 ) -> list[dict]:
     """Per (reaction, TS iteration budget, j): APEX recall at k = total TS
-    evaluations vs the TS recall over its evaluated set, within the reaction."""
+    evaluations vs the TS recall over its evaluated set, within the reaction;
+    over the COMPARE_REACTIONS largest reactions and j in COMPARE_J_VALUES."""
     if not seeds:
         raise EvalError("compare_apex_vs_ts needs at least one seed")
     order = sorted(
         range(len(library.reactions)),
         key=lambda t: (-library.reaction_size(t), t),
-    )[:n_reactions]
+    )[:COMPARE_REACTIONS]
     rows: list[dict] = []
     for t in order:
         rx = library.reaction(t)
@@ -257,7 +259,7 @@ def compare_apex_vs_ts(
         w = default_warmup(len(rx.rgroups))
         n_syn = reaction_synthon_count(library, t)
         # the oracle order is total, so every top-j is a prefix of the largest one
-        j_max = max(j_values)
+        j_max = max(COMPARE_J_VALUES)
         truth_max = oracle_topk(library, oracle, QuerySpec(objective=objective, direction=direction, k=j_max),
                                 j_max, index_range=(start, end))
         for iters in budgets:
@@ -273,7 +275,7 @@ def compare_apex_vs_ts(
                 )
                 for seed in seeds
             ]
-            for j in j_values:
+            for j in COMPARE_J_VALUES:
                 truth_idx = truth_max.top(j).global_indices()
                 if not truth_idx:
                     continue

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -131,43 +132,36 @@ class TaskDef:
     pair_density: float = 0.05
 
     def __post_init__(self):
-        parts = set(self.mode.split("+"))
-        if "additive" not in parts or not parts <= {"additive", "nonlinear", "pairwise"}:
+        terms = set(self.terms)
+        if "additive" not in terms or not terms <= {"additive", "nonlinear", "pairwise"}:
             raise OracleError(f"bad task mode {self.mode!r}")
         scales = [self.nonlinear_scale, self.nonlinear_alpha, self.pair_scale, self.pair_density]
         if not (np.isfinite(self.latent).all() and np.isfinite(scales).all()):
             raise OracleError(f"task {self.name!r} has a non-finite latent or scale")
 
     @property
-    def has_nonlinear(self) -> bool:
-        return "nonlinear" in self.mode.split("+")
-
-    @property
-    def has_pairwise(self) -> bool:
-        return "pairwise" in self.mode.split("+")
+    def terms(self) -> list[str]:
+        return self.mode.split("+")
 
 
 @dataclass
 class GroundTruthOracle:
     tasks: list[TaskDef]
     seed: int
-    _by_name: dict[str, tuple[int, TaskDef]] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             raise OracleError("task names must be unique")
-        self._by_name = {t.name: (i, t) for i, t in enumerate(self.tasks)}
+        self._by_name = {t.name: i for i, t in enumerate(self.tasks)}
 
     def task(self, name: str) -> TaskDef:
-        try:
-            return self._by_name[name][1]
-        except KeyError:
-            raise OracleError(f"unknown task {name!r}") from None
+        return self.tasks[self.task_index(name)]
 
     def task_index(self, name: str) -> int:
         try:
-            return self._by_name[name][0]
+            return self._by_name[name]
         except KeyError:
             raise OracleError(f"unknown task {name!r}") from None
 
@@ -216,50 +210,42 @@ def _task_salt(oracle: GroundTruthOracle, task: TaskDef) -> int:
     return (oracle.seed * 1000003 + oracle.task_index(task.name) * 8191) & 0xFFFFFFFF
 
 
-def ground_truth(oracle: GroundTruthOracle, library: CslLibrary, chi: MultiIndex, task_name: str) -> float:
-    """Scalar oracle value; additive base, then tanh term, then pairwise terms.
-
-    Accumulation order is fixed (R-group order, then lexicographic R-group
-    pairs) so scalar and vectorized evaluation agree bit-for-bit.
-    """
-    task = oracle.task(task_name)
+def _task_values(oracle: GroundTruthOracle, task: TaskDef, ids):
+    """The oracle's value rule over one synthon-id array per R-group, in
+    declaration order; the arrays broadcast together. 0.0 plus the latents
+    in R-group order, then the tanh term, then the pairwise terms in
+    lexicographic R-group-pair order: one order for every caller, so every
+    caller agrees bit for bit."""
     base = 0.0
-    for _, s in chi.assignment:
-        base = base + float(task.latent[s])
-    value = base
-    if task.has_nonlinear:
+    for s in ids:
+        base = base + task.latent[s]
+    value, terms = base, task.terms
+    if "nonlinear" in terms:
         value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
-    if task.has_pairwise:
+    if "pairwise" in terms:
         salt = _task_salt(oracle, task)
-        sids = chi.synthon_ids()
-        for a in range(len(sids)):
-            for b in range(a + 1, len(sids)):
-                value = value + float(pair_coefficient(task, salt, sids[a], sids[b]))
-    return float(value)
+        for a, b in combinations(ids, 2):
+            value = value + pair_coefficient(task, salt, a, b)
+    return value
+
+
+def ground_truth(oracle: GroundTruthOracle, library: CslLibrary, chi: MultiIndex, task_name: str) -> float:
+    """One product's oracle value on a task."""
+    return float(_task_values(oracle, oracle.task(task_name), [s for _, s in chi.assignment]))
 
 
 def oracle_values(
     oracle: GroundTruthOracle, library: CslLibrary, task_name: str, gidx: np.ndarray
 ) -> np.ndarray:
-    """`ground_truth` at every global index of an array, in one pass.
-
-    Bit-identical to the scalar path: 0.0 plus the latents in R-group order,
-    then the tanh term, then the pairwise terms in lexicographic R-group-pair
-    order.
-    """
+    """`ground_truth` at every global index of an array, in one pass per R-group count."""
     task = oracle.task(task_name)
-    sids = library.layout.synthon_ids(*library.layout.decode(gidx))
-    present = sids >= 0
-    base = gather_sum(task.latent, sids)
-    value = base.copy()
-    if task.has_nonlinear:
-        value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
-    if task.has_pairwise:
-        salt = _task_salt(oracle, task)
-        for a in range(sids.shape[1]):
-            for b in range(a + 1, sids.shape[1]):
-                m = present[:, b]  # column b present implies column a present
-                value[m] = value[m] + pair_coefficient(task, salt, sids[m, a], sids[m, b])
+    pos, digits = library.layout.decode(gidx)
+    sids = library.layout.synthon_ids(pos, digits)
+    width = library.layout.n_rgroups[pos]
+    value = np.empty(len(sids))
+    for c in np.unique(width).tolist():
+        rows = np.flatnonzero(width == c)
+        value[rows] = _task_values(oracle, task, sids[rows, :c].T)
     return value
 
 
@@ -270,45 +256,14 @@ def oracle_block_values(
     reaction_id: int,
     first_digit: int,
 ) -> np.ndarray:
-    """Vectorized oracle values for one (reaction, first-R-group digit) block.
-
-    Returns the flat array over the block's products in canonical order;
-    bit-identical to per-compound ground_truth.
-    """
-    task = oracle.task(task_name)
-    ids = [library.layout.member_ids[rows] for rows in library.layout.reaction_rows(reaction_id)]
-    lats = [task.latent[i] for i in ids]
+    """`ground_truth` over one (reaction, first-R-group digit) block, as a flat
+    array over the block's products in canonical order."""
+    layout = library.layout
+    ids = [layout.member_ids[rows] for rows in layout.reaction_rows(reaction_id)]
     c = len(ids)
-    first_id = int(ids[0][first_digit])
-    inner_shape = [len(i) for i in ids[1:]]
-
-    def along(axis: int, arr: np.ndarray) -> np.ndarray:
-        shape = [1] * (c - 1)
-        shape[axis] = len(arr)
-        return arr.reshape(shape)
-
-    # additive base, summed left to right from 0.0 with broadcasting
-    base = 0.0 + np.float64(lats[0][first_digit])
-    for j in range(1, c):
-        base = base + along(j - 1, lats[j])
-    base = np.ascontiguousarray(np.broadcast_to(base, inner_shape))
-    value = base.copy()
-    if task.has_nonlinear:
-        value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
-    if task.has_pairwise:
-        salt = _task_salt(oracle, task)
-        for a in range(c):
-            for b in range(a + 1, c):
-                if a == 0:
-                    coeff = along(b - 1, pair_coefficient(task, salt, first_id, ids[b]))
-                else:
-                    mat = pair_coefficient(task, salt, ids[a][:, None], ids[b][None, :])
-                    shape = [1] * (c - 1)
-                    shape[a - 1] = len(ids[a])
-                    shape[b - 1] = len(ids[b])
-                    coeff = mat.reshape(shape)
-                value = value + coeff
-    return value.reshape(-1)
+    # the block's first synthon, then each later R-group's ids on its own grid axis
+    grid = [ids[0][first_digit]] + [a.reshape((-1,) + (1,) * (c - 1 - j)) for j, a in enumerate(ids[1:], 1)]
+    return np.reshape(_task_values(oracle, oracle.task(task_name), grid), -1)
 
 
 _NUMBER = (int, float)
@@ -355,7 +310,7 @@ def make_default_oracle(
     "random" draws i.i.d. normals instead.
     """
     rng = np.random.default_rng(seed)
-    feats = library_synthon_features(library, feature_config)
+    feats, _ = synthon_features_of(library, feature_config)
     tasks = []
 
     def draw_latent():
@@ -391,7 +346,7 @@ def make_additive_oracle(
 ) -> GroundTruthOracle:
     """Purely additive, feature-linear tasks; the exactly-factorizable benchmark."""
     rng = np.random.default_rng(seed)
-    feats = library_synthon_features(library, feature_config)
+    feats, _ = synthon_features_of(library, feature_config)
     names = task_names if task_names is not None else ["objective", "prop_a", "prop_b"]
     tasks = []
     for name in names:

@@ -19,6 +19,7 @@ from .nn import MLP, Adam, ParamBuffer, params_checksum
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
 
 DEFAULT_EMBEDDING_DIM = 64
+HIDDEN_WIDTHS = (128, 128)  # the MLP encoder's hidden layers
 
 
 class SurrogateError(RuntimeError):
@@ -34,15 +35,13 @@ class TrainConfig:
     # embedding noise scale; None resolves to 0.1 * embedding RMS, measured on a warmup pass
     sigma: float | None = None
     encoder: str = "mlp"  # "mlp" or "linear" (single affine map, no bias)
-    hidden: tuple[int, ...] = (128, 128)
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise SurrogateError(f"epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
-        if min(self.embedding_dim, *self.hidden) < 1:
-            raise SurrogateError(f"embedding_dim and hidden widths must be >= 1, got "
-                                 f"{self.embedding_dim} and {self.hidden}")
+        if self.embedding_dim < 1:
+            raise SurrogateError(f"layer widths must be >= 1, got embedding_dim {self.embedding_dim}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise SurrogateError(f"lr must be finite and > 0, got {self.lr}")
         if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma >= 0):
@@ -120,7 +119,7 @@ def _make_encoder(config: TrainConfig, feature_dim: int, rng: np.random.Generato
     if config.encoder == "linear":
         return MLP([feature_dim, config.embedding_dim], rng, bias=False)
     if config.encoder == "mlp":
-        dims = [feature_dim, *config.hidden, config.embedding_dim]
+        dims = [feature_dim, *HIDDEN_WIDTHS, config.embedding_dim]
         return MLP(dims, rng, bias=True)
     raise ValueError(f"unknown encoder kind {config.encoder!r}")
 

@@ -123,6 +123,27 @@ def enumerate_products(library, start, end):
             yield csl.MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
 
 
+def reference_ground_truth(oracle, library, chi, task_name):
+    """One product's oracle value, one Python float at a time: 0.0 plus the
+    latents in R-group order, then the tanh term, then the pairwise terms in
+    lexicographic R-group-pair order. `ground_truth`, `oracle_values` and
+    `oracle_block_values` must match it bit for bit."""
+    task = oracle.task(task_name)
+    base = 0.0
+    for _, s in chi.assignment:
+        base = base + float(task.latent[s])
+    value = base
+    if "nonlinear" in task.terms:
+        value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
+    if "pairwise" in task.terms:
+        salt = props._task_salt(oracle, task)
+        sids = chi.synthon_ids()
+        for a in range(len(sids)):
+            for b in range(a + 1, len(sids)):
+                value = value + float(props.pair_coefficient(task, salt, sids[a], sids[b]))
+    return float(value)
+
+
 def product_features(library, chi, config=props.FeatureConfig(), synthon_matrix=None):
     """Summed synthon features plus q cross terms, total dimension p + q.
 

@@ -124,8 +124,9 @@ def test_criterion_3_factorization_exactness_additive():
            f"rel_gap={rel_gap:.2e} recall_100_at_1000={recall:.3f} {elapsed:.0f}s")
 
 
-def test_criterion_4_hard_regime_recall():
+def test_criterion_4_hard_regime_recall(monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(sg, "HIDDEN_WIDTHS", (128,))
     library = csl.generate_synthetic(
         csl.SyntheticConfig(n_reactions=1, components=(3,), synthons_per_rgroup=100), seed=20
     )
@@ -141,8 +142,7 @@ def test_criterion_4_hard_regime_recall():
         )
         model = sg.train_surrogate(
             dataset, library,
-            sg.TrainConfig(epochs=40, batch_size=256, lr=3e-3, seed=seed,
-                           embedding_dim=32, hidden=(128,)),
+            sg.TrainConfig(epochs=40, batch_size=256, lr=3e-3, seed=seed, embedding_dim=32),
         )
         trained = fz.train_factorizer(
             library, model,
@@ -281,8 +281,9 @@ def test_criterion_7_ts_budget(small_library, small_oracle):
     report(7, "TS budget exactness", not failures, f"w in (3, 10); failures={failures}")
 
 
-def test_criterion_8_apex_vs_ts():
+def test_criterion_8_apex_vs_ts(monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(evalkit, "COMPARE_J_VALUES", (10,))
     library = csl.generate_synthetic(
         csl.SyntheticConfig(n_reactions=6, components=(2, 3), synthons_per_rgroup=10), seed=30
     )
@@ -304,7 +305,7 @@ def test_criterion_8_apex_vs_ts():
     table = engine.precompute_contributions(fz.encode_hierarchy(trained, library), model)
     rows = evalkit.compare_apex_vs_ts(
         library, oracle, table, "obj", "maximize",
-        budgets=(100,), seeds=tuple(range(20)), j_values=(10,), n_reactions=5,
+        budgets=(100,), seeds=tuple(range(20)),
     )
     assert len(rows) == 5
     apex_median = float(np.median([r["apex_recall"] for r in rows]))

@@ -1,9 +1,12 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from apexcsl import cli
+from apexcsl import cli, engine, presets
+from conftest import random_table
 
 
 def run(*argv):
@@ -691,3 +694,35 @@ class TestErrors:
         lib = csl.load_library(out)
         full = csl.load_library(pipeline["library"])
         assert 0 < csl.product_count(lib) < csl.product_count(full)
+
+
+class TestReadme:
+    """The README's CLI section parses as the code reads it, so a renamed or
+    removed flag or query key fails here instead of leaving the README stale."""
+
+    README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def block(self, lang):
+        """The first ```lang block of the README's CLI section."""
+        section = self.README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+    def test_commands_parse(self):
+        commands = [shlex.split(line) for line in self.block("sh").replace("\\\n", " ").splitlines()
+                    if line.startswith("apexcsl ")]
+        assert [c[1] for c in commands] == ["generate", "label", "train-surrogate", "train-factorizer",
+                                            "precompute", "search", "evaluate", "compare-ts", "cost"]
+        for _, *argv in commands:
+            args = vars(cli.build_parser().parse_args(argv))
+            assert args["command"] == argv[0]
+            # each flag by its full name: argparse would also take a prefix of a renamed flag
+            for flag in (a for a in argv if a.startswith("--")):
+                assert flag[2:].replace("-", "_") in args, (argv[0], flag)
+
+    def test_query_parses(self, small_library, small_oracle, tmp_path):
+        path = tmp_path / "query.json"
+        path.write_text(self.block("json"))
+        table = random_table(small_library, small_oracle.task_names, np.random.default_rng(0))
+        query = cli.parse_query_file(path, table)
+        assert (query.objective, query.direction, query.k) == ("dock_a", "maximize", 1000)
+        assert query.constraints == presets.PRESET_CONSTRAINTS["lipinski"] + (engine.Constraint("tpsa", upper=140.0),)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
 from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, numpy_topk_keys,
-                      pair_count, perfect_additive_table, reference_iter_blocks, table_from_values)
+                      pair_count, perfect_additive_table, random_table, reference_ground_truth,
+                      reference_iter_blocks, table_from_values)
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +49,7 @@ class TestApexScore:
         for g in range(0, csl.product_count(library), 3):
             chi = csl.decode_index(library, g)
             for task in ("obj", "c1"):
-                assert apex_score(table, library, chi, task) == props.ground_truth(
-                    oracle, library, chi, task
-                )
+                assert apex_score(table, library, chi, task) == reference_ground_truth(oracle, library, chi, task)
 
     def test_unknown_task(self, exact_setup):
         library, _, table = exact_setup
@@ -178,6 +177,22 @@ class TestSearchAgreement:
         assert [-g for _, g in rows[:5]] == got.global_index.tolist()
         assert got.scanned == hi - lo
 
+    @pytest.mark.parametrize("search", [engine.search_topk_stream, engine.search_topk_batched])
+    @pytest.mark.parametrize("span_of, reactions", [
+        (lambda lib: (lib.reaction_offset(2), lib.reaction_offset(3)), [2]),
+        (lambda lib: (lib.reaction_offset(1) + 5, lib.reaction_offset(2) + 5), [1, 2]),
+        (lambda lib: (lib.reaction_offset(2), lib.reaction_offset(2)), []),
+    ], ids=["one_reaction", "two_reactions", "empty"])
+    def test_views_only_for_reactions_in_range(self, medium_library, monkeypatch, search, span_of, reactions):
+        table = random_table(medium_library, ["obj", "c"], np.random.default_rng(4))
+        q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c", upper=0.5),), k=20)
+        built, view = [], engine._ReactionView
+        monkeypatch.setattr(engine, "_ReactionView", lambda *a: built.append(a[2]) or view(*a))
+        span = span_of(medium_library)
+        got = search(medium_library, table, q, index_range=span)
+        assert len(medium_library.reactions) == 4 and built == reactions
+        assert result_keys(got, q.direction) == numpy_topk_keys(medium_library, table, q, span)
+
     def test_bad_index_range(self, exact_setup):
         library, _, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (), k=1)
@@ -218,7 +233,7 @@ class TestSearchEdges:
         res = engine.search_topk_stream(library, table, q)
         assert res.constraint_values.shape == (1, res.retained) == (1, 3)
         for g, v in zip(res.global_index.tolist(), res.constraint_values[0].tolist()):
-            assert v == props.ground_truth(oracle, library, csl.decode_index(library, g), "c1")
+            assert v == reference_ground_truth(oracle, library, csl.decode_index(library, g), "c1")
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
-from conftest import f32_round_latents, mixed_libraries, perfect_additive_table, reference_iter_blocks
+from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reference_ground_truth,
+                      reference_iter_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,9 @@ class TestOracleTopK:
         rows = []
         for g in range(total):
             chi = csl.decode_index(library, g)
-            if props.ground_truth(oracle, library, chi, "con") > 0.5:
+            if reference_ground_truth(oracle, library, chi, "con") > 0.5:
                 continue
-            rows.append((-props.ground_truth(oracle, library, chi, "obj"), g))
+            rows.append((-reference_ground_truth(oracle, library, chi, "obj"), g))
         rows.sort()
         expected = [g for _, g in rows[:8]]
         truth = evalkit.oracle_topk(library, oracle, q, 8)
@@ -161,7 +162,7 @@ class TestSatisfaction:
         cons = (engine.Constraint("con", upper=0.5),)
         q = engine.QuerySpec("obj", "maximize", cons, k=10)
         retrieved = engine.search_topk_stream(library, table, q)
-        out = evalkit.satisfaction_rate(retrieved, oracle, library, cons, base_rate_sample=150)
+        out = evalkit.satisfaction_rate(retrieved, oracle, library, cons)
         assert out["rate"] == 1.0
         assert 0.0 <= out["base_rate"] <= 1.0
 
@@ -239,12 +240,10 @@ class TestThompsonSampling:
 
 
 class TestCompare:
-    def test_comparison_rows(self, exact_setup):
+    def test_comparison_rows(self, exact_setup, monkeypatch):
         library, oracle, table = exact_setup
-        rows = evalkit.compare_apex_vs_ts(
-            library, oracle, table, "obj", "maximize",
-            budgets=(10,), seeds=(0, 1, 2), j_values=(5,), n_reactions=2,
-        )
+        monkeypatch.setattr(evalkit, "COMPARE_J_VALUES", (5,))
+        rows = evalkit.compare_apex_vs_ts(library, oracle, table, "obj", "maximize", budgets=(10,), seeds=(0, 1, 2))
         assert len(rows) == 2
         for row in rows:
             n_syn = evalkit.reaction_synthon_count(library, row["reaction_id"])

@@ -13,7 +13,7 @@ def tiny_surrogate(small_library, small_oracle):
     ds = props.label_library(
         small_oracle, small_library, ["dock_a", "mw"], props.SampleSpec(size=80, seed=0)
     )
-    cfg = surrogate.TrainConfig(epochs=2, batch_size=32, seed=0, embedding_dim=16, hidden=(32,))
+    cfg = surrogate.TrainConfig(epochs=2, batch_size=32, seed=0, embedding_dim=16)
     return surrogate.train_surrogate(ds, small_library, cfg)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, props, surrogate
-from conftest import enumerate_products, mixed_libraries, product_features
+from conftest import enumerate_products, mixed_libraries, product_features, reference_ground_truth
 
 # few distinct values, signed zeros included: synthon vectors and latents tie
 LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]
@@ -33,6 +33,15 @@ def reference_save_labels(dataset, path, library):
             chi = csl.decode_index(library, g)
             sids = ",".join(map(str, chi.synthon_ids()))
             fh.write(f"{chi.reaction_id}\t{sids}\t{dataset.task_names[t]}\t{v!r}\n")
+
+
+MODES = ["additive", "additive+nonlinear", "additive+pairwise", "additive+nonlinear+pairwise"]
+
+
+def _all_block_values(oracle, library, task):
+    """oracle_block_values over every block of the library, in index order."""
+    return np.concatenate([props.oracle_block_values(oracle, library, task, t, d)
+                           for t, rx in enumerate(library.reactions) for d in range(len(rx.rgroups[0].synthon_ids))])
 
 
 class TestSynthonFeatures:
@@ -159,7 +168,7 @@ class TestGroundTruth:
     def test_top_k_matches_brute_force(self, small_library, small_oracle):
         total = csl.product_count(small_library)
         vals = [
-            props.ground_truth(small_oracle, small_library, csl.decode_index(small_library, g), "dock_a")
+            reference_ground_truth(small_oracle, small_library, csl.decode_index(small_library, g), "dock_a")
             for g in range(total)
         ]
         top = sorted(range(total), key=lambda g: (-vals[g], g))[:10]
@@ -192,7 +201,7 @@ class TestGroundTruth:
             total = csl.product_count(small_library)
             scalar = np.asarray(
                 [
-                    props.ground_truth(small_oracle, small_library, chi, task)
+                    reference_ground_truth(small_oracle, small_library, chi, task)
                     for chi in enumerate_products(small_library, 0, total)
                 ]
             )
@@ -207,7 +216,7 @@ class TestGroundTruth:
         oracle = props.GroundTruthOracle([task], seed=0)
         vec = np.concatenate([props.oracle_block_values(oracle, library, "z", 0, j) for j in range(2)])
         total = csl.product_count(library)
-        expected = [props.ground_truth(oracle, library, chi, "z")
+        expected = [reference_ground_truth(oracle, library, chi, "z")
                     for chi in enumerate_products(library, 0, total)]
         assert total == 4
         assert _bits(vec) == _bits(expected) == _bits(np.zeros(4))
@@ -230,9 +239,7 @@ class TestGroundTruth:
         )
         assert abs(delta) <= 0.7
 
-    @given(library=mixed_libraries(), mode=st.sampled_from([
-               "additive", "additive+nonlinear", "additive+pairwise", "additive+nonlinear+pairwise"]),
-           coarse=st.booleans(), data=st.data())
+    @given(library=mixed_libraries(), mode=st.sampled_from(MODES), coarse=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_oracle_values_match_ground_truth(self, library, mode, coarse, data):
         n = len(library.synthons)
@@ -247,8 +254,36 @@ class TestGroundTruth:
         total = csl.product_count(library)
         gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=40))
         values = props.oracle_values(oracle, library, "t", np.asarray(gidx, dtype=np.int64))
-        expected = [props.ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
+        expected = [reference_ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
         assert _bits(values) == _bits(expected)
+        scalar = [props.ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
+        assert _bits(scalar) == _bits(expected)
+        # every block of the library, against every product in index order
+        assert _bits(_all_block_values(oracle, library, "t")) == _bits(
+            [reference_ground_truth(oracle, library, chi, "t") for chi in enumerate_products(library, 0, total)])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_four_component_reaction(self, mode):
+        # a 4-component reaction beside a 2-component one, with signed-zero latents: each R-group's
+        # first synthon is -0.0, so each reaction's first product sums -0.0s from 0.0
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=2, components=(4, 2), synthons_per_rgroup=3, share_rate=0.3), seed=4
+        )
+        n, total = len(library.synthons), csl.product_count(library)
+        latent = np.random.default_rng(8).standard_normal(n)
+        latent[::4] = 0.0
+        latent[[rg.synthon_ids[0] for rg in library.iter_rgroups()]] = -0.0
+        task = props.TaskDef("t", mode, latent, nonlinear_scale=0.7, nonlinear_alpha=0.9,
+                             pair_scale=0.3, pair_density=0.5)
+        oracle = props.GroundTruthOracle([task], seed=1)
+        chis = list(enumerate_products(library, 0, total))
+        expected = _bits([reference_ground_truth(oracle, library, chi, "t") for chi in chis])
+        assert [len(rx.rgroups) for rx in library.reactions] == [4, 2] and total == 81 + 9
+        if mode == "additive":
+            assert expected[: 8] == expected[81 * 8 : 82 * 8] == _bits(0.0)
+        assert _bits([props.ground_truth(oracle, library, chi, "t") for chi in chis]) == expected
+        assert _bits(props.oracle_values(oracle, library, "t", np.arange(total)[::-1])[::-1]) == expected
+        assert _bits(_all_block_values(oracle, library, "t")) == expected
 
     def test_oracle_roundtrip(self, small_oracle, tmp_path):
         path = tmp_path / "oracle.json"
@@ -337,7 +372,7 @@ class TestLabelLibrary:
         for g in gidxs.tolist():
             chi = csl.decode_index(small_library, g)
             for task in tasks:
-                expected.append((g, task, props.ground_truth(small_oracle, small_library, chi, task)))
+                expected.append((g, task, reference_ground_truth(small_oracle, small_library, chi, task)))
         assert ds.task_names == tasks
         assert ds.global_index.tolist() == [g for g, _, _ in expected]
         assert [ds.task_names[t] for t in ds.task] == [t for _, t, _ in expected]
