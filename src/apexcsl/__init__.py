@@ -3,14 +3,11 @@ over combinatorial synthesis libraries."""
 
 from .csl import (
     CslLibrary,
-    MultiIndex,
     ReactionSpec,
     RgroupSpec,
     SynthonRecord,
     SyntheticConfig,
-    decode_index,
     downsample,
-    encode_index,
     generate_synthetic,
     product_count,
 )

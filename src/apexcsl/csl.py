@@ -1,11 +1,12 @@
 """Combinatorial synthesis library data model, canonical enumeration, and index codec.
 
 A library is a hierarchy: reactions at the top, R-groups in the middle,
-synthons at the bottom. A product is identified by a multi-index (reaction +
-one synthon per R-group). The canonical enumeration order is: reactions in
-declaration order; within a reaction, mixed-radix with the first R-group as
-the most significant digit, so (reaction, first-R-group) batches are
-contiguous in global index.
+synthons at the bottom. A product is a reaction plus one synthon per R-group,
+named by its global index or, through `PairLayout`, by its reaction position
+and digits. The canonical enumeration order is: reactions in declaration
+order; within a reaction, mixed-radix with the first R-group as the most
+significant digit, so (reaction, first-R-group) batches are contiguous in
+global index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import gc
 import hashlib
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -48,17 +49,6 @@ class RgroupSpec:
 class ReactionSpec:
     reaction_id: int
     rgroups: tuple[RgroupSpec, ...]  # order is significant: digit order of the codec
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """One product: a reaction plus an (rgroup_id, synthon_id) pair per R-group."""
-
-    reaction_id: int
-    assignment: tuple[tuple[int, int], ...]
-
-    def synthon_ids(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.assignment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +108,6 @@ class PairLayout:
         offsets.flags.writeable = False
         return offsets
 
-    @cached_property
-    def _row_of(self) -> dict[tuple[int, int], int]:
-        rgroup = np.repeat(self.rg_ids, np.diff(self.rg_offsets))
-        return {pair: row for row, pair in enumerate(zip(rgroup.tolist(), self.member_ids.tolist()))}
-
-    def pair_row(self, rgroup_id: int, synthon_id: int) -> int:
-        try:
-            return self._row_of[rgroup_id, synthon_id]
-        except KeyError:
-            raise LibraryError(
-                f"synthon {synthon_id} is not eligible for R-group {rgroup_id}"
-            ) from None
-
     def reaction_rows(self, reaction_pos: int) -> list[slice]:
         """The pair rows of each R-group of one reaction, in declaration order."""
         bounds = self.rg_offsets[self.rx_offsets[reaction_pos] : self.rx_offsets[reaction_pos + 1] + 1].tolist()
@@ -142,12 +119,11 @@ class PairLayout:
         return all(np.array_equal(a, b) for a, b in pairs)
 
     def decode(self, gidx) -> tuple[np.ndarray, np.ndarray]:
-        """decode_index over an array of global indices, in one pass.
+        """Each global index's reaction position and digits, in one pass.
 
-        Returns each index's reaction position and a digit matrix with one
-        column per R-group position of the widest reaction; digit j of a row is
-        the position of its synthon in R-group j, as in decode_index, and the
-        columns past its reaction's R-groups hold -1.
+        The digit matrix has one column per R-group position of the widest
+        reaction; digit j of a row is the position of its synthon in R-group j
+        of its reaction, and the columns past its reaction's R-groups hold -1.
         """
         gidx = np.asarray(gidx, dtype=np.int64)
         offsets = self.product_offsets
@@ -161,6 +137,40 @@ class PairLayout:
             rem, digits[:, j] = np.divmod(rem, self.radix[pos, j])
         digits[np.arange(width) >= self.n_rgroups[pos][:, None]] = -1
         return pos, digits
+
+    def encode(self, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The global index of every row of a digit matrix: the exact inverse of
+        `decode`. The matrix holds at least each row's reaction's R-group columns;
+        columns past them are ignored."""
+        pos, digits = np.asarray(pos, dtype=np.int64), np.asarray(digits, dtype=np.int64)
+        idx = np.zeros(len(pos), dtype=np.int64)
+        for j in range(digits.shape[1]):  # past a reaction's R-groups the radix is 1 and the digit counts as 0
+            idx = idx * self.radix[pos, j] + np.maximum(digits[:, j], 0)
+        return self.product_offsets[pos] + idx
+
+    def digits_of(self, pos: np.ndarray, sids: np.ndarray) -> np.ndarray:
+        """The inverse of `synthon_ids`: the digit of every cell of a synthon-id
+        matrix, one row per product of reaction position `pos`; -1 past the
+        reaction's R-groups, whatever the cell holds there. LibraryError on the
+        first cell, in row order, whose synthon is not eligible for its
+        R-group; the error's `row` is that cell's row."""
+        pos, sids = np.asarray(pos, dtype=np.int64), np.asarray(sids, dtype=np.int64)
+        # a pair's key is its R-group position * base + its synthon id
+        base = int(self.member_ids.max(initial=-1)) + 1
+        pair_keys = np.repeat(np.arange(len(self.rg_ids)), np.diff(self.rg_offsets)) * base + self.member_ids
+        order = np.argsort(pair_keys)
+        col = np.arange(sids.shape[1])
+        present = col < self.n_rgroups[pos][:, None]
+        rg = np.where(present, self.rx_offsets[pos][:, None] + col, 0)
+        key = np.where(present & (sids >= 0) & (sids < base), rg * base + sids, -1)
+        row = order[np.minimum(np.searchsorted(pair_keys, key, sorter=order), len(order) - 1)]
+        bad = present & (pair_keys[row] != key)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            error = LibraryError(f"synthon {sids[i, j]} is not eligible for R-group {self.rg_ids[rg[i, j]]}")
+            error.row = i
+            raise error
+        return np.where(present, row - self.rg_offsets[rg], -1)
 
     def pair_rows(self, pos: np.ndarray, digits: np.ndarray) -> np.ndarray:
         """The pair row of every cell of `decode`'s output; -1 where the digit is -1."""
@@ -210,6 +220,11 @@ class CslLibrary:
     def layout(self) -> PairLayout:
         """The library's pair-row layout, built once."""
         return PairLayout.of(self.reactions)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """`library_fingerprint(self)`, worked out once."""
+        return library_fingerprint(self)
 
     def reaction(self, reaction_id: int) -> ReactionSpec:
         if not 0 <= reaction_id < len(self.reactions):
@@ -269,50 +284,6 @@ def check_library(library: CslLibrary) -> None:
 def product_count(library: CslLibrary) -> int:
     """Total number of products; sum over reactions of the product of R-group sizes."""
     return int(library.layout.product_offsets[-1])
-
-
-def encode_index(library: CslLibrary, chi: MultiIndex) -> int:
-    """Map a multi-index to its global position in the canonical enumeration."""
-    rx = library.reaction(chi.reaction_id)
-    if len(chi.assignment) != len(rx.rgroups):
-        raise LibraryError(
-            f"assignment covers {len(chi.assignment)} R-groups, reaction has {len(rx.rgroups)}"
-        )
-    for rg, (rgroup_id, _) in zip(rx.rgroups, chi.assignment):
-        if rgroup_id != rg.rgroup_id:
-            raise LibraryError(f"assignment R-group {rgroup_id} does not match {rg.rgroup_id}")
-    return product_index(library, chi.reaction_id, chi.synthon_ids())
-
-
-def product_index(library: CslLibrary, reaction_id: int, synthon_ids) -> int:
-    """Global index of the product of a reaction with one synthon per R-group,
-    in declaration order. Each digit is the synthon's pair row minus its
-    R-group's first row; LibraryError if a synthon is not eligible."""
-    rx = library.reaction(reaction_id)
-    layout = library.layout
-    idx = 0
-    for rg, s, first, radix in zip(rx.rgroups, synthon_ids, layout.first_row[reaction_id].tolist(),
-                                   layout.radix[reaction_id].tolist()):
-        idx = idx * radix + layout.pair_row(rg.rgroup_id, s) - first
-    return library.reaction_offset(reaction_id) + idx
-
-
-def decode_index(library: CslLibrary, gidx: int) -> MultiIndex:
-    """Exact inverse of encode_index."""
-    total = product_count(library)
-    if not 0 <= gidx < total:
-        raise LibraryError(f"global index {gidx} out of range [0, {total})")
-    t = bisect_right(library.layout.product_offsets, gidx) - 1
-    rx = library.reactions[t]
-    rem = gidx - library.reaction_offset(t)
-    digits = [0] * len(rx.rgroups)
-    for j in range(len(rx.rgroups) - 1, -1, -1):
-        n = len(rx.rgroups[j].synthon_ids)
-        rem, digits[j] = divmod(rem, n)
-    assignment = tuple(
-        (rg.rgroup_id, rg.synthon_ids[d]) for rg, d in zip(rx.rgroups, digits)
-    )
-    return MultiIndex(reaction_id=rx.reaction_id, assignment=assignment)
 
 
 def gather_sum(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -558,4 +529,4 @@ def library_fingerprint(library: CslLibrary) -> str:
 def fingerprint_matches(library: CslLibrary, fingerprint: str) -> bool:
     """library_fingerprint(library) == fingerprint; True at once if the library was parsed from
     the fingerprinted text, which is the serialization of a library that parses back to it."""
-    return fingerprint == library.text_sha256 or fingerprint == library_fingerprint(library)
+    return fingerprint == library.text_sha256 or fingerprint == library.fingerprint

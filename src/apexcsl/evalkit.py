@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csl import CslLibrary, MultiIndex, encode_index, product_count
+from .csl import CslLibrary, product_count
 from .engine import (
     Constraint,
     ContributionTable,
@@ -176,57 +176,43 @@ def thompson_sampling(
     argmax of posterior samples. Total evaluations are exactly
     |S_reaction| * warmup + iterations.
     """
-    rx = library.reaction(reaction_id)
+    members = [rg.synthon_ids for rg in library.reaction(reaction_id).rgroups]  # per R-group, synthon id per digit
     rng = np.random.default_rng(config.seed)
     sign = 1.0 if direction == "maximize" else -1.0
 
-    arms: dict[int, tuple[float, float]] = {}  # synthon -> (posterior mean, precision)
-    for rg in rx.rgroups:
-        for s in rg.synthon_ids:
-            arms.setdefault(s, (0.0, 1.0))
-
-    evaluated: list[tuple[int, float]] = []
+    arms = {s: (0.0, 1.0) for ids in members for s in ids}  # synthon -> (posterior mean, precision)
+    chosen: list[list[int]] = []  # the digits of each evaluated product
+    values: list[float] = []
     best_traj: list[float] = []
     best = -np.inf
 
-    def evaluate(assignment: tuple[tuple[int, int], ...]) -> None:
+    def evaluate(digits: list[int]) -> None:
         nonlocal best
-        chi = MultiIndex(reaction_id, assignment)
-        value = ground_truth(oracle, library, chi, objective)
+        sids = [ids[d] for ids, d in zip(members, digits)]
+        value = ground_truth(oracle, objective, sids)
         reward = sign * value
-        evaluated.append((encode_index(library, chi), value))
+        chosen.append(digits)
+        values.append(value)
         best = max(best, reward)
         best_traj.append(sign * best)
-        for _, s in assignment:
+        for s in sids:
             mean, prec = arms[s]
             arms[s] = ((mean * prec + reward) / (prec + 1.0), prec + 1.0)
 
     # warmup: each synthon of each R-group, `warmup` times, random completions
-    for focus_idx, rg in enumerate(rx.rgroups):
-        for s in rg.synthon_ids:
+    for focus, focus_ids in enumerate(members):
+        for d in range(len(focus_ids)):
             for _ in range(config.warmup):
-                assignment = []
-                for j, other in enumerate(rx.rgroups):
-                    if j == focus_idx:
-                        assignment.append((other.rgroup_id, s))
-                    else:
-                        pick = other.synthon_ids[int(rng.integers(0, len(other.synthon_ids)))]
-                        assignment.append((other.rgroup_id, pick))
-                evaluate(tuple(assignment))
+                evaluate([d if j == focus else int(rng.integers(0, len(ids))) for j, ids in enumerate(members)])
 
     for _ in range(config.iterations):
-        assignment = []
-        for rg in rx.rgroups:
-            samples = np.asarray(
-                [
-                    arms[s][0] + rng.standard_normal() / np.sqrt(arms[s][1])
-                    for s in rg.synthon_ids
-                ]
-            )
-            assignment.append((rg.rgroup_id, rg.synthon_ids[int(np.argmax(samples))]))
-        evaluate(tuple(assignment))
+        evaluate([
+            int(np.argmax([arms[s][0] + rng.standard_normal() / np.sqrt(arms[s][1]) for s in ids]))
+            for ids in members
+        ])
 
-    return TsResult(evaluated=evaluated, best_trajectory=best_traj, oracle_calls=len(evaluated))
+    gidx = library.layout.encode(np.full(len(chosen), reaction_id), np.asarray(chosen, dtype=np.int64))
+    return TsResult(evaluated=list(zip(gidx.tolist(), values)), best_trajectory=best_traj, oracle_calls=len(values))
 
 
 def reaction_synthon_count(library: CslLibrary, reaction_id: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, library_fingerprint, product_count
+from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, product_count
 from .nn import MLP, Adam, ParamBuffer
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
@@ -177,7 +177,7 @@ def encode_hierarchy(factorizer: Factorizer, library: CslLibrary) -> HierarchyCa
         h_t=h_t,
         u=u,
         layout=library.layout,
-        fingerprint=library_fingerprint(library),
+        fingerprint=library.fingerprint,
         synthon_encoder_evals=len(library.synthons),
         feature_config=factorizer.feature_config,
     )

@@ -1,8 +1,8 @@
 """Synthon feature hashing, synthetic ground-truth oracle, and label file I/O.
 
 The oracle stands in for expensive per-compound scoring: every task value is
-a deterministic function of the multi-index and the oracle seed. Additive
-tasks are exactly representable as a per-(R-group, synthon) sum; the
+a deterministic function of the product's synthon ids and the oracle seed.
+Additive tasks are exactly representable as a per-(R-group, synthon) sum; the
 nonlinear and pairwise terms add bounded, controllable hardness.
 """
 
@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .blobio import fits, utf8_text
-from .csl import CslLibrary, LibraryError, MultiIndex, gather_sum, product_count, product_index, reaction_columns
+from .csl import MAX_COUNT, CslLibrary, LibraryError, gather_sum, product_count, reaction_columns
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -229,9 +229,9 @@ def _task_values(oracle: GroundTruthOracle, task: TaskDef, ids):
     return value
 
 
-def ground_truth(oracle: GroundTruthOracle, library: CslLibrary, chi: MultiIndex, task_name: str) -> float:
-    """One product's oracle value on a task."""
-    return float(_task_values(oracle, oracle.task(task_name), [s for _, s in chi.assignment]))
+def ground_truth(oracle: GroundTruthOracle, task_name: str, synthon_ids) -> float:
+    """One product's oracle value on a task, from its synthon ids in R-group order."""
+    return float(_task_values(oracle, oracle.task(task_name), synthon_ids))
 
 
 def oracle_values(
@@ -430,7 +430,11 @@ def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
 
 
 def load_labels(path, library: CslLibrary) -> LabeledDataset:
-    gidxs, tasks, values = [], [], []
+    """The labels of a file written by save_labels. Each line's fields are
+    checked as it is read; the products are then encoded in one pass."""
+    layout = library.layout
+    width = int(layout.n_rgroups.max(initial=0))
+    linenos, reactions, sid_rows, tasks, values = [], [], [], [], []
     task_of: dict[str, int] = {}
     with utf8_text(path, OracleError) as fh:
         header = fh.readline().rstrip("\n")
@@ -446,6 +450,8 @@ def load_labels(path, library: CslLibrary) -> LabeledDataset:
                 reaction_id = int(parts[0])
                 sids = [int(x) for x in parts[1].split(",")]
                 value = float(parts[3])
+                if min(sids) < -MAX_COUNT - 1 or max(sids) > MAX_COUNT:
+                    raise ValueError("a synthon id exceeds the signed 64-bit range")
             except ValueError as exc:
                 raise OracleError(f"line {lineno}: malformed field: {exc}") from None
             if not np.isfinite(value):
@@ -456,8 +462,15 @@ def load_labels(path, library: CslLibrary) -> LabeledDataset:
                 raise OracleError(f"line {lineno}: unknown reaction {reaction_id}") from None
             if len(sids) != len(rx.rgroups):
                 raise OracleError(f"line {lineno}: expected {len(rx.rgroups)} synthons")
-            gidxs.append(product_index(library, reaction_id, sids))  # raises on an ineligible synthon
+            linenos.append(lineno)
+            reactions.append(reaction_id)  # a reaction's id is its position
+            sid_rows.append(sids + [-1] * (width - len(sids)))
             tasks.append(task_of.setdefault(parts[2], len(task_of)))
             values.append(value)
-    return LabeledDataset(np.asarray(gidxs, dtype=np.int64), np.asarray(tasks, dtype=np.int64),
+    pos = np.asarray(reactions, dtype=np.int64)
+    try:
+        digits = layout.digits_of(pos, np.asarray(sid_rows, dtype=np.int64).reshape(len(pos), width))
+    except LibraryError as exc:
+        raise OracleError(f"line {linenos[exc.row]}: {exc}") from None
+    return LabeledDataset(layout.encode(pos, digits), np.asarray(tasks, dtype=np.int64),
                           np.asarray(values, dtype=np.float64), list(task_of))

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -108,11 +111,49 @@ def perfect_additive_table(oracle, library, task_names):
 # per-product definitions: the references that the batch code is tested against
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class MultiIndex:
+    """One product: a reaction plus an (rgroup_id, synthon_id) pair per R-group."""
+
+    reaction_id: int
+    assignment: tuple[tuple[int, int], ...]
+
+    def synthon_ids(self) -> tuple[int, ...]:
+        return tuple(s for _, s in self.assignment)
+
+
+def reference_decode(library, gidx):
+    """The product at one global index, one mixed-radix digit at a time, last
+    R-group first: the scalar decoder that `PairLayout.decode`, `encode` and
+    `digits_of` are checked against."""
+    total = csl.product_count(library)
+    if not 0 <= gidx < total:
+        raise csl.LibraryError(f"global index {gidx} out of range [0, {total})")
+    t = bisect_right(library.layout.product_offsets, gidx) - 1
+    rx = library.reactions[t]
+    rem = gidx - library.reaction_offset(t)
+    digits = [0] * len(rx.rgroups)
+    for j in range(len(rx.rgroups) - 1, -1, -1):
+        rem, digits[j] = divmod(rem, len(rx.rgroups[j].synthon_ids))
+    return MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, rg.synthon_ids[d]) for rg, d in zip(rx.rgroups, digits)))
+
+
+def reference_pair_row(library, rgroup_id, synthon_id):
+    """The pair row of an (R-group, synthon) pair: R-groups in declaration
+    order, each one's synthons in digit order."""
+    row = 0
+    for rg in library.iter_rgroups():
+        if rg.rgroup_id == rgroup_id:
+            return row + rg.synthon_ids.index(synthon_id)
+        row += len(rg.synthon_ids)
+    raise ValueError(f"no R-group {rgroup_id}")
+
+
 ENUMERATE_CHUNK = 1 << 14
 
 
 def enumerate_products(library, start, end):
-    """Yield decode_index(g) for g in [start, end), ascending, a chunk of indices at a time."""
+    """Yield reference_decode(g) for g in [start, end), ascending, a chunk of indices at a time."""
     total = csl.product_count(library)
     if not 0 <= start <= end <= total:
         raise csl.LibraryError(f"range [{start}, {end}) invalid for product count {total}")
@@ -120,7 +161,7 @@ def enumerate_products(library, start, end):
         pos, digits = library.layout.decode(np.arange(lo, min(lo + ENUMERATE_CHUNK, end)))
         for t, sids in zip(pos.tolist(), library.layout.synthon_ids(pos, digits).tolist()):
             rx = library.reactions[t]
-            yield csl.MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
+            yield MultiIndex(rx.reaction_id, tuple((rg.rgroup_id, s) for rg, s in zip(rx.rgroups, sids)))
 
 
 def reference_ground_truth(oracle, library, chi, task_name):
@@ -171,7 +212,7 @@ def apex_score(table, library, chi, task):
     i = table.task_index(task)
     acc = 0.0
     for rgroup_id, synthon_id in chi.assignment:
-        acc += float(table.values[i, library.layout.pair_row(rgroup_id, synthon_id)])
+        acc += float(table.values[i, reference_pair_row(library, rgroup_id, synthon_id)])
     return acc + float(table.biases[i])
 
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import shlex
 
 import numpy as np
@@ -357,7 +358,7 @@ class TestErrors:
         "sample_size_negative", "feature_p_0", "tasks_repeated", "cost_negative", "labels_reaction_negative",
         "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf", "sigma_nan", "sigma_negative",
         "share_rate_nan", "share_rate_above_1", "lr_negative", "lr_zero", "lr_nan",
-        "factorizer_lr_negative", "factorizer_lr_zero", "factorizer_lr_nan",
+        "factorizer_lr_negative", "factorizer_lr_zero", "factorizer_lr_nan", "labels_synthon_ineligible",
     ])
     def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
         # each once ended in a traceback or was accepted silently
@@ -370,6 +371,12 @@ class TestErrors:
         if case == "labels_inf":  # the last label's value is inf
             labels = pipeline["dir"] / "labels_inf.tsv"
             labels.write_text(pipeline["labels"].read_text().rstrip("\n").rsplit("\t", 1)[0] + "\tinf\n")
+        if case == "labels_synthon_ineligible":  # the last label's first synthon is in no R-group
+            labels = pipeline["dir"] / "labels_ineligible.tsv"
+            lines = pipeline["labels"].read_text().splitlines()
+            reaction_id, sids, rest = lines[-1].split("\t", 2)
+            lines[-1] = "\t".join([reaction_id, ",".join(["999999"] + sids.split(",")[1:]), rest])
+            labels.write_text("\n".join(lines) + "\n")
         surrogate = ["train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", out]
         factorizer = ["train-factorizer", "--library", p["library"], "--surrogate", p["surrogate"],
                       "--out", out, "--steps", "1"]
@@ -402,12 +409,15 @@ class TestErrors:
             "factorizer_lr_negative": factorizer + ["--lr", "-1"],
             "factorizer_lr_zero": factorizer + ["--lr", "0"],
             "factorizer_lr_nan": factorizer + ["--lr", "nan"],
+            "labels_synthon_ineligible": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
         }[case]
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
         assert case != "cost_negative" or not captured.out
         assert case != "labels_inf" or "non-finite value" in captured.err
+        assert case != "labels_synthon_ineligible" or re.fullmatch(
+            f"error: line {len(lines)}: synthon 999999 is not eligible for R-group [0-9]+\n", captured.err)
         assert "lr_" not in case or "finite and > 0" in captured.err  # refused before training starts
 
     @pytest.mark.parametrize("command", ["search", "label"])

@@ -3,11 +3,12 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apexcsl import csl
-from conftest import assemble, enumerate_products, mixed_libraries, pair_count, table_from_values
+from conftest import (MultiIndex, assemble, enumerate_products, mixed_libraries, pair_count, reference_decode,
+                      reference_pair_row, table_from_values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,74 +78,92 @@ class TestProductCount:
         assert csl.product_count(permuted) == csl.product_count(small_library)
 
 
+def encode_one(library, chi):
+    """layout.encode of one product, from its synthon ids through layout.digits_of."""
+    layout = library.layout
+    sids = np.full((1, layout.n_rgroups.max()), -1)
+    sids[0, : len(chi.assignment)] = chi.synthon_ids()
+    pos = [chi.reaction_id]
+    return int(layout.encode(pos, layout.digits_of(pos, sids))[0])
+
+
 class TestIndexCodec:
     def test_origin(self, small_library):
-        chi = csl.decode_index(small_library, 0)
+        chi = reference_decode(small_library, 0)
         rx = small_library.reactions[0]
         assert chi.reaction_id == 0
         assert chi.assignment == tuple((rg.rgroup_id, rg.synthon_ids[0]) for rg in rx.rgroups)
-        assert csl.encode_index(small_library, chi) == 0
+        assert encode_one(small_library, chi) == 0
 
     def test_terminal(self, small_library):
         total = csl.product_count(small_library)
-        chi = csl.decode_index(small_library, total - 1)
+        chi = reference_decode(small_library, total - 1)
         rx = small_library.reactions[-1]
         assert chi.reaction_id == rx.reaction_id
         assert chi.assignment == tuple((rg.rgroup_id, rg.synthon_ids[-1]) for rg in rx.rgroups)
-        assert csl.encode_index(small_library, chi) == total - 1
+        assert encode_one(small_library, chi) == total - 1
 
     def test_exhaustive_inverse(self, medium_library):
-        total = csl.product_count(medium_library)
-        for g in range(total):
-            assert csl.encode_index(medium_library, csl.decode_index(medium_library, g)) == g
+        layout = medium_library.layout
+        gidx = np.arange(csl.product_count(medium_library))
+        pos, digits = layout.decode(gidx)
+        assert layout.encode(pos, digits).tolist() == gidx.tolist()
+        assert layout.digits_of(pos, layout.synthon_ids(pos, digits)).tolist() == digits.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=10**12 - 1))
     def test_roundtrip_large_library(self, g):
-        lib = trillion_library()
-        assert csl.encode_index(lib, csl.decode_index(lib, g)) == g
+        layout = trillion_library().layout
+        pos, digits = layout.decode([g])
+        assert layout.encode(pos, digits).tolist() == [g]
+        assert layout.digits_of(pos, layout.synthon_ids(pos, digits)).tolist() == digits.tolist()
 
     def test_random_multiindex_roundtrip(self, medium_library):
         rng = np.random.default_rng(0)
         total = csl.product_count(medium_library)
         for g in rng.integers(0, total, size=10_000):
-            chi = csl.decode_index(medium_library, int(g))
-            assert csl.decode_index(medium_library, csl.encode_index(medium_library, chi)) == chi
+            chi = reference_decode(medium_library, int(g))
+            assert reference_decode(medium_library, encode_one(medium_library, chi)) == chi
 
     def test_out_of_range(self, small_library):
         total = csl.product_count(small_library)
         with pytest.raises(csl.LibraryError):
-            csl.decode_index(small_library, total)
+            reference_decode(small_library, total)
         with pytest.raises(csl.LibraryError):
-            csl.decode_index(small_library, -1)
+            reference_decode(small_library, -1)
 
     def test_invalid_synthon_rejected(self, small_library):
-        chi = csl.decode_index(small_library, 0)
-        bad = csl.MultiIndex(
-            chi.reaction_id,
-            ((chi.assignment[0][0], 10**6),) + chi.assignment[1:],
-        )
-        with pytest.raises(csl.LibraryError, match="not eligible"):
-            csl.encode_index(small_library, bad)
+        # the first cell, in row order, whose synthon is not eligible for its R-group
+        layout = small_library.layout
+        pos, digits = layout.decode([0, 60, 149])
+        sids = layout.synthon_ids(pos, digits)
+        sids[2, 0] = 10**6
+        foreign = small_library.reactions[1].rgroups[2].synthon_ids[0]  # a synthon of R-group 2 in R-group 1
+        sids[1, 1] = foreign
+        rgroup = small_library.reactions[1].rgroups[1].rgroup_id
+        with pytest.raises(csl.LibraryError, match=f"^synthon {foreign} is not eligible for R-group {rgroup}$") as info:
+            layout.digits_of(pos, sids)
+        assert info.value.row == 1
+        sids[1, 1], sids[0, 2] = -1, 10**6  # a 2-component row's third cell is not read
+        with pytest.raises(csl.LibraryError, match="synthon -1 is not eligible") as info:
+            layout.digits_of(pos, sids)
+        assert info.value.row == 1
 
     @pytest.mark.parametrize("reaction_id", [-1, 2])
     def test_reaction_id_out_of_range(self, small_library, reaction_id):
         # a negative id must not index from the end of the reaction list
-        chi = csl.decode_index(small_library, 0)
         with pytest.raises(csl.LibraryError, match="out of range"):
             small_library.reaction(reaction_id)
-        with pytest.raises(csl.LibraryError, match="out of range"):
-            csl.encode_index(small_library, csl.MultiIndex(reaction_id, chi.assignment))
 
 
 class TestDecodeIndices:
     @staticmethod
     def expected(library, gidx):
-        """decode_index per index, as (reaction position, digits padded with -1)."""
+        """reference_decode per index, as (reaction position, digits padded with -1)."""
         width = max(len(rx.rgroups) for rx in library.reactions)
         rows = []
         for g in gidx:
-            chi = csl.decode_index(library, int(g))
+            chi = reference_decode(library, int(g))
             digits = [synthon_digit(library, r, s) for r, s in chi.assignment]
             rows.append((chi.reaction_id, digits + [-1] * (width - len(digits))))
         return rows
@@ -175,6 +194,22 @@ class TestDecodeIndices:
                 small_library.layout.decode(np.array(bad))
 
 
+FOUR_COMPONENT = csl.generate_synthetic(
+    csl.SyntheticConfig(n_reactions=3, components=(4, 2, 3), synthons_per_rgroup=4, share_rate=0.7), seed=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(library=mixed_libraries())
+@example(library=FOUR_COMPONENT)
+def test_codec_roundtrips_and_matches_scalar_decode(library):
+    layout = library.layout
+    gidx = np.arange(csl.product_count(library))
+    pos, digits = layout.decode(gidx)
+    assert layout.encode(pos, digits).tolist() == gidx.tolist()
+    assert layout.digits_of(pos, layout.synthon_ids(pos, digits)).tolist() == digits.tolist()
+    assert list(zip(pos.tolist(), digits.tolist())) == TestDecodeIndices.expected(library, gidx)
+
+
 class TestPairRows:
     def test_synthon_ids_and_pair_rows_match_scalar(self, medium_library):
         lib = medium_library
@@ -188,7 +223,7 @@ class TestPairRows:
             n += len(rg.synthon_ids)
         member_ids = [s for rg in lib.iter_rgroups() for s in rg.synthon_ids]
         for g, sid_row, pr_row in zip(gidx.tolist(), sids.tolist(), rows.tolist()):
-            chi = csl.decode_index(lib, g)
+            chi = reference_decode(lib, g)
             width = len(chi.assignment)
             assert sid_row == list(chi.synthon_ids()) + [-1] * (len(sid_row) - width)
             assert pr_row[:width] == [first_row[r] + synthon_digit(lib, r, s) for r, s in chi.assignment]
@@ -216,7 +251,7 @@ class TestEnumerate:
 
     def test_matches_decode(self, medium_library):
         start, end = 100, 400
-        expected = [csl.decode_index(medium_library, g) for g in range(start, end)]
+        expected = [reference_decode(medium_library, g) for g in range(start, end)]
         assert list(enumerate_products(medium_library, start, end)) == expected
 
     def test_bad_range(self, small_library):
@@ -233,11 +268,11 @@ class TestAssemble:
             ),
             synthons=synthons,
         )
-        chi = csl.decode_index(lib, 0)
+        chi = reference_decode(lib, 0)
         assert assemble(lib, chi) == "t0|abc.de"
 
     def test_deterministic(self, small_library):
-        chi = csl.decode_index(small_library, 3)
+        chi = reference_decode(small_library, 3)
         assert assemble(small_library, chi) == assemble(small_library, chi)
 
     def test_same_multiset_same_string(self):
@@ -248,8 +283,8 @@ class TestAssemble:
             ),
             synthons=synthons,
         )
-        chi_ab = csl.MultiIndex(0, ((0, 0), (1, 1)))
-        chi_ba = csl.MultiIndex(0, ((0, 1), (1, 0)))
+        chi_ab = MultiIndex(0, ((0, 0), (1, 1)))
+        chi_ba = MultiIndex(0, ((0, 1), (1, 0)))
         assert assemble(lib, chi_ab) == assemble(lib, chi_ba)
 
     def test_distinct_within_reaction(self):
@@ -494,7 +529,7 @@ def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token
         gidx = np.arange(start, start + lib.reaction_size(t))
         _, digits = lib.layout.decode(gidx)
         n = len(lib.reactions[t].rgroups)
-        expected = [assemble(lib, csl.decode_index(lib, int(g))) for g in gidx]
+        expected = [assemble(lib, reference_decode(lib, int(g))) for g in gidx]
         assert csl.assemble_rows(lib, t, digits[:, :n]) == expected
 
 
@@ -525,19 +560,19 @@ def test_pair_layout_matches_per_rgroup_construction(library):
             assert (layout.first_row[t, j], layout.radix[t, j]) == (lo, len(rg.synthon_ids))
             assert rows[j] == slice(lo, lo + len(rg.synthon_ids))
             for d, s in enumerate(rg.synthon_ids):
-                assert layout.pair_row(rg.rgroup_id, s) == lo + d
+                assert reference_pair_row(library, rg.rgroup_id, s) == lo + d
             r += 1
     assert layout.rx_offsets[-1] == len(layout.rg_parent) == r
     for a in (layout.member_ids, layout.first_row, layout.radix):
         with pytest.raises(ValueError):
             a[0] = 1
 
-    # layout.pair_row agrees with layout.pair_rows at every decoded cell
+    # the conftest pair row agrees with layout.pair_rows at every decoded cell
     gidx = np.arange(csl.product_count(library))
     rows = library.layout.pair_rows(*library.layout.decode(gidx))
     for g, row in zip(gidx.tolist(), rows.tolist()):
-        chi = csl.decode_index(library, g)
-        expected = [layout.pair_row(rg_id, s) for rg_id, s in chi.assignment]
+        chi = reference_decode(library, g)
+        expected = [reference_pair_row(library, rg_id, s) for rg_id, s in chi.assignment]
         assert row == expected + [-1] * (width - len(expected))
 
 

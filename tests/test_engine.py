@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
 from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, numpy_topk_keys,
-                      pair_count, perfect_additive_table, random_table, reference_ground_truth,
+                      pair_count, perfect_additive_table, random_table, reference_decode, reference_ground_truth,
                       reference_iter_blocks, table_from_values)
 
 
@@ -47,19 +47,33 @@ class TestApexScore:
     def test_matches_oracle_on_additive_tasks(self, exact_setup):
         library, oracle, table = exact_setup
         for g in range(0, csl.product_count(library), 3):
-            chi = csl.decode_index(library, g)
+            chi = reference_decode(library, g)
             for task in ("obj", "c1"):
                 assert apex_score(table, library, chi, task) == reference_ground_truth(oracle, library, chi, task)
 
     def test_unknown_task(self, exact_setup):
         library, _, table = exact_setup
         with pytest.raises(engine.EngineError, match="unknown task"):
-            apex_score(table, library, csl.decode_index(library, 0), "nope")
+            apex_score(table, library, reference_decode(library, 0), "nope")
 
     def test_fingerprint_mismatch(self, exact_setup, medium_library):
         _, _, table = exact_setup
         with pytest.raises(engine.EngineError, match="fingerprint"):
             table.check_library(medium_library)
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["generated", "parsed"])
+    def test_fingerprint_worked_out_once_per_library(self, monkeypatch, parsed):
+        # a generated library serializes once over two searches; a parsed canonical file never
+        library = csl.generate_synthetic(csl.SyntheticConfig(n_reactions=2, synthons_per_rgroup=4), seed=5)
+        if parsed:
+            library = csl.deserialize_library(csl.serialize_library(library))
+        table = random_table(library, ["a"], np.random.default_rng(0))
+        calls = []
+        serialize = csl.serialize_library
+        monkeypatch.setattr(csl, "serialize_library", lambda lib: calls.append(lib) or serialize(lib))
+        for _ in range(2):
+            engine.search_topk_stream(library, table, engine.QuerySpec("a", "maximize", (), k=3))
+        assert len(calls) == (0 if parsed else 1)
 
 
 class TestViolation:
@@ -171,7 +185,7 @@ class TestSearchAgreement:
         got = engine.search_topk_stream(library, table, q, index_range=(lo, hi))
         rows = []
         for g in range(lo, hi):
-            chi = csl.decode_index(library, g)
+            chi = reference_decode(library, g)
             rows.append((apex_score(table, library, chi, "obj"), -g))
         rows.sort(reverse=True)
         assert [-g for _, g in rows[:5]] == got.global_index.tolist()
@@ -233,7 +247,7 @@ class TestSearchEdges:
         res = engine.search_topk_stream(library, table, q)
         assert res.constraint_values.shape == (1, res.retained) == (1, 3)
         for g, v in zip(res.global_index.tolist(), res.constraint_values[0].tolist()):
-            assert v == reference_ground_truth(oracle, library, csl.decode_index(library, g), "c1")
+            assert v == reference_ground_truth(oracle, library, reference_decode(library, g), "c1")
 
 
 @st.composite
@@ -545,7 +559,7 @@ class TestPartitionBuffer:
 
 
 def reference_save_result(keys, query, path, library, table, with_assembled):
-    """The per-hit writer that the columnar save_result replaced: decode_index,
+    """The per-hit writer that the columnar save_result replaced: the scalar decode,
     apex_score and assemble once per hit, one f-string per row. `keys` are the
     feasible (violation, signed objective, global index) keys, best first."""
     cols = engine.RESULT_HEADER_PREFIX
@@ -556,7 +570,7 @@ def reference_save_result(keys, query, path, library, table, with_assembled):
     with open(path, "w") as fh:
         fh.write(cols + "\n")
         for rank, (c, s, g) in enumerate(keys):
-            chi = csl.decode_index(library, g)
+            chi = reference_decode(library, g)
             obj = s if query.direction == "maximize" else -s
             sids = ",".join(map(str, chi.synthon_ids()))
             row = f"{rank}\t{g}\t{chi.reaction_id}\t{sids}\t{obj!r}\t{c!r}"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
-from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reference_ground_truth,
-                      reference_iter_blocks)
+from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reference_decode,
+                      reference_ground_truth, reference_iter_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ class TestOracleTopK:
         total = csl.product_count(library)
         rows = []
         for g in range(total):
-            chi = csl.decode_index(library, g)
+            chi = reference_decode(library, g)
             if reference_ground_truth(oracle, library, chi, "con") > 0.5:
                 continue
             rows.append((-reference_ground_truth(oracle, library, chi, "obj"), g))
@@ -223,6 +223,26 @@ class TestThompsonSampling:
         off = library.reaction_offset(1)
         size = library.reaction_size(1)
         assert all(off <= g < off + size for g in res.evaluated_indices())
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_values_match_reference_oracle(self, direction):
+        # synthons 1 and 2 sit in both R-groups of reaction 0, so a product can hold one twice
+        synthons = tuple(csl.SynthonRecord(i, f"{'ab'[i % 2]}*{'abc'[i % 3]}{i}") for i in range(6))
+        library = csl.CslLibrary(
+            (csl.ReactionSpec(0, (csl.RgroupSpec(0, (0, 1, 2)), csl.RgroupSpec(1, (1, 2, 3)))),
+             csl.ReactionSpec(1, (csl.RgroupSpec(2, (3, 4, 5)), csl.RgroupSpec(3, (0, 5)), csl.RgroupSpec(4, (2, 4))))),
+            synthons)
+        csl.check_library(library)
+        oracle = props.make_default_oracle(library, seed=2, hardness=3.0)
+        for t in (0, 1):
+            res = evalkit.thompson_sampling(library, oracle, "dock_a", direction,
+                                            evalkit.TsConfig(warmup=2, iterations=15, seed=t), reaction_id=t)
+            chis = [reference_decode(library, g) for g, _ in res.evaluated]
+            assert [chi.reaction_id for chi in chis] == [t] * res.oracle_calls
+            expected = [reference_ground_truth(oracle, library, chi, "dock_a") for chi in chis]
+            assert np.asarray([v for _, v in res.evaluated]).tobytes() == np.asarray(expected).tobytes()
+            if t == 0:
+                assert any(chi.synthon_ids() in ((1, 1), (2, 2)) for chi in chis)
 
     def test_default_warmup(self):
         assert evalkit.default_warmup(2) == 3

@@ -1,7 +1,7 @@
 """No package code is reached only by tests: every public module-level function
 and class of src/apexcsl is named in the package, its scripts or its benchmark,
 or exported by apexcsl/__init__.py. No module of the package reaches into
-another's private names."""
+another's private names, and only csl reads the mixed-radix arrays."""
 
 import ast
 import pathlib
@@ -52,3 +52,12 @@ def test_no_private_name_crosses_modules():
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                      and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")]
     assert crossing == []
+
+
+def test_only_csl_reads_the_mixed_radix_arrays():
+    # a layout's radix and first pair row per R-group position are the codec's
+    # own; a module that reads them keeps a second copy of the digit rule
+    readers = [f"{path.stem} reads .{node.attr}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "csl"
+               for node in ast.walk(_parse(path))
+               if isinstance(node, ast.Attribute) and node.attr in ("radix", "first_row")]
+    assert readers == []

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, props, surrogate
-from conftest import enumerate_products, mixed_libraries, product_features, reference_ground_truth
+from conftest import (MultiIndex, enumerate_products, mixed_libraries, product_features, reference_decode,
+                      reference_ground_truth)
 
 # few distinct values, signed zeros included: synthon vectors and latents tie
 LEVELS = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]
@@ -26,11 +27,11 @@ def _columns(ds):
 
 
 def reference_save_labels(dataset, path, library):
-    """The per-row label writer `save_labels` replaced: one decode_index per label."""
+    """The per-row label writer `save_labels` replaced: one scalar decode per label."""
     with open(path, "w") as fh:
         fh.write(props.LABEL_HEADER + "\n")
         for g, t, v in zip(dataset.global_index.tolist(), dataset.task.tolist(), dataset.value.tolist()):
-            chi = csl.decode_index(library, g)
+            chi = reference_decode(library, g)
             sids = ",".join(map(str, chi.synthon_ids()))
             fh.write(f"{chi.reaction_id}\t{sids}\t{dataset.task_names[t]}\t{v!r}\n")
 
@@ -68,14 +69,14 @@ class TestSynthonFeatures:
 
 class TestProductFeatures:
     def test_dimension(self, small_library):
-        chi = csl.decode_index(small_library, 0)
+        chi = reference_decode(small_library, 0)
         cfg = props.FeatureConfig(p=32, q=8)
         assert product_features(small_library, chi, cfg).shape == (40,)
 
     def test_first_p_coords_additive(self, small_library):
         cfg = props.FeatureConfig()
         mat = props.library_synthon_features(small_library, cfg)
-        chi = csl.decode_index(small_library, 17)
+        chi = reference_decode(small_library, 17)
         full = product_features(small_library, chi, cfg, mat)
         manual = np.zeros(cfg.p)
         for _, s in chi.assignment:
@@ -84,8 +85,8 @@ class TestProductFeatures:
 
     def test_summed_part_permutation_invariant(self, small_library):
         cfg = props.FeatureConfig()
-        chi = csl.decode_index(small_library, 60)  # 3-component reaction
-        flipped = csl.MultiIndex(chi.reaction_id, chi.assignment[::-1])
+        chi = reference_decode(small_library, 60)  # 3-component reaction
+        flipped = MultiIndex(chi.reaction_id, chi.assignment[::-1])
         a = product_features(small_library, chi, cfg)
         b = product_features(small_library, flipped, cfg)
         np.testing.assert_allclose(a[: cfg.p], b[: cfg.p], atol=1e-12)
@@ -96,7 +97,7 @@ class TestProductFeatures:
         lib = csl.CslLibrary(
             reactions=(csl.ReactionSpec(0, (csl.RgroupSpec(0, (0,)),)),), synthons=synthons
         )
-        chi = csl.MultiIndex(0, ((0, 0),))
+        chi = MultiIndex(0, ((0, 0),))
         cfg = props.FeatureConfig(p=16, q=4)
         v = props.synthon_features("abc*", cfg)
         out = product_features(lib, chi, cfg)
@@ -128,7 +129,7 @@ class TestBatchFeatures:
         # the library's synthon features are built once, by library_synthon_features
         with mock.patch.object(props, "library_synthon_features", return_value=mat):
             batch = props.product_feature_matrix(library, sids, cfg)
-        expected = [product_features(library, csl.decode_index(library, g), cfg, mat) for g in gidx]
+        expected = [product_features(library, reference_decode(library, g), cfg, mat) for g in gidx]
         assert batch.shape == (len(gidx), p + q)
         assert _bits(batch) == _bits(np.reshape(expected, (len(gidx), p + q)))
 
@@ -154,21 +155,21 @@ class TestGroundTruth:
         task = props.TaskDef("z", "additive", np.zeros(len(small_library.synthons)))
         oracle = props.GroundTruthOracle([task], seed=0)
         for g in range(0, csl.product_count(small_library), 7):
-            chi = csl.decode_index(small_library, g)
-            assert props.ground_truth(oracle, small_library, chi, "z") == 0.0
+            chi = reference_decode(small_library, g)
+            assert props.ground_truth(oracle, "z", chi.synthon_ids()) == 0.0
 
     def test_additive_equals_latent_sum(self, small_library):
         rng = np.random.default_rng(1)
         task = props.TaskDef("a", "additive", rng.standard_normal(len(small_library.synthons)))
         oracle = props.GroundTruthOracle([task], seed=0)
-        chi = csl.decode_index(small_library, 42)
+        chi = reference_decode(small_library, 42)
         expected = sum(task.latent[s] for _, s in chi.assignment)
-        assert props.ground_truth(oracle, small_library, chi, "a") == pytest.approx(expected, rel=1e-12)
+        assert props.ground_truth(oracle, "a", chi.synthon_ids()) == pytest.approx(expected, rel=1e-12)
 
     def test_top_k_matches_brute_force(self, small_library, small_oracle):
         total = csl.product_count(small_library)
         vals = [
-            reference_ground_truth(small_oracle, small_library, csl.decode_index(small_library, g), "dock_a")
+            reference_ground_truth(small_oracle, small_library, reference_decode(small_library, g), "dock_a")
             for g in range(total)
         ]
         top = sorted(range(total), key=lambda g: (-vals[g], g))[:10]
@@ -184,9 +185,9 @@ class TestGroundTruth:
         assert top == top_vec
 
     def test_determinism(self, small_library, small_oracle):
-        chi = csl.decode_index(small_library, 5)
-        a = props.ground_truth(small_oracle, small_library, chi, "dock_b")
-        b = props.ground_truth(small_oracle, small_library, chi, "dock_b")
+        chi = reference_decode(small_library, 5)
+        a = props.ground_truth(small_oracle, "dock_b", chi.synthon_ids())
+        b = props.ground_truth(small_oracle, "dock_b", chi.synthon_ids())
         assert a == b
 
     def test_block_values_match_scalar(self, small_library, small_oracle):
@@ -224,7 +225,7 @@ class TestGroundTruth:
 
     def test_unknown_task(self, small_library, small_oracle):
         with pytest.raises(props.OracleError, match="unknown task"):
-            props.ground_truth(small_oracle, small_library, csl.decode_index(small_library, 0), "nope")
+            props.ground_truth(small_oracle, "nope", reference_decode(small_library, 0).synthon_ids())
 
     def test_nonlinear_is_bounded_shift(self, small_library):
         rng = np.random.default_rng(2)
@@ -233,10 +234,8 @@ class TestGroundTruth:
         nl = props.GroundTruthOracle(
             [props.TaskDef("t", "additive+nonlinear", latent, nonlinear_scale=0.7)], seed=0
         )
-        chi = csl.decode_index(small_library, 33)
-        delta = props.ground_truth(nl, small_library, chi, "t") - props.ground_truth(
-            add, small_library, chi, "t"
-        )
+        chi = reference_decode(small_library, 33)
+        delta = props.ground_truth(nl, "t", chi.synthon_ids()) - props.ground_truth(add, "t", chi.synthon_ids())
         assert abs(delta) <= 0.7
 
     @given(library=mixed_libraries(), mode=st.sampled_from(MODES), coarse=st.booleans(), data=st.data())
@@ -254,9 +253,9 @@ class TestGroundTruth:
         total = csl.product_count(library)
         gidx = data.draw(st.lists(st.integers(0, total - 1), max_size=40))
         values = props.oracle_values(oracle, library, "t", np.asarray(gidx, dtype=np.int64))
-        expected = [reference_ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
+        expected = [reference_ground_truth(oracle, library, reference_decode(library, g), "t") for g in gidx]
         assert _bits(values) == _bits(expected)
-        scalar = [props.ground_truth(oracle, library, csl.decode_index(library, g), "t") for g in gidx]
+        scalar = [props.ground_truth(oracle, "t", reference_decode(library, g).synthon_ids()) for g in gidx]
         assert _bits(scalar) == _bits(expected)
         # every block of the library, against every product in index order
         assert _bits(_all_block_values(oracle, library, "t")) == _bits(
@@ -281,7 +280,7 @@ class TestGroundTruth:
         assert [len(rx.rgroups) for rx in library.reactions] == [4, 2] and total == 81 + 9
         if mode == "additive":
             assert expected[: 8] == expected[81 * 8 : 82 * 8] == _bits(0.0)
-        assert _bits([props.ground_truth(oracle, library, chi, "t") for chi in chis]) == expected
+        assert _bits([props.ground_truth(oracle, "t", chi.synthon_ids()) for chi in chis]) == expected
         assert _bits(props.oracle_values(oracle, library, "t", np.arange(total)[::-1])[::-1]) == expected
         assert _bits(_all_block_values(oracle, library, "t")) == expected
 
@@ -370,7 +369,7 @@ class TestLabelLibrary:
         gidxs = np.sort(rng.choice(csl.product_count(small_library), size=60, replace=False))
         expected = []
         for g in gidxs.tolist():
-            chi = csl.decode_index(small_library, g)
+            chi = reference_decode(small_library, g)
             for task in tasks:
                 expected.append((g, task, reference_ground_truth(small_oracle, small_library, chi, task)))
         assert ds.task_names == tasks
@@ -440,11 +439,21 @@ class TestLabelFiles:
             props.load_labels(path, small_library)
 
     def test_ineligible_synthon_rejected(self, small_library, tmp_path):
-        rx = small_library.reactions[0]
-        bad = ",".join(["999"] * len(rx.rgroups))
+        # the second label names reaction 1's first R-group with a synthon of its second one
+        rx = small_library.reactions[1]
+        good = ",".join(str(rg.synthon_ids[0]) for rg in rx.rgroups)
+        bad = ",".join(str(rg.synthon_ids[0]) for rg in (rx.rgroups[1],) + rx.rgroups[1:])
         path = tmp_path / "labels.tsv"
-        path.write_text(props.LABEL_HEADER + f"\n0\t{bad}\tmw\t1.0\n")
-        with pytest.raises(csl.LibraryError):
+        path.write_text(props.LABEL_HEADER + f"\n1\t{good}\tmw\t1.0\n\n1\t{bad}\tmw\t1.0\n0\t999,999\tmw\t1.0\n")
+        foreign, rgroup = rx.rgroups[1].synthon_ids[0], rx.rgroups[0].rgroup_id
+        with pytest.raises(props.OracleError, match=f"^line 4: synthon {foreign} is not eligible for R-group {rgroup}$"):
+            props.load_labels(path, small_library)
+
+    @pytest.mark.parametrize("sid", [str(2**63), str(-2**63 - 1)])
+    def test_synthon_id_past_int64_rejected(self, small_library, tmp_path, sid):
+        path = tmp_path / "labels.tsv"
+        path.write_text(props.LABEL_HEADER + f"\n0\t0,{sid}\tmw\t1.0\n")
+        with pytest.raises(props.OracleError, match="^line 2: malformed field: a synthon id exceeds the signed 64-bit"):
             props.load_labels(path, small_library)
 
 
@@ -476,6 +485,6 @@ class TestLabelColumns:
         assert _columns(loaded) == expected
         cfg = props.FeatureConfig(p=8, q=4)
         X, rows = surrogate._build_examples(loaded, library, cfg)
-        expected = [product_features(library, csl.decode_index(library, g), cfg)
+        expected = [product_features(library, reference_decode(library, g), cfg)
                     for g in ds.global_index.tolist()]
         assert _bits(X[rows]) == _bits(np.reshape(expected, (len(ds), cfg.p + cfg.q)))
