@@ -223,6 +223,15 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _write_report(path, lines: list[str]) -> int:
+    """Write a tab-separated report as UTF-8 and print it."""
+    report = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report)
+    print(report, end="")
+    return 0
+
+
 def cmd_evaluate(args) -> int:
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
@@ -241,11 +250,7 @@ def cmd_evaluate(args) -> int:
         recall = evalkit.recall_j_at_k(truth.top(j), retrieved)
         recall_s = "NA" if recall is None else f"{recall:.6f}"
         lines.append(f"{j}\t{recall_s}\t{sat['rate']:.6f}\t{sat['base_rate']:.6f}")
-    report = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(report)
-    print(report, end="")
-    return 0
+    return _write_report(args.out, lines)
 
 
 def cmd_compare_ts(args) -> int:
@@ -266,11 +271,7 @@ def cmd_compare_ts(args) -> int:
             f"{row['apex_recall']:.6f}\t{row['ts_recall_median']:.6f}\t"
             + ",".join(map(str, row["seeds"]))
         )
-    report = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(report)
-    print(report, end="")
-    return 0
+    return _write_report(args.out, lines)
 
 
 def cmd_cost(args) -> int:

@@ -211,7 +211,7 @@ class CslLibrary:
     def _fragment_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct fragments (tokens without '*' markers) in sorted order,
         and per synthon id the rank of its fragment among them."""
-        fragment = [_fragment(s.token) for s in self.synthons]
+        fragment = [s.token.replace("*", "") for s in self.synthons]
         ordered = sorted(set(fragment))
         rank = {f: i for i, f in enumerate(ordered)}
         return np.asarray(ordered, dtype=object), np.asarray([rank[f] for f in fragment], dtype=np.int64)
@@ -296,43 +296,54 @@ def gather_sum(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def reaction_columns(library: CslLibrary, pos: np.ndarray, digits: np.ndarray, assemble: bool):
-    """The reaction id, comma-joined synthon ids and, with `assemble`, assembled token of every
-    decoded product, as strings, built a reaction at a time: columns of hit and label files."""
-    n = len(pos)
-    reaction_id, joined_ids, assembled = (np.empty(n, dtype=object) for _ in range(3))
-    sids = library.layout.synthon_ids(pos, digits)
-    order = np.argsort(pos, kind="stable")
-    sorted_pos = pos[order]
-    starts = np.flatnonzero(np.diff(sorted_pos, prepend=-1))
-    for a, b in zip(starts.tolist(), starts[1:].tolist() + [n]):
-        rows = order[a:b]
-        t = int(sorted_pos[a])
-        rx = library.reactions[t]
-        width = len(rx.rgroups)
-        reaction_id[rows] = str(rx.reaction_id)
-        joined_ids[rows] = list(map(",".join, zip(*(map(str, col) for col in sids[rows, :width].T.tolist()))))
-        if assemble:
-            assembled[rows] = assemble_rows(library, t, digits[rows, :width])
-    return reaction_id.tolist(), joined_ids.tolist(), assembled.tolist() if assemble else None
+def _cell_text(cells: np.ndarray, size: int, texts) -> np.ndarray:
+    """Each cell's text, for an int array of values in [-1, size): "" at -1, else
+    `texts(values)[i]` at values[i], where `texts` is called once, on the distinct
+    values the cells hold in ascending order, so its work grows with the cells."""
+    used = np.zeros(size + 1, dtype=bool)
+    used[0] = True
+    used[cells + 1] = True
+    table = np.asarray([""] + texts(np.flatnonzero(used[1:])), dtype=object)
+    return table[(np.cumsum(used) - 1)[cells + 1]]
 
 
-def _fragment(token: str) -> str:
-    return token.replace("*", "")
-
-
-def assemble_rows(library: CslLibrary, reaction_pos: int, digits: np.ndarray) -> list[str]:
-    """Each row's product token, for one reaction's digit matrix (rows x R-groups):
-    `t<reaction id>|` and the fragments (tokens without '*' markers), sorted and
-    joined by '.'. Sorting the fragments' ranks sorts the fragments, because the
-    ranks follow the sorted order of the distinct fragments."""
-    ordered, ranks = library._fragment_ranks
-    rx = library.reactions[reaction_pos]
+def id_text(library: CslLibrary, rows: np.ndarray) -> np.ndarray:
+    """Per cell of a `layout.pair_rows` matrix, its part of the row's
+    `reaction_id<TAB>synthon_ids` fields: `<reaction id (its position)><TAB><synthon id>`
+    in the first R-group's column, `,<synthon id>` in a later one, "" at -1."""
     layout = library.layout
-    rank = ranks[layout.member_ids[layout.first_row[reaction_pos, : len(rx.rgroups)] + digits]]
-    rank.sort(axis=1)
-    prefix = f"t{rx.reaction_id}|"
-    return [prefix + s for s in map(".".join, zip(*(ordered[col].tolist() for col in rank.T)))]
+
+    def texts(used: np.ndarray) -> list[str]:
+        rg = np.searchsorted(layout.rg_offsets, used, side="right") - 1
+        rx = layout.rg_parent[rg]
+        return [f"{t}\t{s}" if lead else f",{s}" for lead, t, s in
+                zip((rg == layout.rx_offsets[rx]).tolist(), rx.tolist(), layout.member_ids[used].tolist())]
+
+    return _cell_text(rows, layout.n_pairs, texts)
+
+
+def assembled_text(library: CslLibrary, pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of a `layout.pair_rows` matrix (reaction positions `pos`), the
+    parts of its product token: `t<reaction id>|`, then its fragments (tokens
+    without '*' markers) in rank order, which is sorted order, the first bare and
+    each later one after a '.'; -1 cells take a past-the-end rank, sort last and read ""."""
+    ordered, ranks = library._fragment_ranks
+    rank = np.sort(np.where(rows >= 0, ranks[library.layout.member_ids[rows]], len(ordered)), axis=1)
+    rank[rank == len(ordered)] = -1
+    prefix = _cell_text(pos[:, None], len(library.reactions), lambda ts: [f"t{t}|" for t in ts.tolist()])
+    first = _cell_text(rank[:, :1], len(ordered), lambda r: ordered[r].tolist())
+    later = _cell_text(rank[:, 1:], len(ordered), lambda r: ["." + f for f in ordered[r].tolist()])
+    return np.hstack([prefix, first, later])
+
+
+def format_rows(row_format: str, columns: list) -> str:
+    """`row_format % row` for every row of equal-length columns, concatenated:
+    one `%` operation over the rows' fields laid end to end."""
+    n, width = len(columns[0]), len(columns)
+    fields = [None] * (n * width)
+    for j, column in enumerate(columns):
+        fields[j::width] = column
+    return (row_format * n) % tuple(fields)
 
 
 def downsample(library: CslLibrary, per_reaction_fraction: float, seed: int) -> CslLibrary:

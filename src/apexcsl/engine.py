@@ -41,8 +41,9 @@ them over in key order.
 The result is columnar: predicted violators are dropped with a mask, every hit
 is decoded in one pass (`PairLayout.decode`), and each constraint's value is
 gathered from the table by pair row and summed from 0.0, R-groups in
-declaration order, then the bias.
-`save_result` writes the hit file column by column, a chunk of rows at a time.
+declaration order, then the bias. A kept hit's violation is +0.0 (`violation`
+subtracts non-negative hinge terms from 0.0, and only c >= 0.0 is kept), so the
+result has no violation column and the hit file writes the constant `0.0`.
 
 Reproducibility contract: contributions are stored as 4-byte floats and
 accumulated in 8-byte floats in R-group declaration order, and ties are broken
@@ -58,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, reaction_columns
+from .csl import CslLibrary, PairLayout, assembled_text, fingerprint_matches, format_rows, gather_sum, id_text
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
@@ -195,7 +196,6 @@ class TopKResult:
 
     global_index: np.ndarray       # int64
     objective: np.ndarray          # raw value in the user's direction convention
-    violation: np.ndarray
     constraint_values: np.ndarray  # (n constraints, n hits), in constraint order
     reaction_pos: np.ndarray       # positional reaction index
     digits: np.ndarray             # (n hits, R-group positions), as PairLayout.decode gives them
@@ -450,7 +450,6 @@ def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
     return TopKResult(
         global_index=g,
         objective=s[feasible] if query.direction == "maximize" else -s[feasible],
-        violation=c[feasible],
         constraint_values=_constraint_values(layout, table, query, pos, digits),
         reaction_pos=pos,
         digits=digits,
@@ -547,37 +546,26 @@ RESULT_HEADER_PREFIX = "rank\tglobal_index\treaction_id\tsynthon_ids\tobjective\
 RESULT_CHUNK_ROWS = 1 << 14
 
 
-def save_result(
-    result: TopKResult,
-    query: QuerySpec,
-    path,
-    library: CslLibrary,
-    assemble: bool = False,
-) -> None:
-    """Delimited text export, one hit per row; `assemble` adds an assembled
-    token column. Written column-wise, RESULT_CHUNK_ROWS rows at a time, so
-    the strings held at once do not grow with k."""
-    cols = RESULT_HEADER_PREFIX
-    for con in query.constraints:
-        cols += f"\t{con.task}"
+def save_result(result: TopKResult, query: QuerySpec, path, library: CslLibrary, assemble: bool = False) -> None:
+    """UTF-8 text export, one hit per row; `assemble` adds an assembled token
+    column. Each RESULT_CHUNK_ROWS rows, so that the strings held do not grow
+    with k, are one `%` operation (`csl.format_rows`) over ints, floats and the
+    id and token texts of `csl.id_text` and `csl.assembled_text`."""
+    width = result.digits.shape[1]
+    fmt = "%d\t%d\t" + "%s" * width + "\t%r\t0.0" + "\t%r" * len(query.constraints)
+    cols = RESULT_HEADER_PREFIX + "".join(f"\t{con.task}" for con in query.constraints)
     if assemble:
+        fmt += "\t" + "%s" * (width + 1)
         cols += "\tassembled"
-    with open(path, "w") as fh:
+    fmt += "\n"
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(cols + "\n")
         for lo in range(0, result.retained, RESULT_CHUNK_ROWS):
             hi = min(lo + RESULT_CHUNK_ROWS, result.retained)
-            reaction_id, joined_ids, assembled = reaction_columns(
-                library, result.reaction_pos[lo:hi], result.digits[lo:hi], assemble
-            )
-            columns = [
-                map(str, range(lo, hi)),
-                map(str, result.global_index[lo:hi].tolist()),
-                reaction_id,
-                joined_ids,
-                map(repr, result.objective[lo:hi].tolist()),
-                map(repr, result.violation[lo:hi].tolist()),
-                *(map(repr, v[lo:hi].tolist()) for v in result.constraint_values),
-            ]
+            pos = result.reaction_pos[lo:hi]
+            rows = library.layout.pair_rows(pos, result.digits[lo:hi])
+            columns = [range(lo, hi), result.global_index[lo:hi].tolist(), *id_text(library, rows).T.tolist(),
+                       result.objective[lo:hi].tolist(), *(v[lo:hi].tolist() for v in result.constraint_values)]
             if assemble:
-                columns.append(assembled)
-            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
+                columns += assembled_text(library, pos, rows).T.tolist()
+            fh.write(format_rows(fmt, columns))

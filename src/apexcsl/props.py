@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .blobio import fits, utf8_text
-from .csl import MAX_COUNT, CslLibrary, LibraryError, gather_sum, product_count, reaction_columns
+from .csl import MAX_COUNT, CslLibrary, LibraryError, format_rows, gather_sum, id_text, product_count
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_CROSS_TERMS = 16
@@ -415,18 +415,17 @@ LABEL_CHUNK_ROWS = 1 << 14
 
 
 def save_labels(dataset: LabeledDataset, path, library: CslLibrary) -> None:
-    """One label per line, written column by column, LABEL_CHUNK_ROWS lines at a time."""
+    """One label per line; each LABEL_CHUNK_ROWS lines are one `csl.format_rows` call."""
+    layout = library.layout
+    fmt = "%s" * int(layout.n_rgroups.max(initial=0)) + "\t%s\t%r\n"
     names = np.asarray(dataset.task_names, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABEL_HEADER + "\n")
         for lo in range(0, len(dataset), LABEL_CHUNK_ROWS):
             hi = min(lo + LABEL_CHUNK_ROWS, len(dataset))
-            reaction_id, joined_ids, _ = reaction_columns(
-                library, *library.layout.decode(dataset.global_index[lo:hi]), assemble=False
-            )
-            columns = [reaction_id, joined_ids, names[dataset.task[lo:hi]].tolist(),
-                       map(repr, dataset.value[lo:hi].tolist())]
-            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
+            rows = layout.pair_rows(*layout.decode(dataset.global_index[lo:hi]))
+            fh.write(format_rows(fmt, [*id_text(library, rows).T.tolist(), names[dataset.task[lo:hi]].tolist(),
+                                       dataset.value[lo:hi].tolist()]))
 
 
 def load_labels(path, library: CslLibrary) -> LabeledDataset:

@@ -20,9 +20,9 @@ def report(num, name, ok, detail=""):
 
 
 def _result_keys(result, direction):
+    # every retained hit is feasible, so its violation is 0.0
     sign = 1.0 if direction == "maximize" else -1.0
-    return list(zip(result.violation.tolist(), (sign * result.objective).tolist(),
-                    result.global_index.tolist()))
+    return [(0.0, s, g) for s, g in zip((sign * result.objective).tolist(), result.global_index.tolist())]
 
 
 def test_criterion_1_exact_retrieval_equivalence(tmp_path):

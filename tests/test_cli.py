@@ -1,12 +1,16 @@
+import dataclasses
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from apexcsl import cli, engine, presets
+from apexcsl import cli, csl, engine, presets
 from conftest import random_table
 
 
@@ -196,6 +200,30 @@ def test_dispatch_reads_command_at_call_time(pipeline, monkeypatch):
     monkeypatch.setattr(cli, "cmd_search", lambda args: calls.append(args.command) or 7)
     assert run(*argv) == 7
     assert calls == ["search"]
+
+
+def test_hit_file_does_not_depend_on_the_locale(tmp_path):
+    # under an ASCII locale, a non-ASCII token ended search --assemble in a
+    # UnicodeEncodeError traceback and left a partial hit file
+    library = csl.generate_synthetic(csl.SyntheticConfig(n_reactions=2, synthons_per_rgroup=3), seed=4)
+    library = dataclasses.replace(library, synthons=(csl.SynthonRecord(0, "ab*c\u00e9\u65e5"),) + library.synthons[1:])
+    csl.save_library(library, tmp_path / "lib.csl")
+    engine.save_table(random_table(library, ["a"], np.random.default_rng(1)), tmp_path / "table.blob")
+    (tmp_path / "query.json").write_text(json.dumps({"objective": {"task": "a"}, "k": csl.product_count(library)}))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    hits = {}
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                      ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+        out = tmp_path / f"hits_{name}.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "apexcsl.cli", "search", "--library", str(tmp_path / "lib.csl"),
+             "--table", str(tmp_path / "table.blob"), "--query", str(tmp_path / "query.json"), "--out", str(out),
+             "--assemble"],
+            env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        hits[name] = out.read_bytes()
+    assert "abc\u00e9\u65e5".encode() in hits["utf8"]
+    assert hits["ascii"] == hits["utf8"]
 
 
 class TestQueries:

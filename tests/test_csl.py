@@ -517,20 +517,17 @@ class TestCheckLibrary:
     share_rate=st.sampled_from([0.0, 0.5, 0.9]),
     seed=st.integers(0, 50),
 )
-def test_assemble_rows_matches_assemble(n_reactions, components, synthons, token_length, share_rate, seed):
+def test_assembled_text_matches_assemble(n_reactions, components, synthons, token_length, share_rate, seed):
     # a two-letter alphabet and short tokens make distinct synthons share fragments
     lib = csl.generate_synthetic(
         csl.SyntheticConfig(n_reactions=n_reactions, components=components, synthons_per_rgroup=synthons,
                             alphabet_size=2, token_length=token_length, share_rate=share_rate),
         seed=seed,
     )
-    for t in range(len(lib.reactions)):
-        start = lib.reaction_offset(t)
-        gidx = np.arange(start, start + lib.reaction_size(t))
-        _, digits = lib.layout.decode(gidx)
-        n = len(lib.reactions[t].rgroups)
-        expected = [assemble(lib, reference_decode(lib, int(g))) for g in gidx]
-        assert csl.assemble_rows(lib, t, digits[:, :n]) == expected
+    gidx = np.arange(csl.product_count(lib))
+    expected = [assemble(lib, reference_decode(lib, int(g))) for g in gidx]
+    pos, digits = lib.layout.decode(gidx)
+    assert list(map("".join, csl.assembled_text(lib, pos, lib.layout.pair_rows(pos, digits)).tolist())) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,9 +38,9 @@ def brute_force_topk(library, table, query):
 
 
 def result_keys(result, direction):
+    # every retained hit is feasible, so its violation is 0.0
     sign = 1.0 if direction == "maximize" else -1.0
-    return list(zip(result.violation.tolist(), (sign * result.objective).tolist(),
-                    result.global_index.tolist()))
+    return [(0.0, s, g) for s, g in zip((sign * result.objective).tolist(), result.global_index.tolist())]
 
 
 class TestApexScore:

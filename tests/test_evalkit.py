@@ -138,7 +138,6 @@ class TestRecall:
             retrieved,
             global_index=retrieved.global_index[:5],
             objective=retrieved.objective[:5],
-            violation=retrieved.violation[:5],
             constraint_values=retrieved.constraint_values[:, :5],
             reaction_pos=retrieved.reaction_pos[:5],
             digits=retrieved.digits[:5],
