@@ -30,10 +30,9 @@ def main() -> int:
         oracle, library, ["obj"], props.SampleSpec(size=2500, seed=args.seed + 2)
     )
     model = sg.train_surrogate(
-        dataset, library,
+        dataset, sg.build_examples(dataset, library, fc),
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=args.seed, encoder="linear",
                        embedding_dim=16, sigma=0.0),
-        fc,
     )
     trained = fz.train_factorizer(
         library, model,

@@ -167,9 +167,10 @@ def cmd_train_surrogate(args) -> int:
         encoder=args.encoder,
         embedding_dim=args.embedding_dim,
     )
-    model = sg.train_surrogate(dataset, library, config, _feature_config(args))
+    examples = sg.build_examples(dataset, library, _feature_config(args))
+    model = sg.train_surrogate(dataset, examples, config)
     sg.save_surrogate(model, args.out)
-    r2 = sg.evaluate_r2(model, dataset, library)
+    r2 = sg.evaluate_r2(model, dataset, examples)
     summary = ", ".join(f"{k}={v:.4f}" if v is not None else f"{k}=NA" for k, v in r2.items())
     print(f"wrote {args.out}; train R2: {summary}")
     return 0

@@ -29,9 +29,15 @@ Lotem & Naor (PODS 2001):
   better, and no product in it can enter the top-k. A block whose bound
   equals the k-th key is still scored, because a tied key can win on a lower
   global index.
-* Selection. Each scored block is filtered against the k-th key, and the
-  survivors are kept pending in `_TopKBuffer`; once k are pending, it
-  compacts to the best k.
+* Groups. Blocks are scored a group at a time, one numpy pass per reaction
+  in the group: the next blocks in visit order whose bound is not below the
+  k-th key, one at first, then up to twice the last group's count and
+  GROUP_PRODUCTS products (a larger block is scored whole), so that few
+  products are scored past the stop point.
+* Selection. A group is filtered against the k-th key as it began (once
+  that key is feasible, constraints are evaluated only where the objective
+  reaches it); the survivors are kept pending in `_TopKBuffer`, which
+  compacts to the best k once k are pending.
 
 Both variants and `evalkit.oracle_topk` get their top k from `scan_topk`,
 which runs that loop into that one buffer. The buffer finds the best-k set by
@@ -54,6 +60,7 @@ variants.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +71,7 @@ from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
 TABLE_VERSION = 1
+GROUP_PRODUCTS = 1 << 15  # products the scan scores in one pass, unless one block holds more
 
 
 class EngineError(RuntimeError):
@@ -198,7 +206,7 @@ class TopKResult:
     objective: np.ndarray          # raw value in the user's direction convention
     constraint_values: np.ndarray  # (n constraints, n hits), in constraint order
     reaction_pos: np.ndarray       # positional reaction index
-    digits: np.ndarray             # (n hits, R-group positions), as PairLayout.decode gives them
+    pair_rows: np.ndarray          # (n hits, R-group positions), as PairLayout.pair_rows gives them
     scanned: int                   # products covered by the index range
     discarded_for_violation: int
     timing: dict[str, float]
@@ -223,23 +231,26 @@ class _ReactionView:
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
 
-    def block_values(self, task_pos: int, first_digit: int) -> np.ndarray:
-        """Flat float64 task values over one block, summed in R-group order."""
+    def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
+        """Float64 task values over blocks, one row per first digit, summed in R-group order."""
         arrs = self.per_task[task_pos]
-        val = np.atleast_1d(arrs[0][first_digit])
+        val = arrs[0][first_digits]
         for a in arrs[1:]:
-            val = (val[:, None] + a).reshape(-1)
-        return val + self.biases[task_pos]
+            val = val[..., None] + a
+        val = val.reshape(len(first_digits), -1)
+        val += self.biases[task_pos]
+        return val
 
-    def values_at(self, task_pos: int, first_digit: int, offsets: np.ndarray) -> np.ndarray:
-        """`block_values(task_pos, first_digit)[offsets]`, summed only at those offsets."""
+    def values_at(self, task_pos: int, first_digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """`block_values(task_pos, first_digits)[i, offsets[i]]` for every i,
+        summed only at those offsets."""
         arrs = self.per_task[task_pos]
         digits = []
         rem = offsets
         for a in reversed(arrs[1:]):
             rem, d = np.divmod(rem, len(a))
             digits.append(d)
-        val = arrs[0][first_digit]
+        val = arrs[0][first_digits]
         for a, d in zip(arrs[1:], reversed(digits)):
             val = val + a[d]
         return val + self.biases[task_pos]
@@ -255,27 +266,34 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _block_keys(view, query: QuerySpec, first_digit: int, lo: int, hi: int,
+def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 kth: tuple[float, float, int] | None = None):
-    """Offsets in [lo, hi) of one block, with their (violation, signed
-    objective) keys: every offset, or with `kth`, a subset that holds every
-    offset whose key may beat it.
+    """(violation, signed objective, global index) keys of one reaction's
+    blocks, each clipped to its [lo, hi) offsets: every product, or with `kth`,
+    a subset that holds every product whose key may beat it.
 
     Once the k-th key is feasible, a winner must be feasible with a signed
     objective no lower than the k-th's, so constraints are evaluated only at the
-    offsets that pass the objective test.
+    products that pass the objective test.
     """
-    obj = view.block_values(0, first_digit)[lo:hi]
-    s = obj if query.direction == "maximize" else -obj
+    s = view.block_values(0, digit)
+    if query.direction == "minimize":
+        np.negative(s, out=s)
+    cols = np.arange(s.shape[1])
+    keep = (cols >= lo[:, None]) & (cols < hi[:, None]) if lo.any() or (hi < len(cols)).any() else None
     if kth is not None and kth[0] == 0.0:
-        keep = np.flatnonzero(s >= kth[1])
-        offsets, s = keep + lo, s[keep]
-        cons_vals = [view.values_at(1 + i, first_digit, offsets) for i in range(len(query.constraints))]
+        keep = s >= kth[1] if keep is None else keep & (s >= kth[1])
+    n_cons = len(query.constraints)
+    if keep is None:
+        g, s = (g0[:, None] + cols).reshape(-1), s.reshape(-1)
+        cons_vals = [view.block_values(1 + i, digit).reshape(-1) for i in range(n_cons)]
     else:
-        offsets = np.arange(lo, hi)
-        cons_vals = [view.block_values(1 + i, first_digit)[lo:hi] for i in range(len(query.constraints))]
+        at = np.flatnonzero(keep)
+        row, offset = np.divmod(at, len(cols))
+        g, s = g0[row] + offset, s.reshape(-1)[at]
+        cons_vals = [view.values_at(1 + i, digit[row], offset) for i in range(n_cons)]
     c = violation(cons_vals, query.constraints)
-    return offsets, np.broadcast_to(c, s.shape) if np.ndim(c) == 0 else c, s
+    return np.broadcast_to(c, s.shape) if np.ndim(c) == 0 else c, s, g
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -307,12 +325,15 @@ class _TopKBuffer:
         self.n_pending = 0
         self.kth: tuple[float, float, int] | None = None
 
-    def below_kth(self, c: float, s: float) -> bool:
-        """True if every key with (violation, signed objective) <= (c, s) loses to the k-th."""
+    def unbeaten(self, neg_c: list[float], neg_s: list[float]) -> int:
+        """The number of leading bounds that are not strictly below the k-th
+        key, of (violation, signed objective) bounds given negated and in
+        ascending order."""
         if self.kth is None:
-            return False
+            return len(neg_c)
         tc, ts, _ = self.kth
-        return c < tc or (c == tc and s < ts)
+        # the bounds above the k-th violation, then those equal to it whose objective bound is not below
+        return bisect_right(neg_s, -ts, bisect_left(neg_c, -tc), bisect_right(neg_c, -tc))
 
     def offer(self, c: np.ndarray, s: np.ndarray, g: np.ndarray) -> None:
         """Add keys of products with global indices g, all new to the buffer."""
@@ -360,42 +381,42 @@ class _TopKBuffer:
         return self.c, self.s, self.g
 
 
-def _constraint_values(
-    layout: PairLayout,
-    table: ContributionTable,
-    query: QuerySpec,
-    pos: np.ndarray,
-    digits: np.ndarray,
-) -> np.ndarray:
-    """Each constraint's value at every decoded hit: the hit's contributions
-    summed from 0.0, R-groups in declaration order, then the task bias."""
+def _constraint_values(table: ContributionTable, query: QuerySpec, rows: np.ndarray) -> np.ndarray:
+    """Each constraint's value at every hit, from the hits' pair rows: the
+    hit's contributions summed from 0.0, R-groups in declaration order, then
+    the task bias."""
     tasks = [table.task_index(con.task) for con in query.constraints]
-    return gather_sum(table.values[tasks].T, layout.pair_rows(pos, digits)).T + table.biases[tasks, None]
+    return gather_sum(table.values[tasks].T, rows).T + table.biases[tasks, None]
 
 
 def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
     """Score `PairLayout.blocks` rows into `buf`; return the number of products scored.
 
     Blocks are visited best (violation, signed objective) bound first, ties in
-    index order, and the visit stops at the first block whose bound is strictly
-    below the k-th key. `bounds` holds the two bounds per block; without them
-    every bound is +inf, so every block is scored, in index order. `views`
-    maps each block's reaction position to a view that gives the reaction's
-    `block_values` and `values_at` for the objective, then each constraint.
+    index order, and scored in groups (see the module notes); the visit stops
+    at the first block whose bound is strictly below the k-th key. `bounds`
+    holds the two bounds per block; without them every bound is +inf, so every
+    block is scored, in index order. `views` maps each reaction position to a
+    view that gives the reaction's `block_values` and `values_at`, over many
+    first digits at once, for the objective, then each constraint.
     """
     if buf.k == 0:
         return 0
     c_ub, s_ub = bounds if bounds is not None else [np.full(len(blocks[0]), np.inf)] * 2
     order = np.lexsort((blocks[2], -s_ub, -c_ub))
-    rx, digit, g0, lo, hi = (a.tolist() for a in blocks)
-    scored = 0
-    for b, bc, bs in zip(order.tolist(), c_ub[order].tolist(), s_ub[order].tolist()):
-        if buf.below_kth(bc, bs):
-            break
-        offsets, c, s = _block_keys(views[rx[b]], query, digit[b], lo[b], hi[b], buf.kth)
-        buf.offer(c, s, offsets + g0[b])
-        scored += hi[b] - lo[b]
-    return scored
+    visit = np.stack(blocks)[:, order]
+    neg_c, neg_s = (-c_ub[order]).tolist(), (-s_ub[order]).tolist()
+    # products in the visit's first i blocks, clipped, at position i
+    done = [0] + np.cumsum(visit[4] - visit[3]).tolist()
+    i, width, stop = 0, 1, buf.unbeaten(neg_c, neg_s)
+    while i < stop:
+        j = min(stop, i + width, max(i + 1, bisect_right(done, done[i] + GROUP_PRODUCTS) - 1))
+        group = visit[:, i:j]
+        for t in np.unique(group[0]).tolist():
+            digit, g0, lo, hi = group[1:, group[0] == t]
+            buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi, buf.kth))
+        i, width, stop = j, 2 * width, buf.unbeaten(neg_c, neg_s)
+    return done[i]
 
 
 def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple[int, int]:
@@ -447,12 +468,13 @@ def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
     feasible = c >= 0.0
     g = g[feasible]
     pos, digits = layout.decode(g)
+    rows = layout.pair_rows(pos, digits)
     return TopKResult(
         global_index=g,
         objective=s[feasible] if query.direction == "maximize" else -s[feasible],
-        constraint_values=_constraint_values(layout, table, query, pos, digits),
+        constraint_values=_constraint_values(table, query, rows),
         reaction_pos=pos,
-        digits=digits,
+        pair_rows=rows,
         scanned=scanned,
         discarded_for_violation=len(c) - len(g),
         timing=timing,
@@ -551,7 +573,7 @@ def save_result(result: TopKResult, query: QuerySpec, path, library: CslLibrary,
     column. Each RESULT_CHUNK_ROWS rows, so that the strings held do not grow
     with k, are one `%` operation (`csl.format_rows`) over ints, floats and the
     id and token texts of `csl.id_text` and `csl.assembled_text`."""
-    width = result.digits.shape[1]
+    width = result.pair_rows.shape[1]
     fmt = "%d\t%d\t" + "%s" * width + "\t%r\t0.0" + "\t%r" * len(query.constraints)
     cols = RESULT_HEADER_PREFIX + "".join(f"\t{con.task}" for con in query.constraints)
     if assemble:
@@ -562,10 +584,9 @@ def save_result(result: TopKResult, query: QuerySpec, path, library: CslLibrary,
         fh.write(cols + "\n")
         for lo in range(0, result.retained, RESULT_CHUNK_ROWS):
             hi = min(lo + RESULT_CHUNK_ROWS, result.retained)
-            pos = result.reaction_pos[lo:hi]
-            rows = library.layout.pair_rows(pos, result.digits[lo:hi])
+            rows = result.pair_rows[lo:hi]
             columns = [range(lo, hi), result.global_index[lo:hi].tolist(), *id_text(library, rows).T.tolist(),
                        result.objective[lo:hi].tolist(), *(v[lo:hi].tolist() for v in result.constraint_values)]
             if assemble:
-                columns += assembled_text(library, pos, rows).T.tolist()
+                columns += assembled_text(library, result.reaction_pos[lo:hi], rows).T.tolist()
             fh.write(format_rows(fmt, columns))

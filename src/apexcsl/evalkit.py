@@ -55,11 +55,12 @@ class _OracleView:
     def __init__(self, oracle: GroundTruthOracle, library: CslLibrary, reaction_pos: int, tasks: list[str]):
         self.oracle, self.library, self.reaction_pos, self.tasks = oracle, library, reaction_pos, tasks
 
-    def block_values(self, task_pos: int, first_digit: int) -> np.ndarray:
-        return oracle_block_values(self.oracle, self.library, self.tasks[task_pos], self.reaction_pos, first_digit)
+    def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
+        return oracle_block_values(self.oracle, self.library, self.tasks[task_pos], self.reaction_pos, first_digits)
 
-    def values_at(self, task_pos: int, first_digit: int, offsets: np.ndarray) -> np.ndarray:
-        return self.block_values(task_pos, first_digit)[offsets]
+    def values_at(self, task_pos: int, first_digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        blocks, row = np.unique(first_digits, return_inverse=True)
+        return self.block_values(task_pos, blocks)[row, offsets]
 
 
 def oracle_topk(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -254,16 +255,19 @@ def oracle_block_values(
     library: CslLibrary,
     task_name: str,
     reaction_id: int,
-    first_digit: int,
+    first_digit,
 ) -> np.ndarray:
-    """`ground_truth` over one (reaction, first-R-group digit) block, as a flat
-    array over the block's products in canonical order."""
+    """`ground_truth` over (reaction, first-R-group digit) blocks, each block's
+    products in canonical order: for an int digit a flat array over its block,
+    for an array of digits one row per digit, in one kernel call."""
     layout = library.layout
     ids = [layout.member_ids[rows] for rows in layout.reaction_rows(reaction_id)]
     c = len(ids)
-    # the block's first synthon, then each later R-group's ids on its own grid axis
-    grid = [ids[0][first_digit]] + [a.reshape((-1,) + (1,) * (c - 1 - j)) for j, a in enumerate(ids[1:], 1)]
-    return np.reshape(_task_values(oracle, oracle.task(task_name), grid), -1)
+    # the blocks' first synthons on the first grid axis, then each later R-group's ids on its own axis
+    first = np.reshape(ids[0][first_digit], (-1,) + (1,) * (c - 1))
+    grid = [first] + [a.reshape((-1,) + (1,) * (c - 1 - j)) for j, a in enumerate(ids[1:], 1)]
+    values = _task_values(oracle, oracle.task(task_name), grid)
+    return np.reshape(values, (len(first), math.prod(map(len, ids[1:]))) if np.ndim(first_digit) else -1)
 
 
 _NUMBER = (int, float)

@@ -10,6 +10,7 @@ lowest loss on a held-out 10% of the labels is kept.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,11 +109,28 @@ def surrogate_loss_and_grads(
     return loss, enc_grads, dW, db
 
 
-def _build_examples(dataset: LabeledDataset, library: CslLibrary, feature_config: FeatureConfig):
-    """The features of each distinct labeled product, and per label the row of its product."""
+class Examples(NamedTuple):
+    """What training and `evaluate_r2` read of a labeled dataset's products:
+    the features of each distinct labeled product, per label the row of its
+    product, and the feature config they were built with."""
+
+    X: np.ndarray
+    rows: np.ndarray
+    feature_config: FeatureConfig
+
+
+def build_examples(dataset: LabeledDataset, library: CslLibrary,
+                   feature_config: FeatureConfig = FeatureConfig()) -> Examples:
     products, feat_rows = np.unique(dataset.global_index, return_inverse=True)
     sids = library.layout.synthon_ids(*library.layout.decode(products))
-    return product_feature_matrix(library, sids, feature_config), feat_rows
+    return Examples(product_feature_matrix(library, sids, feature_config), feat_rows, feature_config)
+
+
+def _check_examples(dataset: LabeledDataset, examples: Examples) -> None:
+    if not len(dataset):
+        raise SurrogateError("empty dataset")
+    if len(examples.rows) != len(dataset):
+        raise SurrogateError(f"examples of {len(examples.rows)} labels for a dataset of {len(dataset)}")
 
 
 def _make_encoder(config: TrainConfig, feature_dim: int, rng: np.random.Generator) -> MLP:
@@ -124,15 +142,11 @@ def _make_encoder(config: TrainConfig, feature_dim: int, rng: np.random.Generato
     raise ValueError(f"unknown encoder kind {config.encoder!r}")
 
 
-def train_surrogate(
-    dataset: LabeledDataset,
-    library: CslLibrary,
-    config: TrainConfig,
-    feature_config: FeatureConfig = FeatureConfig(),
-) -> SurrogateModel:
-    if not len(dataset):
-        raise SurrogateError("empty dataset")
-    X, feat_rows = _build_examples(dataset, library, feature_config)
+def train_surrogate(dataset: LabeledDataset, examples: Examples, config: TrainConfig) -> SurrogateModel:
+    """A surrogate over `examples.feature_config`, trained on `dataset`;
+    `examples` is `build_examples` of that dataset."""
+    _check_examples(dataset, examples)
+    X, feat_rows, feature_config = examples
     task_idx, y, task_names = dataset.task, dataset.value, dataset.task_names
     n_tasks = len(task_names)
     n = len(task_idx)
@@ -202,11 +216,13 @@ def train_surrogate(
     return model
 
 
-def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, library: CslLibrary) -> dict[str, float | None]:
-    """Coefficient of determination per task; None when the target has zero variance."""
-    if not len(dataset):
-        raise SurrogateError("empty dataset")
-    X, feat_rows = _build_examples(dataset, library, model.feature_config)
+def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, examples: Examples) -> dict[str, float | None]:
+    """Coefficient of determination per task on `dataset`, whose
+    `build_examples` are `examples`; None when the target has zero variance."""
+    _check_examples(dataset, examples)
+    if examples.feature_config != model.feature_config:
+        raise SurrogateError(f"examples built with {examples.feature_config}, model trained on {model.feature_config}")
+    X, feat_rows, _ = examples
     task_idx, y = dataset.task, dataset.value
     emb = model.encoder.forward(X)
     out: dict[str, float | None] = {}

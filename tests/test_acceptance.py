@@ -96,10 +96,9 @@ def test_criterion_3_factorization_exactness_additive():
     oracle = props.make_additive_oracle(library, seed=1, task_names=["obj"])
     dataset = props.label_library(oracle, library, ["obj"], props.SampleSpec(size=4000, seed=2))
     model = sg.train_surrogate(
-        dataset, library,
+        dataset, sg.build_examples(dataset, library, fc),
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=0, encoder="linear",
                        embedding_dim=16, sigma=0.0),
-        fc,
     )
     trained = fz.train_factorizer(
         library, model,
@@ -141,7 +140,7 @@ def test_criterion_4_hard_regime_recall(monkeypatch):
             oracle, library, ["dock_a"], props.SampleSpec(size=4000, seed=seed)
         )
         model = sg.train_surrogate(
-            dataset, library,
+            dataset, sg.build_examples(dataset, library),
             sg.TrainConfig(epochs=40, batch_size=256, lr=3e-3, seed=seed, embedding_dim=32),
         )
         trained = fz.train_factorizer(
@@ -291,10 +290,9 @@ def test_criterion_8_apex_vs_ts(monkeypatch):
     oracle = props.make_additive_oracle(library, seed=31, task_names=["obj"])
     dataset = props.label_library(oracle, library, ["obj"], props.SampleSpec(size=2500, seed=32))
     model = sg.train_surrogate(
-        dataset, library,
+        dataset, sg.build_examples(dataset, library, fc),
         sg.TrainConfig(epochs=80, batch_size=256, lr=3e-2, seed=0, encoder="linear",
                        embedding_dim=16, sigma=0.0),
-        fc,
     )
     trained = fz.train_factorizer(
         library, model,

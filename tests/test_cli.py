@@ -202,6 +202,27 @@ def test_dispatch_reads_command_at_call_time(pipeline, monkeypatch):
     assert calls == ["search"]
 
 
+def test_train_surrogate_builds_features_once(pipeline, monkeypatch, capsys):
+    # training and the R2 line read one product feature matrix; the checkpoint
+    # and the line are those of a run that builds it for each
+    from apexcsl import props, surrogate
+
+    p = {k: str(v) for k, v in pipeline.items()}
+    out = p["dir"] + "/surrogate_once.blob"
+    calls, build = [], surrogate.product_feature_matrix
+    monkeypatch.setattr(surrogate, "product_feature_matrix", lambda *a: calls.append(1) or build(*a))
+    assert run("train-surrogate", "--library", p["library"], "--labels", p["labels"], "--out", out,
+               "--epochs", "2", "--embedding-dim", "16") == 0
+    assert len(calls) == 1
+    assert pathlib.Path(out).read_bytes() == pipeline["surrogate"].read_bytes()
+    library = csl.load_library(p["library"])
+    model, labels = surrogate.load_surrogate(out), props.load_labels(p["labels"], library)
+    r2 = surrogate.evaluate_r2(model, labels, surrogate.build_examples(labels, library, model.feature_config))
+    assert len(calls) == 2
+    summary = ", ".join(f"{k}={v:.4f}" if v is not None else f"{k}=NA" for k, v in r2.items())
+    assert capsys.readouterr().out == f"wrote {out}; train R2: {summary}\n"
+
+
 def test_hit_file_does_not_depend_on_the_locale(tmp_path):
     # under an ASCII locale, a non-ASCII token ended search --assemble in a
     # UnicodeEncodeError traceback and left a partial hit file

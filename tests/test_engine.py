@@ -95,6 +95,11 @@ class TestViolation:
         cons = (engine.Constraint("a", 0.0, 1.0), engine.Constraint("b", upper=0.0))
         assert engine.violation([2.0, 3.0], cons) == -4.0
 
+    def test_boundless_constraints_give_one_value_per_product(self):
+        cons = (engine.Constraint("a"), engine.Constraint("b", -np.inf, np.inf))
+        vec = engine.violation([np.array([-3.0, 0.0, 7.0]), np.array([1.0, 2.0, 3.0])], cons)
+        assert vec.tolist() == [0.0, 0.0, 0.0]
+
     def test_vectorized_matches_scalar(self):
         cons = (engine.Constraint("a", -1.0, 1.0), engine.Constraint("b", 0.0, 2.0))
         a = np.array([-2.0, 0.0, 3.0])
@@ -434,12 +439,16 @@ def _result_bytes(result, query, library):
 
 
 class TestBlockSkipping:
-    @given(case=tied_search_cases())
+    @given(case=tied_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
     @settings(max_examples=300, deadline=None)
-    def test_stream_matches_batched_and_brute_force(self, case):
+    def test_stream_matches_batched_and_brute_force(self, case, cap):
+        # a cap of a few products ends groups at clipped blocks and within
+        # reactions, and later blocks of a group are filtered against a k-th
+        # key older than the one the blocks before them raised
         library, table, query, (start, end) = case
-        stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
-        batched = engine.search_topk_batched(library, table, query, index_range=(start, end))
+        with mock.patch.object(engine, "GROUP_PRODUCTS", cap):
+            stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
+            batched = engine.search_topk_batched(library, table, query, index_range=(start, end))
         expected = numpy_topk_keys(library, table, query, (start, end))
         assert result_keys(stream, query.direction) == expected
         assert result_keys(batched, query.direction) == expected
@@ -448,6 +457,40 @@ class TestBlockSkipping:
         assert stream.scanned == batched.scanned == end - start
         assert batched.scored == (end - start if query.k else 0)
         assert 0 <= stream.scored <= stream.scanned
+
+    def test_group_spans_clipped_blocks_two_reactions_and_a_rising_kth(self):
+        # two reactions of three 3-product blocks, objective rising with the
+        # index; the range clips the first and last blocks it covers
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=2, components=(2,), synthons_per_rgroup=3), seed=0
+        )
+        table = table_from_values(library, ["obj", "c"], [np.arange(12.0), np.zeros(12)], [0.0, 0.0])
+        q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c", upper=0.5),), k=2)
+        calls, group_keys, unbeaten = [], engine._group_keys, engine._TopKBuffer.unbeaten
+
+        def record_keys(view, query, digit, g0, lo, hi, kth):
+            calls.append((g0.tolist(), lo.tolist(), hi.tolist(), kth))
+            return group_keys(view, query, digit, g0, lo, hi, kth)
+
+        def record_stop(buf, *args):
+            calls.append("|")
+            return unbeaten(buf, *args)
+
+        with mock.patch.object(engine, "GROUP_PRODUCTS", 8), mock.patch.object(engine, "_group_keys", record_keys), \
+                mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
+            got = engine.search_topk_batched(library, table, q, index_range=(4, 17))
+        # groups of one block, two blocks (one per reaction, the k-th key rising
+        # between them), then two blocks of 3 and 2 products (the 8-product cap)
+        assert calls == [
+            "|", ([3], [1], [3], None),
+            "|", ([6], [0], [3], (0.0, 5.0, 4)), ([9], [0], [3], (0.0, 6.0, 5)),
+            "|", ([12, 15], [0, 0], [3, 2], (0.0, 16.0, 10)),
+            "|",
+        ]
+        expected = numpy_topk_keys(library, table, q, (4, 17))
+        assert result_keys(got, "maximize") == expected == [(0.0, 18.0, 14), (0.0, 18.0, 16)]
+        assert got.scored == 13
+        assert result_keys(engine.search_topk_stream(library, table, q, index_range=(4, 17)), "maximize") == expected
 
     def test_infeasible_block_does_not_end_the_scan(self):
         # blocks (first digit 0, 1, 2) have objective bounds 15, 14, 13, but
@@ -462,6 +505,17 @@ class TestBlockSkipping:
         res = engine.search_topk_stream(library, table, q)
         assert list(zip(res.global_index.tolist(), res.objective.tolist())) == [(0, 15.0), (6, 13.0)]
         assert res.scored == 6
+
+    def test_block_tied_with_the_kth_key_is_scored(self):
+        # block 1 (values 1, 1, 2) sets the k-th key to (0.0, 1.0, 3); block 0's
+        # bound is 1.0 too, and its 1.0 at index 2 wins on the lower index
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=1, components=(2,), synthons_per_rgroup=3), seed=0
+        )
+        table = table_from_values(library, ["obj"], [[0, 1, 0, 0, 0, 1]], [0.0])
+        q = engine.QuerySpec("obj", "maximize", (), k=2)
+        res = engine.search_topk_stream(library, table, q)
+        assert list(zip(res.global_index.tolist(), res.objective.tolist())) == [(5, 2.0), (2, 1.0)]
 
     def test_dominant_block_skips_the_rest(self, medium_library):
         # every contribution is 0 except one first-digit row, so a single

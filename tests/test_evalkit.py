@@ -120,6 +120,31 @@ class TestOracleTopKReference:
         for jj in (1, j // 2):
             assert truth.top(jj).global_index.tolist() == [g for g, _ in expected[:jj]]
 
+    @given(library=mixed_libraries(), data=st.data(),
+           mode=st.sampled_from(["additive+nonlinear", "additive+pairwise", "additive+nonlinear+pairwise"]))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_values_match_per_block(self, library, mode, data):
+        # one kernel call over a group's blocks gives each block's values bit
+        # for bit, and the view's values at chosen offsets are those of its rows
+        latent = np.random.default_rng(data.draw(st.integers(0, 9))).standard_normal(len(library.synthons))
+        task = props.TaskDef("t", mode, latent, nonlinear_scale=0.7, nonlinear_alpha=0.9, pair_scale=0.3,
+                             pair_density=data.draw(st.sampled_from([0.05, 0.5, 1.0])))
+        oracle = props.GroundTruthOracle([task], seed=data.draw(st.integers(0, 5)))
+        for t, rx in enumerate(library.reactions):
+            n_first = len(rx.rgroups[0].synthon_ids)
+            digits = np.asarray(data.draw(st.lists(st.integers(0, n_first - 1), min_size=1, max_size=6)))
+            per_block = np.asarray([props.oracle_block_values(oracle, library, "t", t, d) for d in digits.tolist()])
+            grouped = props.oracle_block_values(oracle, library, "t", t, digits)
+            assert grouped.shape == (len(digits), library.reaction_size(t) // n_first)
+            assert grouped.tobytes() == per_block.tobytes()
+            view = evalkit._OracleView(oracle, library, t, ["t"])
+            assert view.block_values(0, digits).tobytes() == grouped.tobytes()
+            n = data.draw(st.integers(0, 10))
+            row = np.asarray(data.draw(st.lists(st.integers(0, len(digits) - 1), min_size=n, max_size=n)), dtype=int)
+            offset = np.asarray(data.draw(st.lists(st.integers(0, grouped.shape[1] - 1), min_size=n, max_size=n)),
+                                dtype=int)
+            assert view.values_at(0, digits[row], offset).tobytes() == grouped[row, offset].tobytes()
+
 
 class TestRecall:
     def test_perfect_table_perfect_recall(self, exact_setup):
@@ -140,7 +165,7 @@ class TestRecall:
             objective=retrieved.objective[:5],
             constraint_values=retrieved.constraint_values[:, :5],
             reaction_pos=retrieved.reaction_pos[:5],
-            digits=retrieved.digits[:5],
+            pair_rows=retrieved.pair_rows[:5],
         )
         assert evalkit.recall_j_at_k(truth, half) == 0.5
 
@@ -171,6 +196,17 @@ class TestSatisfaction:
             library, table, engine.QuerySpec("obj", "maximize", (), k=5)
         )
         out = evalkit.satisfaction_rate(retrieved, oracle, library, ())
+        assert out == {"rate": 1.0, "base_rate": 1.0}
+
+    @pytest.mark.parametrize("con", [engine.Constraint("con"), engine.Constraint("con", -np.inf, np.inf)])
+    def test_boundless_constraint_rate_is_one(self, exact_setup, con):
+        # a constraint with no finite bound holds for every product, so each
+        # retrieved and each sampled product counts, not one of them
+        library, oracle, table = exact_setup
+        q = engine.QuerySpec("obj", "maximize", (con,), k=10)
+        retrieved = engine.search_topk_stream(library, table, q)
+        assert retrieved.retained == 10
+        out = evalkit.satisfaction_rate(retrieved, oracle, library, (con,))
         assert out == {"rate": 1.0, "base_rate": 1.0}
 
 

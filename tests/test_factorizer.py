@@ -14,7 +14,7 @@ def tiny_surrogate(small_library, small_oracle):
         small_oracle, small_library, ["dock_a", "mw"], props.SampleSpec(size=80, seed=0)
     )
     cfg = surrogate.TrainConfig(epochs=2, batch_size=32, seed=0, embedding_dim=16)
-    return surrogate.train_surrogate(ds, small_library, cfg)
+    return surrogate.train_surrogate(ds, surrogate.build_examples(ds, small_library), cfg)
 
 
 def reconstruct(cache, library, chi):
@@ -172,7 +172,7 @@ class TestTraining:
             epochs=60, batch_size=64, lr=3e-2, seed=0, encoder="linear",
             embedding_dim=16, sigma=0.0,
         )
-        model = surrogate.train_surrogate(ds, small_library, scfg, fc)
+        model = surrogate.train_surrogate(ds, surrogate.build_examples(ds, small_library, fc), scfg)
         fcfg = fz.FactorizerTrainConfig(
             steps=1500, batch_size=64, lr=1e-2, lr_decay=0.1, seed=0, mode="linear",
             dims=fz.FactorizerDims(d_s=32, d_r=16, d_t=16, d_u=16, d=16),

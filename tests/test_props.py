@@ -484,7 +484,7 @@ class TestLabelColumns:
             expected = expected[:4] + ([],)
         assert _columns(loaded) == expected
         cfg = props.FeatureConfig(p=8, q=4)
-        X, rows = surrogate._build_examples(loaded, library, cfg)
+        X, rows, _ = surrogate.build_examples(loaded, library, cfg)
         expected = [product_features(library, reference_decode(library, g), cfg)
                     for g in ds.global_index.tolist()]
         assert _bits(X[rows]) == _bits(np.reshape(expected, (len(ds), cfg.p + cfg.q)))

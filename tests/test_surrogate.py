@@ -17,17 +17,25 @@ def _fast_config(**kw):
     return surrogate.TrainConfig(**base)
 
 
+def _train(ds, library, config, feature_config=props.FeatureConfig()):
+    return surrogate.train_surrogate(ds, surrogate.build_examples(ds, library, feature_config), config)
+
+
+def _r2(model, ds, library):
+    return surrogate.evaluate_r2(model, ds, surrogate.build_examples(ds, library, model.feature_config))
+
+
 class TestTraining:
     def test_deterministic_checksum(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle)
-        a = surrogate.train_surrogate(ds, small_library, _fast_config())
-        b = surrogate.train_surrogate(ds, small_library, _fast_config())
+        a = _train(ds, small_library, _fast_config())
+        b = _train(ds, small_library, _fast_config())
         assert a.checksum() == b.checksum()
 
     def test_seed_changes_model(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle)
-        a = surrogate.train_surrogate(ds, small_library, _fast_config(seed=0))
-        b = surrogate.train_surrogate(ds, small_library, _fast_config(seed=1))
+        a = _train(ds, small_library, _fast_config(seed=0))
+        b = _train(ds, small_library, _fast_config(seed=1))
         assert a.checksum() != b.checksum()
 
     def test_linear_fits_additive_targets(self, small_library):
@@ -40,13 +48,13 @@ class TestTraining:
             epochs=200, batch_size=64, lr=3e-2, seed=0, encoder="linear",
             embedding_dim=32, sigma=0.0,
         )
-        model = surrogate.train_surrogate(ds, small_library, cfg, fc)
-        r2 = surrogate.evaluate_r2(model, ds, small_library)
+        model = _train(ds, small_library, cfg, fc)
+        r2 = _r2(model, ds, small_library)
         assert all(v > 0.99 for v in r2.values())
 
     def test_empty_dataset_rejected(self, small_library):
         with pytest.raises(surrogate.SurrogateError, match="empty"):
-            surrogate.train_surrogate(
+            _train(
                 props.LabeledDataset(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), []),
                 small_library, _fast_config(),
             )
@@ -55,7 +63,7 @@ class TestTraining:
         ds = _tiny_dataset(small_library, small_oracle, size=40)
         nan = dataclasses.replace(ds, value=np.full(len(ds), np.nan))
         with pytest.raises(surrogate.SurrogateError, match="non-finite"):
-            surrogate.train_surrogate(nan, small_library, _fast_config())
+            _train(nan, small_library, _fast_config())
 
     def test_bad_config_rejected(self):
         with pytest.raises(surrogate.SurrogateError):
@@ -71,15 +79,27 @@ class TestTraining:
 class TestEvaluate:
     def test_zero_variance_target_is_none(self, small_library, small_oracle):
         ds = _tiny_dataset(small_library, small_oracle, tasks=("mw",), size=30)
-        model = surrogate.train_surrogate(ds, small_library, _fast_config())
+        model = _train(ds, small_library, _fast_config())
         const = dataclasses.replace(ds, value=np.ones(len(ds)))
-        assert surrogate.evaluate_r2(model, const, small_library)["mw"] is None
+        assert _r2(model, const, small_library)["mw"] is None
 
     def test_unknown_task(self, small_library, small_oracle):
-        model = surrogate.train_surrogate(_tiny_dataset(small_library, small_oracle), small_library, _fast_config())
+        model = _train(_tiny_dataset(small_library, small_oracle), small_library, _fast_config())
         other = _tiny_dataset(small_library, small_oracle, tasks=("mw", "dock_a"), size=20)
         with pytest.raises(surrogate.SurrogateError, match="unknown task 'dock_a'"):
-            surrogate.evaluate_r2(model, other, small_library)
+            _r2(model, other, small_library)
+
+    def test_examples_of_another_dataset_or_config_rejected(self, small_library, small_oracle):
+        ds = _tiny_dataset(small_library, small_oracle, size=40)
+        model = _train(ds, small_library, _fast_config())
+        fewer = _tiny_dataset(small_library, small_oracle, size=20)
+        with pytest.raises(surrogate.SurrogateError, match=f"examples of {len(fewer)} labels for a dataset of {len(ds)}"):
+            surrogate.evaluate_r2(model, ds, surrogate.build_examples(fewer, small_library))
+        with pytest.raises(surrogate.SurrogateError, match=f"examples of {len(fewer)} labels for a dataset of {len(ds)}"):
+            surrogate.train_surrogate(ds, surrogate.build_examples(fewer, small_library), _fast_config())
+        other = surrogate.build_examples(ds, small_library, props.FeatureConfig(q=0))
+        with pytest.raises(surrogate.SurrogateError, match="examples built with"):
+            surrogate.evaluate_r2(model, ds, other)
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_one_or_two_labels(self, small_library, small_oracle, size):
@@ -87,11 +107,11 @@ class TestEvaluate:
         # two labels: one is held out, one trains
         ds = _tiny_dataset(small_library, small_oracle, tasks=("mw",), size=size)
         assert len(ds) == size
-        a = surrogate.train_surrogate(ds, small_library, _fast_config())
-        b = surrogate.train_surrogate(ds, small_library, _fast_config())
+        a = _train(ds, small_library, _fast_config())
+        b = _train(ds, small_library, _fast_config())
         assert a.checksum() == b.checksum()
         assert np.all(np.isfinite(a.buffer.flat))
-        r2 = surrogate.evaluate_r2(a, ds, small_library)
+        r2 = _r2(a, ds, small_library)
         assert (r2["mw"] is None) == (size == 1)
 
 
@@ -130,7 +150,7 @@ class TestGradients:
 
 class TestCheckpoint:
     def test_roundtrip_checksum(self, small_library, small_oracle, tmp_path):
-        model = surrogate.train_surrogate(
+        model = _train(
             _tiny_dataset(small_library, small_oracle), small_library, _fast_config()
         )
         path = tmp_path / "model.blob"
@@ -141,7 +161,7 @@ class TestCheckpoint:
         assert loaded.feature_config == model.feature_config
 
     def test_save_is_byte_deterministic(self, small_library, small_oracle, tmp_path):
-        model = surrogate.train_surrogate(
+        model = _train(
             _tiny_dataset(small_library, small_oracle), small_library, _fast_config()
         )
         p1, p2 = tmp_path / "a.blob", tmp_path / "b.blob"
