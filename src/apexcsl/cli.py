@@ -209,8 +209,10 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_search(args) -> int:
-    library = csl.load_library(args.library)
-    table = engine.load_table(args.table, library)
+    # the table first: the library it was built from is read by its R and T lines alone
+    blob = engine.read_table(args.table)
+    library = csl.load_library(args.library, fingerprint=blob[0]["fingerprint"])
+    table = engine.load_table(args.table, library, blob)
     query = parse_query_file(args.query, table)
     search = engine.search_topk_stream if args.variant == "stream" else engine.search_topk_batched
     result = search(library, table, query)

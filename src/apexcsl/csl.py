@@ -226,6 +226,15 @@ class CslLibrary:
         """`library_fingerprint(self)`, worked out once."""
         return library_fingerprint(self)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the library does not hold: `synthons`
+        # of a library `load_library` read without its S lines
+        if name != "synthons" or "_unparsed" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.synthons = deserialize_library(self._unparsed).synthons
+        del self._unparsed
+        return self.synthons
+
     def reaction(self, reaction_id: int) -> ReactionSpec:
         if not 0 <= reaction_id < len(self.reactions):
             raise LibraryError(f"reaction {reaction_id} out of range [0, {len(self.reactions)})")
@@ -246,15 +255,23 @@ class CslLibrary:
 def check_library(library: CslLibrary) -> None:
     """Raise LibraryError on the first violated structural invariant, in declaration order."""
     # per-synthon arrays are indexed by synthon id, and reactions are looked up by id
-    for kind, ids in (("synthon", [s.synthon_id for s in library.synthons]),
-                      ("reaction", [rx.reaction_id for rx in library.reactions])):
-        if ids != list(range(len(ids))):
-            i, x = next((i, x) for i, x in enumerate(ids) if x != i)
-            raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
+    _check_ids("synthon", [s.synthon_id for s in library.synthons])
+    _check_ids("reaction", [rx.reaction_id for rx in library.reactions])
     tokens = [s.token for s in library.synthons]
     if not all(tokens) or re.search(r"\s", "".join(tokens)):  # a token is one field of the text format
         i = next(i for i, t in enumerate(tokens) if t.split() != [t])
         raise LibraryError(f"synthon {i} token {tokens[i]!r} is empty or holds whitespace")
+    _check_layout(library, len(library.synthons))
+
+
+def _check_ids(kind: str, ids: list[int]) -> None:
+    if ids != list(range(len(ids))):
+        i, x = next((i, x) for i, x in enumerate(ids) if x != i)
+        raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
+
+
+def _check_layout(library: CslLibrary, n_synthons: int) -> None:
+    """`check_library`'s checks of the reactions' R-groups, against synthon ids 0..n_synthons-1."""
     try:
         layout = library.layout
     except OverflowError:
@@ -263,7 +280,7 @@ def check_library(library: CslLibrary) -> None:
     pair_rg = np.repeat(np.arange(len(sizes)), sizes)
     order = np.lexsort((members, pair_rg))
     twin = (np.diff(pair_rg[order]) == 0) & (np.diff(members[order]) == 0)
-    unknown = (members < 0) | (members >= len(library.synthons))
+    unknown = (members < 0) | (members >= n_synthons)
     seen_before = ~np.isin(np.arange(len(sizes)), np.unique(layout.rg_ids, return_index=True)[1])
     # per R-group position, its checks in the order they are reported
     failed = np.stack([seen_before, sizes == 0, np.bincount(pair_rg[order[1:]][twin], minlength=len(sizes)) > 0,
@@ -510,14 +527,55 @@ def _parse_library(text: str) -> CslLibrary:
         # the first malformed line ends the shortest malformed prefix of the lines
         n = bisect_left(range(len(rows) + 1), True, key=lambda m: _records(rows[:m]) is None)
         raise LibraryError(f"line {n}: malformed record: {lines[n - 1]!r}")
+    _check_records(records, (n_s, n_r, n_t))
+    library = CslLibrary(tuple(records[2]), records[0], hashlib.sha256(text.encode()).hexdigest())
+    check_library(library)
+    return library
+
+
+def _check_records(records, counts: tuple[int, int, int]) -> None:
+    """Raise LibraryError unless `_records` found the header's counts of
+    synthons, R-groups and reactions, and every R-group is used by a reaction."""
     synthons, rgroups, reactions = records
-    if len(synthons) != n_s or len(rgroups) != n_r or len(reactions) != n_t:
+    if (len(synthons), len(rgroups), len(reactions)) != counts:
         raise LibraryError("header counts do not match record counts")
     unused = rgroups.keys() - {rg.rgroup_id for rx in reactions for rg in rx.rgroups}
     if unused:
         raise LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
-    library = CslLibrary(tuple(reactions), synthons, hashlib.sha256(text.encode()).hexdigest())
-    check_library(library)
+
+
+def _tail_library(text: str, sha256: str) -> CslLibrary | None:
+    """The library of a text from its header and its last n_r + n_t lines,
+    the R and T lines, with every check the full parse makes of those lines
+    and `check_library`'s layout checks against the header's synthon count;
+    its synthons are parsed on their first read. None, so that the full parse
+    reads the text, if the header or the line count is not as
+    `serialize_library` writes them, or a line or a check fails."""
+    header = text.partition("\n")[0]
+    try:
+        n_s, n_r, n_t = map(int, header.split(" ")[1:])
+    except ValueError:
+        return None
+    if (header != f"{LIBRARY_FORMAT_VERSION} {n_s} {n_r} {n_t}" or min(n_s, n_r, n_t) < 0
+            or not text.endswith("\n") or text.count("\n") != 1 + n_s + n_r + n_t):
+        return None
+    tail = text.rsplit("\n", n_r + n_t + 1)[1:-1]
+    rows = [ln.split() for ln in tail]
+    # a blank line, or a line break other than "\n", makes other lines for the full parse
+    if not all(rows) or any(ln.splitlines() != [ln] for ln in tail):
+        return None
+    records = _records([header.split(), *rows])
+    if records is None:
+        return None
+    library = CslLibrary(tuple(records[2]), (), sha256)
+    try:
+        _check_records(records, (0, n_r, n_t))
+        _check_ids("reaction", [rx.reaction_id for rx in library.reactions])
+        _check_layout(library, n_s)
+    except LibraryError:
+        return None
+    del library.synthons  # `CslLibrary.__getattr__` parses them from the text
+    library._unparsed = text
     return library
 
 
@@ -526,9 +584,25 @@ def save_library(library: CslLibrary, path) -> None:
         fh.write(serialize_library(library))
 
 
-def load_library(path) -> CslLibrary:
+def load_library(path, fingerprint: str | None = None) -> CslLibrary:
+    """The library of a UTF-8 text file, parsed by `deserialize_library`.
+
+    `fingerprint` is that of the table the library is read for. If the
+    SHA-256 of the text is that fingerprint, the text is the canonical
+    serialization of the checked library the table was built from, so it is
+    read by its header and its R and T lines alone (`_tail_library`), and its
+    S lines are parsed, in full, on the first read of `synthons`. This trusts
+    the fingerprint: under a forged one, a text with a malformed S line gives
+    the layout of its R and T lines, and the first read of its synthons raises
+    the full parse's LibraryError. A text whose header or R and T lines do not
+    read as canonical is parsed in full, as any other text is.
+    """
     with utf8_text(path, LibraryError) as fh:
         text = fh.read()
+    if fingerprint is not None and hashlib.sha256(text.encode()).hexdigest() == fingerprint:
+        library = _tail_library(text, fingerprint)
+        if library is not None:
+            return library
     return deserialize_library(text)
 
 

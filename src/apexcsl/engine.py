@@ -7,10 +7,10 @@ contiguous global indices. One loop, `_scan`, walks the blocks; the two scan
 variants differ only in the bounds they give it, and are required (and tested)
 to produce identical results.
 
-`search_topk_batched` gives +inf bounds, so every block is scored, in index
-order; it is the exhaustive reference. `search_topk_stream` scores only the
-blocks that can still contribute, following the threshold algorithm of Fagin,
-Lotem & Naor (PODS 2001):
+`search_topk_batched` gives no bounds, so every block is scored, in index
+order, and nothing is sorted; it is the exhaustive reference.
+`search_topk_stream` scores only the blocks that can still contribute,
+following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
 
 * Bound. For every block it computes an upper bound on the selection key
   (violation, signed objective). Each task's value is bounded below and above
@@ -230,6 +230,7 @@ class _ReactionView:
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
+        self._decoded = (None, [])  # the last offsets `values_at` read, and their later digits
 
     def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
         """Float64 task values over blocks, one row per first digit, summed in R-group order."""
@@ -243,15 +244,17 @@ class _ReactionView:
 
     def values_at(self, task_pos: int, first_digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """`block_values(task_pos, first_digits)[i, offsets[i]]` for every i,
-        summed only at those offsets."""
+        summed only at those offsets. The offsets are decoded into later digits
+        once for the calls that pass the same offsets array, one per constraint."""
         arrs = self.per_task[task_pos]
-        digits = []
-        rem = offsets
-        for a in reversed(arrs[1:]):
-            rem, d = np.divmod(rem, len(a))
-            digits.append(d)
+        if self._decoded[0] is not offsets:
+            digits, rem = [], offsets
+            for a in reversed(arrs[1:]):
+                rem, d = np.divmod(rem, len(a))
+                digits.append(d)
+            self._decoded = (offsets, digits[::-1])
         val = arrs[0][first_digits]
-        for a, d in zip(arrs[1:], reversed(digits)):
+        for a, d in zip(arrs[1:], self._decoded[1]):
             val = val + a[d]
         return val + self.biases[task_pos]
 
@@ -395,17 +398,20 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     Blocks are visited best (violation, signed objective) bound first, ties in
     index order, and scored in groups (see the module notes); the visit stops
     at the first block whose bound is strictly below the k-th key. `bounds`
-    holds the two bounds per block; without them every bound is +inf, so every
-    block is scored, in index order. `views` maps each reaction position to a
-    view that gives the reaction's `block_values` and `values_at`, over many
-    first digits at once, for the objective, then each constraint.
+    holds the two bounds per block; without them every block is scored, in
+    index order. `views` maps each reaction position to a view that gives the
+    reaction's `block_values` and `values_at`, over many first digits at
+    once, for the objective, then each constraint.
     """
     if buf.k == 0:
         return 0
-    c_ub, s_ub = bounds if bounds is not None else [np.full(len(blocks[0]), np.inf)] * 2
-    order = np.lexsort((blocks[2], -s_ub, -c_ub))
-    visit = np.stack(blocks)[:, order]
-    neg_c, neg_s = (-c_ub[order]).tolist(), (-s_ub[order]).tolist()
+    visit = np.stack(blocks)
+    if bounds is None:
+        neg_c = neg_s = [-np.inf] * visit.shape[1]
+    else:  # blocks come in index order, and the sort is stable
+        order = np.lexsort((-bounds[1], -bounds[0]))
+        visit = visit[:, order]
+        neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
     # products in the visit's first i blocks, clipped, at position i
     done = [0] + np.cumsum(visit[4] - visit[3]).tolist()
     i, width, stop = 0, 1, buf.unbeaten(neg_c, neg_s)
@@ -551,11 +557,17 @@ def save_table(table: ContributionTable, path) -> None:
     save_blob(path, meta, _table_arrays(table))
 
 
-def load_table(path, library: CslLibrary) -> ContributionTable:
+def read_table(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A table blob's meta and arrays, its kind, version and meta fields
+    checked; `load_table` checks the arrays against a library."""
+    return load_meta_blob(path, "contribution_table", TABLE_VERSION, EngineError, task_names=[str], fingerprint=str)
+
+
+def load_table(path, library: CslLibrary, blob: tuple[dict, dict] | None = None) -> ContributionTable:
     """A table whose arrays have the dtypes and shapes of this library's pair
-    rows; `check_library` compares its fingerprint and layout."""
-    meta, arrays = load_meta_blob(path, "contribution_table", TABLE_VERSION, EngineError,
-                                  task_names=[str], fingerprint=str)
+    rows; `check_library` compares its fingerprint and layout. `blob` is the
+    file's `read_table`, when it was read before the library."""
+    meta, arrays = blob or read_table(path)
     n_tasks, layout = len(meta["task_names"]), library.layout
     empty = ContributionTable(np.zeros((n_tasks, layout.n_pairs), np.float32), np.zeros(n_tasks),
                               list(meta["task_names"]), layout.member_ids, layout.rg_offsets, layout.rg_ids,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -637,6 +638,79 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "fingerprint" in err
+
+    @pytest.mark.parametrize("assemble", [False, True])
+    def test_search_parses_only_a_library_it_cannot_trust(self, pipeline, monkeypatch, assemble):
+        # the canonical text and its CRLF copy are read by their R and T lines
+        # (the synthons, for --assemble, on first use); a tab-spaced copy is
+        # parsed first; each writes the same hits
+        p = {k: str(v) for k, v in pipeline.items()}
+        text = pipeline["library"].read_text()
+        copies = {"canonical": text.encode(), "crlf": text.replace("\n", "\r\n").encode(),
+                  "tabbed": text.replace(" ", "\t").encode()}
+        flags = ["--assemble"] if assemble else []
+        expected = p["dir"] + f"/hits_parsed_{assemble}.tsv"
+        assert run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"],
+                   "--out", expected, *flags) == 0
+        calls, parse = [], csl._parse_library
+        monkeypatch.setattr(csl, "_parse_library", lambda text: calls.append(1) or parse(text))
+        for name, data in copies.items():
+            library = pipeline["dir"] / f"library_{name}.csl"
+            library.write_bytes(data)
+            out = pipeline["dir"] / f"hits_{name}_{assemble}.tsv"
+            calls.clear()
+            assert run("search", "--library", str(library), "--table", p["table"], "--query", p["query"],
+                       "--out", str(out), *flags) == 0
+            assert calls == ([1] if assemble or name == "tabbed" else [])
+            assert out.read_bytes() == pathlib.Path(expected).read_bytes()
+
+    @pytest.mark.parametrize("case", ["tables_first", "rgroups_first", "rgroups_swapped", "negative_count",
+                                      "huge_count", "not_utf8", "synthon_malformed"])
+    def test_forged_fingerprint(self, pipeline, capsys, case):
+        # a table whose fingerprint is the SHA-256 of a text that is not a
+        # canonical library: the same hits as the library's, or one error line
+        from apexcsl import blobio
+
+        p = {k: str(v) for k, v in pipeline.items()}
+        lines = pipeline["library"].read_text().splitlines()
+        r_lines = [ln for ln in lines if ln.startswith("R ")]
+        t_lines = [ln for ln in lines if ln.startswith("T ")]
+        s_lines = lines[1: -len(r_lines) - len(t_lines)]
+        version, n_s, n_r, n_t = lines[0].split()
+        text = {
+            "tables_first": [lines[0], *s_lines, *t_lines, *r_lines],
+            "rgroups_first": [lines[0], *r_lines, *s_lines, *t_lines],
+            "rgroups_swapped": [lines[0], *s_lines, *r_lines[::-1], *t_lines],
+            "negative_count": [f"{version} -{n_s} {n_r} {n_t}", *lines[1:]],
+            "huge_count": [f"{version} {n_s}{'0' * 30} {n_r} {n_t}", *lines[1:]],
+            "not_utf8": lines,
+            "synthon_malformed": [lines[0], lines[1] + " junk", *lines[2:]],
+        }[case]
+        data = ("\n".join(text) + "\n").encode()
+        if case == "not_utf8":
+            data = data[:20] + b"\xff\xfe" + data[20:]
+        library = pipeline["dir"] / f"forged_{case}.csl"
+        library.write_bytes(data)
+        meta, arrays = blobio.load_blob(pipeline["table"])
+        table = pipeline["dir"] / f"forged_{case}.blob"
+        blobio.save_blob(table, {**meta, "fingerprint": hashlib.sha256(data).hexdigest()}, arrays)
+        for flags in ([], ["--assemble"]):
+            expected = p["dir"] + f"/hits_forged_expected{len(flags)}.tsv"
+            assert run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"],
+                       "--out", expected, *flags) == 0
+            out = pipeline["dir"] / f"hits_forged_{case}{len(flags)}.tsv"
+            capsys.readouterr()
+            code = run("search", "--library", str(library), "--table", str(table), "--query", p["query"],
+                       "--out", str(out), *flags)
+            err = capsys.readouterr().err
+            if code == 0:
+                assert out.read_bytes() == pathlib.Path(expected).read_bytes() and err == ""
+            else:
+                assert code == 1 and err.startswith("error:") and len(err.strip().splitlines()) == 1
+            # the layout of a text whose one fault is an S line is trusted, and its synthons are not read
+            if case == "synthon_malformed":
+                assert code == (1 if flags else 0)
+                assert "malformed record" in err or not flags
 
     @pytest.mark.parametrize("blob,field,value", [
         ("surrogate", "dims", []), ("surrogate", "dims", [-1, 16]), ("factorizer", "feature_dim", -3),

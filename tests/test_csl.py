@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -446,6 +447,64 @@ class TestParsePausesCollection:
         assert "start" not in phases
 
 
+def counted_parses(monkeypatch):
+    """A list that gains an item at each full parse of a library text."""
+    calls, parse = [], csl._parse_library
+    monkeypatch.setattr(csl, "_parse_library", lambda text: calls.append(1) or parse(text))
+    return calls
+
+
+class TestReadWithFingerprint:
+    """load_library with the fingerprint of a table: a text with that SHA-256
+    is read by its header and its R and T lines alone."""
+
+    def test_canonical_text_is_not_parsed(self, medium_library, tmp_path, monkeypatch):
+        path = tmp_path / "lib.csl"
+        csl.save_library(medium_library, path)
+        full = csl.load_library(path)
+        calls = counted_parses(monkeypatch)
+        library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
+        for name in ("member_ids", "rg_ids", "rg_offsets", "rx_offsets", "rg_parent", "n_rgroups", "first_row",
+                     "radix", "product_offsets"):
+            np.testing.assert_array_equal(getattr(library.layout, name), getattr(full.layout, name))
+        assert library.reactions == full.reactions
+        assert csl.fingerprint_matches(library, csl.library_fingerprint(medium_library))
+        assert calls == []
+        # the synthons come from the full parse of the text, on their first read
+        assert library.synthons == full.synthons
+        assert calls == [1]
+        assert csl.serialize_library(library) == path.read_text()
+        assert library == full and calls == [1]
+
+    def test_crlf_copy_is_not_parsed(self, medium_library, tmp_path, monkeypatch):
+        # text mode reads "\r\n" as "\n": the text read is the canonical one
+        path = tmp_path / "lib_crlf.csl"
+        path.write_bytes(csl.serialize_library(medium_library).replace("\n", "\r\n").encode())
+        calls = counted_parses(monkeypatch)
+        library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
+        assert calls == [] and library.reactions == medium_library.reactions
+
+    @pytest.mark.parametrize("fingerprint", [None, "0" * 64])
+    def test_other_fingerprints_parse(self, medium_library, tmp_path, monkeypatch, fingerprint):
+        path = tmp_path / "lib.csl"
+        csl.save_library(medium_library, path)
+        calls = counted_parses(monkeypatch)
+        assert csl.load_library(path, fingerprint=fingerprint) == medium_library
+        assert calls == [1]
+
+    def test_malformed_synthon_line_fails_at_first_read(self, tmp_path):
+        # a forged fingerprint is trusted: the layout is the R and T lines', and
+        # the synthons' first read raises the full parse's error
+        text = "cslv1 2 2 1\nS 0 a*\nS 1 b* junk\nR 0 0\nR 1 1\nT 0 0 1\n"
+        path = tmp_path / "lib.csl"
+        path.write_text(text)
+        library = csl.load_library(path, fingerprint=hashlib.sha256(text.encode()).hexdigest())
+        assert library.layout.member_ids.tolist() == [0, 1]
+        for _ in range(2):
+            with pytest.raises(csl.LibraryError, match=r"line 3: malformed record: 'S 1 b\* junk'"):
+                library.synthons
+
+
 class TestCheckLibrary:
     def test_rejects_single_rgroup_reaction(self):
         lib = csl.CslLibrary(
@@ -740,3 +799,33 @@ def test_check_library_matches_rgroup_at_a_time_check(library, data):
               for t, rx in zip(reaction_ids, reactions)),
         tuple(csl.SynthonRecord(i, s.token) for i, s in zip(synthon_ids, library.synthons)))
     assert outcome(csl.check_library, edited) == outcome(reference_check_library, edited)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=perturbed_lines(CANONICAL_EDITS + ["swap", "repeat", "drop", "add_field", "drop_field", "bad_token"]))
+@example(lines=["cslv1 2 2 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 1", "T 0 0 1"])
+@example(lines=["cslv1 2 2 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 5", "T 0 0 1"])
+@example(lines=["cslv1 2 3 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 1", "R 2 0 1", "T 0 0 1"])
+@example(lines=["cslv1 2 2 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 1", "T 0 0\x0c1"])
+def test_tail_read_matches_the_full_parse(lines):
+    # under a fingerprint that matches the text, honest or forged, the read gives
+    # the full parse's library, or else, when the full parse fails, its layout
+    # is that of the R and T lines, and the first read of the synthons raises
+    # the full parse's error; a text it cannot read so is parsed in full
+    text = "\n".join(lines) + "\n"
+    full = outcome(csl.deserialize_library, text)
+    library = csl._tail_library(text, "forged")
+    if library is None:  # never the canonical text of a library
+        assert not isinstance(full, csl.CslLibrary) or text != csl.serialize_library(full)
+        return
+    assert library.text_sha256 == "forged"
+    # its R and T lines, under as many well-formed S lines as the header counts, pass the full parse
+    n_s = int(lines[0].split()[1])
+    repaired = [lines[0], *(f"S {i} s*" for i in range(n_s)), *lines[1 + n_s:]]
+    assert csl.deserialize_library("\n".join(repaired) + "\n").reactions == library.reactions
+    if isinstance(full, csl.CslLibrary):
+        assert library == full
+    else:
+        with pytest.raises(csl.LibraryError) as info:
+            library.synthons
+        assert str(info.value) == full
