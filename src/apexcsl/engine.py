@@ -31,9 +31,34 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
   global index.
 * Groups. Blocks are scored a group at a time, one numpy pass per reaction
   in the group: the next blocks in visit order whose bound is not below the
-  k-th key, one at first, then up to twice the last group's count and
-  GROUP_PRODUCTS products (a larger block is scored whole), so that few
-  products are scored past the stop point.
+  k-th key, one at first, then up to twice the last group's count. Until the
+  k-th key is feasible, a group holds at most GROUP_PRODUCTS products (a
+  larger block is scored whole), so that few products are scored past the
+  stop point. Once it is feasible, the stream's group cost follows the
+  products it gathers (see Prefixes): a group holds at most GROUP_PRODUCTS
+  block rows, and ends before the block at which the prefixes it gathers
+  would pass GROUP_PRODUCTS products (its first block is gathered whole).
+* Prefixes. A block row fixes the digits of every R-group but the last; its
+  products' objective values are v = fl(fl(h + x) + b), h the row's sum of
+  the earlier R-groups, x the last R-group's contribution, b the bias. IEEE
+  rounding is monotone, so the signed value sv (s = -1 to minimize) never
+  falls as sx rises, and the products of a row with sv >= ts, ts the k-th
+  key's signed objective, are a prefix of the last R-group sorted by sx
+  descending. `_ReactionView.row_prefixes` sorts it once per search and finds
+  every row's prefix with one `searchsorted`: it counts the x with
+  sx >= ts - s(h + b) - m. Each rounding moves a sum by at most u = 2^-53 of
+  its magnitude: v lies within 3u(|h| + |x| + |b|) of h + x + b, and the
+  threshold's own three roundings move it by at most 3u(|h| + |b| + |ts| + m).
+  The margin m = 2^-48 (A + |b| + |ts|) + 2^-1022, A the sum of the
+  R-groups' largest contributions in magnitude (so |h| + |x| <= A, to within
+  a few u), is more than both together (2^-1022 covers a margin that
+  underflows), so every product with sv >= ts is counted. `_prefix_keys`
+  sums each counted product in `block_values`'s order, keeps it iff sv >= ts
+  (a tie with the k-th key is kept: it wins on a lower global index), and
+  then drops the offsets outside its block's [lo, hi) clip. The batched
+  scan, `evalkit.oracle_topk` (whose values are not separable) and every
+  group scored before the k-th key is feasible score every product of their
+  blocks.
 * Selection. A group is filtered against the k-th key as it began (once
   that key is feasible, constraints are evaluated only where the objective
   reaches it); the survivors are kept pending in `_TopKBuffer`, which
@@ -59,6 +84,7 @@ variants.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -71,7 +97,7 @@ from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
 TABLE_VERSION = 1
-GROUP_PRODUCTS = 1 << 15  # products the scan scores in one pass, unless one block holds more
+GROUP_PRODUCTS = 1 << 15  # products (or, gathering prefixes, rows and gathered products) of one group
 
 
 class EngineError(RuntimeError):
@@ -231,6 +257,8 @@ class _ReactionView:
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
         self._decoded = (None, [])  # the last offsets `values_at` read, and their later digits
+        # the objective's last R-group in the search's signed order, sorted at the first `row_prefixes`
+        self.last_order = None
 
     def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
         """Float64 task values over blocks, one row per first digit, summed in R-group order."""
@@ -257,6 +285,26 @@ class _ReactionView:
         for a, d in zip(arrs[1:], self._decoded[1]):
             val = val + a[d]
         return val + self.biases[task_pos]
+
+    def row_prefixes(self, first_digits: np.ndarray, sign: float, ts: float) -> tuple[np.ndarray, np.ndarray]:
+        """Over blocks, one row per first digit: each block row's objective sum
+        `h` of every R-group but the last, and the length of the prefix of the
+        last R-group's signed order that holds every product of the row whose
+        signed objective is at least `ts` (see the module notes)."""
+        arrs = self.per_task[0]
+        if self.last_order is None:
+            # the digits, the values and the ascending search keys of the signed
+            # order; a prefix never splits equal keys, so any sort will do
+            keys = arrs[-1] * -sign
+            order = keys.argsort()
+            self.last_order = (order, arrs[-1][order], keys[order], sum(float(np.abs(a).max()) for a in arrs))
+        _, _, keys, magnitude = self.last_order
+        h = arrs[0][first_digits][:, None]
+        for a in arrs[1:-1]:
+            h = (h[..., None] + a).reshape(len(first_digits), -1)
+        bias = self.biases[0]
+        c = sign * bias - ts + (2.0 ** -48 * (magnitude + abs(bias) + abs(ts)) + 2.0 ** -1022)
+        return h, np.searchsorted(keys, h + c if sign > 0 else c - h, side="right")
 
     def value_bounds(self, task_pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Per first digit, the least and the greatest value `block_values` can
@@ -297,6 +345,34 @@ def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: n
         cons_vals = [view.values_at(1 + i, digit[row], offset) for i in range(n_cons)]
     c = violation(cons_vals, query.constraints)
     return np.broadcast_to(c, s.shape) if np.ndim(c) == 0 else c, s, g
+
+
+def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, h: np.ndarray, counts: np.ndarray, ts: float):
+    """(violation, signed objective, global index) keys of the products of one
+    reaction's blocks, each clipped to its [lo, hi) offsets, whose signed
+    objective is at least `ts`: only the prefix of each block row that
+    `row_prefixes` gave (`h`, `counts`) is summed, in `block_values`'s order."""
+    order, values, _, _ = view.last_order
+    n_rows, flat = h.shape[1], counts.reshape(-1)
+    ends = np.cumsum(flat)
+    row = np.repeat(np.arange(len(flat)), flat)
+    rank = np.arange(ends[-1]) - (ends - flat)[row]
+    val = h.reshape(-1)[row] + values[rank]
+    val += view.biases[0]
+    if query.direction == "minimize":
+        np.negative(val, out=val)
+    block, r = np.divmod(row, n_rows)
+    offset = r * len(order) + order[rank]
+    keep = val >= ts
+    if lo.any() or (hi < n_rows * len(order)).any():
+        keep &= (offset >= lo[block]) & (offset < hi[block])
+    if not keep.all():  # most gathered products are kept
+        at = np.flatnonzero(keep)
+        block, offset, val = block[at], offset[at], val[at]
+    cons_vals = [view.values_at(1 + i, digit[block], offset) for i in range(len(query.constraints))]
+    c = violation(cons_vals, query.constraints)
+    return np.broadcast_to(c, val.shape) if np.ndim(c) == 0 else c, val, g0[block] + offset
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -392,6 +468,29 @@ def _constraint_values(table: ContributionTable, query: QuerySpec, rows: np.ndar
     return gather_sum(table.values[tasks].T, rows).T + table.biases[tasks, None]
 
 
+def _gather_group(buf: _TopKBuffer, views, query: QuerySpec, blocks: np.ndarray, rows: np.ndarray) -> int:
+    """Offer the products of the first of these visit-order blocks that can
+    reach the feasible k-th key, gathered by row prefix; return how many
+    blocks that was. The group takes at most GROUP_PRODUCTS block rows
+    (`rows` per reaction position), and ends before the block at which the
+    prefixes it gathers would pass GROUP_PRODUCTS products."""
+    blocks = blocks[:, : max(1, bisect_right(np.cumsum(rows[blocks[0]]).tolist(), GROUP_PRODUCTS))]
+    sign, ts = (1.0 if query.direction == "maximize" else -1.0), buf.kth[1]
+    gathered, parts = np.empty(len(blocks[0]), dtype=np.int64), []
+    for t in np.unique(blocks[0]).tolist():
+        mine = blocks[0] == t
+        h, counts = views[t].row_prefixes(blocks[1, mine], sign, ts)
+        gathered[mine] = counts.sum(axis=1)
+        parts.append((t, mine, h, counts))
+    n = max(1, bisect_right(np.cumsum(gathered).tolist(), GROUP_PRODUCTS))
+    for t, mine, h, counts in parts:
+        m = np.count_nonzero(mine[:n])
+        if m:
+            digit, g0, lo, hi = blocks[1:, :n][:, mine[:n]]
+            buf.offer(*_prefix_keys(views[t], query, digit, g0, lo, hi, h[:m], counts[:m], buf.kth[1]))
+    return n
+
+
 def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
     """Score `PairLayout.blocks` rows into `buf`; return the number of products scored.
 
@@ -399,9 +498,10 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     index order, and scored in groups (see the module notes); the visit stops
     at the first block whose bound is strictly below the k-th key. `bounds`
     holds the two bounds per block; without them every block is scored, in
-    index order. `views` maps each reaction position to a view that gives the
-    reaction's `block_values` and `values_at`, over many first digits at
-    once, for the objective, then each constraint.
+    index order. With them, once the k-th key is feasible, groups gather row
+    prefixes (`_gather_group`). `views` maps each reaction position to a
+    view that gives the reaction's `block_values` and `values_at`, over many
+    first digits at once, for the objective, then each constraint.
     """
     if buf.k == 0:
         return 0
@@ -414,13 +514,21 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
         neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
     # products in the visit's first i blocks, clipped, at position i
     done = [0] + np.cumsum(visit[4] - visit[3]).tolist()
+    if bounds is not None:
+        # per reaction position, a block's rows (digits of every R-group but the last)
+        rows = np.zeros(max(views) + 1, dtype=np.int64)
+        for t, view in views.items():
+            rows[t] = math.prod(len(a) for a in view.per_task[0][1:-1])
     i, width, stop = 0, 1, buf.unbeaten(neg_c, neg_s)
     while i < stop:
-        j = min(stop, i + width, max(i + 1, bisect_right(done, done[i] + GROUP_PRODUCTS) - 1))
-        group = visit[:, i:j]
-        for t in np.unique(group[0]).tolist():
-            digit, g0, lo, hi = group[1:, group[0] == t]
-            buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi, buf.kth))
+        if bounds is None or buf.kth is None or buf.kth[0] != 0.0:
+            j = min(stop, i + width, max(i + 1, bisect_right(done, done[i] + GROUP_PRODUCTS) - 1))
+            group = visit[:, i:j]
+            for t in np.unique(group[0]).tolist():
+                digit, g0, lo, hi = group[1:, group[0] == t]
+                buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi, buf.kth))
+        else:
+            j = i + _gather_group(buf, views, query, visit[:, i:min(stop, i + width)], rows)
         i, width, stop = j, 2 * width, buf.unbeaten(neg_c, neg_s)
     return done[i]
 

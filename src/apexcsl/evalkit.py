@@ -173,8 +173,9 @@ def thompson_sampling(
     observation variance, with additive reward decomposition:
     every evaluated compound's (sign-adjusted) value updates the posteriors of
     all its constituent synthons. Warmup evaluates each synthon `warmup` times
-    in uniformly random completions; each iteration assembles the per-R-group
-    argmax of posterior samples. Total evaluations are exactly
+    in uniformly random completions, all in one `oracle_values` call, then
+    updates the posteriors a product at a time; each iteration assembles the
+    per-R-group argmax of posterior samples. Total evaluations are exactly
     |S_reaction| * warmup + iterations.
     """
     members = [rg.synthon_ids for rg in library.reaction(reaction_id).rgroups]  # per R-group, synthon id per digit
@@ -187,32 +188,35 @@ def thompson_sampling(
     best_traj: list[float] = []
     best = -np.inf
 
-    def evaluate(digits: list[int]) -> None:
+    def encode(digits: list[list[int]]) -> np.ndarray:
+        return library.layout.encode(np.full(len(digits), reaction_id), np.asarray(digits, dtype=np.int64))
+
+    def update(digits: list[int], value: float) -> None:
         nonlocal best
-        sids = [ids[d] for ids, d in zip(members, digits)]
-        value = ground_truth(oracle, objective, sids)
         reward = sign * value
         chosen.append(digits)
         values.append(value)
         best = max(best, reward)
         best_traj.append(sign * best)
-        for s in sids:
-            mean, prec = arms[s]
-            arms[s] = ((mean * prec + reward) / (prec + 1.0), prec + 1.0)
+        for ids, d in zip(members, digits):
+            mean, prec = arms[ids[d]]
+            arms[ids[d]] = ((mean * prec + reward) / (prec + 1.0), prec + 1.0)
 
-    # warmup: each synthon of each R-group, `warmup` times, random completions
-    for focus, focus_ids in enumerate(members):
-        for d in range(len(focus_ids)):
-            for _ in range(config.warmup):
-                evaluate([d if j == focus else int(rng.integers(0, len(ids))) for j, ids in enumerate(members)])
+    # warmup: each synthon of each R-group, `warmup` times, random completions;
+    # no draw depends on a value, so the products are evaluated in one call
+    warm = [[d if j == focus else int(rng.integers(0, len(ids))) for j, ids in enumerate(members)]
+            for focus, focus_ids in enumerate(members) for d in range(len(focus_ids)) for _ in range(config.warmup)]
+    for digits, value in zip(warm, oracle_values(oracle, library, objective, encode(warm)).tolist()):
+        update(digits, value)
 
     for _ in range(config.iterations):
-        evaluate([
+        digits = [
             int(np.argmax([arms[s][0] + rng.standard_normal() / np.sqrt(arms[s][1]) for s in ids]))
             for ids in members
-        ])
+        ]
+        update(digits, ground_truth(oracle, objective, [ids[d] for ids, d in zip(members, digits)]))
 
-    gidx = library.layout.encode(np.full(len(chosen), reaction_id), np.asarray(chosen, dtype=np.int64))
+    gidx = encode(chosen)
     return TsResult(evaluated=list(zip(gidx.tolist(), values)), best_trajectory=best_traj, oracle_calls=len(values))
 
 

@@ -274,3 +274,43 @@ def reference_iter_blocks(library, start, end):
             lo, hi = reference_clip_block(g0, inner, start, end)
             if lo < hi:
                 yield ti, j, g0, int(lo), int(hi)
+
+
+def reference_thompson_sampling(library, oracle, objective, direction, config, reaction_id):
+    """`evalkit.thompson_sampling` one product at a time: each warm-up and
+    iteration product is drawn, evaluated with `ground_truth` and applied to
+    the posteriors before the next is drawn. The batched warm-up must give the
+    same `TsResult`."""
+    from apexcsl import evalkit
+
+    members = [rg.synthon_ids for rg in library.reaction(reaction_id).rgroups]
+    rng = np.random.default_rng(config.seed)
+    sign = 1.0 if direction == "maximize" else -1.0
+    arms = {s: (0.0, 1.0) for ids in members for s in ids}
+    chosen, values, best_traj, best = [], [], [], -np.inf
+
+    def evaluate(digits):
+        nonlocal best
+        sids = [ids[d] for ids, d in zip(members, digits)]
+        value = props.ground_truth(oracle, objective, sids)
+        reward = sign * value
+        chosen.append(digits)
+        values.append(value)
+        best = max(best, reward)
+        best_traj.append(sign * best)
+        for s in sids:
+            mean, prec = arms[s]
+            arms[s] = ((mean * prec + reward) / (prec + 1.0), prec + 1.0)
+
+    for focus, focus_ids in enumerate(members):
+        for d in range(len(focus_ids)):
+            for _ in range(config.warmup):
+                evaluate([d if j == focus else int(rng.integers(0, len(ids))) for j, ids in enumerate(members)])
+    for _ in range(config.iterations):
+        evaluate([
+            int(np.argmax([arms[s][0] + rng.standard_normal() / np.sqrt(arms[s][1]) for s in ids]))
+            for ids in members
+        ])
+    gidx = library.layout.encode(np.full(len(chosen), reaction_id), np.asarray(chosen, dtype=np.int64))
+    return evalkit.TsResult(evaluated=list(zip(gidx.tolist(), values)), best_trajectory=best_traj,
+                            oracle_calls=len(values))

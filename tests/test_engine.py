@@ -533,6 +533,203 @@ class TestBlockSkipping:
 
 
 # ---------------------------------------------------------------------------
+# row prefixes: once the k-th key is feasible, the stream gathers only the
+# prefix of each block row's last R-group that can reach it
+# ---------------------------------------------------------------------------
+
+# float32 values whose float64 sums land within an ulp of each other near 1.0
+# and 0.5, with signed zeros, so keys tie with the k-th key, sit one ulp
+# either side of it, or reach it only through rounding
+ULP_LEVELS = [1.0, -1.0, 0.5, 0.0, -0.0, 2.0 ** -52, -2.0 ** -52, 2.0 ** -53, -2.0 ** -53, 2.0 ** -54, -2.0 ** -54]
+
+
+@st.composite
+def prefix_search_cases(draw):
+    library = csl.generate_synthetic(
+        csl.SyntheticConfig(
+            n_reactions=draw(st.integers(1, 3)),
+            components=draw(st.sampled_from([(2,), (3,), (4,), (2, 3), (3, 4), (4, 2)])),
+            synthons_per_rgroup=draw(st.integers(2, 5)),
+        ),
+        seed=draw(st.integers(0, 3)),
+    )
+    n_cons = draw(st.integers(0, 2))
+    tasks = ["obj"] + [f"c{i}" for i in range(n_cons)]
+    n_pairs = pair_count(library)
+    values = draw(st.lists(st.lists(st.sampled_from(ULP_LEVELS), min_size=n_pairs, max_size=n_pairs),
+                           min_size=len(tasks), max_size=len(tasks)))
+    biases = draw(st.lists(st.sampled_from([0.0, -0.0, 2.0 ** -53, 0.1, -1.0]), min_size=len(tasks),
+                           max_size=len(tasks)))
+    table = table_from_values(library, tasks, values, biases)
+    constraints = tuple(
+        engine.Constraint(f"c{i}", *draw(st.sampled_from(BOUND_CHOICES))) for i in range(n_cons)
+    )
+    total = csl.product_count(library)
+    # mostly a k well below the range's size, so that the k-th key becomes
+    # feasible while blocks are left to visit
+    k = draw(st.integers(1, max(1, total // 4)))
+    query = engine.QuerySpec("obj", draw(st.sampled_from(["maximize", "minimize"])), constraints, k=k)
+    start = draw(st.one_of(st.just(0), st.integers(0, total // 2)))
+    return library, table, query, (start, draw(st.one_of(st.just(total), st.integers(start, total))))
+
+
+def _two_rgroup_library(first, last):
+    """One reaction of two R-groups with `first` and `last` synthons."""
+    synthons = tuple(csl.SynthonRecord(i, f"a*{i}") for i in range(first + last))
+    library = csl.CslLibrary((csl.ReactionSpec(0, (csl.RgroupSpec(0, tuple(range(first))),
+                                                   csl.RgroupSpec(1, tuple(range(first, first + last))))),),
+                             synthons)
+    csl.check_library(library)
+    return library
+
+
+def _record_prefix_parts():
+    """A patch of `engine._prefix_keys` and the list it records each call's
+    (first digits, lo, hi, prefix lengths) in."""
+    calls, prefix_keys = [], engine._prefix_keys
+
+    def record(view, query, digit, g0, lo, hi, h, counts, ts):
+        calls.append((digit.tolist(), lo.tolist(), hi.tolist(), counts.tolist()))
+        return prefix_keys(view, query, digit, g0, lo, hi, h, counts, ts)
+
+    return calls, mock.patch.object(engine, "_prefix_keys", record)
+
+
+class TestRowPrefixes:
+    @given(case=prefix_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_matches_batched_and_brute_force(self, case, cap):
+        library, table, query, span = case
+        with mock.patch.object(engine, "GROUP_PRODUCTS", cap):
+            stream = engine.search_topk_stream(library, table, query, index_range=span)
+            batched = engine.search_topk_batched(library, table, query, index_range=span)
+        expected = numpy_topk_keys(library, table, query, span)
+        assert result_keys(stream, query.direction) == expected
+        assert result_keys(batched, query.direction) == expected
+        assert stream.discarded_for_violation == batched.discarded_for_violation
+        assert _result_bytes(stream, query, library) == _result_bytes(batched, query, library)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_margin_keeps_a_value_that_reaches_the_kth_only_by_rounding(self, direction):
+        # block 1 (first contribution 1 + 2^-23) is visited first and sets the
+        # k-th key to 1.0 at index 3; in block 0, 1.0 + -2^-54 rounds to 1.0,
+        # which ties it and wins on index 0, though -2^-54 < ts - h - b = 0
+        sign = 1.0 if direction == "maximize" else -1.0
+        library = _two_rgroup_library(2, 2)
+        values = sign * np.array([1.0, 1.0 + 2.0 ** -23, -2.0 ** -54, -2.0 ** -23])
+        table = table_from_values(library, ["obj"], [values], [0.0])
+        q = engine.QuerySpec("obj", direction, (), k=2)
+        calls, record = _record_prefix_parts()
+        with record:
+            got = engine.search_topk_stream(library, table, q)
+        assert calls == [([0], [0], [2], [[1]])]
+        assert result_keys(got, direction) == numpy_topk_keys(library, table, q) == [
+            (0.0, 1.0 + 2.0 ** -23, 2), (0.0, 1.0, 0)]
+
+    def test_empty_and_full_row_prefixes(self):
+        # block 0 sets the k-th key to 5.5; block 1 (bound 6.5) has rows of
+        # h = 4, -96 and 6 against last contributions 0, 0.5, 0.25
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=1, components=(3,), synthons_per_rgroup=3), seed=0
+        )
+        values = [5.0, 4.0, -10.0, 0.0, -100.0, 2.0, 0.0, 0.5, 0.25]
+        table = table_from_values(library, ["obj"], [values], [0.0])
+        q = engine.QuerySpec("obj", "maximize", (), k=4)
+        calls, record = _record_prefix_parts()
+        with record:
+            got = engine.search_topk_stream(library, table, q)
+        assert calls == [([1], [0], [9], [[0, 0, 3]])]
+        assert result_keys(got, "maximize") == numpy_topk_keys(library, table, q) == [
+            (0.0, 7.5, 7), (0.0, 7.25, 8), (0.0, 7.0, 6), (0.0, 6.5, 16)]
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_last_rgroup_of_one_synthon(self, direction):
+        # every row is one product, whose value is its block's bound: blocks 2,
+        # 3 and 5 tie with the k-th key (0.7 at index 1), and each gathers its
+        # whole one-product row, which loses on its index
+        sign = 1.0 if direction == "maximize" else -1.0
+        library = _two_rgroup_library(7, 1)
+        values = sign * np.array([0.9, 0.7, 0.7, 0.7, 0.3, 0.7, 0.2, 0.0])
+        table = table_from_values(library, ["obj"], [values], [0.0])
+        q = engine.QuerySpec("obj", direction, (), k=2)
+        calls, record = _record_prefix_parts()
+        with record, mock.patch.object(engine, "GROUP_PRODUCTS", 1):
+            got = engine.search_topk_stream(library, table, q)
+        assert calls == [([d], [0], [1], [[1]]) for d in (2, 3, 5)]
+        assert result_keys(got, direction) == numpy_topk_keys(library, table, q) == [
+            (0.0, float(np.float32(0.9)), 0), (0.0, float(np.float32(0.7)), 1)]
+
+    @pytest.mark.parametrize("span", [(0, 6), (5, 16)])
+    def test_prefix_crossing_the_clip(self, span):
+        # rows of last contributions 0, 0.2, 0.3, 0.1 (signed order: digits
+        # 2, 1, 3, 0); block 1 is clipped, and the prefix its row gathers
+        # holds the 2.3 at offset 2, which only (0, 6) leaves out
+        library = _two_rgroup_library(4, 4)
+        values = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.2, 0.3, 0.1], dtype=np.float32)
+        table = table_from_values(library, ["obj"], [values], [0.0])
+        q = engine.QuerySpec("obj", "maximize", (), k=2)
+        calls, record = _record_prefix_parts()
+        with record:
+            got = engine.search_topk_stream(library, table, q, index_range=span)
+        expected = numpy_topk_keys(library, table, q, span)
+        assert result_keys(got, "maximize") == expected
+        if span == (0, 6):
+            assert calls == [([1], [0], [2], [[2]])]
+            assert [g for *_, g in expected] == [2, 1]
+        else:
+            assert [g for *_, g in expected] == [6, 5]
+
+    @pytest.mark.parametrize("cap", [3, 8, 50])
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("components, synthons", [((2,), 12), ((2, 3), 6)], ids=["rows_of_12", "rows_of_6"])
+    def test_group_rule(self, cap, k, direction, components, synthons):
+        # blocks of one 12-product row, where the gathered products end
+        # groups, or of one and six 6-product rows, where the rows do; a
+        # constraint keeps the k-th key infeasible for the first groups
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=4, components=components, synthons_per_rgroup=synthons), seed=2
+        )
+        table = random_table(library, ["obj", "c"], np.random.default_rng(5))
+        q = engine.QuerySpec("obj", direction, (engine.Constraint("c", upper=0.0),), k=k)
+        groups, group_keys, prefix_keys, unbeaten = [], engine._group_keys, engine._prefix_keys, \
+            engine._TopKBuffer.unbeaten
+
+        def record_keys(view, query, digit, g0, lo, hi, kth):
+            groups[-1].append(("score", len(digit), int((hi - lo).sum()), 0, 0))
+            return group_keys(view, query, digit, g0, lo, hi, kth)
+
+        def record_prefixes(view, query, digit, g0, lo, hi, h, counts, ts):
+            groups[-1].append(("gather", len(digit), int((hi - lo).sum()), int(counts.sum()), h.size))
+            return prefix_keys(view, query, digit, g0, lo, hi, h, counts, ts)
+
+        def record_stop(buf, *args):
+            groups.append([])
+            return unbeaten(buf, *args)
+
+        with mock.patch.object(engine, "GROUP_PRODUCTS", cap), mock.patch.object(engine, "_group_keys", record_keys), \
+                mock.patch.object(engine, "_prefix_keys", record_prefixes), \
+                mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
+            got = engine.search_topk_stream(library, table, q)
+        groups = [g for g in groups if g]
+        kinds = [{kind for kind, *_ in g} for g in groups]
+        first = kinds.index({"gather"})
+        # once the k-th key is feasible, every group gathers prefixes
+        assert kinds[:first] == [{"score"}] * first and kinds[first:] == [{"gather"}] * (len(groups) - first)
+        for g in groups:
+            blocks, products, gathered, rows = (sum(part[i] for part in g) for i in range(1, 5))
+            if g[0][0] == "score":
+                assert products <= cap or blocks == 1
+            else:
+                assert (gathered <= cap and rows <= cap) or blocks == 1
+        if components == (2,) and cap < synthons:
+            # groups grow by what they gather: some hold blocks whose products pass the cap
+            assert any(g[0][0] == "gather" and sum(part[1] for part in g) > 1 and sum(part[2] for part in g) > cap
+                       for g in groups)
+        assert result_keys(got, direction) == numpy_topk_keys(library, table, q)
+
+
+# ---------------------------------------------------------------------------
 # the partition-compacting buffer against the lexsort buffer it replaced
 # ---------------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
 from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reference_decode,
-                      reference_ground_truth, reference_iter_blocks)
+                      reference_ground_truth, reference_iter_blocks, reference_thompson_sampling)
 
 
 @pytest.fixture(scope="module")
@@ -214,17 +214,32 @@ class TestThompsonSampling:
     @pytest.mark.parametrize("warmup", [3, 10])
     def test_budget_is_exact(self, exact_setup, warmup, monkeypatch):
         library, oracle, _ = exact_setup
+        # the warm-up is one oracle_values call over all its products, each
+        # iteration one ground_truth call: evaluations are counted, not calls
         iters = 17
-        calls = []
-        ground_truth = evalkit.ground_truth
+        batches, calls = [], []
+        ground_truth, oracle_values = evalkit.ground_truth, evalkit.oracle_values
         monkeypatch.setattr(evalkit, "ground_truth", lambda *a: calls.append(a) or ground_truth(*a))
+        monkeypatch.setattr(evalkit, "oracle_values", lambda *a: batches.append(len(a[3])) or oracle_values(*a))
         res = evalkit.thompson_sampling(
             library, oracle, "obj", "maximize",
             evalkit.TsConfig(warmup=warmup, iterations=iters, seed=0), reaction_id=0,
         )
         n_syn = evalkit.reaction_synthon_count(library, 0)
-        assert res.oracle_calls == len(calls) == n_syn * warmup + iters
+        assert batches == [n_syn * warmup] and len(calls) == iters
+        assert res.oracle_calls == sum(batches) + len(calls) == n_syn * warmup + iters
         assert len(res.evaluated) == res.oracle_calls
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("reaction_id", [0, 1], ids=["two_components", "three_components"])
+    def test_matches_per_product_loop(self, small_library, small_oracle, direction, reaction_id):
+        # the default oracle has tanh and pairwise terms, so the batched
+        # warm-up values must equal ground_truth's bit for bit
+        for seed, warmup, iters in [(0, 1, 5), (3, 3, 20), (7, 10, 12)]:
+            cfg = evalkit.TsConfig(warmup=warmup, iterations=iters, seed=seed)
+            got = evalkit.thompson_sampling(small_library, small_oracle, "dock_b", direction, cfg, reaction_id)
+            want = reference_thompson_sampling(small_library, small_oracle, "dock_b", direction, cfg, reaction_id)
+            assert repr(got) == repr(want)
 
     def test_trajectory_monotone(self, exact_setup):
         library, oracle, _ = exact_setup
