@@ -73,21 +73,29 @@ class PairLayout:
     @classmethod
     def of(cls, reactions: tuple[ReactionSpec, ...]) -> PairLayout:
         rgroups = [rg for rx in reactions for rg in rx.rgroups]
-        sizes = np.asarray([len(rg.synthon_ids) for rg in rgroups], dtype=np.int64)
-        n_rgroups = np.asarray([len(rx.rgroups) for rx in reactions], dtype=np.int64)
+        return cls.from_arrays(
+            np.asarray([s for rg in rgroups for s in rg.synthon_ids], dtype=np.int64),
+            np.asarray([rg.rgroup_id for rg in rgroups], dtype=np.int64),
+            np.asarray([len(rg.synthon_ids) for rg in rgroups], dtype=np.int64),
+            np.asarray([len(rx.rgroups) for rx in reactions], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_arrays(cls, member_ids: np.ndarray, rg_ids: np.ndarray, sizes: np.ndarray,
+                    n_rgroups: np.ndarray) -> PairLayout:
+        """The layout of int64 arrays in declaration order: every R-group's
+        synthon ids laid end to end, the R-group ids, each R-group's synthon
+        count and each reaction's R-group count. It keeps the arrays it is
+        given, made read-only."""
         rx_offsets = np.concatenate(([0], np.cumsum(n_rgroups)))
         rg_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        rg_parent = np.repeat(np.arange(len(reactions)), n_rgroups)
-        col = np.arange(len(rgroups)) - rx_offsets[rg_parent]
-        shape = (len(reactions), int(n_rgroups.max(initial=0)))
+        rg_parent = np.repeat(np.arange(len(n_rgroups)), n_rgroups)
+        col = np.arange(len(rg_ids)) - rx_offsets[rg_parent]
+        shape = (len(n_rgroups), int(n_rgroups.max(initial=0)))
         first_row, radix = np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=np.int64)
         first_row[rg_parent, col] = rg_offsets[:-1]
         radix[rg_parent, col] = sizes
-        arrays = (
-            np.asarray([s for rg in rgroups for s in rg.synthon_ids], dtype=np.int64),
-            np.asarray([rg.rgroup_id for rg in rgroups], dtype=np.int64),
-            rg_offsets, rx_offsets, rg_parent, n_rgroups, first_row, radix,
-        )
+        arrays = (member_ids, rg_ids, rg_offsets, rx_offsets, rg_parent, n_rgroups, first_row, radix)
         for a in arrays:
             a.flags.writeable = False
         return cls(*arrays)
@@ -544,13 +552,45 @@ def _check_records(records, counts: tuple[int, int, int]) -> None:
         raise LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
 
 
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 id has 1 + the count of these it reaches digits
+
+
+def _id_lines(lines: list[str], kind: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids of lines `<kind> <id>...`, as `serialize_library` writes them,
+    read by one numpy parse: every id, in line order, and each line's id
+    count, as int64 arrays. None for any other lines and for an id past
+    2^63 - 1.
+
+    The lines must hold only ASCII digits, spaces and their kind letter, each
+    line's first character, so a space comes before every id. The digits then
+    number at most the characters less a space per parsed id and the line
+    breaks, and at least the parsed ids' decimal digits; the two are equal
+    only if each space precedes an id, so that a line's spaces count its ids,
+    and no id has a leading zero. So the ids are as `str(int)` writes them,
+    and `np.fromstring` reads each as `int` does, except that it reads an id
+    past 2^63 - 1 as 2^63 - 1."""
+    body = "\n".join(lines)
+    counts = np.asarray([ln.count(" ") for ln in lines], dtype=np.int64)
+    if (not lines or body.encode().translate(None, b"0123456789 \n") != kind.encode() * len(lines)
+            or not all(ln.startswith(kind + " ") for ln in lines)):
+        return None
+    numbers = body.replace(kind, "")
+    ids = np.fromstring(numbers, dtype=np.int64, sep=" ")
+    if (len(ids) + int(np.searchsorted(_POW10, ids, side="right").sum()) != len(numbers) - len(ids) - len(lines) + 1
+            or ids.max() == MAX_COUNT and max(map(int, numbers.split())) > MAX_COUNT):
+        return None
+    return ids, counts
+
+
 def _tail_library(text: str, sha256: str) -> CslLibrary | None:
     """The library of a text from its header and its last n_r + n_t lines,
-    the R and T lines, with every check the full parse makes of those lines
-    and `check_library`'s layout checks against the header's synthon count;
-    its synthons are parsed on their first read. None, so that the full parse
-    reads the text, if the header or the line count is not as
-    `serialize_library` writes them, or a line or a check fails."""
+    the R and T lines, read into the layout's arrays (`_id_lines`) with the
+    full parse's count and unused-R-group checks, its reaction id check and
+    `check_library`'s layout checks against the header's synthon count; its
+    synthons are parsed on their first read. None, so that the full parse
+    reads the text, if the header, the line count or the R and T lines are not
+    as `serialize_library` writes them (the R lines in the order the T lines
+    name them), or a check fails."""
     header = text.partition("\n")[0]
     try:
         n_s, n_r, n_t = map(int, header.split(" ")[1:])
@@ -560,17 +600,24 @@ def _tail_library(text: str, sha256: str) -> CslLibrary | None:
             or not text.endswith("\n") or text.count("\n") != 1 + n_s + n_r + n_t):
         return None
     tail = text.rsplit("\n", n_r + n_t + 1)[1:-1]
-    rows = [ln.split() for ln in tail]
-    # a blank line, or a line break other than "\n", makes other lines for the full parse
-    if not all(rows) or any(ln.splitlines() != [ln] for ln in tail):
+    r_lines, t_lines = _id_lines(tail[:n_r], "R"), _id_lines(tail[n_r:], "T")
+    if r_lines is None or t_lines is None:
         return None
-    records = _records([header.split(), *rows])
-    if records is None:
+    (r_ids, r_counts), (t_ids, t_counts) = r_lines, t_lines
+    r_first, t_first = np.cumsum(r_counts) - r_counts, np.cumsum(t_counts) - t_counts
+    rg_ids = r_ids[r_first]
+    if not np.array_equal(np.delete(t_ids, t_first), rg_ids):
         return None
-    library = CslLibrary(tuple(records[2]), (), sha256)
+    ids = r_ids.tolist()
+    rgroups = [RgroupSpec(ids[a], tuple(ids[a + 1 : a + c])) for a, c in zip(r_first.tolist(), r_counts.tolist())]
+    ends = np.cumsum(t_counts - 1).tolist()
+    reactions = tuple(ReactionSpec(t, tuple(rgroups[a:b]))
+                      for t, a, b in zip(t_ids[t_first].tolist(), [0] + ends, ends))
+    library = CslLibrary(reactions, (), sha256)
+    library.layout = PairLayout.from_arrays(np.delete(r_ids, r_first), rg_ids, r_counts - 1, t_counts - 1)
     try:
-        _check_records(records, (0, n_r, n_t))
-        _check_ids("reaction", [rx.reaction_id for rx in library.reactions])
+        _check_records(((), dict(zip(rg_ids.tolist(), rgroups)), reactions), (0, n_r, n_t))
+        _check_ids("reaction", [rx.reaction_id for rx in reactions])
         _check_layout(library, n_s)
     except LibraryError:
         return None

@@ -250,6 +250,8 @@ class TopKResult:
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
+    finite = True  # float32 contributions summed with a finite bias (`_key_violation`)
+
     def __init__(self, table: ContributionTable, layout: PairLayout, reaction_pos: int, tasks: list[str]):
         rows = layout.reaction_rows(reaction_pos)
         self.per_task = [
@@ -274,15 +276,26 @@ class _ReactionView:
         """`block_values(task_pos, first_digits)[i, offsets[i]]` for every i,
         summed only at those offsets. The offsets are decoded into later digits
         once for the calls that pass the same offsets array, one per constraint."""
-        arrs = self.per_task[task_pos]
         if self._decoded[0] is not offsets:
-            digits, rem = [], offsets
-            for a in reversed(arrs[1:]):
-                rem, d = np.divmod(rem, len(a))
-                digits.append(d)
-            self._decoded = (offsets, digits[::-1])
+            self._decoded = (offsets, self.later_digits(*np.divmod(offsets, len(self.per_task[0][-1]))))
+        return self.digit_values(task_pos, first_digits, self._decoded[1])
+
+    def later_digits(self, rows: np.ndarray, last: np.ndarray) -> list[np.ndarray]:
+        """The digits of every R-group but the first, of the products at block
+        rows `rows` (the middle R-groups' digits, mixed radix) and last digits `last`."""
+        middle = self.per_task[0][1:-1]
+        digits = [last]
+        for a in middle[:0:-1]:  # the first middle digit is what the others leave
+            rows, d = np.divmod(rows, len(a))
+            digits.append(d)
+        return (digits + [rows] if middle else digits)[::-1]
+
+    def digit_values(self, task_pos: int, first_digits: np.ndarray, later: list[np.ndarray]) -> np.ndarray:
+        """`block_values` of every product given by its first digit and its later
+        R-groups' digits (`later_digits`), summed in the same order."""
+        arrs = self.per_task[task_pos]
         val = arrs[0][first_digits]
-        for a, d in zip(arrs[1:], self._decoded[1]):
+        for a, d in zip(arrs[1:], later):
             val = val + a[d]
         return val + self.biases[task_pos]
 
@@ -317,6 +330,24 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
+def _key_violation(values, constraints: tuple[Constraint, ...], n: int, finite: bool) -> np.ndarray:
+    """`violation(values, constraints)` of n products, one value per product.
+    For finite values (`finite`) the hinge step of an infinite bound is
+    skipped: it subtracts max(0.0, -inf) = +0.0, and c - 0.0 == c. Table values
+    are finite: float32 contributions summed with a finite bias, far below the
+    float64 range. Oracle values may overflow, so they take every step."""
+    if not finite:
+        c = violation(values, constraints)
+    else:
+        c = 0.0
+        for v, con in zip(values, constraints):
+            if con.lower > -math.inf:
+                c = c - np.maximum(0.0, con.lower - v)
+            if con.upper < math.inf:
+                c = c - np.maximum(0.0, v - con.upper)
+    return np.broadcast_to(c, (n,)) if np.ndim(c) == 0 else c
+
+
 def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 kth: tuple[float, float, int] | None = None):
     """(violation, signed objective, global index) keys of one reaction's
@@ -343,8 +374,7 @@ def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: n
         row, offset = np.divmod(at, len(cols))
         g, s = g0[row] + offset, s.reshape(-1)[at]
         cons_vals = [view.values_at(1 + i, digit[row], offset) for i in range(n_cons)]
-    c = violation(cons_vals, query.constraints)
-    return np.broadcast_to(c, s.shape) if np.ndim(c) == 0 else c, s, g
+    return _key_violation(cons_vals, query.constraints, len(s), view.finite), s, g
 
 
 def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray,
@@ -352,7 +382,8 @@ def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: n
     """(violation, signed objective, global index) keys of the products of one
     reaction's blocks, each clipped to its [lo, hi) offsets, whose signed
     objective is at least `ts`: only the prefix of each block row that
-    `row_prefixes` gave (`h`, `counts`) is summed, in `block_values`'s order."""
+    `row_prefixes` gave (`h`, `counts`) is summed, in `block_values`'s order,
+    and the constraints at the row and last digit each product was gathered by."""
     order, values, _, _ = view.last_order
     n_rows, flat = h.shape[1], counts.reshape(-1)
     ends = np.cumsum(flat)
@@ -363,16 +394,17 @@ def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: n
     if query.direction == "minimize":
         np.negative(val, out=val)
     block, r = np.divmod(row, n_rows)
-    offset = r * len(order) + order[rank]
+    last = order[rank]
+    offset = r * len(order) + last
     keep = val >= ts
     if lo.any() or (hi < n_rows * len(order)).any():
         keep &= (offset >= lo[block]) & (offset < hi[block])
     if not keep.all():  # most gathered products are kept
         at = np.flatnonzero(keep)
-        block, offset, val = block[at], offset[at], val[at]
-    cons_vals = [view.values_at(1 + i, digit[block], offset) for i in range(len(query.constraints))]
-    c = violation(cons_vals, query.constraints)
-    return np.broadcast_to(c, val.shape) if np.ndim(c) == 0 else c, val, g0[block] + offset
+        block, r, last, offset, val = block[at], r[at], last[at], offset[at], val[at]
+    first, later = digit[block], view.later_digits(r, last)
+    cons_vals = [view.digit_values(1 + i, first, later) for i in range(len(query.constraints))]
+    return _key_violation(cons_vals, query.constraints, len(val), True), val, g0[block] + offset
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +533,8 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     index order. With them, once the k-th key is feasible, groups gather row
     prefixes (`_gather_group`). `views` maps each reaction position to a
     view that gives the reaction's `block_values` and `values_at`, over many
-    first digits at once, for the objective, then each constraint.
+    first digits at once, for the objective, then each constraint, and says
+    whether those values are `finite`.
     """
     if buf.k == 0:
         return 0

@@ -52,6 +52,8 @@ class _OracleView:
     """One reaction's oracle values for the query's tasks, the objective first,
     read the way `engine.scan_topk` reads a view."""
 
+    finite = False  # sums of finite latents may overflow
+
     def __init__(self, oracle: GroundTruthOracle, library: CslLibrary, reaction_pos: int, tasks: list[str]):
         self.oracle, self.library, self.reaction_pos, self.tasks = oracle, library, reaction_pos, tasks
 

@@ -454,6 +454,19 @@ def counted_parses(monkeypatch):
     return calls
 
 
+LAYOUT_FIELDS = ("member_ids", "rg_ids", "rg_offsets", "rx_offsets", "rg_parent", "n_rgroups", "first_row", "radix",
+                 "product_offsets")
+
+
+def assert_same_layout(got, expected):
+    """Field by field: the same values, dtypes and read-only flags."""
+    for name in LAYOUT_FIELDS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable), name
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestReadWithFingerprint:
     """load_library with the fingerprint of a table: a text with that SHA-256
     is read by its header and its R and T lines alone."""
@@ -464,9 +477,7 @@ class TestReadWithFingerprint:
         full = csl.load_library(path)
         calls = counted_parses(monkeypatch)
         library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
-        for name in ("member_ids", "rg_ids", "rg_offsets", "rx_offsets", "rg_parent", "n_rgroups", "first_row",
-                     "radix", "product_offsets"):
-            np.testing.assert_array_equal(getattr(library.layout, name), getattr(full.layout, name))
+        assert_same_layout(library.layout, full.layout)
         assert library.reactions == full.reactions
         assert csl.fingerprint_matches(library, csl.library_fingerprint(medium_library))
         assert calls == []
@@ -475,6 +486,19 @@ class TestReadWithFingerprint:
         assert calls == [1]
         assert csl.serialize_library(library) == path.read_text()
         assert library == full and calls == [1]
+
+    def test_canonical_text_builds_no_records(self, medium_library, tmp_path, monkeypatch):
+        # the R lines go straight into the layout's arrays: no per-line records
+        # and no layout built from the reactions; the full parse makes both
+        path = tmp_path / "lib.csl"
+        csl.save_library(medium_library, path)
+        calls, records, of = [], csl._records, csl.PairLayout.of
+        monkeypatch.setattr(csl, "_records", lambda rows: calls.append("records") or records(rows))
+        monkeypatch.setattr(csl.PairLayout, "of", classmethod(lambda cls, reactions: calls.append("of") or of(reactions)))
+        library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
+        assert library.layout.n_pairs == pair_count(medium_library) and calls == []
+        csl.load_library(path)
+        assert calls == ["records", "of"]
 
     def test_crlf_copy_is_not_parsed(self, medium_library, tmp_path, monkeypatch):
         # text mode reads "\r\n" as "\n": the text read is the canonical one
@@ -801,8 +825,30 @@ def test_check_library_matches_rgroup_at_a_time_check(library, data):
     assert outcome(csl.check_library, edited) == outcome(reference_check_library, edited)
 
 
+def tail_case(*records, n_s=12):
+    """The lines of a library of n_s synthons with these R and T lines, under their header."""
+    counts = [sum(r.startswith(kind) for r in records) for kind in "RT"]
+    return [f"cslv1 {n_s} {counts[0]} {counts[1]}", *(f"S {i} s{i}*" for i in range(n_s)), *records]
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 @settings(max_examples=300, deadline=None)
 @given(lines=perturbed_lines(CANONICAL_EDITS + ["swap", "repeat", "drop", "add_field", "drop_field", "bad_token"]))
+@example(lines=tail_case("R 0 007", "R 1 1", "T 0 0 1"))
+@example(lines=tail_case("R 0 +1", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case("R 0 1_0", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case("R 0 \u0663", "R 1 2", "T 0 0 1"))  # ARABIC-INDIC DIGIT THREE
+@example(lines=tail_case(f"R {2**63} 1", "R 1 2", f"T 0 {2**63} 1"))
+@example(lines=tail_case(f"R {2**63 - 1} 1", "R 1 2", f"T 0 {2**63 - 1} 1"))
+@example(lines=tail_case(f"R 0 {2**63}", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case(f"R 0 {10**19}", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case("R 0\t1", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case("R 0 1 ", "R 1 2", "T 0 0 1"))
+@example(lines=tail_case("R 0 1", "R 1 2", "T 0 0 1 "))
+@example(lines=tail_case("R 0 1", "R 1 2", "R 5", "T 0 0 1 5"))
+@example(lines=tail_case("R 1 2", "R 0 1", "T 0 0 1"))
+@example(lines=[*tail_case("R 0 1", "R 2 1", "T 0 0 2")[:-2], "2 R 1", "T 0 0 2"])  # a kind letter inside a line
+@example(lines=tail_case("R 0 1", "R 1 2", "R 2 3", "T 0 0 1", "T 1 2 1"))
 @example(lines=["cslv1 2 2 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 1", "T 0 0 1"])
 @example(lines=["cslv1 2 2 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 5", "T 0 0 1"])
 @example(lines=["cslv1 2 3 1", "S 0 a*", "S 1 b*", "R 0 0", "R 1 1", "R 2 0 1", "T 0 0 1"])
@@ -823,9 +869,36 @@ def test_tail_read_matches_the_full_parse(lines):
     n_s = int(lines[0].split()[1])
     repaired = [lines[0], *(f"S {i} s*" for i in range(n_s)), *lines[1 + n_s:]]
     assert csl.deserialize_library("\n".join(repaired) + "\n").reactions == library.reactions
+    assert_same_layout(library.layout, csl.PairLayout.of(library.reactions))
     if isinstance(full, csl.CslLibrary):
         assert library == full
     else:
         with pytest.raises(csl.LibraryError) as info:
             library.synthons
         assert str(info.value) == full
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("records", [
+    ("R 0 007", "R 1 1", "T 0 0 1"), ("R 0 +1", "R 1 2", "T 0 0 1"), ("R 0 1_0", "R 1 2", "T 0 0 1"),
+    ("R 0 \u0663", "R 1 2", "T 0 0 1"), ("R 0\t1", "R 1 2", "T 0 0 1"), ("R 0  1", "R 1 2", "T 0 0 1"),
+    ("R 0 1 ", "R 1 2", "T 0 0 1"), ("R 0 1", "R 1 2", "T 0 0 1 "), ("R 0 1", "R 1 2", "T 0 0 01"),
+    ("R 1 2", "R 0 1", "T 0 0 1"), ("R 0 1", "R 1 2", "T 0 0 1\r")])
+def test_tail_read_refuses_lines_serialize_library_does_not_write(records):
+    # the full parse reads each of these texts; the tail read leaves them to it
+    text = "\n".join(tail_case(*records)) + "\n"
+    assert isinstance(csl.deserialize_library(text), csl.CslLibrary)
+    assert csl._tail_library(text, "forged") is None
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@settings(max_examples=100, deadline=None)
+@given(n_reactions=st.integers(1, 4), components=st.sampled_from([(2,), (3,), (4,), (2, 3, 4), (4, 3, 2)]),
+       synthons=st.integers(1, 4), share_rate=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 20))
+def test_tail_read_layout_is_the_layout_of_its_reactions(n_reactions, components, synthons, share_rate, seed):
+    # the arrays the R lines are read into are those PairLayout.of lays out
+    library = csl.generate_synthetic(csl.SyntheticConfig(n_reactions=n_reactions, components=components,
+                                                         synthons_per_rgroup=synthons, share_rate=share_rate), seed)
+    read = csl._tail_library(csl.serialize_library(library), "fingerprint")
+    assert read.reactions == library.reactions
+    assert_same_layout(read.layout, csl.PairLayout.of(library.reactions))
