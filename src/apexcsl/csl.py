@@ -15,7 +15,6 @@ import gc
 import hashlib
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -263,19 +262,16 @@ class CslLibrary:
 def check_library(library: CslLibrary) -> None:
     """Raise LibraryError on the first violated structural invariant, in declaration order."""
     # per-synthon arrays are indexed by synthon id, and reactions are looked up by id
-    _check_ids("synthon", [s.synthon_id for s in library.synthons])
-    _check_ids("reaction", [rx.reaction_id for rx in library.reactions])
+    for kind, ids in (("synthon", [s.synthon_id for s in library.synthons]),
+                      ("reaction", [rx.reaction_id for rx in library.reactions])):
+        if ids != list(range(len(ids))):
+            i, x = next((i, x) for i, x in enumerate(ids) if x != i)
+            raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
     tokens = [s.token for s in library.synthons]
     if not all(tokens) or re.search(r"\s", "".join(tokens)):  # a token is one field of the text format
         i = next(i for i, t in enumerate(tokens) if t.split() != [t])
         raise LibraryError(f"synthon {i} token {tokens[i]!r} is empty or holds whitespace")
     _check_layout(library, len(library.synthons))
-
-
-def _check_ids(kind: str, ids: list[int]) -> None:
-    if ids != list(range(len(ids))):
-        i, x = next((i, x) for i, x in enumerate(ids) if x != i)
-        raise LibraryError(f"{kind} id {x} at position {i}: ids must be 0..n-1 in order")
 
 
 def _check_layout(library: CslLibrary, n_synthons: int) -> None:
@@ -481,36 +477,14 @@ def serialize_library(library: CslLibrary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _records(rows: list[list[str]]):
-    """The synthons, R-groups and reactions of a library's split lines, header first, or None if a line
-    is malformed, which no later line decides: the S lines in one pass, then R and T lines in file order."""
-    rgroups, reactions = {}, []
-    try:
-        s_rows = [p for p in rows[1:] if p[0] == "S"]
-        _, synthon_ids, tokens = zip(*s_rows, strict=True) if s_rows else ((), (), ())
-        # SynthonRecord's own constructor, without a Python call per record
-        synthons = tuple(map(tuple.__new__, repeat(SynthonRecord), zip(map(int, synthon_ids), tokens)))
-        for kind, record_id, *ids in (p for p in rows[1:] if p[0] != "S"):
-            record_id, ids = int(record_id), tuple(map(int, ids))
-            if kind == "R" and record_id not in rgroups:
-                rgroups[record_id] = RgroupSpec(record_id, ids)
-            elif kind == "T":  # naming R-groups defined above it
-                reactions.append(ReactionSpec(record_id, tuple(map(rgroups.__getitem__, ids))))
-            else:
-                return None
-    except (ValueError, KeyError):
-        return None
-    return synthons, rgroups, reactions
-
-
 def deserialize_library(text: str) -> CslLibrary:
     """Parse the text format; the library keeps the text's SHA-256 for `fingerprint_matches`.
 
-    Automatic garbage collection is paused while it parses. The parse holds
-    a split list and a SynthonRecord (a tuple subclass, which the collector
-    keeps tracking) per line, so the allocations would set off collections
-    that walk every live object and free nothing: the parse makes no
-    reference cycles. Collection resumes, if it was on, when the parse ends.
+    Automatic garbage collection is paused while it parses. The parse makes
+    a SynthonRecord (a tuple subclass, which the collector keeps tracking)
+    per S line, so the allocations would set off collections that walk every
+    live object and free nothing: the parse makes no reference cycles.
+    Collection resumes, if it was on, when the parse ends.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -522,34 +496,63 @@ def deserialize_library(text: str) -> CslLibrary:
 
 
 def _parse_library(text: str) -> CslLibrary:
+    """The library of a text: read into the layout's arrays (`_tail_library`)
+    and its S lines in one pass (`_synthon_lines`) if the text is as
+    `serialize_library` writes it, else a line at a time, blank lines skipped,
+    with a LibraryError at the first malformed line, which no later line decides."""
+    sha256 = hashlib.sha256(text.encode()).hexdigest()
+    library = _tail_library(text, sha256)
+    synthons = None if library is None else _synthon_lines(text)
+    if synthons is not None:
+        library.synthons = synthons
+        del library._unparsed
+        return library
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows = list(map(str.split, lines))
-    if not rows:
+    if not lines:
         raise LibraryError("empty library file")
+    header = lines[0].split()
     try:  # the version, then three counts
-        n_s, n_r, n_t = map(int, rows[0][1:] if rows[0][0] == LIBRARY_FORMAT_VERSION else ())
+        n_s, n_r, n_t = map(int, header[1:] if header[0] == LIBRARY_FORMAT_VERSION else ())
     except ValueError:
         raise LibraryError(f"bad header: {lines[0]!r}") from None
-    records = _records(rows)
-    if records is None:
-        # the first malformed line ends the shortest malformed prefix of the lines
-        n = bisect_left(range(len(rows) + 1), True, key=lambda m: _records(rows[:m]) is None)
-        raise LibraryError(f"line {n}: malformed record: {lines[n - 1]!r}")
-    _check_records(records, (n_s, n_r, n_t))
-    library = CslLibrary(tuple(records[2]), records[0], hashlib.sha256(text.encode()).hexdigest())
-    check_library(library)
-    return library
-
-
-def _check_records(records, counts: tuple[int, int, int]) -> None:
-    """Raise LibraryError unless `_records` found the header's counts of
-    synthons, R-groups and reactions, and every R-group is used by a reaction."""
-    synthons, rgroups, reactions = records
-    if (len(synthons), len(rgroups), len(reactions)) != counts:
+    synthons, rgroups, reactions = [], {}, []
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            kind, record_id, *fields = line.split()
+            record_id = int(record_id)
+            if kind == "S" and len(fields) == 1:
+                synthons.append(SynthonRecord(record_id, fields[0]))
+            elif kind == "R" and record_id not in rgroups:
+                rgroups[record_id] = RgroupSpec(record_id, tuple(map(int, fields)))
+            elif kind == "T":  # naming R-groups defined above it
+                reactions.append(ReactionSpec(record_id, tuple(rgroups[int(r)] for r in fields)))
+            else:
+                raise KeyError(kind)
+        except (ValueError, KeyError):
+            raise LibraryError(f"line {n}: malformed record: {line!r}") from None
+    if (len(synthons), len(rgroups), len(reactions)) != (n_s, n_r, n_t):
         raise LibraryError("header counts do not match record counts")
     unused = rgroups.keys() - {rg.rgroup_id for rx in reactions for rg in rx.rgroups}
     if unused:
         raise LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
+    library = CslLibrary(tuple(reactions), tuple(synthons), sha256)
+    check_library(library)
+    return library
+
+
+def _synthon_lines(text: str) -> tuple[SynthonRecord, ...] | None:
+    """The synthons of the n lines after a text's canonical header, n its count,
+    if each is `S <position> <token>` with one space before each field, as
+    `serialize_library` writes it, else None: one split reads their fields, and
+    one `%` writes them back in that form to compare with the text."""
+    start = text.index("\n") + 1
+    n = int(text[:start].split(" ")[1])
+    fields = text[start:].split(maxsplit=3 * n)[: 3 * n]
+    tokens = fields[2::3]
+    if len(fields) != 3 * n or not text.startswith(format_rows("S %d %s\n", [range(n), tokens]), start):
+        return None
+    # SynthonRecord's own constructor, without a Python call per record
+    return tuple(map(tuple.__new__, repeat(SynthonRecord), zip(range(n), tokens)))
 
 
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 id has 1 + the count of these it reaches digits
@@ -584,13 +587,12 @@ def _id_lines(lines: list[str], kind: str) -> tuple[np.ndarray, np.ndarray] | No
 
 def _tail_library(text: str, sha256: str) -> CslLibrary | None:
     """The library of a text from its header and its last n_r + n_t lines,
-    the R and T lines, read into the layout's arrays (`_id_lines`) with the
-    full parse's count and unused-R-group checks, its reaction id check and
-    `check_library`'s layout checks against the header's synthon count; its
-    synthons are parsed on their first read. None, so that the full parse
-    reads the text, if the header, the line count or the R and T lines are not
-    as `serialize_library` writes them (the R lines in the order the T lines
-    name them), or a check fails."""
+    the R and T lines, read into the layout's arrays (`_id_lines`) and
+    checked by `check_library`'s layout checks against the header's synthon
+    count; its synthons are parsed on their first read. None if a check fails
+    or the header, the line count or the R and T lines are not as
+    `serialize_library` writes them: reaction ids 0..n_t-1, and the R lines in
+    the order the T lines name them, so the header counts them and each is used."""
     header = text.partition("\n")[0]
     try:
         n_s, n_r, n_t = map(int, header.split(" ")[1:])
@@ -606,18 +608,15 @@ def _tail_library(text: str, sha256: str) -> CslLibrary | None:
     (r_ids, r_counts), (t_ids, t_counts) = r_lines, t_lines
     r_first, t_first = np.cumsum(r_counts) - r_counts, np.cumsum(t_counts) - t_counts
     rg_ids = r_ids[r_first]
-    if not np.array_equal(np.delete(t_ids, t_first), rg_ids):
+    if not (np.array_equal(np.delete(t_ids, t_first), rg_ids) and np.array_equal(t_ids[t_first], np.arange(n_t))):
         return None
     ids = r_ids.tolist()
     rgroups = [RgroupSpec(ids[a], tuple(ids[a + 1 : a + c])) for a, c in zip(r_first.tolist(), r_counts.tolist())]
     ends = np.cumsum(t_counts - 1).tolist()
-    reactions = tuple(ReactionSpec(t, tuple(rgroups[a:b]))
-                      for t, a, b in zip(t_ids[t_first].tolist(), [0] + ends, ends))
+    reactions = tuple(ReactionSpec(t, tuple(rgroups[a:b])) for t, (a, b) in enumerate(zip([0] + ends, ends)))
     library = CslLibrary(reactions, (), sha256)
     library.layout = PairLayout.from_arrays(np.delete(r_ids, r_first), rg_ids, r_counts - 1, t_counts - 1)
     try:
-        _check_records(((), dict(zip(rg_ids.tolist(), rgroups)), reactions), (0, n_r, n_t))
-        _check_ids("reaction", [rx.reaction_id for rx in reactions])
         _check_layout(library, n_s)
     except LibraryError:
         return None
@@ -638,11 +637,11 @@ def load_library(path, fingerprint: str | None = None) -> CslLibrary:
     SHA-256 of the text is that fingerprint, the text is the canonical
     serialization of the checked library the table was built from, so it is
     read by its header and its R and T lines alone (`_tail_library`), and its
-    S lines are parsed, in full, on the first read of `synthons`. This trusts
-    the fingerprint: under a forged one, a text with a malformed S line gives
-    the layout of its R and T lines, and the first read of its synthons raises
-    the full parse's LibraryError. A text whose header or R and T lines do not
-    read as canonical is parsed in full, as any other text is.
+    S lines are read on the first read of `synthons`, by `deserialize_library`
+    of the text. This trusts the fingerprint: under a forged one, a text with
+    a malformed S line gives the layout of its R and T lines, and the first
+    read of its synthons raises the parse's LibraryError. A text whose header
+    or R and T lines do not read as canonical is parsed as any other text is.
     """
     with utf8_text(path, LibraryError) as fh:
         text = fh.read()

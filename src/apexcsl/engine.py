@@ -250,8 +250,6 @@ class TopKResult:
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
-    finite = True  # float32 contributions summed with a finite bias (`_key_violation`)
-
     def __init__(self, table: ContributionTable, layout: PairLayout, reaction_pos: int, tasks: list[str]):
         rows = layout.reaction_rows(reaction_pos)
         self.per_task = [
@@ -330,21 +328,19 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _key_violation(values, constraints: tuple[Constraint, ...], n: int, finite: bool) -> np.ndarray:
-    """`violation(values, constraints)` of n products, one value per product.
-    For finite values (`finite`) the hinge step of an infinite bound is
-    skipped: it subtracts max(0.0, -inf) = +0.0, and c - 0.0 == c. Table values
-    are finite: float32 contributions summed with a finite bias, far below the
-    float64 range. Oracle values may overflow, so they take every step."""
-    if not finite:
-        c = violation(values, constraints)
-    else:
-        c = 0.0
-        for v, con in zip(values, constraints):
-            if con.lower > -math.inf:
-                c = c - np.maximum(0.0, con.lower - v)
-            if con.upper < math.inf:
-                c = c - np.maximum(0.0, v - con.upper)
+def _key_violation(values, constraints: tuple[Constraint, ...], n: int) -> np.ndarray:
+    """`violation(values, constraints)` of n products, one value per product,
+    for finite values: the hinge step of an infinite bound is skipped, since
+    on a finite value it subtracts max(0.0, -inf) = +0.0, and c - 0.0 == c.
+    Table values are finite (float32 contributions summed with a finite bias,
+    far below the float64 range), and so are oracle values
+    (`GroundTruthOracle.check_library`)."""
+    c = 0.0
+    for v, con in zip(values, constraints):
+        if con.lower > -math.inf:
+            c = c - np.maximum(0.0, con.lower - v)
+        if con.upper < math.inf:
+            c = c - np.maximum(0.0, v - con.upper)
     return np.broadcast_to(c, (n,)) if np.ndim(c) == 0 else c
 
 
@@ -374,7 +370,7 @@ def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: n
         row, offset = np.divmod(at, len(cols))
         g, s = g0[row] + offset, s.reshape(-1)[at]
         cons_vals = [view.values_at(1 + i, digit[row], offset) for i in range(n_cons)]
-    return _key_violation(cons_vals, query.constraints, len(s), view.finite), s, g
+    return _key_violation(cons_vals, query.constraints, len(s)), s, g
 
 
 def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray,
@@ -404,7 +400,7 @@ def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: n
         block, r, last, offset, val = block[at], r[at], last[at], offset[at], val[at]
     first, later = digit[block], view.later_digits(r, last)
     cons_vals = [view.digit_values(1 + i, first, later) for i in range(len(query.constraints))]
-    return _key_violation(cons_vals, query.constraints, len(val), True), val, g0[block] + offset
+    return _key_violation(cons_vals, query.constraints, len(val)), val, g0[block] + offset
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -533,8 +529,8 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     index order. With them, once the k-th key is feasible, groups gather row
     prefixes (`_gather_group`). `views` maps each reaction position to a
     view that gives the reaction's `block_values` and `values_at`, over many
-    first digits at once, for the objective, then each constraint, and says
-    whether those values are `finite`.
+    first digits at once, for the objective, then each constraint; those
+    values are finite.
     """
     if buf.k == 0:
         return 0

@@ -52,8 +52,6 @@ class _OracleView:
     """One reaction's oracle values for the query's tasks, the objective first,
     read the way `engine.scan_topk` reads a view."""
 
-    finite = False  # sums of finite latents may overflow
-
     def __init__(self, oracle: GroundTruthOracle, library: CslLibrary, reaction_pos: int, tasks: list[str]):
         self.oracle, self.library, self.reaction_pos, self.tasks = oracle, library, reaction_pos, tasks
 
@@ -78,7 +76,9 @@ def oracle_topk(
     The engine's scan scores every block's oracle keys (violation, signed
     objective) into a top-j buffer. Every feasible key ranks above every
     violating one, so the feasible keys are a prefix of the kept ones, ordered
-    by signed objective descending, then lower global index.
+    by signed objective descending, then lower global index. The oracle is
+    checked against the library before the scan, so every value is finite
+    (`GroundTruthOracle.check_library`).
     """
     start, end = index_span(library.layout, index_range)
     if end - start > ORACLE_ENUMERATION_GUARD:
@@ -86,6 +86,7 @@ def oracle_topk(
             f"range of {end - start} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
+    oracle.check_library(library)
     c, s, g, _, _ = scan_topk(library.layout, lambda t: _OracleView(oracle, library, t, query.tasks), query, j,
                               (start, end))
     n = np.count_nonzero(c >= 0.0)
@@ -110,7 +111,10 @@ def satisfaction_rate(
 ) -> dict[str, float]:
     """Fraction of retrieved compounds whose *oracle* values satisfy all bounds,
     plus the library base rate estimated on a seeded uniform sample of
-    BASE_RATE_SAMPLE products."""
+    BASE_RATE_SAMPLE products; OracleError if an oracle value can overflow
+    (`GroundTruthOracle.check_library`)."""
+    oracle.check_library(library)
+
     def satisfied(gidx: np.ndarray) -> np.ndarray:
         vals = [oracle_values(oracle, library, con.task, gidx) for con in constraints]
         return np.asarray(violation(vals, constraints)) == 0.0

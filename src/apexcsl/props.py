@@ -171,10 +171,24 @@ class GroundTruthOracle:
         return [t.name for t in self.tasks]
 
     def check_library(self, library: CslLibrary) -> None:
-        """Every task must hold one latent per synthon of the library."""
+        """Every task must hold one latent per synthon of the library, and no
+        product's value may overflow: per reaction, the R-groups' largest
+        |latent| summed in R-group order from 0.0, then |nonlinear_scale|, then
+        |pair_scale| once per R-group pair, must be finite. The value rule adds
+        terms no larger in magnitude in that order, and rounding is monotone,
+        so no value, nor any sum on the way to it, is larger."""
+        layout = library.layout
+        pairs = layout.n_rgroups * (layout.n_rgroups - 1) // 2
         for t in self.tasks:
             if np.shape(t.latent) != (len(library.synthons),):
                 raise OracleError(f"task {t.name!r} needs one latent per synthon ({len(library.synthons)})")
+            largest = np.maximum.reduceat(np.abs(t.latent[layout.member_ids]), layout.rg_offsets[:-1])
+            with np.errstate(over="ignore"):
+                worst = np.bincount(layout.rg_parent, largest, len(pairs)) + abs(t.nonlinear_scale)
+                for i in range(int(pairs.max(initial=0))):
+                    worst = worst + np.where(pairs > i, abs(t.pair_scale), 0.0)
+            if not np.isfinite(worst).all():
+                raise OracleError(f"task {t.name!r} has latents or scales so large that a value can overflow")
 
 
 def _splitmix(x: np.ndarray) -> np.ndarray:

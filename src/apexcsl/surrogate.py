@@ -144,7 +144,8 @@ def _make_encoder(config: TrainConfig, feature_dim: int, rng: np.random.Generato
 
 def train_surrogate(dataset: LabeledDataset, examples: Examples, config: TrainConfig) -> SurrogateModel:
     """A surrogate over `examples.feature_config`, trained on `dataset`;
-    `examples` is `build_examples` of that dataset."""
+    `examples` is `build_examples` of that dataset. SurrogateError if a task's
+    label mean or standard deviation is not finite."""
     _check_examples(dataset, examples)
     X, feat_rows, feature_config = examples
     task_idx, y, task_names = dataset.task, dataset.value, dataset.task_names
@@ -167,8 +168,11 @@ def train_surrogate(dataset: LabeledDataset, examples: Examples, config: TrainCo
     std = np.ones(n_tasks)
     for t in range(n_tasks):
         sel = task_idx == t
-        mean[t] = y[sel].mean()
-        s = y[sel].std()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean[t] = y[sel].mean()
+            s = y[sel].std()
+        if not np.isfinite([mean[t], s]).all():
+            raise SurrogateError(f"labels of task {task_names[t]!r} have a non-finite mean or standard deviation")
         std[t] = s if s > 0 else 1.0
     y_std = (y - mean[task_idx]) / std[task_idx]
 

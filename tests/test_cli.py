@@ -19,6 +19,13 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def run_process(*argv, python_flags=()):
+    """The finished process of one command in a new interpreter, with the package's source on its path."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, *python_flags, "-m", "apexcsl.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+
+
 def run_on_blob(pipeline, blob, tag, meta, arrays):
     """Write a changed copy of one pipeline blob and run the command that reads it:
     search for the table, precompute for the surrogate and the factorizer."""
@@ -527,6 +534,34 @@ class TestErrors:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_oracle_value_that_can_overflow(self, pipeline, tmp_path):
+        # latents of 1e308 sum to inf: evaluate printed two RuntimeWarnings and
+        # ended in an IndexError traceback; no numpy warning may come first now
+        p = {k: str(v) for k, v in pipeline.items()}
+        doc = json.loads(pipeline["oracle"].read_text())
+        doc["tasks"] = [{**t, "latent": [1e308] * len(t["latent"])} if t["name"] == "mw" else t for t in doc["tasks"]]
+        oracle = tmp_path / "oracle_huge.json"
+        oracle.write_text(json.dumps(doc))
+        proc = run_process("evaluate", "--library", p["library"], "--table", p["table"], "--oracle", str(oracle),
+                           "--query", p["query"], "--out", str(tmp_path / "report.tsv"),
+                           python_flags=("-W", "error::RuntimeWarning"))
+        assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("error: task 'mw'") and "overflow" in proc.stderr
+
+    def test_labels_too_large_to_standardize(self, pipeline, tmp_path):
+        # labels of +-1e308 once trained with exit 0, NaN R2 and RuntimeWarnings
+        p = {k: str(v) for k, v in pipeline.items()}
+        lines = pipeline["labels"].read_text().splitlines()
+        for i, value in ((-2, "1e+308"), (-1, "-1e+308")):
+            lines[i] = lines[i].rsplit("\t", 1)[0] + "\t" + value
+        labels = tmp_path / "labels_huge.tsv"
+        labels.write_text("\n".join(lines) + "\n")
+        proc = run_process("train-surrogate", "--library", p["library"], "--labels", str(labels),
+                           "--out", str(tmp_path / "surrogate.blob"), "--epochs", "1")
+        assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("error: labels of task") and "non-finite mean" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and not (tmp_path / "surrogate.blob").exists()
 
     @pytest.mark.parametrize("blob,field", [
         ("surrogate", "dims"), ("surrogate", "bias"), ("surrogate", "task_names"), ("surrogate", "feature_config"),

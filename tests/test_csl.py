@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,17 +489,22 @@ class TestReadWithFingerprint:
         assert library == full and calls == [1]
 
     def test_canonical_text_builds_no_records(self, medium_library, tmp_path, monkeypatch):
-        # the R lines go straight into the layout's arrays: no per-line records
-        # and no layout built from the reactions; the full parse makes both
+        # the R lines of a canonical text go straight into the layout's arrays,
+        # with or without the fingerprint: no layout built from the reactions;
+        # the line-at-a-time pass builds one
         path = tmp_path / "lib.csl"
         csl.save_library(medium_library, path)
-        calls, records, of = [], csl._records, csl.PairLayout.of
-        monkeypatch.setattr(csl, "_records", lambda rows: calls.append("records") or records(rows))
+        calls, of = [], csl.PairLayout.of
         monkeypatch.setattr(csl.PairLayout, "of", classmethod(lambda cls, reactions: calls.append("of") or of(reactions)))
         library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
         assert library.layout.n_pairs == pair_count(medium_library) and calls == []
-        csl.load_library(path)
-        assert calls == ["records", "of"]
+        library = csl.load_library(path)
+        assert library.layout.n_pairs == pair_count(medium_library) and calls == []
+        assert library == medium_library and calls == []
+        tabbed = path.read_text().replace(" ", "\t", 1)
+        expected = reference_deserialize(tabbed)
+        calls.clear()
+        assert csl.deserialize_library(tabbed) == expected and calls == ["of"]
 
     def test_crlf_copy_is_not_parsed(self, medium_library, tmp_path, monkeypatch):
         # text mode reads "\r\n" as "\n": the text read is the canonical one
@@ -776,6 +782,20 @@ def test_deserialize_matches_line_at_a_time_parser(lines):
     # the same library, or the same message naming the same line
     text = "\n".join(lines) + "\n"
     assert outcome(csl.deserialize_library, text) == outcome(reference_deserialize, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(library=mixed_libraries())
+def test_serialization_reads_back_without_the_line_pass(library):
+    # every text serialize_library writes is read into the layout's arrays; the
+    # line-at-a-time pass builds its layout from the reactions
+    def of(cls, reactions):
+        raise AssertionError("the line-at-a-time pass read a serialized library")
+
+    with mock.patch.object(csl.PairLayout, "of", classmethod(of)):
+        read = csl.deserialize_library(csl.serialize_library(library))
+        assert read == library
+        assert_same_layout(read.layout, library.layout)
 
 
 @settings(max_examples=100, deadline=None)

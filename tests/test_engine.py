@@ -134,20 +134,8 @@ class TestViolation:
         cons = tuple(engine.Constraint(f"c{i}", lo, hi) for i, (lo, hi) in enumerate(bounds))
         vals = [np.asarray(values[i:] + values[:i]) for i in range(len(cons))]
         expected = np.broadcast_to(engine.violation(vals, cons), (4,))
-        for finite in (True, False):
-            got = engine._key_violation(vals, cons, 4, finite)
-            assert got.shape == (4,) and got.tobytes() == expected.tobytes()
-
-    def test_key_violation_takes_every_hinge_of_values_that_are_not_finite(self):
-        # an oracle value may overflow to inf; inf - inf is NaN at the infinite
-        # bound, which violation keeps and the skip would not
-        cons = (engine.Constraint("a", lower=0.0),)
-        vals = [np.array([np.inf, 1.0])]
-        with np.errstate(invalid="ignore"):
-            got = engine._key_violation(vals, cons, 2, finite=False)
-            skipped = engine._key_violation(vals, cons, 2, finite=True)
-        assert np.isnan(got[0]) and got[1] == 0.0
-        assert skipped.tolist() == [0.0, 0.0]
+        got = engine._key_violation(vals, cons, 4)
+        assert got.shape == (4,) and got.tobytes() == expected.tobytes()
 
 
 class TestQuerySpec:

@@ -60,6 +60,22 @@ class TestOracleTopK:
             evalkit.oracle_topk(big, oracle, q, 1)
 
 
+def test_oracle_values_that_can_overflow_are_refused(exact_setup):
+    # constraint latents of 1e308 sum to inf, inf - inf gave a NaN key at the
+    # infinite bound, and oracle_topk ended in an IndexError in compact
+    library, _, table = exact_setup
+    n = len(library.synthons)
+    oracle = props.GroundTruthOracle([props.TaskDef("obj", "additive", np.arange(n, dtype=np.float64)),
+                                      props.TaskDef("con", "additive", np.full(n, 1e308))], seed=0)
+    cons = (engine.Constraint("con", lower=0.0),)
+    q = engine.QuerySpec("obj", "maximize", cons, k=5)
+    with pytest.raises(props.OracleError, match="^task 'con' .*overflow"):
+        evalkit.oracle_topk(library, oracle, q, 5)
+    retrieved = engine.search_topk_stream(library, table, q)
+    with pytest.raises(props.OracleError, match="^task 'con' .*overflow"):
+        evalkit.satisfaction_rate(retrieved, oracle, library, cons)
+
+
 def reference_oracle_topk(library, oracle, query, j, index_range=None):
     """The per-product heap loop `oracle_topk` replaced: (global index,
     objective) pairs, signed objective descending, then lower index."""

@@ -1,6 +1,6 @@
-"""No package code is reached only by tests: every public module-level function
-and class of src/apexcsl is named in the package, its scripts or its benchmark,
-or exported by apexcsl/__init__.py. No module of the package reaches into
+"""No package code is reached only by tests: every module-level def, class and
+constant of src/apexcsl is read in the package, its scripts or its benchmark,
+outside its own definition. No module of the package reaches into
 another's private names, and only csl reads the mixed-radix arrays."""
 
 import ast
@@ -14,24 +14,35 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_definition_has_a_caller():
-    used = set()
+def _defined_names(statement):
+    """The names a module-level statement defines: a def's, a class's or an assignment's."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_module_level_name_has_a_reader():
+    # a def, class or constant of the package that nothing in the package, its
+    # scripts or its benchmark reads (a load, an attribute or an import), outside
+    # its own definition, has no caller but the tests
+    read = set()
     for root in (PACKAGE, REPO / "scripts", REPO / "perfbench"):
         for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    used |= {alias.asname or alias.name for node in _parse(PACKAGE / "__init__.py").body
-             if isinstance(node, ast.ImportFrom) for alias in node.names}  # the package's exports
-    unreached = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _parse(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in used):
-                unreached.append(f"{path.stem}.{node.name}")
-    assert unreached == []
+            for statement in _parse(path).body:
+                own = _defined_names(statement) if path.parent == PACKAGE else set()
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, (ast.Attribute, ast.alias)):
+                        name = node.attr if isinstance(node, ast.Attribute) else node.name
+                    else:
+                        continue
+                    if name not in own:
+                        read.add(name)
+    unread = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for statement in _parse(path).body
+              for name in sorted(_defined_names(statement)) if name not in read and not name.startswith("__")]
+    assert unread == []
 
 
 def test_no_private_name_crosses_modules():

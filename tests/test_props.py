@@ -336,6 +336,27 @@ class TestGroundTruth:
         with pytest.raises(props.OracleError, match="one latent per synthon"):
             other.check_library(small_library)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("latent, nonlinear, pair, refused", [
+        (0.3, 0.0, 0.0, False), (0.5, 0.0, 0.0, True), (0.3, 0.05, 0.0, False), (0.3, 0.15, 0.0, True),
+        (0.0, 0.0, 0.3, False), (0.0, 0.0, 0.5, True), (0.2, 0.1, 0.05, False), (0.2, 0.1, 0.2, True),
+    ])
+    def test_values_that_can_overflow_are_refused(self, small_library, latent, nonlinear, pair, refused):
+        # per reaction, each R-group's largest |latent|, then |nonlinear_scale|,
+        # then |pair_scale| once per R-group pair, as fractions of the float64
+        # range; the library's 3-component reaction has 3 R-groups and 3 pairs
+        top = np.finfo(np.float64).max
+        task = props.TaskDef("t", "additive+nonlinear+pairwise", np.full(len(small_library.synthons), -latent * top),
+                             nonlinear_scale=nonlinear * top, pair_scale=-pair * top, pair_density=1.0)
+        oracle = props.GroundTruthOracle([task], seed=0)
+        if refused:
+            with pytest.raises(props.OracleError, match="^task 't' .*overflow"):
+                oracle.check_library(small_library)
+        else:
+            oracle.check_library(small_library)
+            values = props.oracle_values(oracle, small_library, "t", np.arange(csl.product_count(small_library)))
+            assert np.isfinite(values).all()
+
 
 class TestLabelLibrary:
     def test_full_enumeration_row_count(self, small_library, small_oracle):
