@@ -14,6 +14,6 @@ from .csl import (
 from .engine import Constraint, ContributionTable, QuerySpec, TopKResult
 from .props import FeatureConfig, GroundTruthOracle, LabeledDataset
 from .surrogate import SurrogateModel
-from .factorizer import Factorizer, HierarchyCache, load_cache
+from .factorizer import Factorizer, HierarchyCache
 
 __version__ = "0.1.0"

@@ -238,7 +238,9 @@ class CslLibrary:
         # of a library `load_library` read without its S lines
         if name != "synthons" or "_unparsed" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.synthons = deserialize_library(self._unparsed).synthons
+        # the S lines as `serialize_library` writes them, else as the full parse reads them or fails
+        synthons = _synthon_lines(self._unparsed)
+        self.synthons = deserialize_library(self._unparsed).synthons if synthons is None else synthons
         del self._unparsed
         return self.synthons
 
@@ -637,11 +639,12 @@ def load_library(path, fingerprint: str | None = None) -> CslLibrary:
     SHA-256 of the text is that fingerprint, the text is the canonical
     serialization of the checked library the table was built from, so it is
     read by its header and its R and T lines alone (`_tail_library`), and its
-    S lines are read on the first read of `synthons`, by `deserialize_library`
-    of the text. This trusts the fingerprint: under a forged one, a text with
-    a malformed S line gives the layout of its R and T lines, and the first
-    read of its synthons raises the parse's LibraryError. A text whose header
-    or R and T lines do not read as canonical is parsed as any other text is.
+    S lines are read on the first read of `synthons`, by `_synthon_lines`.
+    This trusts the fingerprint: under a forged one, a text with a malformed
+    S line gives the layout of its R and T lines, and the first read of its
+    synthons raises the LibraryError of `deserialize_library` of the text. A
+    text whose header or R and T lines do not read as canonical is parsed as
+    any other text is.
     """
     with utf8_text(path, LibraryError) as fh:
         text = fh.read()

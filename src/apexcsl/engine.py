@@ -53,16 +53,18 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
   R-groups' largest contributions in magnitude (so |h| + |x| <= A, to within
   a few u), is more than both together (2^-1022 covers a margin that
   underflows), so every product with sv >= ts is counted. `_prefix_keys`
-  sums each counted product in `block_values`'s order, keeps it iff sv >= ts
-  (a tie with the k-th key is kept: it wins on a lower global index), and
-  then drops the offsets outside its block's [lo, hi) clip. The batched
-  scan, `evalkit.oracle_topk` (whose values are not separable) and every
-  group scored before the k-th key is feasible score every product of their
-  blocks.
-* Selection. A group is filtered against the k-th key as it began (once
-  that key is feasible, constraints are evaluated only where the objective
-  reaches it); the survivors are kept pending in `_TopKBuffer`, which
-  compacts to the best k once k are pending.
+  sums each task at every counted product inside its block's [lo, hi) clip:
+  the row sum (`row_sums`, from which `h` and `block_values` are built too),
+  plus the last R-group's contribution, then the bias, the additions
+  `block_values` makes. The batched scan, `evalkit.oracle_topk` (whose
+  values are not separable) and every group scored before the k-th key is
+  feasible score every product of their blocks (`_group_keys`).
+* Selection. `_TopKBuffer` is the one filter: the keys the scorers give are
+  offered to it, it drops those that do not beat the k-th key (a tie on
+  violation and signed objective wins on a lower global index), keeps the
+  rest pending, and compacts to the best k once k are pending. The k-th key
+  decides only which blocks are visited and how many products of a row are
+  gathered.
 
 Both variants and `evalkit.oracle_topk` get their top k from `scan_topk`,
 which runs that loop into that one buffer. The buffer finds the best-k set by
@@ -207,8 +209,26 @@ class QuerySpec:
         return [self.objective] + [c.task for c in self.constraints]
 
     def validate_tasks(self, table: ContributionTable) -> None:
+        """Every task must be in the table, and no violation may overflow: the
+        sum, over the finite bounds in `violation`'s order, of |bound| plus the
+        largest |value| of the bound's task must be finite. That largest value
+        is the R-groups' largest |contribution| summed from 0.0 in R-group
+        order, then |bias|: the scan adds terms no larger in that order, and
+        rounding is monotone. The table does not say which R-groups share a
+        reaction, so every R-group is summed, which no reaction's sum exceeds."""
         for name in self.tasks:
             table.task_index(name)
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for con in self.constraints:
+                t = table.task_index(con.task)
+                largest = np.maximum.reduceat(np.abs(table.values[t].astype(np.float64)), table.rg_offsets[:-1])
+                worst = np.cumsum(np.append(0.0, largest))[-1] + abs(table.biases[t])
+                for bound in (con.lower, con.upper):
+                    if math.isfinite(bound):
+                        total = total + (abs(bound) + worst)
+        if not np.isfinite(total):
+            raise EngineError("constraint bounds are so large that a violation can overflow")
 
 
 def violation(values, constraints: tuple[Constraint, ...]):
@@ -256,46 +276,25 @@ class _ReactionView:
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
-        self._decoded = (None, [])  # the last offsets `values_at` read, and their later digits
         # the objective's last R-group in the search's signed order, sorted at the first `row_prefixes`
         self.last_order = None
 
-    def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
-        """Float64 task values over blocks, one row per first digit, summed in R-group order."""
+    def row_sums(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
+        """Over blocks, one row per first digit: each block row's task sum of
+        every R-group but the last, added in R-group order."""
         arrs = self.per_task[task_pos]
-        val = arrs[0][first_digits]
-        for a in arrs[1:]:
-            val = val[..., None] + a
+        h = arrs[0][first_digits][:, None]
+        for a in arrs[1:-1]:
+            h = (h[..., None] + a).reshape(len(first_digits), -1)
+        return h
+
+    def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
+        """Float64 task values over blocks, one row per first digit: each row
+        sum plus the last R-group's contribution, then the bias."""
+        val = (self.row_sums(task_pos, first_digits)[..., None] + self.per_task[task_pos][-1])
         val = val.reshape(len(first_digits), -1)
         val += self.biases[task_pos]
         return val
-
-    def values_at(self, task_pos: int, first_digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """`block_values(task_pos, first_digits)[i, offsets[i]]` for every i,
-        summed only at those offsets. The offsets are decoded into later digits
-        once for the calls that pass the same offsets array, one per constraint."""
-        if self._decoded[0] is not offsets:
-            self._decoded = (offsets, self.later_digits(*np.divmod(offsets, len(self.per_task[0][-1]))))
-        return self.digit_values(task_pos, first_digits, self._decoded[1])
-
-    def later_digits(self, rows: np.ndarray, last: np.ndarray) -> list[np.ndarray]:
-        """The digits of every R-group but the first, of the products at block
-        rows `rows` (the middle R-groups' digits, mixed radix) and last digits `last`."""
-        middle = self.per_task[0][1:-1]
-        digits = [last]
-        for a in middle[:0:-1]:  # the first middle digit is what the others leave
-            rows, d = np.divmod(rows, len(a))
-            digits.append(d)
-        return (digits + [rows] if middle else digits)[::-1]
-
-    def digit_values(self, task_pos: int, first_digits: np.ndarray, later: list[np.ndarray]) -> np.ndarray:
-        """`block_values` of every product given by its first digit and its later
-        R-groups' digits (`later_digits`), summed in the same order."""
-        arrs = self.per_task[task_pos]
-        val = arrs[0][first_digits]
-        for a, d in zip(arrs[1:], later):
-            val = val + a[d]
-        return val + self.biases[task_pos]
 
     def row_prefixes(self, first_digits: np.ndarray, sign: float, ts: float) -> tuple[np.ndarray, np.ndarray]:
         """Over blocks, one row per first digit: each block row's objective sum
@@ -304,15 +303,13 @@ class _ReactionView:
         signed objective is at least `ts` (see the module notes)."""
         arrs = self.per_task[0]
         if self.last_order is None:
-            # the digits, the values and the ascending search keys of the signed
-            # order; a prefix never splits equal keys, so any sort will do
+            # the digits and the ascending search keys of the signed order; a
+            # prefix never splits equal keys, so any sort will do
             keys = arrs[-1] * -sign
             order = keys.argsort()
-            self.last_order = (order, arrs[-1][order], keys[order], sum(float(np.abs(a).max()) for a in arrs))
-        _, _, keys, magnitude = self.last_order
-        h = arrs[0][first_digits][:, None]
-        for a in arrs[1:-1]:
-            h = (h[..., None] + a).reshape(len(first_digits), -1)
+            self.last_order = (order, keys[order], sum(float(np.abs(a).max()) for a in arrs))
+        _, keys, magnitude = self.last_order
+        h = self.row_sums(0, first_digits)
         bias = self.biases[0]
         c = sign * bias - ts + (2.0 ** -48 * (magnitude + abs(bias) + abs(ts)) + 2.0 ** -1022)
         return h, np.searchsorted(keys, h + c if sign > 0 else c - h, side="right")
@@ -344,63 +341,48 @@ def _key_violation(values, constraints: tuple[Constraint, ...], n: int) -> np.nd
     return np.broadcast_to(c, (n,)) if np.ndim(c) == 0 else c
 
 
-def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                kth: tuple[float, float, int] | None = None):
-    """(violation, signed objective, global index) keys of one reaction's
-    blocks, each clipped to its [lo, hi) offsets: every product, or with `kth`,
-    a subset that holds every product whose key may beat it.
-
-    Once the k-th key is feasible, a winner must be feasible with a signed
-    objective no lower than the k-th's, so constraints are evaluated only at the
-    products that pass the objective test.
-    """
+def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(violation, signed objective, global index) keys of every product of
+    one reaction's blocks, each clipped to its [lo, hi) offsets."""
     s = view.block_values(0, digit)
     if query.direction == "minimize":
         np.negative(s, out=s)
     cols = np.arange(s.shape[1])
-    keep = (cols >= lo[:, None]) & (cols < hi[:, None]) if lo.any() or (hi < len(cols)).any() else None
-    if kth is not None and kth[0] == 0.0:
-        keep = s >= kth[1] if keep is None else keep & (s >= kth[1])
-    n_cons = len(query.constraints)
-    if keep is None:
-        g, s = (g0[:, None] + cols).reshape(-1), s.reshape(-1)
-        cons_vals = [view.block_values(1 + i, digit).reshape(-1) for i in range(n_cons)]
+    keys = [g0[:, None] + cols, s] + [view.block_values(1 + i, digit) for i in range(len(query.constraints))]
+    if lo.any() or (hi < len(cols)).any():
+        keep = (cols >= lo[:, None]) & (cols < hi[:, None])
+        g, s, *cons_vals = [x[keep] for x in keys]
     else:
-        at = np.flatnonzero(keep)
-        row, offset = np.divmod(at, len(cols))
-        g, s = g0[row] + offset, s.reshape(-1)[at]
-        cons_vals = [view.values_at(1 + i, digit[row], offset) for i in range(n_cons)]
+        g, s, *cons_vals = [x.reshape(-1) for x in keys]
     return _key_violation(cons_vals, query.constraints, len(s)), s, g
 
 
 def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, h: np.ndarray, counts: np.ndarray, ts: float):
+                 hi: np.ndarray, h: np.ndarray, counts: np.ndarray):
     """(violation, signed objective, global index) keys of the products of one
-    reaction's blocks, each clipped to its [lo, hi) offsets, whose signed
-    objective is at least `ts`: only the prefix of each block row that
-    `row_prefixes` gave (`h`, `counts`) is summed, in `block_values`'s order,
-    and the constraints at the row and last digit each product was gathered by."""
-    order, values, _, _ = view.last_order
+    reaction's blocks, each clipped to its [lo, hi) offsets, that `row_prefixes`
+    gathered (`h`, `counts`): each task's row sum plus the last R-group's
+    contribution, then the bias, as `block_values` adds them."""
+    order = view.last_order[0]
     n_rows, flat = h.shape[1], counts.reshape(-1)
     ends = np.cumsum(flat)
     row = np.repeat(np.arange(len(flat)), flat)
     rank = np.arange(ends[-1]) - (ends - flat)[row]
-    val = h.reshape(-1)[row] + values[rank]
-    val += view.biases[0]
-    if query.direction == "minimize":
-        np.negative(val, out=val)
-    block, r = np.divmod(row, n_rows)
     last = order[rank]
-    offset = r * len(order) + last
-    keep = val >= ts
+    offset = row % n_rows * len(order) + last
     if lo.any() or (hi < n_rows * len(order)).any():
-        keep &= (offset >= lo[block]) & (offset < hi[block])
-    if not keep.all():  # most gathered products are kept
-        at = np.flatnonzero(keep)
-        block, r, last, offset, val = block[at], r[at], last[at], offset[at], val[at]
-    first, later = digit[block], view.later_digits(r, last)
-    cons_vals = [view.digit_values(1 + i, first, later) for i in range(len(query.constraints))]
-    return _key_violation(cons_vals, query.constraints, len(val)), val, g0[block] + offset
+        block = row // n_rows
+        at = np.flatnonzero((offset >= lo[block]) & (offset < hi[block]))
+        row, last, offset = row[at], last[at], offset[at]
+    vals = []
+    for i, arrs in enumerate(view.per_task):
+        v = (view.row_sums(i, digit) if i else h).reshape(-1)[row] + arrs[-1][last]
+        v += view.biases[i]
+        vals.append(v)
+    s, *cons_vals = vals
+    if query.direction == "minimize":
+        np.negative(s, out=s)
+    return _key_violation(cons_vals, query.constraints, len(s)), s, g0[row // n_rows] + offset
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +497,7 @@ def _gather_group(buf: _TopKBuffer, views, query: QuerySpec, blocks: np.ndarray,
         m = np.count_nonzero(mine[:n])
         if m:
             digit, g0, lo, hi = blocks[1:, :n][:, mine[:n]]
-            buf.offer(*_prefix_keys(views[t], query, digit, g0, lo, hi, h[:m], counts[:m], buf.kth[1]))
+            buf.offer(*_prefix_keys(views[t], query, digit, g0, lo, hi, h[:m], counts[:m]))
     return n
 
 
@@ -528,9 +510,8 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     holds the two bounds per block; without them every block is scored, in
     index order. With them, once the k-th key is feasible, groups gather row
     prefixes (`_gather_group`). `views` maps each reaction position to a
-    view that gives the reaction's `block_values` and `values_at`, over many
-    first digits at once, for the objective, then each constraint; those
-    values are finite.
+    view that gives the reaction's `block_values`, over many first digits at
+    once, for the objective, then each constraint; those values are finite.
     """
     if buf.k == 0:
         return 0
@@ -555,7 +536,7 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
             group = visit[:, i:j]
             for t in np.unique(group[0]).tolist():
                 digit, g0, lo, hi = group[1:, group[0] == t]
-                buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi, buf.kth))
+                buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi))
         else:
             j = i + _gather_group(buf, views, query, visit[:, i:min(stop, i + width)], rows)
         i, width, stop = j, 2 * width, buf.unbeaten(neg_c, neg_s)

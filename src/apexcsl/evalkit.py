@@ -58,10 +58,6 @@ class _OracleView:
     def block_values(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
         return oracle_block_values(self.oracle, self.library, self.tasks[task_pos], self.reaction_pos, first_digits)
 
-    def values_at(self, task_pos: int, first_digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        blocks, row = np.unique(first_digits, return_inverse=True)
-        return self.block_values(task_pos, blocks)[row, offsets]
-
 
 def oracle_topk(
     library: CslLibrary,

@@ -12,12 +12,12 @@ holds to ~1e-6 relative tolerance (float summation order), not bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, PairLayout, fingerprint_matches, gather_sum, product_count
+from .csl import CslLibrary, PairLayout, gather_sum, product_count
 from .nn import MLP, Adam, ParamBuffer
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
@@ -347,19 +347,3 @@ def save_cache(cache: HierarchyCache, path) -> None:
     }
     save_blob(path, meta, _cache_arrays(cache))
 
-
-def load_cache(path, library: CslLibrary, factorizer: Factorizer) -> HierarchyCache:
-    """A cache written by save_cache for this library by a factorizer of this
-    one's widths and feature config, which the blob does not store."""
-    meta, arrays = load_meta_blob(path, "hierarchy_cache", CHECKPOINT_VERSION, FactorizerError,
-                                  fingerprint=str, synthon_encoder_evals=int)
-    if not fingerprint_matches(library, meta["fingerprint"]):
-        raise FactorizerError(f"{path}: library fingerprint does not match the hierarchy cache")
-    layout, dims = library.layout, factorizer.dims
-    empty = HierarchyCache(np.empty((len(library.synthons), dims.d_s)), np.empty((len(layout.rg_ids), dims.d_r)),
-                           np.empty((len(library.reactions), dims.d_t)), np.empty((layout.n_pairs, dims.d)),
-                           layout, meta["fingerprint"], meta["synthon_encoder_evals"], factorizer.feature_config)
-    check_arrays(path, arrays, _cache_arrays(empty), FactorizerError)
-    if not layout.matches(arrays["member_ids"], arrays["rg_offsets"], arrays["rg_ids"]):
-        raise FactorizerError(f"{path}: hierarchy cache's pair rows are not laid out as the library's")
-    return replace(empty, h_s=arrays["h_s"], h_r=arrays["h_r"], h_t=arrays["h_t"], u=arrays["u"])

@@ -236,7 +236,9 @@ def _task_values(oracle: GroundTruthOracle, task: TaskDef, ids):
         base = base + task.latent[s]
     value, terms = base, task.terms
     if "nonlinear" in terms:
-        value = value + task.nonlinear_scale * np.tanh(task.nonlinear_alpha * base)
+        with np.errstate(over="ignore"):  # tanh(+-inf) is +-1.0, the limit of a finite product
+            scaled = task.nonlinear_alpha * base
+        value = value + task.nonlinear_scale * np.tanh(scaled)
     if "pairwise" in terms:
         salt = _task_salt(oracle, task)
         for a, b in combinations(ids, 2):

@@ -549,6 +549,22 @@ class TestErrors:
         assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
         assert proc.stderr.startswith("error: task 'mw'") and "overflow" in proc.stderr
 
+    @pytest.mark.parametrize("n_bounds", [1, 2])
+    def test_query_bounds_that_can_overflow_the_violation(self, pipeline, tmp_path, n_bounds):
+        # one lower bound of 1e308 leaves the violation finite; two summed
+        # overflow, and once printed a RuntimeWarning and exited 0
+        p = {k: str(v) for k, v in pipeline.items()}
+        query = tmp_path / f"query_huge_{n_bounds}.json"
+        query.write_text(json.dumps({"objective": {"task": "dock_a", "direction": "maximize"},
+                                     "constraints": [{"task": "mw", "lower": 1e308}] * n_bounds, "k": 8}))
+        proc = run_process("search", "--library", p["library"], "--table", p["table"], "--query", str(query),
+                           "--out", str(tmp_path / "hits.tsv"), python_flags=("-W", "error::RuntimeWarning"))
+        if n_bounds == 1:
+            assert proc.returncode == 0 and proc.stderr == ""
+        else:
+            assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
+            assert proc.stderr.startswith(f"error: {query}: ") and "overflow" in proc.stderr
+
     def test_labels_too_large_to_standardize(self, pipeline, tmp_path):
         # labels of +-1e308 once trained with exit 0, NaN R2 and RuntimeWarnings
         p = {k: str(v) for k, v in pipeline.items()}
@@ -687,16 +703,20 @@ class TestErrors:
         expected = p["dir"] + f"/hits_parsed_{assemble}.tsv"
         assert run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"],
                    "--out", expected, *flags) == 0
-        calls, parse = [], csl._parse_library
-        monkeypatch.setattr(csl, "_parse_library", lambda text: calls.append(1) or parse(text))
+        parses, calls = [], []
+        for counted, attr in ((parses, "_parse_library"), (calls, "_synthon_lines")):
+            monkeypatch.setattr(csl, attr, lambda text, f=getattr(csl, attr), c=counted: c.append(1) or f(text))
         for name, data in copies.items():
             library = pipeline["dir"] / f"library_{name}.csl"
             library.write_bytes(data)
             out = pipeline["dir"] / f"hits_{name}_{assemble}.tsv"
+            parses.clear()
             calls.clear()
             assert run("search", "--library", str(library), "--table", p["table"], "--query", p["query"],
                        "--out", str(out), *flags) == 0
-            assert calls == ([1] if assemble or name == "tabbed" else [])
+            # the tabbed copy's header is not canonical, so its S lines are parsed a line at a time
+            assert parses == ([1] if name == "tabbed" else [])
+            assert calls == ([1] if assemble and name != "tabbed" else [])
             assert out.read_bytes() == pathlib.Path(expected).read_bytes()
 
     @pytest.mark.parametrize("case", ["tables_first", "rgroups_first", "rgroups_swapped", "negative_count",

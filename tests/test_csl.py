@@ -448,10 +448,11 @@ class TestParsePausesCollection:
         assert "start" not in phases
 
 
-def counted_parses(monkeypatch):
-    """A list that gains an item at each full parse of a library text."""
-    calls, parse = [], csl._parse_library
-    monkeypatch.setattr(csl, "_parse_library", lambda text: calls.append(1) or parse(text))
+def counted_parses(monkeypatch, name="_parse_library"):
+    """A list that gains an item at each call of `csl.<name>`: by default,
+    each full parse of a library text."""
+    calls, original = [], getattr(csl, name)
+    monkeypatch.setattr(csl, name, lambda text: calls.append(1) or original(text))
     return calls
 
 
@@ -476,17 +477,17 @@ class TestReadWithFingerprint:
         path = tmp_path / "lib.csl"
         csl.save_library(medium_library, path)
         full = csl.load_library(path)
-        calls = counted_parses(monkeypatch)
+        parses, calls = counted_parses(monkeypatch), counted_parses(monkeypatch, "_synthon_lines")
         library = csl.load_library(path, fingerprint=csl.library_fingerprint(medium_library))
         assert_same_layout(library.layout, full.layout)
         assert library.reactions == full.reactions
         assert csl.fingerprint_matches(library, csl.library_fingerprint(medium_library))
         assert calls == []
-        # the synthons come from the full parse of the text, on their first read
+        # the synthons come from one read of the text's S lines, on their first read
         assert library.synthons == full.synthons
         assert calls == [1]
         assert csl.serialize_library(library) == path.read_text()
-        assert library == full and calls == [1]
+        assert library == full and calls == [1] and parses == []
 
     def test_canonical_text_builds_no_records(self, medium_library, tmp_path, monkeypatch):
         # the R lines of a canonical text go straight into the layout's arrays,

@@ -153,6 +153,31 @@ class TestQuerySpec:
         with pytest.raises(engine.EngineError, match="unknown task"):
             q.validate_tasks(table)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bounds, bias, refused", [
+        ([(0.75, math.inf)], 0.0, False), ([(0.75, math.inf)], 0.3, True), ([(-math.inf, math.inf)], 0.9, False),
+        ([(-1.0, 1.0)], 0.0, True), ([(0.6, math.inf), (-math.inf, -0.6)], 0.0, True),
+    ])
+    def test_bounds_that_can_overflow_the_violation_are_refused(self, bounds, bias, refused):
+        # bounds and the constraint task's bias as fractions of the float64
+        # range: |bound| plus the task's largest |value|, summed over the
+        # finite bounds, must be finite; an accepted query scans with no warning
+        top = np.finfo(np.float64).max
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=2, components=(2, 3), synthons_per_rgroup=3), seed=0
+        )
+        n_pairs = pair_count(library)
+        table = table_from_values(library, ["obj", "c"], [np.arange(n_pairs), np.ones(n_pairs)], [0.0, bias * top])
+        cons = tuple(engine.Constraint("c", lo * top, hi * top) for lo, hi in bounds)
+        q = engine.QuerySpec("obj", "maximize", cons, k=5)
+        if refused:
+            with pytest.raises(engine.EngineError, match="overflow"):
+                q.validate_tasks(table)
+        else:
+            q.validate_tasks(table)
+            assert result_keys(engine.search_topk_stream(library, table, q), "maximize") == \
+                result_keys(engine.search_topk_batched(library, table, q), "maximize")
+
 
 QUERIES = [
     engine.QuerySpec("obj", "maximize", (), k=10),
@@ -479,17 +504,24 @@ class TestBlockSkipping:
         )
         table = table_from_values(library, ["obj", "c"], [np.arange(12.0), np.zeros(12)], [0.0, 0.0])
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c", upper=0.5),), k=2)
-        calls, group_keys, unbeaten = [], engine._group_keys, engine._TopKBuffer.unbeaten
+        calls, group_keys, offer, unbeaten = [], engine._group_keys, engine._TopKBuffer.offer, \
+            engine._TopKBuffer.unbeaten
 
-        def record_keys(view, query, digit, g0, lo, hi, kth):
-            calls.append((g0.tolist(), lo.tolist(), hi.tolist(), kth))
-            return group_keys(view, query, digit, g0, lo, hi, kth)
+        def record_keys(view, query, digit, g0, lo, hi):
+            calls.append((g0.tolist(), lo.tolist(), hi.tolist()))
+            return group_keys(view, query, digit, g0, lo, hi)
+
+        def record_offer(buf, *keys):
+            # the k-th key the scored blocks' keys are offered against
+            calls[-1] += (buf.kth,)
+            return offer(buf, *keys)
 
         def record_stop(buf, *args):
             calls.append("|")
             return unbeaten(buf, *args)
 
         with mock.patch.object(engine, "GROUP_PRODUCTS", 8), mock.patch.object(engine, "_group_keys", record_keys), \
+                mock.patch.object(engine._TopKBuffer, "offer", record_offer), \
                 mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
             got = engine.search_topk_batched(library, table, q, index_range=(4, 17))
         # groups of one block, two blocks (one per reaction, the k-th key rising
@@ -601,14 +633,34 @@ def _record_prefix_parts():
     (first digits, lo, hi, prefix lengths) in."""
     calls, prefix_keys = [], engine._prefix_keys
 
-    def record(view, query, digit, g0, lo, hi, h, counts, ts):
+    def record(view, query, digit, g0, lo, hi, h, counts):
         calls.append((digit.tolist(), lo.tolist(), hi.tolist(), counts.tolist()))
-        return prefix_keys(view, query, digit, g0, lo, hi, h, counts, ts)
+        return prefix_keys(view, query, digit, g0, lo, hi, h, counts)
 
     return calls, mock.patch.object(engine, "_prefix_keys", record)
 
 
 class TestRowPrefixes:
+    @given(case=prefix_search_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_whole_prefixes_key_as_the_blocks_do(self, case):
+        # with no k-th key to reach, every row's prefix is the whole row, and
+        # the gathered products' keys are those of scoring the clipped blocks:
+        # one summation routine (row sums, then the last R-group, then the bias)
+        library, table, query, span = case
+        sign = 1.0 if query.direction == "maximize" else -1.0
+        blocks = np.stack(library.layout.blocks(*span))
+        for t in np.unique(blocks[0]).tolist():
+            digit, g0, lo, hi = blocks[1:, blocks[0] == t]
+            view = engine._ReactionView(table, library.layout, t, query.tasks)
+            h, counts = view.row_prefixes(digit, sign, -np.inf)
+            assert (counts == len(view.per_task[0][-1])).all()
+            assert h.tobytes() == view.row_sums(0, digit).tobytes()
+            gathered = engine._prefix_keys(view, query, digit, g0, lo, hi, h, counts)
+            scored = engine._group_keys(view, query, digit, g0, lo, hi)
+            assert [np.asarray(x)[np.argsort(gathered[2])].tobytes() for x in gathered] == \
+                [np.asarray(x)[np.argsort(scored[2])].tobytes() for x in scored]
+
     @given(case=prefix_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
     @settings(max_examples=300, deadline=None)
     def test_stream_matches_batched_and_brute_force(self, case, cap):
@@ -708,13 +760,13 @@ class TestRowPrefixes:
         groups, group_keys, prefix_keys, unbeaten = [], engine._group_keys, engine._prefix_keys, \
             engine._TopKBuffer.unbeaten
 
-        def record_keys(view, query, digit, g0, lo, hi, kth):
+        def record_keys(view, query, digit, g0, lo, hi):
             groups[-1].append(("score", len(digit), int((hi - lo).sum()), 0, 0))
-            return group_keys(view, query, digit, g0, lo, hi, kth)
+            return group_keys(view, query, digit, g0, lo, hi)
 
-        def record_prefixes(view, query, digit, g0, lo, hi, h, counts, ts):
+        def record_prefixes(view, query, digit, g0, lo, hi, h, counts):
             groups[-1].append(("gather", len(digit), int((hi - lo).sum()), int(counts.sum()), h.size))
-            return prefix_keys(view, query, digit, g0, lo, hi, h, counts, ts)
+            return prefix_keys(view, query, digit, g0, lo, hi, h, counts)
 
         def record_stop(buf, *args):
             groups.append([])

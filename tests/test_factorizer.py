@@ -231,72 +231,22 @@ class TestCheckpoint:
         assert loaded.dims == f.dims
 
     def test_cache_roundtrip(self, small_library, tiny_surrogate, tmp_path):
+        # what save_cache writes, read back as a plain blob: the meta, then
+        # each array's name, dtype, shape and bytes
         f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
         cache = fz.encode_hierarchy(f, small_library)
         path = tmp_path / "cache.blob"
         fz.save_cache(cache, path)
-        loaded = fz.load_cache(path, small_library, f)
-        np.testing.assert_array_equal(loaded.u, cache.u)
-        assert loaded.fingerprint == cache.fingerprint
-        assert loaded.layout is small_library.layout
-        _, arrays = load_blob(path)
-        for name in ("member_ids", "rg_offsets", "rg_ids"):
-            assert arrays[name].tobytes() == getattr(cache.layout, name).tobytes()
-
-    @pytest.mark.parametrize("change", ["other_library", "member_ids_permuted", "rg_ids_reversed",
-                                        "rg_offsets_moved"])
-    def test_cache_of_another_layout_rejected(self, small_library, medium_library, tiny_surrogate,
-                                              tmp_path, change):
-        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        path = tmp_path / "cache.blob"
-        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
-        if change == "other_library":
-            with pytest.raises(fz.FactorizerError, match="fingerprint"):
-                fz.load_cache(path, medium_library, f)
-            return
         meta, arrays = load_blob(path)
-        if change == "member_ids_permuted":
-            arrays["member_ids"] = arrays["member_ids"][::-1].copy()
-        elif change == "rg_ids_reversed":
-            arrays["rg_ids"] = arrays["rg_ids"][::-1].copy()
-        else:
-            arrays["rg_offsets"][1] += 1
-        save_blob(path, meta, arrays)
-        with pytest.raises(fz.FactorizerError, match="laid out"):
-            fz.load_cache(path, small_library, f)
-
-    def test_cache_of_other_widths_rejected(self, small_library, tiny_surrogate, tmp_path):
-        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        path = tmp_path / "cache.blob"
-        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
-        meta, arrays = load_blob(path)
-        save_blob(path, meta, {**arrays, "u": arrays["u"][:, :3]})
-        with pytest.raises(fz.FactorizerError, match="'u' is float64 \\[\\d+, 3\\]"):
-            fz.load_cache(path, small_library, f)
-
-    def test_cache_version_checked(self, small_library, tiny_surrogate, tmp_path):
-        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        path = tmp_path / "cache.blob"
-        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
-        meta, arrays = load_blob(path)
-        save_blob(path, {**meta, "version": 2}, arrays)
-        with pytest.raises(fz.FactorizerError, match="version-1 hierarchy cache"):
-            fz.load_cache(path, small_library, f)
-
-    @pytest.mark.parametrize("field", ["fingerprint", "synthon_encoder_evals"])
-    @pytest.mark.parametrize("change", ["missing", "wrong_type"])
-    def test_cache_meta_fields_checked(self, small_library, tiny_surrogate, tmp_path, field, change):
-        f = fz.train_factorizer(small_library, tiny_surrogate, _fast_train_config())
-        path = tmp_path / "cache.blob"
-        fz.save_cache(fz.encode_hierarchy(f, small_library), path)
-        meta, arrays = load_blob(path)
-        if change == "missing":
-            del meta[field]
-        else:
-            meta[field] = [None]
-        save_blob(path, meta, arrays)
-        with pytest.raises(fz.FactorizerError, match=f"meta field '{field}'"):
-            fz.load_cache(path, small_library, f)
+        assert meta == {"kind": "hierarchy_cache", "version": fz.CHECKPOINT_VERSION,
+                        "fingerprint": cache.fingerprint, "synthon_encoder_evals": cache.synthon_encoder_evals}
+        layout = cache.layout
+        expected = {"u": cache.u, "h_s": cache.h_s, "h_r": cache.h_r, "h_t": cache.h_t,
+                    "member_ids": layout.member_ids, "rg_offsets": layout.rg_offsets, "rg_ids": layout.rg_ids}
+        assert list(arrays) == list(expected)
+        for name, want in expected.items():
+            got = arrays[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
     @pytest.mark.parametrize("width", ["d_s", "d_r", "d_t", "d_u", "d"])
     def test_zero_width_rejected(self, width):

@@ -1,6 +1,6 @@
 """No package code is reached only by tests: every module-level def, class and
-constant of src/apexcsl is read in the package, its scripts or its benchmark,
-outside its own definition. No module of the package reaches into
+constant of src/apexcsl, and every method of its classes, is read in the
+package, its scripts or its benchmark, outside its own definition. No module of the package reaches into
 another's private names, and only csl reads the mixed-radix arrays."""
 
 import ast
@@ -8,6 +8,7 @@ import pathlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "apexcsl"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _parse(path):
@@ -16,32 +17,63 @@ def _parse(path):
 
 def _defined_names(statement):
     """The names a module-level statement defines: a def's, a class's or an assignment's."""
-    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(statement, FUNCTIONS + (ast.ClassDef,)):
         return {statement.name}
     targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
     return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _methods(statement):
+    """The methods a module-level class statement defines, dunders left out."""
+    if not isinstance(statement, ast.ClassDef):
+        return set()
+    return {m.name for m in statement.body if isinstance(m, FUNCTIONS) and not m.name.startswith("__")}
+
+
+def _names_read():
+    """Every name that the package, its scripts or its benchmark reads (a
+    load, an attribute or an import) outside the definition of that name: a
+    package module's own def, class or constant, or a class's own method."""
+    read = set()
+    for root in (PACKAGE, REPO / "scripts", REPO / "perfbench"):
+        for path in sorted(root.rglob("*.py")):
+            for statement in _parse(path).body:
+                own = _defined_names(statement) if path.parent == PACKAGE else set()
+                parts = [(statement, own)]
+                if isinstance(statement, ast.ClassDef):
+                    # a member at a time, so that a method's reads of itself are its own
+                    parts = [(node, own) for node in statement.decorator_list + statement.bases + statement.keywords]
+                    parts += [(m, own | ({m.name} if isinstance(m, FUNCTIONS) else set())) for m in statement.body]
+                for part, mine in parts:
+                    for node in ast.walk(part):
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                            name = node.id
+                        elif isinstance(node, (ast.Attribute, ast.alias)):
+                            name = node.attr if isinstance(node, ast.Attribute) else node.name
+                        else:
+                            continue
+                        if name not in mine:
+                            read.add(name)
+    return read
 
 
 def test_every_module_level_name_has_a_reader():
     # a def, class or constant of the package that nothing in the package, its
     # scripts or its benchmark reads (a load, an attribute or an import), outside
     # its own definition, has no caller but the tests
-    read = set()
-    for root in (PACKAGE, REPO / "scripts", REPO / "perfbench"):
-        for path in sorted(root.rglob("*.py")):
-            for statement in _parse(path).body:
-                own = _defined_names(statement) if path.parent == PACKAGE else set()
-                for node in ast.walk(statement):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        name = node.id
-                    elif isinstance(node, (ast.Attribute, ast.alias)):
-                        name = node.attr if isinstance(node, ast.Attribute) else node.name
-                    else:
-                        continue
-                    if name not in own:
-                        read.add(name)
+    read = _names_read()
     unread = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for statement in _parse(path).body
               for name in sorted(_defined_names(statement)) if name not in read and not name.startswith("__")]
+    assert unread == []
+
+
+def test_every_method_has_a_reader():
+    # a method of a package class whose name nothing reads (a call or an
+    # attribute) outside its own body has no caller but the tests: a view
+    # method left behind when the scan stops calling it is one
+    read = _names_read()
+    unread = [f"{path.stem}.{statement.name}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for statement in _parse(path).body for name in sorted(_methods(statement)) if name not in read]
     assert unread == []
 
 

@@ -357,6 +357,21 @@ class TestGroundTruth:
             values = props.oracle_values(oracle, small_library, "t", np.arange(csl.product_count(small_library)))
             assert np.isfinite(values).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tanh_argument_that_overflows_is_accepted(self, small_library):
+        # the latents and the tanh term are far inside the bound, but alpha
+        # times a latent sum passes the float64 range: tanh of +-inf is +-1.0
+        latent = np.where(np.arange(len(small_library.synthons)) % 2, 1e10, -1e10)
+        task = props.TaskDef("t", "additive+nonlinear", latent, nonlinear_scale=0.5, nonlinear_alpha=1e300)
+        oracle = props.GroundTruthOracle([task], seed=0)
+        oracle.check_library(small_library)
+        gidx = np.arange(csl.product_count(small_library))
+        sids = small_library.layout.synthon_ids(*small_library.layout.decode(gidx))
+        base = np.where(sids >= 0, latent[sids], 0.0).sum(axis=1)  # whole multiples of 1e10, so exact
+        values = props.oracle_values(oracle, small_library, "t", gidx)
+        assert values.tobytes() == (base + 0.5 * np.sign(base)).tobytes()
+        assert props.ground_truth(oracle, "t", sids[0][sids[0] >= 0].tolist()) == values[0]
+
 
 class TestLabelLibrary:
     def test_full_enumeration_row_count(self, small_library, small_oracle):
