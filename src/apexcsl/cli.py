@@ -145,11 +145,11 @@ def cmd_label(args) -> int:
         ) if args.oracle_kind == "default" else props.make_additive_oracle(
             library, args.seed, feature_config=_feature_config(args)
         )
-    if args.oracle_out:
-        props.save_oracle(oracle, args.oracle_out)
     tasks = args.tasks.split(",") if args.tasks else oracle.task_names
     sample = props.SampleSpec(size=args.sample_size, seed=args.seed)
     dataset = props.label_library(oracle, library, tasks, sample)
+    if args.oracle_out:
+        props.save_oracle(oracle, args.oracle_out)
     props.save_labels(dataset, args.out, library)
     print(f"wrote {args.out}: {len(dataset)} rows over {len(tasks)} tasks")
     return 0
@@ -188,8 +188,8 @@ def cmd_train_factorizer(args) -> int:
         dims=fz.FactorizerDims(d_u=args.d_u),
     )
     trained = fz.train_factorizer(library, model, config)
-    fz.save_factorizer(trained, args.out)
     gap = fz.factorization_gap(trained, model, library, sample_size=args.gap_sample, seed=args.seed)
+    fz.save_factorizer(trained, args.out)
     print(f"wrote {args.out}; reconstruction gap mean={gap['mean']:.6f} "
           f"p95={gap['p95']:.6f} embedding_rms={gap['embedding_rms']:.6f}")
     return 0
@@ -200,9 +200,9 @@ def cmd_precompute(args) -> int:
     model = sg.load_surrogate(args.surrogate)
     trained = fz.load_factorizer(args.factorizer)
     cache = fz.encode_hierarchy(trained, library)
+    table = engine.precompute_contributions(cache, model)
     if args.cache_out:
         fz.save_cache(cache, args.cache_out)
-    table = engine.precompute_contributions(cache, model)
     engine.save_table(table, args.out)
     print(f"wrote {args.out}: {table.n_tasks} tasks x {table.n_pairs} pair rows")
     return 0

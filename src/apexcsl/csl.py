@@ -188,29 +188,24 @@ class PairLayout:
         rows = self.pair_rows(pos, digits)
         return np.where(rows >= 0, self.member_ids[rows], -1)
 
-    def blocks(self, start: int, end: int):
-        """Every block that overlaps [start, end), in index order, as int64
-        arrays: reaction position, first digit, block start, and the block's
-        [lo, hi) offsets clipped to the range. Each of a reaction's blocks
-        holds the product of its later R-groups' radices; a library without
-        reactions has no blocks."""
-        offsets = self.product_offsets
-        size = self.radix[:, 1:].prod(axis=1)
-        # per reaction, the first digit whose block ends past start, and the first one past the range
-        first = np.maximum((start - offsets[:-1]) // size, 0)
-        stop = np.minimum(-((offsets[:-1] - end) // size), np.diff(offsets) // size)
-        count = np.maximum(stop - first, 0) if start < end else np.zeros_like(first)
-        rx = np.repeat(np.arange(len(size)), count)
-        digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count - first, count)
-        g0 = offsets[rx] + digit * size[rx]
-        return rx, digit, g0, np.maximum(start - g0, 0), np.minimum(end - g0, size[rx])
+    def blocks(self, first: int, stop: int):
+        """Every block of the reaction positions [first, stop), in index order,
+        as int64 arrays: reaction position, first digit, block start and block
+        size. A reaction has one block per digit of its first R-group, each
+        the product of its later R-groups' radices."""
+        offsets = self.product_offsets[first : stop + 1]
+        size = self.radix[first:stop, 1:].prod(axis=1)
+        count = np.diff(offsets) // size
+        rx = np.repeat(np.arange(first, stop), count)
+        digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count, count)
+        size = size[rx - first]
+        return rx, digit, offsets[rx - first] + digit * size, size
 
 
 @dataclass
 class CslLibrary:
     reactions: tuple[ReactionSpec, ...]
     synthons: tuple[SynthonRecord, ...]
-    text_sha256: str | None = field(default=None, compare=False, repr=False)
     # per FeatureConfig, the synthon features and their norms (`props.synthon_features_of`)
     synthon_feature_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -230,7 +225,8 @@ class CslLibrary:
 
     @cached_property
     def fingerprint(self) -> str:
-        """`library_fingerprint(self)`, worked out once."""
+        """`library_fingerprint(self)`, worked out once; a library read from
+        its canonical text takes the text's SHA-256."""
         return library_fingerprint(self)
 
     def __getattr__(self, name: str):
@@ -480,7 +476,7 @@ def serialize_library(library: CslLibrary) -> str:
 
 
 def deserialize_library(text: str) -> CslLibrary:
-    """Parse the text format; the library keeps the text's SHA-256 for `fingerprint_matches`.
+    """Parse the text format.
 
     Automatic garbage collection is paused while it parses. The parse makes
     a SynthonRecord (a tuple subclass, which the collector keeps tracking)
@@ -500,13 +496,14 @@ def deserialize_library(text: str) -> CslLibrary:
 def _parse_library(text: str) -> CslLibrary:
     """The library of a text: read into the layout's arrays (`_tail_library`)
     and its S lines in one pass (`_synthon_lines`) if the text is as
-    `serialize_library` writes it, else a line at a time, blank lines skipped,
-    with a LibraryError at the first malformed line, which no later line decides."""
-    sha256 = hashlib.sha256(text.encode()).hexdigest()
-    library = _tail_library(text, sha256)
+    `serialize_library` writes it, so that its SHA-256 is the library's
+    fingerprint, else a line at a time, blank lines skipped, with a
+    LibraryError at the first malformed line, which no later line decides."""
+    library = _tail_library(text)
     synthons = None if library is None else _synthon_lines(text)
     if synthons is not None:
         library.synthons = synthons
+        library.fingerprint = hashlib.sha256(text.encode()).hexdigest()
         del library._unparsed
         return library
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -537,7 +534,7 @@ def _parse_library(text: str) -> CslLibrary:
     unused = rgroups.keys() - {rg.rgroup_id for rx in reactions for rg in rx.rgroups}
     if unused:
         raise LibraryError(f"R-groups {sorted(unused)} are used by no reaction")
-    library = CslLibrary(tuple(reactions), tuple(synthons), sha256)
+    library = CslLibrary(tuple(reactions), tuple(synthons))
     check_library(library)
     return library
 
@@ -587,7 +584,7 @@ def _id_lines(lines: list[str], kind: str) -> tuple[np.ndarray, np.ndarray] | No
     return ids, counts
 
 
-def _tail_library(text: str, sha256: str) -> CslLibrary | None:
+def _tail_library(text: str) -> CslLibrary | None:
     """The library of a text from its header and its last n_r + n_t lines,
     the R and T lines, read into the layout's arrays (`_id_lines`) and
     checked by `check_library`'s layout checks against the header's synthon
@@ -616,7 +613,7 @@ def _tail_library(text: str, sha256: str) -> CslLibrary | None:
     rgroups = [RgroupSpec(ids[a], tuple(ids[a + 1 : a + c])) for a, c in zip(r_first.tolist(), r_counts.tolist())]
     ends = np.cumsum(t_counts - 1).tolist()
     reactions = tuple(ReactionSpec(t, tuple(rgroups[a:b])) for t, (a, b) in enumerate(zip([0] + ends, ends)))
-    library = CslLibrary(reactions, (), sha256)
+    library = CslLibrary(reactions, ())
     library.layout = PairLayout.from_arrays(np.delete(r_ids, r_first), rg_ids, r_counts - 1, t_counts - 1)
     try:
         _check_layout(library, n_s)
@@ -638,19 +635,20 @@ def load_library(path, fingerprint: str | None = None) -> CslLibrary:
     `fingerprint` is that of the table the library is read for. If the
     SHA-256 of the text is that fingerprint, the text is the canonical
     serialization of the checked library the table was built from, so it is
-    read by its header and its R and T lines alone (`_tail_library`), and its
-    S lines are read on the first read of `synthons`, by `_synthon_lines`.
-    This trusts the fingerprint: under a forged one, a text with a malformed
-    S line gives the layout of its R and T lines, and the first read of its
-    synthons raises the LibraryError of `deserialize_library` of the text. A
-    text whose header or R and T lines do not read as canonical is parsed as
-    any other text is.
+    read by its header and its R and T lines alone (`_tail_library`), it
+    takes that fingerprint, and its S lines are read on the first read of
+    `synthons`, by `_synthon_lines`. This trusts the fingerprint: under a
+    forged one, a text with a malformed S line gives the layout of its R and
+    T lines, and the first read of its synthons raises the LibraryError of
+    `deserialize_library` of the text. A text whose header or R and T lines
+    do not read as canonical is parsed as any other text is.
     """
     with utf8_text(path, LibraryError) as fh:
         text = fh.read()
     if fingerprint is not None and hashlib.sha256(text.encode()).hexdigest() == fingerprint:
-        library = _tail_library(text, fingerprint)
+        library = _tail_library(text)
         if library is not None:
+            library.fingerprint = fingerprint
             return library
     return deserialize_library(text)
 
@@ -658,9 +656,3 @@ def load_library(path, fingerprint: str | None = None) -> CslLibrary:
 def library_fingerprint(library: CslLibrary) -> str:
     """SHA-256 of the canonical serialization; used to pin downstream artifacts."""
     return hashlib.sha256(serialize_library(library).encode()).hexdigest()
-
-
-def fingerprint_matches(library: CslLibrary, fingerprint: str) -> bool:
-    """library_fingerprint(library) == fingerprint; True at once if the library was parsed from
-    the fingerprinted text, which is the serialization of a library that parses back to it."""
-    return fingerprint == library.text_sha256 or fingerprint == library.fingerprint

@@ -3,7 +3,8 @@
 Every task prediction is a bias plus one scalar contribution per (R-group,
 synthon) pair, so scoring a product is a handful of adds. The library is
 scanned in blocks: a block is one (reaction, first-R-group digit) slab of
-contiguous global indices. One loop, `_scan`, walks the blocks; the two scan
+contiguous global indices; a scan covers whole reactions, so no block is cut
+by the range it scans. One loop, `_scan`, walks the blocks; the two scan
 variants differ only in the bounds they give it, and are required (and tested)
 to produce identical results.
 
@@ -53,12 +54,12 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
   R-groups' largest contributions in magnitude (so |h| + |x| <= A, to within
   a few u), is more than both together (2^-1022 covers a margin that
   underflows), so every product with sv >= ts is counted. `_prefix_keys`
-  sums each task at every counted product inside its block's [lo, hi) clip:
-  the row sum (`row_sums`, from which `h` and `block_values` are built too),
-  plus the last R-group's contribution, then the bias, the additions
-  `block_values` makes. The batched scan, `evalkit.oracle_topk` (whose
-  values are not separable) and every group scored before the k-th key is
-  feasible score every product of their blocks (`_group_keys`).
+  sums each task at every counted product: the row sum (`row_sums`, from
+  which `h` and `block_values` are built too), plus the last R-group's
+  contribution, then the bias, the additions `block_values` makes. The
+  batched scan, `evalkit.oracle_topk` (whose values are not separable) and
+  every group scored before the k-th key is feasible score every product of
+  their blocks (`_group_keys`).
 * Selection. `_TopKBuffer` is the one filter: the keys the scorers give are
   offered to it, it drops those that do not beat the k-th key (a tie on
   violation and signed objective wins on a lower global index), keeps the
@@ -94,7 +95,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
-from .csl import CslLibrary, PairLayout, assembled_text, fingerprint_matches, format_rows, gather_sum, id_text
+from .csl import CslLibrary, PairLayout, assembled_text, format_rows, gather_sum, id_text
 from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
@@ -149,7 +150,7 @@ class ContributionTable:
 
     def check_library(self, library: CslLibrary) -> None:
         """The table must come from this library and share its pair-row layout."""
-        if not fingerprint_matches(library, self.fingerprint):
+        if library.fingerprint != self.fingerprint:
             raise EngineError("library fingerprint does not match the contribution table")
         if not library.layout.matches(self.member_ids, self.rg_offsets, self.rg_ids):
             raise EngineError("contribution table's pair rows are not laid out as the library's")
@@ -234,13 +235,20 @@ class QuerySpec:
 def violation(values, constraints: tuple[Constraint, ...]):
     """Non-positive hinge penalty; zero iff every value is inside its closed interval.
 
-    `values` holds one predicted value per constraint, in constraint order.
-    Accepts scalars or aligned arrays (for vectorized block scans).
+    `values` holds one predicted value per constraint, in constraint order:
+    scalars, or aligned arrays, of which it gives one value per product (0.0
+    with no constraints). The hinge step of an infinite bound is skipped: on a
+    finite value it subtracts max(0.0, -inf) = +0.0, and c - 0.0 == c. Table
+    values are finite (float32 contributions summed with a finite bias, far
+    below the float64 range), and so are oracle values
+    (`GroundTruthOracle.check_library`).
     """
-    c = 0.0
+    c = np.zeros(np.shape(values[0])) if constraints else 0.0
     for v, con in zip(values, constraints):
-        c = c - np.maximum(0.0, con.lower - v)
-        c = c - np.maximum(0.0, v - con.upper)
+        if con.lower > -math.inf:
+            c -= np.maximum(0.0, con.lower - v)
+        if con.upper < math.inf:
+            c -= np.maximum(0.0, v - con.upper)
     return c
 
 
@@ -325,55 +333,29 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _key_violation(values, constraints: tuple[Constraint, ...], n: int) -> np.ndarray:
-    """`violation(values, constraints)` of n products, one value per product,
-    for finite values: the hinge step of an infinite bound is skipped, since
-    on a finite value it subtracts max(0.0, -inf) = +0.0, and c - 0.0 == c.
-    Table values are finite (float32 contributions summed with a finite bias,
-    far below the float64 range), and so are oracle values
-    (`GroundTruthOracle.check_library`)."""
-    c = 0.0
-    for v, con in zip(values, constraints):
-        if con.lower > -math.inf:
-            c = c - np.maximum(0.0, con.lower - v)
-        if con.upper < math.inf:
-            c = c - np.maximum(0.0, v - con.upper)
-    return np.broadcast_to(c, (n,)) if np.ndim(c) == 0 else c
-
-
-def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray):
     """(violation, signed objective, global index) keys of every product of
-    one reaction's blocks, each clipped to its [lo, hi) offsets."""
+    one reaction's blocks."""
     s = view.block_values(0, digit)
     if query.direction == "minimize":
         np.negative(s, out=s)
-    cols = np.arange(s.shape[1])
-    keys = [g0[:, None] + cols, s] + [view.block_values(1 + i, digit) for i in range(len(query.constraints))]
-    if lo.any() or (hi < len(cols)).any():
-        keep = (cols >= lo[:, None]) & (cols < hi[:, None])
-        g, s, *cons_vals = [x[keep] for x in keys]
-    else:
-        g, s, *cons_vals = [x.reshape(-1) for x in keys]
-    return _key_violation(cons_vals, query.constraints, len(s)), s, g
+    g = (g0[:, None] + np.arange(s.shape[1])).reshape(-1)
+    cons_vals = [view.block_values(1 + i, digit).reshape(-1) for i in range(len(query.constraints))]
+    return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s.reshape(-1), g
 
 
-def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, h: np.ndarray, counts: np.ndarray):
+def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, h: np.ndarray,
+                 counts: np.ndarray):
     """(violation, signed objective, global index) keys of the products of one
-    reaction's blocks, each clipped to its [lo, hi) offsets, that `row_prefixes`
-    gathered (`h`, `counts`): each task's row sum plus the last R-group's
-    contribution, then the bias, as `block_values` adds them."""
+    reaction's blocks that `row_prefixes` gathered (`h`, `counts`): each
+    task's row sum plus the last R-group's contribution, then the bias, as
+    `block_values` adds them."""
     order = view.last_order[0]
     n_rows, flat = h.shape[1], counts.reshape(-1)
     ends = np.cumsum(flat)
     row = np.repeat(np.arange(len(flat)), flat)
     rank = np.arange(ends[-1]) - (ends - flat)[row]
     last = order[rank]
-    offset = row % n_rows * len(order) + last
-    if lo.any() or (hi < n_rows * len(order)).any():
-        block = row // n_rows
-        at = np.flatnonzero((offset >= lo[block]) & (offset < hi[block]))
-        row, last, offset = row[at], last[at], offset[at]
     vals = []
     for i, arrs in enumerate(view.per_task):
         v = (view.row_sums(i, digit) if i else h).reshape(-1)[row] + arrs[-1][last]
@@ -382,7 +364,8 @@ def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: n
     s, *cons_vals = vals
     if query.direction == "minimize":
         np.negative(s, out=s)
-    return _key_violation(cons_vals, query.constraints, len(s)), s, g0[row // n_rows] + offset
+    g = g0[row // n_rows] + row % n_rows * len(order) + last
+    return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s, g
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +479,8 @@ def _gather_group(buf: _TopKBuffer, views, query: QuerySpec, blocks: np.ndarray,
     for t, mine, h, counts in parts:
         m = np.count_nonzero(mine[:n])
         if m:
-            digit, g0, lo, hi = blocks[1:, :n][:, mine[:n]]
-            buf.offer(*_prefix_keys(views[t], query, digit, g0, lo, hi, h[:m], counts[:m]))
+            digit, g0 = blocks[1:3, :n][:, mine[:n]]
+            buf.offer(*_prefix_keys(views[t], query, digit, g0, h[:m], counts[:m]))
     return n
 
 
@@ -522,8 +505,8 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
         order = np.lexsort((-bounds[1], -bounds[0]))
         visit = visit[:, order]
         neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
-    # products in the visit's first i blocks, clipped, at position i
-    done = [0] + np.cumsum(visit[4] - visit[3]).tolist()
+    # products in the visit's first i blocks, at position i
+    done = [0] + np.cumsum(visit[3]).tolist()
     if bounds is not None:
         # per reaction position, a block's rows (digits of every R-group but the last)
         rows = np.zeros(max(views) + 1, dtype=np.int64)
@@ -535,8 +518,8 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
             j = min(stop, i + width, max(i + 1, bisect_right(done, done[i] + GROUP_PRODUCTS) - 1))
             group = visit[:, i:j]
             for t in np.unique(group[0]).tolist():
-                digit, g0, lo, hi = group[1:, group[0] == t]
-                buf.offer(*_group_keys(views[t], query, digit, g0, lo, hi))
+                digit, g0 = group[1:3, group[0] == t]
+                buf.offer(*_group_keys(views[t], query, digit, g0))
         else:
             j = i + _gather_group(buf, views, query, visit[:, i:min(stop, i + width)], rows)
         i, width, stop = j, 2 * width, buf.unbeaten(neg_c, neg_s)
@@ -544,12 +527,15 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
 
 
 def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple[int, int]:
-    """The [start, end) global indices a top-k covers: the whole library by default."""
-    total = int(layout.product_offsets[-1])
-    start, end = index_range if index_range is not None else (0, total)
-    if not 0 <= start <= end <= total:
-        raise EngineError(f"index range [{start}, {end}) invalid")
-    return start, end
+    """The reaction positions [first, stop) whose products are the [start, end)
+    global indices a top-k covers: the whole library by default. EngineError
+    unless the range starts and ends at reaction boundaries, in order."""
+    offsets = layout.product_offsets.tolist()
+    start, end = index_range if index_range is not None else (0, offsets[-1])
+    first, stop = bisect_left(offsets, start), bisect_left(offsets, end)
+    if not (start <= end and offsets[first : first + 1] == [start] and offsets[stop : stop + 1] == [end]):
+        raise EngineError(f"index range [{start}, {end}) does not start and end at reaction boundaries")
+    return first, stop
 
 
 def scan_topk(layout: PairLayout, view_of, query: QuerySpec, k: int,
@@ -557,21 +543,18 @@ def scan_topk(layout: PairLayout, view_of, query: QuerySpec, k: int,
     """The best k (violation, signed objective, global index) keys over the
     index range, in key order, then the products scored and those in the range.
     `view_of(reaction position)` builds the view `_scan` reads, once for each
-    reaction that has a block in the range; `bounded` needs `_ReactionView`s."""
-    start, end = index_span(layout, index_range)
-    blocks = layout.blocks(start, end)
-    used, which = np.unique(blocks[0], return_inverse=True)
-    views = {t: view_of(t) for t in used.tolist()}
+    reaction in the range; `bounded` needs `_ReactionView`s."""
+    first, stop = index_span(layout, index_range)
+    blocks = layout.blocks(first, stop)
+    views = {t: view_of(t) for t in range(first, stop)}
     bounds = None
     if bounded and views:
-        per_reaction = [_block_key_bounds(view, query) for view in views.values()]
-        # each block's row in those reactions' bounds laid end to end
-        row = np.cumsum([0] + [len(c) for c, _ in per_reaction])[which] + blocks[1]
-        bounds = [np.concatenate(b)[row] for b in zip(*per_reaction)]
+        # the reactions' per-first-digit bounds laid end to end, as the blocks are
+        bounds = [np.concatenate(b) for b in zip(*(_block_key_bounds(view, query) for view in views.values()))]
     buf = _TopKBuffer(k)
     scored = _scan(buf, views, query, blocks, bounds)
     c, s, g = buf.kept()
-    return c, s, g, scored, end - start
+    return c, s, g, scored, int(layout.product_offsets[stop] - layout.product_offsets[first])
 
 
 def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,

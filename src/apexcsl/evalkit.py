@@ -76,15 +76,16 @@ def oracle_topk(
     checked against the library before the scan, so every value is finite
     (`GroundTruthOracle.check_library`).
     """
-    start, end = index_span(library.layout, index_range)
-    if end - start > ORACLE_ENUMERATION_GUARD:
+    first, stop = index_span(library.layout, index_range)
+    products = int(library.layout.product_offsets[stop] - library.layout.product_offsets[first])
+    if products > ORACLE_ENUMERATION_GUARD:
         raise EvalError(
-            f"range of {end - start} products exceeds the exhaustive-evaluation guard "
+            f"range of {products} products exceeds the exhaustive-evaluation guard "
             f"({ORACLE_ENUMERATION_GUARD}); downsample the library first"
         )
     oracle.check_library(library)
     c, s, g, _, _ = scan_topk(library.layout, lambda t: _OracleView(oracle, library, t, query.tasks), query, j,
-                              (start, end))
+                              index_range)
     n = np.count_nonzero(c >= 0.0)
     return OracleTopK(g[:n], s[:n] if query.direction == "maximize" else -s[:n], query, j)
 

@@ -245,35 +245,36 @@ def mixed_libraries(draw):
     )
 
 
-def reference_block_ranges(library, start, end):
-    """(reaction position, first-digit lo, first-digit hi, reaction offset, block
-    size) for every reaction whose blocks overlap [start, end): the per-reaction
-    walk that the engine's block table replaced, kept as its reference."""
-    for ti, rx in enumerate(library.reactions):
-        r_off = library.reaction_offset(ti)
-        r_size = library.reaction_size(ti)
-        if r_off + r_size <= start or r_off >= end:
-            continue
-        n_first = len(rx.rgroups[0].synthon_ids)
-        inner = r_size // n_first
-        first_lo = max(0, (start - r_off) // inner) if start > r_off else 0
-        first_hi = min(n_first, -(-(end - r_off) // inner))
-        yield ti, int(first_lo), int(first_hi), r_off, inner
+def reference_iter_blocks(library, first, stop):
+    """(reaction position, first digit, block start, block size) for every
+    block of the reaction positions [first, stop), in index order: the
+    per-reaction walk that the engine's block table replaced, kept as its
+    reference."""
+    for ti in range(first, stop):
+        n_first = len(library.reactions[ti].rgroups[0].synthon_ids)
+        inner = library.reaction_size(ti) // n_first
+        for j in range(n_first):
+            yield ti, j, library.reaction_offset(ti) + j * inner, inner
 
 
-def reference_clip_block(g0, inner, start, end):
-    return max(start, g0) - g0, min(end, g0 + inner) - g0
+@st.composite
+def reaction_spans(draw, library):
+    """A [start, end) range of global indices that starts and ends at reaction
+    boundaries: empty, one reaction, a run of reactions, or the whole library."""
+    offsets = library.layout.product_offsets.tolist()
+    n = len(offsets) - 1
+    first = draw(st.one_of(st.just(0), st.integers(0, n)))
+    stop = draw(st.one_of(st.just(n), st.just(first), st.just(min(first + 1, n)), st.integers(first, n)))
+    return offsets[first], offsets[stop]
 
 
-def reference_iter_blocks(library, start, end):
-    """(reaction position, first digit, block start, lo, hi) for every block
-    that overlaps [start, end), in index order, with [lo, hi) clipped to it."""
-    for ti, first_lo, first_hi, r_off, inner in reference_block_ranges(library, start, end):
-        for j in range(first_lo, first_hi):
-            g0 = r_off + j * inner
-            lo, hi = reference_clip_block(g0, inner, start, end)
-            if lo < hi:
-                yield ti, j, g0, int(lo), int(hi)
+def reference_violation(values, constraints):
+    """`engine.violation` with every hinge step taken, an infinite bound's too."""
+    c = 0.0
+    for v, con in zip(values, constraints):
+        c = c - np.maximum(0.0, con.lower - v)
+        c = c - np.maximum(0.0, v - con.upper)
+    return c
 
 
 def reference_thompson_sampling(library, oracle, objective, direction, config, reaction_id):

@@ -416,9 +416,11 @@ class TestErrors:
         "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf", "sigma_nan", "sigma_negative",
         "share_rate_nan", "share_rate_above_1", "lr_negative", "lr_zero", "lr_nan",
         "factorizer_lr_negative", "factorizer_lr_zero", "factorizer_lr_nan", "labels_synthon_ineligible",
+        "tasks_unknown", "feature_config_mismatch", "embedding_width_mismatch",
     ])
     def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
-        # each once ended in a traceback or was accepted silently
+        # each once ended in a traceback, was accepted silently, or wrote an
+        # output (--out, --oracle-out or --cache-out) before it was refused
         p = {k: str(v) for k, v in pipeline.items()}
         out = p["dir"] + "/bad_" + case
         labels = pipeline["dir"] / "labels_negative.tsv"  # reaction 1's labels say reaction -1
@@ -439,7 +441,14 @@ class TestErrors:
                       "--out", out, "--steps", "1"]
         compare = ["compare-ts", "--library", p["library"], "--table", p["table"], "--oracle", p["oracle"],
                    "--objective", "dock_a", "--budgets", "5", "--n-seeds", "1", "--out", out]
-        label = ["label", "--library", p["library"], "--out", out]
+        label = ["label", "--library", p["library"], "--out", out, "--oracle-out", out + ".oracle"]
+        if case.endswith("_mismatch"):  # a surrogate unlike the one the factorizer was trained from
+            other = ["--feature-p", "8", "--embedding-dim", "16"] if case == "feature_config_mismatch" \
+                else ["--embedding-dim", "8"]
+            assert run("train-surrogate", "--library", p["library"], "--labels", p["labels"],
+                       "--out", out + ".surrogate", "--epochs", "1", *other) == 0
+        precompute = ["precompute", "--library", p["library"], "--surrogate", out + ".surrogate",
+                      "--factorizer", p["factorizer"], "--out", out, "--cache-out", out + ".cache"]
         argv = {
             "epochs_0": surrogate + ["--epochs", "0"],
             "batch_size_0": surrogate + ["--batch-size", "0"],
@@ -450,6 +459,9 @@ class TestErrors:
             "sample_size_negative": label + ["--sample-size", "-1"],
             "feature_p_0": label + ["--feature-p", "0"],
             "tasks_repeated": label + ["--tasks", "mw,mw"],
+            "tasks_unknown": label + ["--tasks", "mw,nope"],
+            "feature_config_mismatch": precompute,
+            "embedding_width_mismatch": precompute,
             "cost_negative": ["cost", "--library", p["library"], "--d", "-1", "--k", "-5"],
             "labels_reaction_negative": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
             "embedding_dim_0": surrogate + ["--embedding-dim", "0"],
@@ -468,9 +480,11 @@ class TestErrors:
             "factorizer_lr_nan": factorizer + ["--lr", "nan"],
             "labels_synthon_ineligible": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
         }[case]
+        capsys.readouterr()
         assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+        assert not any(os.path.exists(out + suffix) for suffix in ("", ".oracle", ".cache"))
         assert case != "cost_negative" or not captured.out
         assert case != "labels_inf" or "non-finite value" in captured.err
         assert case != "labels_synthon_ineligible" or re.fullmatch(

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from apexcsl import cli, csl, engine, props
 from apexcsl.blobio import BlobError
 from conftest import (apex_score, assemble, enumerate_products, f32_round_latents, mixed_libraries, numpy_topk_keys,
-                      pair_count, perfect_additive_table, random_table, reference_decode, reference_ground_truth,
-                      reference_iter_blocks, table_from_values)
+                      pair_count, perfect_additive_table, random_table, reaction_spans, reference_decode,
+                      reference_ground_truth, reference_iter_blocks, reference_violation, table_from_values)
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +129,14 @@ class TestViolation:
            values=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_key_violation_is_violation_per_product(self, bounds, values):
-        # on finite values the scan's keys skip the hinges of infinite bounds
-        # and give the same bits, one value per product
+        # on finite values the hinges of infinite bounds are skipped with the
+        # same bits, one value per product (a scalar with no constraints)
         cons = tuple(engine.Constraint(f"c{i}", lo, hi) for i, (lo, hi) in enumerate(bounds))
         vals = [np.asarray(values[i:] + values[:i]) for i in range(len(cons))]
-        expected = np.broadcast_to(engine.violation(vals, cons), (4,))
-        got = engine._key_violation(vals, cons, 4)
-        assert got.shape == (4,) and got.tobytes() == expected.tobytes()
+        expected = np.broadcast_to(reference_violation(vals, cons), (4,))
+        got = engine.violation(vals, cons)
+        assert np.shape(got) == ((4,) if cons else ())
+        assert np.broadcast_to(got, (4,)).tobytes() == expected.tobytes()
 
 
 class TestQuerySpec:
@@ -224,7 +225,7 @@ class TestSearchAgreement:
     def test_index_range_restriction(self, exact_setup):
         library, _, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (), k=5)
-        lo, hi = 40, 120
+        lo, hi = library.reaction_offset(1), csl.product_count(library)
         got = engine.search_topk_stream(library, table, q, index_range=(lo, hi))
         rows = []
         for g in range(lo, hi):
@@ -237,7 +238,7 @@ class TestSearchAgreement:
     @pytest.mark.parametrize("search", [engine.search_topk_stream, engine.search_topk_batched])
     @pytest.mark.parametrize("span_of, reactions", [
         (lambda lib: (lib.reaction_offset(2), lib.reaction_offset(3)), [2]),
-        (lambda lib: (lib.reaction_offset(1) + 5, lib.reaction_offset(2) + 5), [1, 2]),
+        (lambda lib: (lib.reaction_offset(1), lib.reaction_offset(3)), [1, 2]),
         (lambda lib: (lib.reaction_offset(2), lib.reaction_offset(2)), []),
     ], ids=["one_reaction", "two_reactions", "empty"])
     def test_views_only_for_reactions_in_range(self, medium_library, monkeypatch, search, span_of, reactions):
@@ -251,10 +252,13 @@ class TestSearchAgreement:
         assert result_keys(got, q.direction) == numpy_topk_keys(medium_library, table, q, span)
 
     def test_bad_index_range(self, exact_setup):
+        # a range must start and end at reaction boundaries (0, 25 and 150), in order
         library, _, table = exact_setup
         q = engine.QuerySpec("obj", "maximize", (), k=1)
-        with pytest.raises(engine.EngineError, match="index range"):
-            engine.search_topk_stream(library, table, q, index_range=(10, 5))
+        for start, end in [(10, 5), (25, 0), (4, 17), (0, 10), (10, 25), (30, 30), (-25, 25), (25, 151)]:
+            for search in (engine.search_topk_stream, engine.search_topk_batched):
+                with pytest.raises(engine.EngineError, match=rf"^index range \[{start}, {end}\) does not start"):
+                    search(library, table, q, index_range=(start, end))
 
 
 class TestSearchEdges:
@@ -293,49 +297,23 @@ class TestSearchEdges:
             assert v == reference_ground_truth(oracle, library, reference_decode(library, g), "c1")
 
 
-@st.composite
-def block_ranges(draw):
-    """A library and an index range of one kind: empty, inside one block,
-    ending mid-block, across reactions, the whole library, or any."""
-    library = draw(mixed_libraries())
-    total = csl.product_count(library)
-    blocks = list(reference_iter_blocks(library, 0, total))
-    kind = draw(st.sampled_from(["empty", "in_block", "ends_mid_block", "across_reactions", "whole", "any"]))
-    wide = [b for b in blocks if b[4] > 1]
-    if kind == "empty":
-        g = draw(st.integers(0, total))
-        return library, g, g, kind
-    if kind == "in_block":
-        _, _, g0, _, hi = draw(st.sampled_from(blocks))
-        start = draw(st.integers(g0, g0 + hi - 1))
-        return library, start, draw(st.integers(start + 1, g0 + hi)), kind
-    if kind == "ends_mid_block" and wide:
-        _, _, g0, _, hi = draw(st.sampled_from(wide))
-        end = draw(st.integers(g0 + 1, g0 + hi - 1))
-        return library, draw(st.integers(0, end - 1)), end, kind
-    if kind == "across_reactions" and len(library.reactions) > 1:
-        t = draw(st.integers(0, len(library.reactions) - 2))
-        start = draw(st.integers(0, library.reaction_offset(t + 1) - 1))
-        return library, start, draw(st.integers(library.reaction_offset(t + 1) + 1, total)), kind
-    if kind == "whole":
-        return library, 0, total, kind
-    start = draw(st.integers(0, total))
-    return library, start, draw(st.integers(start, total)), "any"
-
-
 class TestBlockTable:
-    @given(case=block_ranges())
+    @given(library=mixed_libraries(), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_walk(self, case):
-        library, start, end, _ = case
+    def test_matches_reference_walk(self, library, data):
+        # whole blocks that tile the reactions of an empty, one-reaction, run or whole span
+        start, end = data.draw(reaction_spans(library))
+        first, stop = engine.index_span(library.layout, (start, end))
         sizes = [math.prod(len(rg.synthon_ids) for rg in rx.rgroups) for rx in library.reactions]
         for t, size in enumerate(sizes):
             assert library.reaction_size(t) == size
             assert library.reaction_offset(t) == sum(sizes[:t])
         assert csl.product_count(library) == sum(sizes)
-        got = library.layout.blocks(start, end)
+        got = library.layout.blocks(first, stop)
         assert all(a.dtype == np.int64 for a in got)
-        assert list(zip(*(a.tolist() for a in got))) == list(reference_iter_blocks(library, start, end))
+        assert list(zip(*(a.tolist() for a in got))) == list(reference_iter_blocks(library, first, stop))
+        _, _, g0, size = got
+        assert np.concatenate(([start], g0 + size)).tolist() == np.concatenate((g0, [end])).tolist()
 
     def test_library_without_reactions(self):
         # a valid library with no products: every scan finds nothing
@@ -464,9 +442,7 @@ def tied_search_cases(draw):
         "obj", draw(st.sampled_from(["maximize", "minimize"])), constraints,
         k=draw(st.integers(0, total + 3)),
     )
-    start = draw(st.integers(0, total))
-    end = draw(st.integers(start, total))
-    return library, table, query, (start, end)
+    return library, table, query, draw(reaction_spans(library))
 
 
 def _result_bytes(result, query, library):
@@ -480,9 +456,9 @@ class TestBlockSkipping:
     @given(case=tied_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
     @settings(max_examples=300, deadline=None)
     def test_stream_matches_batched_and_brute_force(self, case, cap):
-        # a cap of a few products ends groups at clipped blocks and within
-        # reactions, and later blocks of a group are filtered against a k-th
-        # key older than the one the blocks before them raised
+        # a cap of a few products ends groups within reactions, and later
+        # blocks of a group are filtered against a k-th key older than the
+        # one the blocks before them raised
         library, table, query, (start, end) = case
         with mock.patch.object(engine, "GROUP_PRODUCTS", cap):
             stream = engine.search_topk_stream(library, table, query, index_range=(start, end))
@@ -496,20 +472,19 @@ class TestBlockSkipping:
         assert batched.scored == (end - start if query.k else 0)
         assert 0 <= stream.scored <= stream.scanned
 
-    def test_group_spans_clipped_blocks_two_reactions_and_a_rising_kth(self):
-        # two reactions of three 3-product blocks, objective rising with the
-        # index; the range clips the first and last blocks it covers
+    def test_group_spans_two_reactions_and_a_rising_kth(self):
+        # three reactions of two 2-product blocks, objective rising with the index
         library = csl.generate_synthetic(
-            csl.SyntheticConfig(n_reactions=2, components=(2,), synthons_per_rgroup=3), seed=0
+            csl.SyntheticConfig(n_reactions=3, components=(2,), synthons_per_rgroup=2), seed=0
         )
         table = table_from_values(library, ["obj", "c"], [np.arange(12.0), np.zeros(12)], [0.0, 0.0])
         q = engine.QuerySpec("obj", "maximize", (engine.Constraint("c", upper=0.5),), k=2)
         calls, group_keys, offer, unbeaten = [], engine._group_keys, engine._TopKBuffer.offer, \
             engine._TopKBuffer.unbeaten
 
-        def record_keys(view, query, digit, g0, lo, hi):
-            calls.append((g0.tolist(), lo.tolist(), hi.tolist()))
-            return group_keys(view, query, digit, g0, lo, hi)
+        def record_keys(view, query, digit, g0):
+            calls.append((g0.tolist(),))
+            return group_keys(view, query, digit, g0)
 
         def record_offer(buf, *keys):
             # the k-th key the scored blocks' keys are offered against
@@ -520,22 +495,24 @@ class TestBlockSkipping:
             calls.append("|")
             return unbeaten(buf, *args)
 
-        with mock.patch.object(engine, "GROUP_PRODUCTS", 8), mock.patch.object(engine, "_group_keys", record_keys), \
+        with mock.patch.object(engine, "GROUP_PRODUCTS", 5), mock.patch.object(engine, "_group_keys", record_keys), \
                 mock.patch.object(engine._TopKBuffer, "offer", record_offer), \
                 mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
-            got = engine.search_topk_batched(library, table, q, index_range=(4, 17))
-        # groups of one block, two blocks (one per reaction, the k-th key rising
-        # between them), then two blocks of 3 and 2 products (the 8-product cap)
+            got = engine.search_topk_batched(library, table, q)
+        # groups of one block, then two of two blocks, one per reaction, the
+        # k-th key rising between them (the width allows four, the 5-product
+        # cap two), then one block
         assert calls == [
-            "|", ([3], [1], [3], None),
-            "|", ([6], [0], [3], (0.0, 5.0, 4)), ([9], [0], [3], (0.0, 6.0, 5)),
-            "|", ([12, 15], [0, 0], [3, 2], (0.0, 16.0, 10)),
+            "|", ([0], None),
+            "|", ([2], (0.0, 2.0, 0)), ([4], (0.0, 3.0, 1)),
+            "|", ([6], (0.0, 10.0, 4)), ([8], (0.0, 11.0, 5)),
+            "|", ([10], (0.0, 18.0, 8)),
             "|",
         ]
-        expected = numpy_topk_keys(library, table, q, (4, 17))
-        assert result_keys(got, "maximize") == expected == [(0.0, 18.0, 14), (0.0, 18.0, 16)]
-        assert got.scored == 13
-        assert result_keys(engine.search_topk_stream(library, table, q, index_range=(4, 17)), "maximize") == expected
+        expected = numpy_topk_keys(library, table, q)
+        assert result_keys(got, "maximize") == expected == [(0.0, 20.0, 11), (0.0, 19.0, 9)]
+        assert got.scored == 12
+        assert result_keys(engine.search_topk_stream(library, table, q), "maximize") == expected
 
     def test_infeasible_block_does_not_end_the_scan(self):
         # blocks (first digit 0, 1, 2) have objective bounds 15, 14, 13, but
@@ -614,8 +591,7 @@ def prefix_search_cases(draw):
     # feasible while blocks are left to visit
     k = draw(st.integers(1, max(1, total // 4)))
     query = engine.QuerySpec("obj", draw(st.sampled_from(["maximize", "minimize"])), constraints, k=k)
-    start = draw(st.one_of(st.just(0), st.integers(0, total // 2)))
-    return library, table, query, (start, draw(st.one_of(st.just(total), st.integers(start, total))))
+    return library, table, query, draw(reaction_spans(library))
 
 
 def _two_rgroup_library(first, last):
@@ -630,12 +606,12 @@ def _two_rgroup_library(first, last):
 
 def _record_prefix_parts():
     """A patch of `engine._prefix_keys` and the list it records each call's
-    (first digits, lo, hi, prefix lengths) in."""
+    (first digits, prefix lengths) in."""
     calls, prefix_keys = [], engine._prefix_keys
 
-    def record(view, query, digit, g0, lo, hi, h, counts):
-        calls.append((digit.tolist(), lo.tolist(), hi.tolist(), counts.tolist()))
-        return prefix_keys(view, query, digit, g0, lo, hi, h, counts)
+    def record(view, query, digit, g0, h, counts):
+        calls.append((digit.tolist(), counts.tolist()))
+        return prefix_keys(view, query, digit, g0, h, counts)
 
     return calls, mock.patch.object(engine, "_prefix_keys", record)
 
@@ -645,19 +621,19 @@ class TestRowPrefixes:
     @settings(max_examples=200, deadline=None)
     def test_whole_prefixes_key_as_the_blocks_do(self, case):
         # with no k-th key to reach, every row's prefix is the whole row, and
-        # the gathered products' keys are those of scoring the clipped blocks:
-        # one summation routine (row sums, then the last R-group, then the bias)
+        # the gathered products' keys are those of scoring the blocks: one
+        # summation routine (row sums, then the last R-group, then the bias)
         library, table, query, span = case
         sign = 1.0 if query.direction == "maximize" else -1.0
-        blocks = np.stack(library.layout.blocks(*span))
+        blocks = np.stack(library.layout.blocks(*engine.index_span(library.layout, span)))
         for t in np.unique(blocks[0]).tolist():
-            digit, g0, lo, hi = blocks[1:, blocks[0] == t]
+            digit, g0, _ = blocks[1:, blocks[0] == t]
             view = engine._ReactionView(table, library.layout, t, query.tasks)
             h, counts = view.row_prefixes(digit, sign, -np.inf)
             assert (counts == len(view.per_task[0][-1])).all()
             assert h.tobytes() == view.row_sums(0, digit).tobytes()
-            gathered = engine._prefix_keys(view, query, digit, g0, lo, hi, h, counts)
-            scored = engine._group_keys(view, query, digit, g0, lo, hi)
+            gathered = engine._prefix_keys(view, query, digit, g0, h, counts)
+            scored = engine._group_keys(view, query, digit, g0)
             assert [np.asarray(x)[np.argsort(gathered[2])].tobytes() for x in gathered] == \
                 [np.asarray(x)[np.argsort(scored[2])].tobytes() for x in scored]
 
@@ -687,7 +663,7 @@ class TestRowPrefixes:
         calls, record = _record_prefix_parts()
         with record:
             got = engine.search_topk_stream(library, table, q)
-        assert calls == [([0], [0], [2], [[1]])]
+        assert calls == [([0], [[1]])]
         assert result_keys(got, direction) == numpy_topk_keys(library, table, q) == [
             (0.0, 1.0 + 2.0 ** -23, 2), (0.0, 1.0, 0)]
 
@@ -703,7 +679,7 @@ class TestRowPrefixes:
         calls, record = _record_prefix_parts()
         with record:
             got = engine.search_topk_stream(library, table, q)
-        assert calls == [([1], [0], [9], [[0, 0, 3]])]
+        assert calls == [([1], [[0, 0, 3]])]
         assert result_keys(got, "maximize") == numpy_topk_keys(library, table, q) == [
             (0.0, 7.5, 7), (0.0, 7.25, 8), (0.0, 7.0, 6), (0.0, 6.5, 16)]
 
@@ -720,29 +696,9 @@ class TestRowPrefixes:
         calls, record = _record_prefix_parts()
         with record, mock.patch.object(engine, "GROUP_PRODUCTS", 1):
             got = engine.search_topk_stream(library, table, q)
-        assert calls == [([d], [0], [1], [[1]]) for d in (2, 3, 5)]
+        assert calls == [([d], [[1]]) for d in (2, 3, 5)]
         assert result_keys(got, direction) == numpy_topk_keys(library, table, q) == [
             (0.0, float(np.float32(0.9)), 0), (0.0, float(np.float32(0.7)), 1)]
-
-    @pytest.mark.parametrize("span", [(0, 6), (5, 16)])
-    def test_prefix_crossing_the_clip(self, span):
-        # rows of last contributions 0, 0.2, 0.3, 0.1 (signed order: digits
-        # 2, 1, 3, 0); block 1 is clipped, and the prefix its row gathers
-        # holds the 2.3 at offset 2, which only (0, 6) leaves out
-        library = _two_rgroup_library(4, 4)
-        values = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.2, 0.3, 0.1], dtype=np.float32)
-        table = table_from_values(library, ["obj"], [values], [0.0])
-        q = engine.QuerySpec("obj", "maximize", (), k=2)
-        calls, record = _record_prefix_parts()
-        with record:
-            got = engine.search_topk_stream(library, table, q, index_range=span)
-        expected = numpy_topk_keys(library, table, q, span)
-        assert result_keys(got, "maximize") == expected
-        if span == (0, 6):
-            assert calls == [([1], [0], [2], [[2]])]
-            assert [g for *_, g in expected] == [2, 1]
-        else:
-            assert [g for *_, g in expected] == [6, 5]
 
     @pytest.mark.parametrize("cap", [3, 8, 50])
     @pytest.mark.parametrize("k", [5, 10])
@@ -760,13 +716,16 @@ class TestRowPrefixes:
         groups, group_keys, prefix_keys, unbeaten = [], engine._group_keys, engine._prefix_keys, \
             engine._TopKBuffer.unbeaten
 
-        def record_keys(view, query, digit, g0, lo, hi):
-            groups[-1].append(("score", len(digit), int((hi - lo).sum()), 0, 0))
-            return group_keys(view, query, digit, g0, lo, hi)
+        def products(view, digit):
+            return len(digit) * math.prod(len(a) for a in view.per_task[0][1:])
 
-        def record_prefixes(view, query, digit, g0, lo, hi, h, counts):
-            groups[-1].append(("gather", len(digit), int((hi - lo).sum()), int(counts.sum()), h.size))
-            return prefix_keys(view, query, digit, g0, lo, hi, h, counts)
+        def record_keys(view, query, digit, g0):
+            groups[-1].append(("score", len(digit), products(view, digit), 0, 0))
+            return group_keys(view, query, digit, g0)
+
+        def record_prefixes(view, query, digit, g0, h, counts):
+            groups[-1].append(("gather", len(digit), products(view, digit), int(counts.sum()), h.size))
+            return prefix_keys(view, query, digit, g0, h, counts)
 
         def record_stop(buf, *args):
             groups.append([])

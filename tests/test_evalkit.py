@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexcsl import csl, engine, evalkit, props
-from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reference_decode,
+from conftest import (f32_round_latents, mixed_libraries, perfect_additive_table, reaction_spans, reference_decode,
                       reference_ground_truth, reference_iter_blocks, reference_thompson_sampling)
 
 
@@ -79,19 +79,18 @@ def test_oracle_values_that_can_overflow_are_refused(exact_setup):
 def reference_oracle_topk(library, oracle, query, j, index_range=None):
     """The per-product heap loop `oracle_topk` replaced: (global index,
     objective) pairs, signed objective descending, then lower index."""
-    start, end = index_range if index_range is not None else (0, csl.product_count(library))
+    first, stop = engine.index_span(library.layout, index_range)
     heap = []  # (signed objective, -g); root is the worst kept
-    for ti, fd, g0, lo, hi in reference_iter_blocks(library, start, end):
-        obj = props.oracle_block_values(oracle, library, query.objective, ti, fd)[lo:hi]
+    for ti, fd, g0, _ in reference_iter_blocks(library, first, stop):
+        obj = props.oracle_block_values(oracle, library, query.objective, ti, fd)
         s = obj if query.direction == "maximize" else -obj
         if query.constraints:
-            cons = [props.oracle_block_values(oracle, library, con.task, ti, fd)[lo:hi]
-                    for con in query.constraints]
+            cons = [props.oracle_block_values(oracle, library, con.task, ti, fd) for con in query.constraints]
             feasible = np.asarray(engine.violation(cons, query.constraints)) == 0.0
         else:
             feasible = np.ones(len(obj), dtype=bool)
         for i in np.nonzero(feasible)[0]:
-            item = (float(s[i]), -(g0 + lo + int(i)))
+            item = (float(s[i]), -(g0 + int(i)))
             if len(heap) < j:
                 heapq.heappush(heap, item)
             elif item > heap[0]:
@@ -119,9 +118,7 @@ def oracle_topk_cases(draw):
     constraints = tuple(engine.Constraint(f"c{i}", *draw(st.sampled_from(bounds))) for i in range(n_cons))
     query = engine.QuerySpec("obj", draw(st.sampled_from(["maximize", "minimize"])), constraints)
     total = csl.product_count(library)
-    start = draw(st.integers(0, total))
-    end = draw(st.integers(start, total))
-    return library, oracle, query, draw(st.integers(1, total + 3)), (start, end)
+    return library, oracle, query, draw(st.integers(1, total + 3)), draw(reaction_spans(library))
 
 
 class TestOracleTopKReference:
