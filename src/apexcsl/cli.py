@@ -94,10 +94,14 @@ def parse_query_file(path, table: engine.ContributionTable) -> engine.QuerySpec:
 
 
 def _int_list(flag: str, text: str) -> list[int]:
+    """Comma-separated integers, each >= 1."""
     try:
-        return [int(x) for x in text.split(",")]
+        values = [int(x) for x in text.split(",")]
     except ValueError:
         raise CliError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise CliError(f"{flag} values must be >= 1, got {text!r}")
+    return values
 
 
 def _feature_config(args) -> props.FeatureConfig:
@@ -177,6 +181,8 @@ def cmd_train_surrogate(args) -> int:
 
 
 def cmd_train_factorizer(args) -> int:
+    if args.gap_sample < 1:
+        raise CliError(f"--gap-sample must be >= 1, got {args.gap_sample}")
     library = csl.load_library(args.library)
     model = sg.load_surrogate(args.surrogate)
     config = fz.FactorizerTrainConfig(
@@ -236,15 +242,13 @@ def _write_report(path, lines: list[str]) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    js = _int_list("--j", args.j)
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
     query = parse_query_file(args.query, table)
     retrieved = engine.search_topk_stream(library, table, query)
-    js = _int_list("--j", args.j)
-    if min(js) < 1:
-        raise CliError("--j values must be >= 1")
     # the oracle order is total, so every top-j is a prefix of the largest one
     truth = evalkit.oracle_topk(library, oracle, query, max(js))
     sat = evalkit.satisfaction_rate(retrieved, oracle, library, query.constraints, seed=args.seed)
@@ -257,11 +261,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare_ts(args) -> int:
+    budgets = tuple(_int_list("--budgets", args.budgets))
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
     oracle = props.load_oracle(args.oracle)
     oracle.check_library(library)
-    budgets = tuple(_int_list("--budgets", args.budgets))
     seeds = tuple(range(args.seed, args.seed + args.n_seeds))
     rows = evalkit.compare_apex_vs_ts(
         library, oracle, table, args.objective, args.direction,

@@ -31,14 +31,15 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
   equals the k-th key is still scored, because a tied key can win on a lower
   global index.
 * Groups. Blocks are scored a group at a time, one numpy pass per reaction
-  in the group: the next blocks in visit order whose bound is not below the
-  k-th key, one at first, then up to twice the last group's count. Until the
-  k-th key is feasible, a group holds at most GROUP_PRODUCTS products (a
-  larger block is scored whole), so that few products are scored past the
-  stop point. Once it is feasible, the stream's group cost follows the
-  products it gathers (see Prefixes): a group holds at most GROUP_PRODUCTS
-  block rows, and ends before the block at which the prefixes it gathers
-  would pass GROUP_PRODUCTS products (its first block is gathered whole).
+  in the group, and one rule sizes every group: take the next `width` blocks
+  in visit order whose bound is not below the k-th key (one at first). Once
+  the k-th key is feasible, the stream gathers row prefixes (see Prefixes):
+  it first cuts those blocks to GROUP_PRODUCTS block rows, and a block costs
+  the products its prefixes gather; otherwise a block costs its products.
+  The group keeps the leading blocks whose costs sum to at most
+  GROUP_PRODUCTS, and at least one (a larger block is scored whole), so that
+  few products are scored past the stop point; the next `width` is twice
+  the blocks it kept.
 * Prefixes. A block row fixes the digits of every R-group but the last; its
   products' objective values are v = fl(fl(h + x) + b), h the row's sum of
   the earlier R-groups, x the last R-group's contribution, b the bias. IEEE
@@ -100,7 +101,7 @@ from .factorizer import HierarchyCache
 from .surrogate import SurrogateModel
 
 TABLE_VERSION = 1
-GROUP_PRODUCTS = 1 << 15  # products (or, gathering prefixes, rows and gathered products) of one group
+GROUP_PRODUCTS = 1 << 15  # a group's cost: products scored or gathered (and block rows searched)
 
 
 class EngineError(RuntimeError):
@@ -461,29 +462,6 @@ def _constraint_values(table: ContributionTable, query: QuerySpec, rows: np.ndar
     return gather_sum(table.values[tasks].T, rows).T + table.biases[tasks, None]
 
 
-def _gather_group(buf: _TopKBuffer, views, query: QuerySpec, blocks: np.ndarray, rows: np.ndarray) -> int:
-    """Offer the products of the first of these visit-order blocks that can
-    reach the feasible k-th key, gathered by row prefix; return how many
-    blocks that was. The group takes at most GROUP_PRODUCTS block rows
-    (`rows` per reaction position), and ends before the block at which the
-    prefixes it gathers would pass GROUP_PRODUCTS products."""
-    blocks = blocks[:, : max(1, bisect_right(np.cumsum(rows[blocks[0]]).tolist(), GROUP_PRODUCTS))]
-    sign, ts = (1.0 if query.direction == "maximize" else -1.0), buf.kth[1]
-    gathered, parts = np.empty(len(blocks[0]), dtype=np.int64), []
-    for t in np.unique(blocks[0]).tolist():
-        mine = blocks[0] == t
-        h, counts = views[t].row_prefixes(blocks[1, mine], sign, ts)
-        gathered[mine] = counts.sum(axis=1)
-        parts.append((t, mine, h, counts))
-    n = max(1, bisect_right(np.cumsum(gathered).tolist(), GROUP_PRODUCTS))
-    for t, mine, h, counts in parts:
-        m = np.count_nonzero(mine[:n])
-        if m:
-            digit, g0 = blocks[1:3, :n][:, mine[:n]]
-            buf.offer(*_prefix_keys(views[t], query, digit, g0, h[:m], counts[:m]))
-    return n
-
-
 def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
     """Score `PairLayout.blocks` rows into `buf`; return the number of products scored.
 
@@ -492,9 +470,9 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     at the first block whose bound is strictly below the k-th key. `bounds`
     holds the two bounds per block; without them every block is scored, in
     index order. With them, once the k-th key is feasible, groups gather row
-    prefixes (`_gather_group`). `views` maps each reaction position to a
-    view that gives the reaction's `block_values`, over many first digits at
-    once, for the objective, then each constraint; those values are finite.
+    prefixes. `views` maps each reaction position to a view that gives the
+    reaction's `block_values`, over many first digits at once, for the
+    objective, then each constraint; those values are finite.
     """
     if buf.k == 0:
         return 0
@@ -505,25 +483,35 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
         order = np.lexsort((-bounds[1], -bounds[0]))
         visit = visit[:, order]
         neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
-    # products in the visit's first i blocks, at position i
-    done = [0] + np.cumsum(visit[3]).tolist()
-    if bounds is not None:
-        # per reaction position, a block's rows (digits of every R-group but the last)
-        rows = np.zeros(max(views) + 1, dtype=np.int64)
-        for t, view in views.items():
-            rows[t] = math.prod(len(a) for a in view.per_task[0][1:-1])
-    i, width, stop = 0, 1, buf.unbeaten(neg_c, neg_s)
+    sign = 1.0 if query.direction == "maximize" else -1.0
+    i, width, scored, stop = 0, 1, 0, buf.unbeaten(neg_c, neg_s)
     while i < stop:
-        if bounds is None or buf.kth is None or buf.kth[0] != 0.0:
-            j = min(stop, i + width, max(i + 1, bisect_right(done, done[i] + GROUP_PRODUCTS) - 1))
-            group = visit[:, i:j]
-            for t in np.unique(group[0]).tolist():
-                digit, g0 = group[1:3, group[0] == t]
-                buf.offer(*_group_keys(views[t], query, digit, g0))
-        else:
-            j = i + _gather_group(buf, views, query, visit[:, i:min(stop, i + width)], rows)
-        i, width, stop = j, 2 * width, buf.unbeaten(neg_c, neg_s)
-    return done[i]
+        group = visit[:, i:min(stop, i + width)]
+        parts = [(t, group[0] == t) for t in np.unique(group[0]).tolist()]
+        cost, prefixes = group[3], None
+        if bounds is not None and buf.kth is not None and buf.kth[0] == 0.0:
+            # at most GROUP_PRODUCTS block rows: a block's products over its last R-group's synthons
+            rows = group[3].copy()
+            for t, mine in parts:
+                rows[mine] //= len(views[t].per_task[0][-1])
+            group = group[:, : max(1, bisect_right(np.cumsum(rows).tolist(), GROUP_PRODUCTS))]
+            cost, prefixes = np.zeros(group.shape[1], dtype=np.int64), {}
+            for t, mine in parts:
+                mine = mine[: len(cost)]
+                if np.count_nonzero(mine):
+                    prefixes[t] = views[t].row_prefixes(group[1, mine], sign, buf.kth[1])
+                    cost[mine] = prefixes[t][1].sum(axis=1)
+        n = max(1, bisect_right(np.cumsum(cost).tolist(), GROUP_PRODUCTS))
+        kept = group[:, :n]
+        for t, mine in parts:
+            m = np.count_nonzero(mine[:n])
+            if m:
+                digit, g0 = kept[1:3, mine[:n]]
+                buf.offer(*(_group_keys(views[t], query, digit, g0) if prefixes is None
+                            else _prefix_keys(views[t], query, digit, g0, *(a[:m] for a in prefixes[t]))))
+        scored += int(kept[3].sum())
+        i, width, stop = i + n, 2 * n, buf.unbeaten(neg_c, neg_s)
+    return scored
 
 
 def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple[int, int]:
@@ -569,7 +557,7 @@ def _search(library: CslLibrary, table: ContributionTable, query: QuerySpec,
     c, s, g, scored, scanned = scan_topk(layout, lambda t: _ReactionView(table, layout, t, query.tasks), query,
                                          query.k, index_range, bounded)
     scan_time = time.perf_counter() - t0
-    timing = {"scan_seconds": scan_time, "scanned": float(scanned)}
+    timing = {"scan_seconds": scan_time}
     if scan_time > 0:
         timing["products_per_second"] = scanned / scan_time
     feasible = c >= 0.0

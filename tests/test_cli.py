@@ -416,11 +416,14 @@ class TestErrors:
         "embedding_dim_0", "d_u_0", "hardness_nan", "labels_inf", "sigma_nan", "sigma_negative",
         "share_rate_nan", "share_rate_above_1", "lr_negative", "lr_zero", "lr_nan",
         "factorizer_lr_negative", "factorizer_lr_zero", "factorizer_lr_nan", "labels_synthon_ineligible",
-        "tasks_unknown", "feature_config_mismatch", "embedding_width_mismatch",
+        "tasks_unknown", "feature_config_mismatch", "embedding_width_mismatch", "j_0",
     ])
-    def test_bad_training_or_sampling_input(self, pipeline, capsys, case):
+    def test_bad_training_or_sampling_input(self, pipeline, capsys, monkeypatch, case):
         # each once ended in a traceback, was accepted silently, or wrote an
-        # output (--out, --oracle-out or --cache-out) before it was refused
+        # output (--out, --oracle-out or --cache-out) before it was refused;
+        # a bad flag is refused before the command's first expensive call
+        from apexcsl import evalkit, factorizer as fz
+
         p = {k: str(v) for k, v in pipeline.items()}
         out = p["dir"] + "/bad_" + case
         labels = pipeline["dir"] / "labels_negative.tsv"  # reaction 1's labels say reaction -1
@@ -479,9 +482,17 @@ class TestErrors:
             "factorizer_lr_zero": factorizer + ["--lr", "0"],
             "factorizer_lr_nan": factorizer + ["--lr", "nan"],
             "labels_synthon_ineligible": surrogate[:4] + [str(labels)] + surrogate[5:] + ["--epochs", "1"],
+            "j_0": ["evaluate", "--library", p["library"], "--table", p["table"], "--oracle", p["oracle"],
+                    "--query", p["query"], "--out", out, "--j", "10,0"],
         }[case]
+        expensive = {"gap_sample_0": (fz, "train_factorizer"), "j_0": (engine, "search_topk_stream"),
+                     "budgets_0": (evalkit, "oracle_topk")}.get(case)
+        if expensive:
+            calls = []
+            monkeypatch.setattr(*expensive, lambda *a, **kw: calls.append(a))
         capsys.readouterr()
         assert run(*argv) == 1
+        assert not expensive or calls == []
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
         assert not any(os.path.exists(out + suffix) for suffix in ("", ".oracle", ".cache"))
@@ -490,6 +501,7 @@ class TestErrors:
         assert case != "labels_synthon_ineligible" or re.fullmatch(
             f"error: line {len(lines)}: synthon 999999 is not eligible for R-group [0-9]+\n", captured.err)
         assert "lr_" not in case or "finite and > 0" in captured.err  # refused before training starts
+        assert not expensive or captured.err.startswith(f"error: --{case[:-2].replace('_', '-')} ")
 
     @pytest.mark.parametrize("command", ["search", "label"])
     def test_product_count_past_int64(self, tmp_path, capsys, command):

@@ -713,8 +713,8 @@ class TestRowPrefixes:
         )
         table = random_table(library, ["obj", "c"], np.random.default_rng(5))
         q = engine.QuerySpec("obj", direction, (engine.Constraint("c", upper=0.0),), k=k)
-        groups, group_keys, prefix_keys, unbeaten = [], engine._group_keys, engine._prefix_keys, \
-            engine._TopKBuffer.unbeaten
+        groups, searched, group_keys, prefix_keys, row_prefixes, unbeaten = [], [], engine._group_keys, \
+            engine._prefix_keys, engine._ReactionView.row_prefixes, engine._TopKBuffer.unbeaten
 
         def products(view, digit):
             return len(digit) * math.prod(len(a) for a in view.per_task[0][1:])
@@ -727,15 +727,27 @@ class TestRowPrefixes:
             groups[-1].append(("gather", len(digit), products(view, digit), int(counts.sum()), h.size))
             return prefix_keys(view, query, digit, g0, h, counts)
 
+        def record_search(view, first_digits, *args):
+            searched[-1] += len(first_digits)
+            return row_prefixes(view, first_digits, *args)
+
         def record_stop(buf, *args):
             groups.append([])
+            searched.append(0)
             return unbeaten(buf, *args)
 
         with mock.patch.object(engine, "GROUP_PRODUCTS", cap), mock.patch.object(engine, "_group_keys", record_keys), \
                 mock.patch.object(engine, "_prefix_keys", record_prefixes), \
+                mock.patch.object(engine._ReactionView, "row_prefixes", record_search), \
                 mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
             got = engine.search_topk_stream(library, table, q)
+        searched = [n for g, n in zip(groups, searched) if g]
         groups = [g for g in groups if g]
+        # a group takes at most twice the blocks the group before it kept,
+        # and hands row_prefixes no more than that
+        for before, g, n in zip(groups, groups[1:], searched[1:]):
+            kept = sum(part[1] for part in before)
+            assert sum(part[1] for part in g) <= 2 * kept and n <= 2 * kept
         kinds = [{kind for kind, *_ in g} for g in groups]
         first = kinds.index({"gather"})
         # once the k-th key is feasible, every group gathers prefixes
