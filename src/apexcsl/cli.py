@@ -205,8 +205,10 @@ def cmd_precompute(args) -> int:
     library = csl.load_library(args.library)
     model = sg.load_surrogate(args.surrogate)
     trained = fz.load_factorizer(args.factorizer)
-    cache = fz.encode_hierarchy(trained, library)
-    table = engine.precompute_contributions(cache, model)
+    # huge but finite weights overflow quietly here; the table refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = fz.encode_hierarchy(trained, library)
+        table = engine.precompute_contributions(cache, model)
     if args.cache_out:
         fz.save_cache(cache, args.cache_out)
     engine.save_table(table, args.out)

@@ -33,39 +33,60 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
 * Groups. Blocks are scored a group at a time, one numpy pass per reaction
   in the group, and one rule sizes every group: take the next `width` blocks
   in visit order whose bound is not below the k-th key (one at first). Once
-  the k-th key is feasible, the stream gathers row prefixes (see Prefixes):
-  it first cuts those blocks to GROUP_PRODUCTS block rows, and a block costs
-  the products its prefixes gather; otherwise a block costs its products.
-  The group keeps the leading blocks whose costs sum to at most
+  the buffer holds k keys, the stream gathers row ranges (see Prefixes and
+  Ranges): it first cuts those blocks to GROUP_PRODUCTS block rows, and a
+  block costs the products its ranges hold; before that a block costs its
+  products. The group keeps the leading blocks whose costs sum to at most
   GROUP_PRODUCTS, and at least one (a larger block is scored whole), so that
   few products are scored past the stop point; the next `width` is twice
-  the blocks it kept.
+  the blocks it kept. A reaction's blocks whose constraint ranges hold more
+  than half their products are scored whole, and cost their products:
+  gathering most of a block costs more than scoring it.
 * Prefixes. A block row fixes the digits of every R-group but the last; its
   products' objective values are v = fl(fl(h + x) + b), h the row's sum of
   the earlier R-groups, x the last R-group's contribution, b the bias. IEEE
   rounding is monotone, so the signed value sv (s = -1 to minimize) never
   falls as sx rises, and the products of a row with sv >= ts, ts the k-th
   key's signed objective, are a prefix of the last R-group sorted by sx
-  descending. `_ReactionView.row_prefixes` sorts it once per search and finds
-  every row's prefix with one `searchsorted`: it counts the x with
-  sx >= ts - s(h + b) - m. Each rounding moves a sum by at most u = 2^-53 of
-  its magnitude: v lies within 3u(|h| + |x| + |b|) of h + x + b, and the
-  threshold's own three roundings move it by at most 3u(|h| + |b| + |ts| + m).
-  The margin m = 2^-48 (A + |b| + |ts|) + 2^-1022, A the sum of the
-  R-groups' largest contributions in magnitude (so |h| + |x| <= A, to within
-  a few u), is more than both together (2^-1022 covers a margin that
-  underflows), so every product with sv >= ts is counted. `_prefix_keys`
-  sums each task at every counted product: the row sum (`row_sums`, from
-  which `h` and `block_values` are built too), plus the last R-group's
-  contribution, then the bias, the additions `block_values` makes. The
-  batched scan, `evalkit.oracle_topk` (whose values are not separable) and
-  every group scored before the k-th key is feasible score every product of
-  their blocks (`_group_keys`).
+  descending. Once the k-th key is feasible, `_ReactionView.row_prefixes`
+  sorts it once per search and finds every row's prefix with one
+  `searchsorted`: it counts the x with sx >= ts - s(h + b) - m. Each
+  rounding moves a sum by at most u = 2^-53 of its magnitude: v lies within
+  3u(|h| + |x| + |b|) of h + x + b, and the threshold's own three roundings
+  move it by at most 3u(|h| + |b| + |ts| + m). The margin
+  m = 2^-48 (A + |b| + |ts|) + 2^-1022, A the sum of the R-groups' largest
+  contributions in magnitude (so |h| + |x| <= A, to within a few u), is
+  more than both together (2^-1022 covers a margin that underflows), so
+  every product with sv >= ts is counted.
+* Ranges. While the k-th key is infeasible (violation tc < 0), every
+  constraint bounds a row instead. `violation` subtracts non-negative hinge
+  terms d from 0.0, so its running value c never rises, and fl(c - d) <= -d
+  while c <= 0: a computed violation of at least tc needs every term
+  d <= -tc. At a lower bound d = max(0, fl(lower - v)), so
+  lower - v <= -tc + 2u|tc|; at an upper bound v - upper <= -tc + 2u|tc|.
+  v never falls as x rises, so the products of a row that can reach tc are,
+  for each constraint, a range of its last R-group sorted by contribution:
+  `row_prefixes` sorts each constraint's once per search, and finds the ends
+  x >= lower + tc - b - h - m and x <= upper - tc - b - h + m with one
+  `searchsorted` each, m = 2^-48 (A + |b| + |tc| + |bound|) + 2^-1022 (the
+  four roundings of the threshold, the three of v and 2u|tc| together are
+  less). Each row gathers its narrowest constraint range (the whole row if
+  none is narrower). The sums are Python floats, so one that overflows
+  gives an infinite end; `validate_tasks` keeps |bound| + |b| finite, so an
+  infinite end only widens a range.
+* Gathers. `_prefix_keys` is the one gather: each row's range starts
+  anywhere in one task's sorted order (a prefix starts at 0 in the
+  objective's), and it sums each task at every product there: the row sum
+  (`row_sums`, from which `h` and `block_values` are built too), plus the
+  last R-group's contribution, then the bias, the additions `block_values`
+  makes. The batched scan, `evalkit.oracle_topk` (whose values are not
+  separable), every group scored before the buffer holds k keys and every
+  part scored whole score every product of their blocks (`_group_keys`).
 * Selection. `_TopKBuffer` is the one filter: the keys the scorers give are
   offered to it, it drops those that do not beat the k-th key (a tie on
   violation and signed objective wins on a lower global index), keeps the
   rest pending, and compacts to the best k once k are pending. The k-th key
-  decides only which blocks are visited and how many products of a row are
+  decides only which blocks are visited and which products of a row are
   gathered.
 
 Both variants and `evalkit.oracle_topk` get their top k from `scan_topk`,
@@ -265,7 +286,7 @@ class TopKResult:
     scanned: int                   # products covered by the index range
     discarded_for_violation: int
     timing: dict[str, float]
-    scored: int = 0                # products whose keys were computed
+    scored: int = 0                # products of the blocks the scan reached
 
     @property
     def retained(self) -> int:
@@ -276,6 +297,12 @@ class TopKResult:
 # vectorized block scoring and the scan
 # ---------------------------------------------------------------------------
 
+def _margin(*terms: float) -> float:
+    """A range threshold's rounding margin over the magnitudes of its terms
+    (see the module notes); it is +inf where their sum overflows."""
+    return 2.0 ** -48 * sum(map(abs, terms)) + 2.0 ** -1022
+
+
 class _ReactionView:
     """Per-reaction float64 digit-contribution arrays for the needed tasks."""
 
@@ -285,7 +312,8 @@ class _ReactionView:
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
-        # the objective's last R-group in the search's signed order, sorted at the first `row_prefixes`
+        # each task's last R-group sorted, the objective's in the search's signed order and each
+        # constraint's ascending, at the first `row_prefixes`
         self.last_order = None
 
     def row_sums(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
@@ -305,23 +333,45 @@ class _ReactionView:
         val += self.biases[task_pos]
         return val
 
-    def row_prefixes(self, first_digits: np.ndarray, sign: float, ts: float) -> tuple[np.ndarray, np.ndarray]:
-        """Over blocks, one row per first digit: each block row's objective sum
-        `h` of every R-group but the last, and the length of the prefix of the
-        last R-group's signed order that holds every product of the row whose
-        signed objective is at least `ts` (see the module notes)."""
-        arrs = self.per_task[0]
-        if self.last_order is None:
-            # the digits and the ascending search keys of the signed order; a
-            # prefix never splits equal keys, so any sort will do
-            keys = arrs[-1] * -sign
-            order = keys.argsort()
-            self.last_order = (order, keys[order], sum(float(np.abs(a).max()) for a in arrs))
+    def row_prefixes(self, first_digits: np.ndarray, query: QuerySpec, kth: tuple[float, float, int]):
+        """Over blocks, one row per first digit: ((the row sums of the tasks
+        searched, where the row's range starts in `last_order`'s digits), the
+        range's length). The range holds every product of the row whose key
+        can reach `kth`: a prefix of the objective's signed order once `kth` is
+        feasible, else the narrowest constraint's range (see the module notes)."""
+        sign = 1.0 if query.direction == "maximize" else -1.0
+        tc, ts, _ = kth
+        # the objective's order, and once the k-th key is infeasible each constraint's
+        tasks = 1 if tc == 0.0 else len(self.per_task)
+        if self.last_order is None or len(self.last_order[1]) < tasks:
+            # the digits of each order laid end to end, and its ascending search
+            # keys; a range never splits equal keys, so any sort will do
+            keys = [self.per_task[0][-1] * -sign] + [arrs[-1] for arrs in self.per_task[1:tasks]]
+            orders = [k.argsort() for k in keys]
+            self.last_order = (orders[0] if tasks == 1 else np.concatenate(orders),
+                               [k[o] for k, o in zip(keys, orders)],
+                               [sum(float(np.abs(a).max()) for a in arrs) for arrs in self.per_task[:tasks]])
         _, keys, magnitude = self.last_order
-        h = self.row_sums(0, first_digits)
-        bias = self.biases[0]
-        c = sign * bias - ts + (2.0 ** -48 * (magnitude + abs(bias) + abs(ts)) + 2.0 ** -1022)
-        return h, np.searchsorted(keys, h + c if sign > 0 else c - h, side="right")
+        h = [self.row_sums(i, first_digits) for i in range(tasks)]
+        if tc == 0.0:
+            bias = self.biases[0]
+            c = sign * bias - ts + _margin(magnitude[0], bias, ts)
+            counts = np.searchsorted(keys[0], h[0] + c if sign > 0 else c - h[0], side="right")
+            return (h, np.zeros(counts.shape, dtype=counts.dtype)), counts
+        # the whole row in the objective's order, then each constraint's narrower range
+        n = len(keys[0])
+        counts, starts = np.full(h[0].shape, n), np.zeros(h[0].shape, dtype=np.int64)
+        for i, con in enumerate(query.constraints, 1):
+            # Python floats: a sum that overflows becomes an infinite threshold, which widens the range
+            b, lower, upper = self.biases[i], float(con.lower), float(con.upper)
+            lo = (np.searchsorted(keys[i], lower - b + tc - _margin(magnitude[i], b, tc, lower) - h[i])
+                  if lower > -math.inf else 0)
+            hi = (np.searchsorted(keys[i], upper - b - tc + _margin(magnitude[i], b, tc, upper) - h[i], side="right")
+                  if upper < math.inf else n)
+            count = np.maximum(hi - lo, 0)
+            narrower = count < counts
+            counts, starts = np.where(narrower, count, counts), np.where(narrower, i * n + lo, starts)
+        return (h, starts), counts
 
     def value_bounds(self, task_pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Per first digit, the least and the greatest value `block_values` can
@@ -345,27 +395,27 @@ def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray):
     return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s.reshape(-1), g
 
 
-def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray, h: np.ndarray,
-                 counts: np.ndarray):
+def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray,
+                 rows: tuple[np.ndarray, np.ndarray], counts: np.ndarray):
     """(violation, signed objective, global index) keys of the products of one
-    reaction's blocks that `row_prefixes` gathered (`h`, `counts`): each
-    task's row sum plus the last R-group's contribution, then the bias, as
-    `block_values` adds them."""
-    order = view.last_order[0]
-    n_rows, flat = h.shape[1], counts.reshape(-1)
+    reaction's blocks in the ranges `row_prefixes` found (`rows`, `counts`):
+    each task's row sum plus the last R-group's contribution, then the bias,
+    as `block_values` adds them."""
+    h, starts = rows
+    order, n_last = view.last_order[0], len(view.per_task[0][-1])
+    n_rows, flat = h[0].shape[1], counts.reshape(-1)
     ends = np.cumsum(flat)
     row = np.repeat(np.arange(len(flat)), flat)
-    rank = np.arange(ends[-1]) - (ends - flat)[row]
-    last = order[rank]
+    last = order[np.arange(ends[-1]) - (ends - flat - starts.reshape(-1))[row]]
     vals = []
     for i, arrs in enumerate(view.per_task):
-        v = (view.row_sums(i, digit) if i else h).reshape(-1)[row] + arrs[-1][last]
+        v = (h[i] if i < len(h) else view.row_sums(i, digit)).reshape(-1)[row] + arrs[-1][last]
         v += view.biases[i]
         vals.append(v)
     s, *cons_vals = vals
     if query.direction == "minimize":
         np.negative(s, out=s)
-    g = g0[row // n_rows] + row % n_rows * len(order) + last
+    g = g0[row // n_rows] + row % n_rows * n_last + last
     return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s, g
 
 
@@ -463,14 +513,14 @@ def _constraint_values(table: ContributionTable, query: QuerySpec, rows: np.ndar
 
 
 def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
-    """Score `PairLayout.blocks` rows into `buf`; return the number of products scored.
+    """Score `PairLayout.blocks` rows into `buf`; return the products of the blocks it reached.
 
     Blocks are visited best (violation, signed objective) bound first, ties in
     index order, and scored in groups (see the module notes); the visit stops
     at the first block whose bound is strictly below the k-th key. `bounds`
     holds the two bounds per block; without them every block is scored, in
-    index order. With them, once the k-th key is feasible, groups gather row
-    prefixes. `views` maps each reaction position to a view that gives the
+    index order. With them, once `buf` holds k keys, groups gather row
+    ranges. `views` maps each reaction position to a view that gives the
     reaction's `block_values`, over many first digits at once, for the
     objective, then each constraint; those values are finite.
     """
@@ -483,32 +533,37 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
         order = np.lexsort((-bounds[1], -bounds[0]))
         visit = visit[:, order]
         neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
-    sign = 1.0 if query.direction == "maximize" else -1.0
     i, width, scored, stop = 0, 1, 0, buf.unbeaten(neg_c, neg_s)
     while i < stop:
         group = visit[:, i:min(stop, i + width)]
         parts = [(t, group[0] == t) for t in np.unique(group[0]).tolist()]
-        cost, prefixes = group[3], None
-        if bounds is not None and buf.kth is not None and buf.kth[0] == 0.0:
+        cost, prefixes = group[3], {}
+        if bounds is not None and buf.kth is not None:
             # at most GROUP_PRODUCTS block rows: a block's products over its last R-group's synthons
             rows = group[3].copy()
             for t, mine in parts:
                 rows[mine] //= len(views[t].per_task[0][-1])
             group = group[:, : max(1, bisect_right(np.cumsum(rows).tolist(), GROUP_PRODUCTS))]
-            cost, prefixes = np.zeros(group.shape[1], dtype=np.int64), {}
+            cost = group[3].copy()
             for t, mine in parts:
                 mine = mine[: len(cost)]
                 if np.count_nonzero(mine):
-                    prefixes[t] = views[t].row_prefixes(group[1, mine], sign, buf.kth[1])
-                    cost[mine] = prefixes[t][1].sum(axis=1)
+                    found = views[t].row_prefixes(group[1, mine], query, buf.kth)
+                    gathered = found[1].sum(axis=1)
+                    # constraint ranges that hold more than half the reaction's products: score them whole
+                    if buf.kth[0] == 0.0 or 2 * int(gathered.sum()) <= int(cost[mine].sum()):
+                        prefixes[t], cost[mine] = found, gathered
         n = max(1, bisect_right(np.cumsum(cost).tolist(), GROUP_PRODUCTS))
         kept = group[:, :n]
         for t, mine in parts:
             m = np.count_nonzero(mine[:n])
             if m:
                 digit, g0 = kept[1:3, mine[:n]]
-                buf.offer(*(_group_keys(views[t], query, digit, g0) if prefixes is None
-                            else _prefix_keys(views[t], query, digit, g0, *(a[:m] for a in prefixes[t]))))
+                if t in prefixes:
+                    (h, starts), counts = prefixes[t]
+                    buf.offer(*_prefix_keys(views[t], query, digit, g0, ([a[:m] for a in h], starts[:m]), counts[:m]))
+                else:
+                    buf.offer(*_group_keys(views[t], query, digit, g0))
         scored += int(kept[3].sum())
         i, width, stop = i + n, 2 * n, buf.unbeaten(neg_c, neg_s)
     return scored
@@ -589,7 +644,7 @@ def search_topk_stream(
     Selection is lexicographic on (violation, signed objective, lower global
     index); predicted violators are kept during the scan and filtered at the
     end, so fewer than k entries may be returned. `scanned` counts the
-    products in the range, `scored` those whose keys were computed.
+    products in the range, `scored` those of the blocks the scan reached.
     """
     return _search(library, table, query, index_range, bounded=True)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary, PairLayout, gather_sum, product_count
-from .nn import MLP, Adam, ParamBuffer
+from .nn import MLP, Adam, ParamBuffer, add_rows
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
 
@@ -140,8 +140,7 @@ class Factorizer:
             dv[members] += du_block @ K[j]  # an R-group lists each synthon once
         _, dkey_in = self.key_encoder.backward(c_key, dK.reshape(n_rg, -1))
         dh_r = dkey_in[:, : self.dims.d_r].copy()
-        dh_t = np.zeros_like(h_t)
-        np.add.at(dh_t, layout.rg_parent, dkey_in[:, self.dims.d_r :])
+        dh_t = add_rows(layout.rg_parent, dkey_in[:, self.dims.d_r :], len(h_t))
         _, dh_s_val = self.value_encoder.backward(c_val, dv)
         _, dh_r_from_rx = self.reaction_encoder.backward(c_rx, dh_t)
         dh_r += dh_r_from_rx
@@ -224,9 +223,8 @@ def reconstruction_loss_and_grads(
     loss = float(np.sum(resid * resid)) / n
     present = rows >= 0
     flat_chi = np.nonzero(present)[0]
-    du = np.zeros_like(u)
     # product-major, R-groups in order: a pair row's terms add up product by product
-    np.add.at(du, rows[present], (2.0 / n) * resid[flat_chi])
+    du = add_rows(rows[present], (2.0 / n) * resid[flat_chi], len(u))
     grads = factorizer.backward(library, cache, du)
     return loss, grads
 

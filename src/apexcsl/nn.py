@@ -11,6 +11,7 @@ whole model with a few array operations.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -148,6 +149,14 @@ class Adam:
         den += self.eps
         num /= den
         flat -= num
+
+
+def add_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The n rows that `np.add.at(np.zeros((n, ...)), index, values)` gives,
+    by one `np.bincount`: each entry sums its values from 0.0 in index order."""
+    width = math.prod(values.shape[1:])
+    flat = (np.asarray(index)[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=n * width).reshape((n,) + values.shape[1:])
 
 
 def params_checksum(flat: np.ndarray) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary
-from .nn import MLP, Adam, ParamBuffer, params_checksum
+from .nn import MLP, Adam, ParamBuffer, add_rows, params_checksum
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
 
 DEFAULT_EMBEDDING_DIM = 64
@@ -100,10 +100,8 @@ def surrogate_loss_and_grads(
     loss = float(err @ err) / n
 
     dpred = 2.0 * err / n
-    dW = np.zeros_like(head_w)
-    db = np.zeros_like(head_b)
-    np.add.at(dW, task_idx, dpred[:, None] * noisy)
-    np.add.at(db, task_idx, dpred)
+    dW = add_rows(task_idx, dpred[:, None] * noisy, len(head_w))
+    db = add_rows(task_idx, dpred, len(head_b))
     demb = dpred[:, None] * w
     enc_grads, _ = encoder.backward(cache, demb)
     return loss, enc_grads, dW, db

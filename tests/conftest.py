@@ -63,11 +63,12 @@ def table_from_values(library, task_names, values, biases):
     )
 
 
-def numpy_topk_keys(library, table, query, index_range=None):
+def numpy_topk_keys(library, table, query, index_range=None, feasible_only=True):
     """Brute-force materialize-and-sort reference: every product's task values
     summed with numpy in R-group order, then the bias, as the scan sums them;
     violation penalties worked out here; every key sorted; the feasible ones
-    of the top k, as (violation, signed objective, global index)."""
+    of the top k (all of them without `feasible_only`), as (violation, signed
+    objective, global index)."""
     def all_values(task):
         i = table.task_index(task)
         per_reaction = []
@@ -90,7 +91,7 @@ def numpy_topk_keys(library, table, query, index_range=None):
         c = c - np.maximum(0.0, v - con.upper)
     g = np.arange(start, end)
     top = np.lexsort((g, -s, -c))[: query.k]
-    return [(float(c[i]), float(s[i]), int(g[i])) for i in top if c[i] >= 0.0]
+    return [(float(c[i]), float(s[i]), int(g[i])) for i in top if c[i] >= 0.0 or not feasible_only]
 
 
 def random_table(library, task_names, rng):

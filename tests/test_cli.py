@@ -591,6 +591,28 @@ class TestErrors:
             assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
             assert proc.stderr.startswith(f"error: {query}: ") and "overflow" in proc.stderr
 
+    @pytest.mark.parametrize("blob", ["surrogate", "factorizer"])
+    def test_model_whose_contributions_overflow(self, pipeline, tmp_path, blob):
+        # a surrogate head of 1e308, or factorizer weights scaled by 1e300,
+        # once printed numpy RuntimeWarnings before the error line
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        if blob == "surrogate":
+            arrays["head_w"] = np.full_like(arrays["head_w"], 1e308)
+        else:
+            arrays = {name: a * 1e300 for name, a in arrays.items()}
+        bad = tmp_path / f"{blob}_huge.blob"
+        blobio.save_blob(bad, meta, arrays)
+        models = {"surrogate": str(pipeline["surrogate"]), "factorizer": str(pipeline["factorizer"]), blob: str(bad)}
+        out = tmp_path / "table.blob"
+        proc = run_process("precompute", "--library", str(pipeline["library"]), "--surrogate", models["surrogate"],
+                           "--factorizer", models["factorizer"], "--out", str(out),
+                           python_flags=("-W", "error::RuntimeWarning"))
+        assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("error: contribution table has a non-finite value or bias")
+        assert not out.exists()
+
     def test_labels_too_large_to_standardize(self, pipeline, tmp_path):
         # labels of +-1e308 once trained with exit 0, NaN R2 and RuntimeWarnings
         p = {k: str(v) for k, v in pipeline.items()}

@@ -620,22 +620,25 @@ class TestRowPrefixes:
     @given(case=prefix_search_cases())
     @settings(max_examples=200, deadline=None)
     def test_whole_prefixes_key_as_the_blocks_do(self, case):
-        # with no k-th key to reach, every row's prefix is the whole row, and
-        # the gathered products' keys are those of scoring the blocks: one
-        # summation routine (row sums, then the last R-group, then the bias)
+        # with no k-th key to reach, feasible (objective -inf) or not (violation
+        # -inf), every row's range is the whole row, and the gathered products'
+        # keys are those of scoring the blocks: one summation routine (row
+        # sums, then the last R-group, then the bias)
         library, table, query, span = case
-        sign = 1.0 if query.direction == "maximize" else -1.0
         blocks = np.stack(library.layout.blocks(*engine.index_span(library.layout, span)))
         for t in np.unique(blocks[0]).tolist():
             digit, g0, _ = blocks[1:, blocks[0] == t]
             view = engine._ReactionView(table, library.layout, t, query.tasks)
-            h, counts = view.row_prefixes(digit, sign, -np.inf)
-            assert (counts == len(view.per_task[0][-1])).all()
-            assert h.tobytes() == view.row_sums(0, digit).tobytes()
-            gathered = engine._prefix_keys(view, query, digit, g0, h, counts)
-            scored = engine._group_keys(view, query, digit, g0)
-            assert [np.asarray(x)[np.argsort(gathered[2])].tobytes() for x in gathered] == \
-                [np.asarray(x)[np.argsort(scored[2])].tobytes() for x in scored]
+            for kth in [(0.0, -np.inf, 0)] + [(-np.inf, 0.0, 0)] * bool(query.constraints):
+                (h, starts), counts = view.row_prefixes(digit, query, kth)
+                assert (counts == len(view.per_task[0][-1])).all()
+                # the row sums of the tasks searched: the objective's, or every task's
+                assert len(h) == (1 if kth[0] == 0.0 else len(query.tasks))
+                assert [a.tobytes() for a in h] == [view.row_sums(i, digit).tobytes() for i in range(len(h))]
+                gathered = engine._prefix_keys(view, query, digit, g0, (h, starts), counts)
+                scored = engine._group_keys(view, query, digit, g0)
+                assert [np.asarray(x)[np.argsort(gathered[2])].tobytes() for x in gathered] == \
+                    [np.asarray(x)[np.argsort(scored[2])].tobytes() for x in scored]
 
     @given(case=prefix_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
     @settings(max_examples=300, deadline=None)
@@ -704,7 +707,7 @@ class TestRowPrefixes:
     @pytest.mark.parametrize("k", [5, 10])
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("components, synthons", [((2,), 12), ((2, 3), 6)], ids=["rows_of_12", "rows_of_6"])
-    def test_group_rule(self, cap, k, direction, components, synthons):
+    def test_group_rule(self, cap, k, direction, components, synthons, upper=0.0):
         # blocks of one 12-product row, where the gathered products end
         # groups, or of one and six 6-product rows, where the rows do; a
         # constraint keeps the k-th key infeasible for the first groups
@@ -712,28 +715,28 @@ class TestRowPrefixes:
             csl.SyntheticConfig(n_reactions=4, components=components, synthons_per_rgroup=synthons), seed=2
         )
         table = random_table(library, ["obj", "c"], np.random.default_rng(5))
-        q = engine.QuerySpec("obj", direction, (engine.Constraint("c", upper=0.0),), k=k)
-        groups, searched, group_keys, prefix_keys, row_prefixes, unbeaten = [], [], engine._group_keys, \
-            engine._prefix_keys, engine._ReactionView.row_prefixes, engine._TopKBuffer.unbeaten
+        q = engine.QuerySpec("obj", direction, (engine.Constraint("c", upper=upper),), k=k)
+        groups, group_keys, prefix_keys, row_prefixes, unbeaten = [], engine._group_keys, engine._prefix_keys, \
+            engine._ReactionView.row_prefixes, engine._TopKBuffer.unbeaten
 
         def products(view, digit):
             return len(digit) * math.prod(len(a) for a in view.per_task[0][1:])
 
         def record_keys(view, query, digit, g0):
-            groups[-1].append(("score", len(digit), products(view, digit), 0, 0))
+            groups[-1]["parts"].append(("score", view, len(digit), products(view, digit)))
             return group_keys(view, query, digit, g0)
 
-        def record_prefixes(view, query, digit, g0, h, counts):
-            groups[-1].append(("gather", len(digit), products(view, digit), int(counts.sum()), h.size))
-            return prefix_keys(view, query, digit, g0, h, counts)
+        def record_prefixes(view, query, digit, g0, rows, counts):
+            groups[-1]["parts"].append(("gather", view, len(digit), products(view, digit)))
+            return prefix_keys(view, query, digit, g0, rows, counts)
 
-        def record_search(view, first_digits, *args):
-            searched[-1] += len(first_digits)
-            return row_prefixes(view, first_digits, *args)
+        def record_search(view, first_digits, query, kth):
+            found = row_prefixes(view, first_digits, query, kth)
+            groups[-1]["searched"][view] = (kth[0], found[1], products(view, first_digits))
+            return found
 
         def record_stop(buf, *args):
-            groups.append([])
-            searched.append(0)
+            groups.append({"parts": [], "searched": {}})
             return unbeaten(buf, *args)
 
         with mock.patch.object(engine, "GROUP_PRODUCTS", cap), mock.patch.object(engine, "_group_keys", record_keys), \
@@ -741,28 +744,167 @@ class TestRowPrefixes:
                 mock.patch.object(engine._ReactionView, "row_prefixes", record_search), \
                 mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
             got = engine.search_topk_stream(library, table, q)
-        searched = [n for g, n in zip(groups, searched) if g]
-        groups = [g for g in groups if g]
+        groups = [g for g in groups if g["parts"]]
         # a group takes at most twice the blocks the group before it kept,
         # and hands row_prefixes no more than that
-        for before, g, n in zip(groups, groups[1:], searched[1:]):
-            kept = sum(part[1] for part in before)
-            assert sum(part[1] for part in g) <= 2 * kept and n <= 2 * kept
-        kinds = [{kind for kind, *_ in g} for g in groups]
-        first = kinds.index({"gather"})
-        # once the k-th key is feasible, every group gathers prefixes
-        assert kinds[:first] == [{"score"}] * first and kinds[first:] == [{"gather"}] * (len(groups) - first)
+        for before, g in zip(groups, groups[1:]):
+            kept = sum(part[2] for part in before["parts"])
+            assert sum(part[2] for part in g["parts"]) <= 2 * kept
+            assert sum(len(counts) for _, counts, _ in g["searched"].values()) <= 2 * kept
+        # the groups before the buffer holds k keys score whole blocks; every
+        # group after it searches ranges
+        first = next(i for i, g in enumerate(groups) if g["searched"])
+        assert all(g["searched"] for g in groups[first:]) and not any(g["searched"] for g in groups[:first])
         for g in groups:
-            blocks, products, gathered, rows = (sum(part[i] for part in g) for i in range(1, 5))
-            if g[0][0] == "score":
-                assert products <= cap or blocks == 1
-            else:
-                assert (gathered <= cap and rows <= cap) or blocks == 1
-        if components == (2,) and cap < synthons:
+            blocks = sum(part[2] for part in g["parts"])
+            if not g["searched"]:
+                assert {part[0] for part in g["parts"]} == {"score"}
+                assert sum(part[3] for part in g["parts"]) <= cap or blocks == 1
+                continue
+            cost = rows = 0
+            for kind, view, n, size in g["parts"]:
+                tc, counts, searched = g["searched"][view]
+                # a reaction's part is scored whole only while the k-th key is
+                # infeasible and its ranges hold more than half the products searched
+                whole = tc < 0.0 and 2 * int(counts.sum()) > searched
+                assert kind == ("score" if whole else "gather")
+                # a block costs the products its ranges hold, or all of them when scored whole
+                cost, rows = cost + (size if whole else int(counts[:n].sum())), rows + counts[:n].size
+            assert (cost <= cap and rows <= cap) or blocks == 1
+        if upper == 0.0 and components == (2,) and cap < synthons:
             # groups grow by what they gather: some hold blocks whose products pass the cap
-            assert any(g[0][0] == "gather" and sum(part[1] for part in g) > 1 and sum(part[2] for part in g) > cap
-                       for g in groups)
+            assert any(g["searched"] and sum(part[2] for part in g["parts"]) > 1
+                       and sum(part[3] for part in g["parts"]) > cap for g in groups)
         assert result_keys(got, direction) == numpy_topk_keys(library, table, q)
+
+    @pytest.mark.parametrize("cap", [3, 8, 20, 50])
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("components, synthons", [((2,), 12), ((2, 3), 6)], ids=["rows_of_12", "rows_of_6"])
+    def test_group_rule_under_a_tight_bound(self, cap, k, direction, components, synthons):
+        # a tighter bound keeps the k-th key infeasible for longer, so that
+        # its ranges narrow: some parts are gathered and some scored whole
+        # before it is feasible (a cap of 20 holds several such blocks)
+        self.test_group_rule(cap, k, direction, components, synthons, upper=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# constraint ranges: while the k-th key is infeasible, the stream gathers each
+# block row's narrowest constraint range
+# ---------------------------------------------------------------------------
+
+# bounds on and between the sums of ULP_LEVELS, so that values sit on a bound
+# or an ulp either side of it; one side, both, or none finite
+RANGE_BOUNDS = [
+    (float("-inf"), 1.0), (1.0, float("inf")), (0.5, 1.0), (-1.0, 0.5), (0.0, float("inf")),
+    (float("-inf"), -2.0 ** -53), (1.5, 2.0), (2.0, float("inf")), (float("-inf"), float("inf")),
+]
+
+
+@st.composite
+def range_search_cases(draw):
+    library = csl.generate_synthetic(
+        csl.SyntheticConfig(
+            n_reactions=draw(st.integers(1, 3)),
+            components=draw(st.sampled_from([(2,), (3,), (4,), (2, 3), (3, 4), (4, 2)])),
+            synthons_per_rgroup=draw(st.integers(2, 4)),
+        ),
+        seed=draw(st.integers(0, 3)),
+    )
+    n_cons = draw(st.integers(1, 3))
+    tasks = ["obj"] + [f"c{i}" for i in range(n_cons)]
+    n_pairs = pair_count(library)
+    values = draw(st.lists(st.lists(st.sampled_from(ULP_LEVELS), min_size=n_pairs, max_size=n_pairs),
+                           min_size=len(tasks), max_size=len(tasks)))
+    biases = draw(st.lists(st.sampled_from([0.0, -0.0, 2.0 ** -53, 0.1, -1.0]), min_size=len(tasks),
+                           max_size=len(tasks)))
+    table = table_from_values(library, tasks, values, biases)
+    constraints = tuple(
+        engine.Constraint(f"c{i}", *draw(st.sampled_from(RANGE_BOUNDS))) for i in range(n_cons)
+    )
+    direction = draw(st.sampled_from(["maximize", "minimize"]))
+    start, end = span = draw(reaction_spans(library))
+    # k above the span's feasible count, so that the k-th key, once held, stays infeasible
+    feasible = len(numpy_topk_keys(library, table, engine.QuerySpec("obj", direction, constraints, k=end - start),
+                                   span))
+    k = draw(st.integers(feasible + 1, max(feasible + 1, end - start)))
+    return library, table, engine.QuerySpec("obj", direction, constraints, k=k), span
+
+
+def _scan_keys(library, table, query, span=None, bounded=True):
+    """The scan's whole top k, infeasible keys too, as numpy_topk_keys lists them."""
+    layout = library.layout
+    c, s, g, *_ = engine.scan_topk(layout, lambda t: engine._ReactionView(table, layout, t, query.tasks), query,
+                                   query.k, span, bounded)
+    return list(zip(c.tolist(), s.tolist(), g.tolist()))
+
+
+class TestConstraintRanges:
+    @given(case=range_search_cases(), cap=st.one_of(st.just(engine.GROUP_PRODUCTS), st.integers(1, 8)))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_matches_batched_and_brute_force(self, case, cap):
+        library, table, query, span = case
+        with mock.patch.object(engine, "GROUP_PRODUCTS", cap):
+            stream = engine.search_topk_stream(library, table, query, index_range=span)
+            batched = engine.search_topk_batched(library, table, query, index_range=span)
+            kept = [_scan_keys(library, table, query, span, bounded) for bounded in (True, False)]
+        expected = numpy_topk_keys(library, table, query, span, feasible_only=False)
+        assert kept == [expected, expected]
+        assert result_keys(stream, query.direction) == result_keys(batched, query.direction) == \
+            [key for key in expected if key[0] >= 0.0]
+        assert stream.discarded_for_violation == batched.discarded_for_violation
+        assert _result_bytes(stream, query, library) == _result_bytes(batched, query, library)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_margin_keeps_a_violation_that_reaches_the_kth_only_by_rounding(self, side):
+        # every product violates the bound; block 1 (first contribution
+        # 1 + 2^-23) is visited first and sets the k-th violation to -1.0 at
+        # index 3; in block 0, 1.0 + -2^-54 rounds to 1.0, whose violation
+        # ties it and wins on index 0, though -2^-54 is below the range's
+        # exact threshold, lower + tc - h - b = 0 (the upper side mirrors it)
+        sign = 1.0 if side == "lower" else -1.0
+        library = _two_rgroup_library(2, 2)
+        values = sign * np.array([1.0, 1.0 + 2.0 ** -23, -2.0 ** -54, -2.0 ** -23])
+        table = table_from_values(library, ["obj", "c"], [np.zeros(4), values], [0.0, 0.0])
+        con = engine.Constraint("c", lower=2.0) if side == "lower" else engine.Constraint("c", upper=-2.0)
+        q = engine.QuerySpec("obj", "maximize", (con,), k=2)
+        calls, record = _record_prefix_parts()
+        with record:
+            got = engine.search_topk_stream(library, table, q)
+            kept = _scan_keys(library, table, q)
+        # both scans gather one product of block 0's one row
+        assert calls == [([0], [[1]])] * 2
+        assert kept == numpy_topk_keys(library, table, q, feasible_only=False) == [
+            (-(1.0 - 2.0 ** -23), 0.0, 2), (-1.0, 0.0, 0)]
+        assert got.retained == 0 and got.discarded_for_violation == 2
+
+    def test_infeasible_kth_offers_fewer_keys(self):
+        # a tight query: three lower bounds at their tasks' 95th percentile,
+        # which few products meet, and k above their count; the buffer is
+        # offered the keys of each block row's narrowest range, far fewer than
+        # the products of the blocks the scan reaches
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=3, components=(2, 3), synthons_per_rgroup=30), seed=1
+        )
+        total = csl.product_count(library)
+        table = random_table(library, ["obj", "a", "b", "c"], np.random.default_rng(7))
+        cons = tuple(engine.Constraint(t, lower=float(np.quantile(engine.search_topk_batched(
+            library, table, engine.QuerySpec(t, "maximize", (), k=total)).objective, 0.95))) for t in "abc")
+        q = engine.QuerySpec("obj", "maximize", cons, k=50)
+        offered, offer = [], engine._TopKBuffer.offer
+        calls, record = _record_prefix_parts()
+
+        def record_offer(buf, c, s, g):
+            offered.append(len(g))
+            return offer(buf, c, s, g)
+
+        with record, mock.patch.object(engine._TopKBuffer, "offer", record_offer):
+            stream = engine.search_topk_stream(library, table, q)
+        feasible = numpy_topk_keys(library, table, q)
+        assert result_keys(stream, "maximize") == feasible and 0 < len(feasible) < q.k
+        assert _scan_keys(library, table, q) == _scan_keys(library, table, q, bounded=False)
+        # scoring whole blocks offers every product of the blocks the scan reaches
+        assert calls and sum(offered) < stream.scored // 4
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,27 @@ class TestParamBuffer:
         grads1, d1 = mlp.backward(cache1, dout)
         assert y1.tobytes() == y0.tobytes()
         assert _bits(grads1) == _bits(grads0) and d1.tobytes() == d0.tobytes()
+
+
+class TestAddRows:
+    @given(n=st.integers(1, 6), width=st.sampled_from([None, 1, 3]), size=st.integers(0, 40),
+           seed=st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_add_at(self, n, width, size, seed):
+        # repeated indices, exact zeros of both signs and values of mixed
+        # magnitude, so that the order of the adds shows in the bits
+        rng = np.random.default_rng(seed)
+        shape = (size,) if width is None else (size, width)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        values = np.where(rng.random(shape) < 0.3, np.copysign(0.0, rng.standard_normal(shape)), values)
+        index = rng.integers(0, n, size)
+        expected = np.zeros((n,) + shape[1:])
+        np.add.at(expected, index, values)
+        got = nn.add_rows(index, values, n)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_negative_zeros_and_empty_rows(self):
+        # a row of -0.0 only sums to +0.0 from 0.0, as np.add.at into zeros does
+        got = nn.add_rows(np.array([1, 1]), np.array([[-0.0, 2.0], [-0.0, -2.0]]), 3)
+        assert got.tobytes() == np.zeros((3, 2)).tobytes()
+        assert nn.add_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 2).tobytes() == np.zeros((2, 4)).tobytes()
