@@ -193,7 +193,9 @@ def cmd_train_factorizer(args) -> int:
         mode=args.mode,
         dims=fz.FactorizerDims(d_u=args.d_u),
     )
-    trained = fz.train_factorizer(library, model, config)
+    # huge but finite weights overflow quietly here; training refuses a loss that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = fz.train_factorizer(library, model, config)
     gap = fz.factorization_gap(trained, model, library, sample_size=args.gap_sample, seed=args.seed)
     fz.save_factorizer(trained, args.out)
     print(f"wrote {args.out}; reconstruction gap mean={gap['mean']:.6f} "

@@ -33,55 +33,53 @@ following the threshold algorithm of Fagin, Lotem & Naor (PODS 2001):
 * Groups. Blocks are scored a group at a time, one numpy pass per reaction
   in the group, and one rule sizes every group: take the next `width` blocks
   in visit order whose bound is not below the k-th key (one at first). Once
-  the buffer holds k keys, the stream gathers row ranges (see Prefixes and
-  Ranges): it first cuts those blocks to GROUP_PRODUCTS block rows, and a
-  block costs the products its ranges hold; before that a block costs its
-  products. The group keeps the leading blocks whose costs sum to at most
-  GROUP_PRODUCTS, and at least one (a larger block is scored whole), so that
-  few products are scored past the stop point; the next `width` is twice
-  the blocks it kept. A reaction's blocks whose constraint ranges hold more
-  than half their products are scored whole, and cost their products:
-  gathering most of a block costs more than scoring it.
-* Prefixes. A block row fixes the digits of every R-group but the last; its
-  products' objective values are v = fl(fl(h + x) + b), h the row's sum of
+  the buffer holds k keys, the stream gathers row ranges (see Ranges): it
+  first cuts those blocks to GROUP_PRODUCTS block rows, and a block costs
+  the products its ranges hold; before that a block costs its products. A
+  reaction's part of the group whose ranges hold more than half its products
+  is scored whole, and costs its products: gathering most of a block costs
+  more than scoring it. The group keeps the leading blocks whose costs sum to
+  at most GROUP_PRODUCTS, and at least one (a larger block is scored whole),
+  so that few products are scored past the stop point; the next `width` is
+  twice the blocks it kept.
+* Ranges. A block row fixes the digits of every R-group but the last; its
+  products' values of a task are v = fl(fl(h + x) + b), h the row's sum of
   the earlier R-groups, x the last R-group's contribution, b the bias. IEEE
-  rounding is monotone, so the signed value sv (s = -1 to minimize) never
-  falls as sx rises, and the products of a row with sv >= ts, ts the k-th
-  key's signed objective, are a prefix of the last R-group sorted by sx
-  descending. Once the k-th key is feasible, `_ReactionView.row_prefixes`
-  sorts it once per search and finds every row's prefix with one
-  `searchsorted`: it counts the x with sx >= ts - s(h + b) - m. Each
-  rounding moves a sum by at most u = 2^-53 of its magnitude: v lies within
-  3u(|h| + |x| + |b|) of h + x + b, and the threshold's own three roundings
-  move it by at most 3u(|h| + |b| + |ts| + m). The margin
-  m = 2^-48 (A + |b| + |ts|) + 2^-1022, A the sum of the R-groups' largest
-  contributions in magnitude (so |h| + |x| <= A, to within a few u), is
-  more than both together (2^-1022 covers a margin that underflows), so
-  every product with sv >= ts is counted.
-* Ranges. While the k-th key is infeasible (violation tc < 0), every
-  constraint bounds a row instead. `violation` subtracts non-negative hinge
-  terms d from 0.0, so its running value c never rises, and fl(c - d) <= -d
-  while c <= 0: a computed violation of at least tc needs every term
-  d <= -tc. At a lower bound d = max(0, fl(lower - v)), so
-  lower - v <= -tc + 2u|tc|; at an upper bound v - upper <= -tc + 2u|tc|.
-  v never falls as x rises, so the products of a row that can reach tc are,
-  for each constraint, a range of its last R-group sorted by contribution:
-  `row_prefixes` sorts each constraint's once per search, and finds the ends
+  rounding is monotone, so v never falls as x rises, and the products of a
+  row whose v can lie in [lower + tc, upper - tc] are a range of the last
+  R-group sorted ascending. A product's key reaches the k-th key (tc, ts)
+  only inside such bounds. While tc < 0 each constraint gives one:
+  `violation` subtracts non-negative hinge terms d from 0.0, so its running
+  value c never rises, and fl(c - d) <= -d while c <= 0; a computed
+  violation of at least tc needs every term d <= -tc, so
+  lower - v <= -tc + 2u|tc| at a lower bound and v - upper <= -tc + 2u|tc|
+  at an upper one, u = 2^-53. Once tc = 0 the objective gives one: a product
+  can enter only with sv >= ts (s = -1 to minimize), so v >= ts, or
+  v <= -ts, with slack tc = 0. `_ReactionView.row_ranges` sorts each
+  bound's task once per search, and finds every row's ends
   x >= lower + tc - b - h - m and x <= upper - tc - b - h + m with one
-  `searchsorted` each, m = 2^-48 (A + |b| + |tc| + |bound|) + 2^-1022 (the
-  four roundings of the threshold, the three of v and 2u|tc| together are
-  less). Each row gathers its narrowest constraint range (the whole row if
-  none is narrower). The sums are Python floats, so one that overflows
-  gives an infinite end; `validate_tasks` keeps |bound| + |b| finite, so an
-  infinite end only widens a range.
-* Gathers. `_prefix_keys` is the one gather: each row's range starts
-  anywhere in one task's sorted order (a prefix starts at 0 in the
-  objective's), and it sums each task at every product there: the row sum
-  (`row_sums`, from which `h` and `block_values` are built too), plus the
-  last R-group's contribution, then the bias, the additions `block_values`
-  makes. The batched scan, `evalkit.oracle_topk` (whose values are not
-  separable), every group scored before the buffer holds k keys and every
-  part scored whole score every product of their blocks (`_group_keys`).
+  `searchsorted` each (an infinite end is the row's end; the roundings are
+  monotone, so the ends never cross). Each rounding moves a sum by at most u
+  of its magnitude: v lies within 3u(|h| + |x| + |b|) of h + x + b, and the
+  threshold's four roundings move it by at most
+  4u(|h| + |b| + |tc| + |bound|). The margin
+  m = 2^-48 (A + |b| + |tc| + |bound|) + 2^-1022, A the sum of the R-groups'
+  largest contributions in magnitude (so |h| + |x| <= A, to within a few
+  u), is more than these and 2u|tc| together (2^-1022 covers a margin that
+  underflows), so every product that can reach the k-th key is in its row's
+  range. Each row gathers the narrowest range of the candidate bounds: each
+  constraint's while tc < 0, the objective's alone once tc = 0. The sums are
+  Python floats, so one that overflows gives an infinite end;
+  `validate_tasks` keeps |bound| + |b| finite, so an infinite end only
+  widens a range.
+* Gathers. `_range_keys` is the one gather: each row's range starts
+  anywhere in one task's sorted order, and it sums each task at every
+  product there: the row sum (`row_sums`, from which `h` and `block_values`
+  are built too), plus the last R-group's contribution, then the bias, the
+  additions `block_values` makes. The batched scan, `evalkit.oracle_topk`
+  (whose values are not separable), every group scored before the buffer
+  holds k keys and every part scored whole score every product of their
+  blocks (`_group_keys`).
 * Selection. `_TopKBuffer` is the one filter: the keys the scorers give are
   offered to it, it drops those that do not beat the k-th key (a tie on
   violation and signed objective wins on a lower global index), keeps the
@@ -119,10 +117,11 @@ import numpy as np
 from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary, PairLayout, assembled_text, format_rows, gather_sum, id_text
 from .factorizer import HierarchyCache
+from .props import repeated_name
 from .surrogate import SurrogateModel
 
 TABLE_VERSION = 1
-GROUP_PRODUCTS = 1 << 15  # a group's cost: products scored or gathered (and block rows searched)
+GROUP_PRODUCTS = 1 << 15  # a group's cost: products scored or gathered, and block rows searched
 
 
 class EngineError(RuntimeError):
@@ -155,6 +154,9 @@ class ContributionTable:
             )
         if not (np.isfinite(self.values).all() and np.isfinite(self.biases).all()):
             raise EngineError("contribution table has a non-finite value or bias")
+        repeated = repeated_name(self.task_names)
+        if repeated is not None:
+            raise EngineError(f"contribution table lists task {repeated!r} more than once")
 
     @property
     def n_tasks(self) -> int:
@@ -312,9 +314,10 @@ class _ReactionView:
             [table.values[table.task_index(name), r].astype(np.float64) for r in rows] for name in tasks
         ]
         self.biases = [float(table.biases[table.task_index(name)]) for name in tasks]
-        # each task's last R-group sorted, the objective's in the search's signed order and each
-        # constraint's ascending, at the first `row_prefixes`
-        self.last_order = None
+        # each task's last R-group sorted ascending, at its first `row_ranges`: the digits, one row
+        # per task, and by task position the sorted contributions and the R-groups' largest sum
+        self.last_order = np.empty((len(tasks), len(self.per_task[0][-1])), dtype=np.int64)
+        self.sorted_last = {}
 
     def row_sums(self, task_pos: int, first_digits: np.ndarray) -> np.ndarray:
         """Over blocks, one row per first digit: each block row's task sum of
@@ -333,45 +336,38 @@ class _ReactionView:
         val += self.biases[task_pos]
         return val
 
-    def row_prefixes(self, first_digits: np.ndarray, query: QuerySpec, kth: tuple[float, float, int]):
-        """Over blocks, one row per first digit: ((the row sums of the tasks
-        searched, where the row's range starts in `last_order`'s digits), the
-        range's length). The range holds every product of the row whose key
-        can reach `kth`: a prefix of the objective's signed order once `kth` is
-        feasible, else the narrowest constraint's range (see the module notes)."""
-        sign = 1.0 if query.direction == "maximize" else -1.0
+    def row_ranges(self, first_digits: np.ndarray, query: QuerySpec, kth: tuple[float, float, int]):
+        """Over blocks, one row per first digit: the row sums of the tasks
+        searched (by task position), where each row's range starts in
+        `last_order`'s rows laid end to end, and its length. The range holds
+        every product of the row whose key can reach `kth`: the narrowest range
+        of the candidate bounds, each constraint's while `kth` is infeasible,
+        else the objective's (see the module notes)."""
         tc, ts, _ = kth
-        # the objective's order, and once the k-th key is infeasible each constraint's
-        tasks = 1 if tc == 0.0 else len(self.per_task)
-        if self.last_order is None or len(self.last_order[1]) < tasks:
-            # the digits of each order laid end to end, and its ascending search
-            # keys; a range never splits equal keys, so any sort will do
-            keys = [self.per_task[0][-1] * -sign] + [arrs[-1] for arrs in self.per_task[1:tasks]]
-            orders = [k.argsort() for k in keys]
-            self.last_order = (orders[0] if tasks == 1 else np.concatenate(orders),
-                               [k[o] for k, o in zip(keys, orders)],
-                               [sum(float(np.abs(a).max()) for a in arrs) for arrs in self.per_task[:tasks]])
-        _, keys, magnitude = self.last_order
-        h = [self.row_sums(i, first_digits) for i in range(tasks)]
-        if tc == 0.0:
-            bias = self.biases[0]
-            c = sign * bias - ts + _margin(magnitude[0], bias, ts)
-            counts = np.searchsorted(keys[0], h[0] + c if sign > 0 else c - h[0], side="right")
-            return (h, np.zeros(counts.shape, dtype=counts.dtype)), counts
-        # the whole row in the objective's order, then each constraint's narrower range
-        n = len(keys[0])
-        counts, starts = np.full(h[0].shape, n), np.zeros(h[0].shape, dtype=np.int64)
-        for i, con in enumerate(query.constraints, 1):
+        if tc < 0.0:
+            bounds = [(i, float(con.lower), float(con.upper)) for i, con in enumerate(query.constraints, 1)]
+        else:  # sv >= ts: v >= ts to maximize, v <= -ts to minimize, with slack 0
+            bounds = [(0, ts, math.inf) if query.direction == "maximize" else (0, -math.inf, -ts)]
+        n, h, counts = len(self.per_task[0][-1]), {}, None
+        for i, lower, upper in bounds:
+            if i not in self.sorted_last:  # a range never splits equal contributions, so any sort will do
+                last = self.per_task[i][-1]
+                self.last_order[i] = o = last.argsort()
+                self.sorted_last[i] = last[o], sum(float(np.abs(a).max()) for a in self.per_task[i])
+            keys, magnitude = self.sorted_last[i]
+            b, h[i] = self.biases[i], self.row_sums(i, first_digits)
             # Python floats: a sum that overflows becomes an infinite threshold, which widens the range
-            b, lower, upper = self.biases[i], float(con.lower), float(con.upper)
-            lo = (np.searchsorted(keys[i], lower - b + tc - _margin(magnitude[i], b, tc, lower) - h[i])
-                  if lower > -math.inf else 0)
-            hi = (np.searchsorted(keys[i], upper - b - tc + _margin(magnitude[i], b, tc, upper) - h[i], side="right")
+            lo = (np.searchsorted(keys, lower - b + tc - _margin(magnitude, b, tc, lower) - h[i])
+                  if lower > -math.inf else np.zeros(h[i].shape, dtype=np.int64))
+            hi = (np.searchsorted(keys, upper - b - tc + _margin(magnitude, b, tc, upper) - h[i], side="right")
                   if upper < math.inf else n)
-            count = np.maximum(hi - lo, 0)
-            narrower = count < counts
-            counts, starts = np.where(narrower, count, counts), np.where(narrower, i * n + lo, starts)
-        return (h, starts), counts
+            # lower < upper and rounding is monotone, so lo <= hi
+            count, start = hi - lo, i * n + lo
+            if counts is not None:
+                narrower = count < counts
+                count, start = np.where(narrower, count, counts), np.where(narrower, start, starts)
+            counts, starts = count, start
+        return h, starts, counts
 
     def value_bounds(self, task_pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Per first digit, the least and the greatest value `block_values` can
@@ -395,21 +391,21 @@ def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray):
     return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s.reshape(-1), g
 
 
-def _prefix_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray,
-                 rows: tuple[np.ndarray, np.ndarray], counts: np.ndarray):
+def _range_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray,
+                h: dict[int, np.ndarray], starts: np.ndarray, counts: np.ndarray):
     """(violation, signed objective, global index) keys of the products of one
-    reaction's blocks in the ranges `row_prefixes` found (`rows`, `counts`):
-    each task's row sum plus the last R-group's contribution, then the bias,
-    as `block_values` adds them."""
-    h, starts = rows
-    order, n_last = view.last_order[0], len(view.per_task[0][-1])
-    n_rows, flat = h[0].shape[1], counts.reshape(-1)
+    reaction's blocks in the ranges `row_ranges` found for them, or for them
+    and the blocks after (`starts`, `counts`): each task's row sum (`h`,
+    where it was searched) plus the last R-group's contribution, then the
+    bias, as `block_values` adds them."""
+    m, order, n_last = len(digit), view.last_order.reshape(-1), len(view.per_task[0][-1])
+    n_rows, flat = counts.shape[1], counts[:m].reshape(-1)
     ends = np.cumsum(flat)
     row = np.repeat(np.arange(len(flat)), flat)
-    last = order[np.arange(ends[-1]) - (ends - flat - starts.reshape(-1))[row]]
+    last = order[np.arange(ends[-1]) - (ends - flat - starts[:m].reshape(-1))[row]]
     vals = []
     for i, arrs in enumerate(view.per_task):
-        v = (h[i] if i < len(h) else view.row_sums(i, digit)).reshape(-1)[row] + arrs[-1][last]
+        v = (h[i][:m] if i in h else view.row_sums(i, digit)).reshape(-1)[row] + arrs[-1][last]
         v += view.biases[i]
         vals.append(v)
     s, *cons_vals = vals
@@ -537,7 +533,7 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
     while i < stop:
         group = visit[:, i:min(stop, i + width)]
         parts = [(t, group[0] == t) for t in np.unique(group[0]).tolist()]
-        cost, prefixes = group[3], {}
+        cost, ranges = group[3], {}
         if bounds is not None and buf.kth is not None:
             # at most GROUP_PRODUCTS block rows: a block's products over its last R-group's synthons
             rows = group[3].copy()
@@ -548,20 +544,18 @@ def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int
             for t, mine in parts:
                 mine = mine[: len(cost)]
                 if np.count_nonzero(mine):
-                    found = views[t].row_prefixes(group[1, mine], query, buf.kth)
-                    gathered = found[1].sum(axis=1)
-                    # constraint ranges that hold more than half the reaction's products: score them whole
-                    if buf.kth[0] == 0.0 or 2 * int(gathered.sum()) <= int(cost[mine].sum()):
-                        prefixes[t], cost[mine] = found, gathered
+                    found = views[t].row_ranges(group[1, mine], query, buf.kth)
+                    gathered = found[2].sum(axis=1)
+                    # ranges that hold more than half the reaction's products: score them whole
+                    if 2 * int(gathered.sum()) <= int(cost[mine].sum()):
+                        ranges[t], cost[mine] = found, gathered
         n = max(1, bisect_right(np.cumsum(cost).tolist(), GROUP_PRODUCTS))
         kept = group[:, :n]
         for t, mine in parts:
-            m = np.count_nonzero(mine[:n])
-            if m:
+            if np.count_nonzero(mine[:n]):
                 digit, g0 = kept[1:3, mine[:n]]
-                if t in prefixes:
-                    (h, starts), counts = prefixes[t]
-                    buf.offer(*_prefix_keys(views[t], query, digit, g0, ([a[:m] for a in h], starts[:m]), counts[:m]))
+                if t in ranges:
+                    buf.offer(*_range_keys(views[t], query, digit, g0, *ranges[t]))
                 else:
                     buf.offer(*_group_keys(views[t], query, digit, g0))
         scored += int(kept[3].sum())
@@ -709,15 +703,18 @@ def read_table(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def load_table(path, library: CslLibrary, blob: tuple[dict, dict] | None = None) -> ContributionTable:
     """A table whose arrays have the dtypes and shapes of this library's pair
-    rows; `check_library` compares its fingerprint and layout. `blob` is the
-    file's `read_table`, when it was read before the library."""
+    rows, and whose fingerprint and layout are the library's
+    (`check_library`), before any caller reads them. `blob` is the file's
+    `read_table`, when it was read before the library."""
     meta, arrays = blob or read_table(path)
     n_tasks, layout = len(meta["task_names"]), library.layout
     empty = ContributionTable(np.zeros((n_tasks, layout.n_pairs), np.float32), np.zeros(n_tasks),
                               list(meta["task_names"]), layout.member_ids, layout.rg_offsets, layout.rg_ids,
                               meta["fingerprint"])
     check_arrays(path, arrays, _table_arrays(empty), EngineError)
-    return replace(empty, **arrays)
+    table = replace(empty, **arrays)
+    table.check_library(library)
+    return table
 
 
 RESULT_HEADER_PREFIX = "rank\tglobal_index\treaction_id\tsynthon_ids\tobjective\tviolation"

@@ -122,6 +122,11 @@ def product_feature_matrix(library: CslLibrary, sids: np.ndarray, config: Featur
 # ground-truth oracle
 # ---------------------------------------------------------------------------
 
+def repeated_name(names: list[str]) -> str | None:
+    """The first name that `names` lists a second time, or None."""
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
+
+
 @dataclass
 class TaskDef:
     name: str
@@ -152,9 +157,9 @@ class GroundTruthOracle:
     _by_name: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [t.name for t in self.tasks]
-        if len(set(names)) != len(names):
-            raise OracleError("task names must be unique")
+        repeated = repeated_name([t.name for t in self.tasks])
+        if repeated is not None:
+            raise OracleError(f"oracle lists task {repeated!r} more than once")
         self._by_name = {t.name: i for i, t in enumerate(self.tasks)}
 
     def task(self, name: str) -> TaskDef:
@@ -414,7 +419,7 @@ def label_library(
 ) -> LabeledDataset:
     """Every sampled product labeled on every task: products ascending, each
     one's tasks in the given order."""
-    if len(set(task_names)) != len(task_names):
+    if repeated_name(task_names) is not None:
         raise OracleError(f"tasks must be distinct, got {','.join(task_names)}")
     total = product_count(library)
     if sample.size is None:

@@ -17,7 +17,7 @@ import numpy as np
 from .blobio import check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary
 from .nn import MLP, Adam, ParamBuffer, add_rows, params_checksum
-from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix
+from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix, repeated_name
 
 DEFAULT_EMBEDDING_DIM = 64
 HIDDEN_WIDTHS = (128, 128)  # the MLP encoder's hidden layers
@@ -268,6 +268,9 @@ def load_surrogate(path) -> SurrogateModel:
                                   task_names=[str], feature_config=FEATURE_CONFIG_SPEC)
     if len(meta["dims"]) < 2 or min(meta["dims"]) < 1:
         raise SurrogateError(f"{path}: surrogate meta field 'dims' needs two or more widths >= 1, got {meta['dims']}")
+    repeated = repeated_name(meta["task_names"])
+    if repeated is not None:
+        raise SurrogateError(f"{path}: surrogate lists task {repeated!r} more than once")
     feature_config = FeatureConfig(**meta["feature_config"])
     if meta["dims"][0] != feature_config.p + feature_config.q:
         raise SurrogateError(f"{path}: surrogate meta field 'dims' starts at {meta['dims'][0]}, "

@@ -26,9 +26,9 @@ def run_process(*argv, python_flags=()):
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
 
 
-def run_on_blob(pipeline, blob, tag, meta, arrays):
+def run_on_blob(pipeline, blob, tag, meta, arrays, command="search"):
     """Write a changed copy of one pipeline blob and run the command that reads it:
-    search for the table, precompute for the surrogate and the factorizer."""
+    `command` (search or evaluate) for the table, precompute for the surrogate and the factorizer."""
     from apexcsl import blobio
 
     p = {k: str(v) for k, v in pipeline.items()}
@@ -36,7 +36,9 @@ def run_on_blob(pipeline, blob, tag, meta, arrays):
     blobio.save_blob(p[blob], meta, arrays)
     out = p["dir"] + "/bad_blob_out"
     if blob == "table":
-        return run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"], "--out", out)
+        oracle = ["--oracle", p["oracle"]] if command == "evaluate" else []
+        return run(command, "--library", p["library"], "--table", p["table"], *oracle, "--query", p["query"],
+                   "--out", out)
     return run("precompute", "--library", p["library"], "--surrogate", p["surrogate"],
                "--factorizer", p["factorizer"], "--out", out)
 
@@ -591,19 +593,30 @@ class TestErrors:
             assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
             assert proc.stderr.startswith(f"error: {query}: ") and "overflow" in proc.stderr
 
-    @pytest.mark.parametrize("blob", ["surrogate", "factorizer"])
+    @pytest.mark.parametrize("blob", ["surrogate", "factorizer", "surrogate_encoder"])
     def test_model_whose_contributions_overflow(self, pipeline, tmp_path, blob):
         # a surrogate head of 1e308, or factorizer weights scaled by 1e300,
-        # once printed numpy RuntimeWarnings before the error line
+        # once printed numpy RuntimeWarnings before precompute's error line,
+        # and surrogate encoder weights scaled by 1e300 before train-factorizer's
         from apexcsl import blobio
 
-        meta, arrays = blobio.load_blob(pipeline[blob])
+        meta, arrays = blobio.load_blob(pipeline[blob.split("_")[0]])
         if blob == "surrogate":
             arrays["head_w"] = np.full_like(arrays["head_w"], 1e308)
         else:
-            arrays = {name: a * 1e300 for name, a in arrays.items()}
+            arrays = {name: a * 1e300 if blob == "factorizer" or name.startswith("enc_") else a
+                      for name, a in arrays.items()}
         bad = tmp_path / f"{blob}_huge.blob"
         blobio.save_blob(bad, meta, arrays)
+        if blob == "surrogate_encoder":
+            out = tmp_path / "factorizer.blob"
+            proc = run_process("train-factorizer", "--library", str(pipeline["library"]), "--surrogate", str(bad),
+                               "--out", str(out), "--steps", "2", "--gap-sample", "8",
+                               python_flags=("-W", "error::RuntimeWarning"))
+            assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
+            assert proc.stderr.startswith("error: non-finite reconstruction loss at step 0")
+            assert not out.exists()
+            return
         models = {"surrogate": str(pipeline["surrogate"]), "factorizer": str(pipeline["factorizer"]), blob: str(bad)}
         out = tmp_path / "table.blob"
         proc = run_process("precompute", "--library", str(pipeline["library"]), "--surrogate", models["surrogate"],
@@ -646,6 +659,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert f"meta field {field!r}" in err
+
+    @pytest.mark.parametrize("command", ["search", "evaluate"])
+    def test_table_layout_damaged(self, pipeline, capsys, command):
+        # an R-group offset past the table's values once ended in an IndexError
+        # from the query check's reduceat, before the table's layout was
+        # compared with the library's
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline["table"])
+        arrays["rg_offsets"] = arrays["rg_offsets"].copy()
+        arrays["rg_offsets"][3] += 2 ** 20
+        assert run_on_blob(pipeline, "table", f"rg_offsets_{command}", meta, arrays, command) == 1
+        assert capsys.readouterr().err == "error: contribution table's pair rows are not laid out as the library's\n"
+
+    @pytest.mark.parametrize("blob", ["surrogate", "table"])
+    def test_repeated_task_name(self, pipeline, capsys, blob):
+        # a second dock_b once passed precompute (which reads the surrogate)
+        # and search (the table) with exit 0, and search answered dock_b from
+        # the first column
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        names = list(meta["task_names"])
+        names[names.index("mw")] = "dock_b"
+        assert run_on_blob(pipeline, blob, "repeated_task", {**meta, "task_names": names}, arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "task 'dock_b' more than once" in err
 
     def test_unknown_factorizer_mode(self, pipeline, capsys):
         from apexcsl import blobio

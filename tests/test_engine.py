@@ -604,16 +604,16 @@ def _two_rgroup_library(first, last):
     return library
 
 
-def _record_prefix_parts():
-    """A patch of `engine._prefix_keys` and the list it records each call's
-    (first digits, prefix lengths) in."""
-    calls, prefix_keys = [], engine._prefix_keys
+def _record_range_parts():
+    """A patch of `engine._range_keys` and the list it records each call's
+    (first digits, range lengths) in."""
+    calls, range_keys = [], engine._range_keys
 
-    def record(view, query, digit, g0, h, counts):
+    def record(view, query, digit, g0, h, starts, counts):
         calls.append((digit.tolist(), counts.tolist()))
-        return prefix_keys(view, query, digit, g0, h, counts)
+        return range_keys(view, query, digit, g0, h, starts, counts)
 
-    return calls, mock.patch.object(engine, "_prefix_keys", record)
+    return calls, mock.patch.object(engine, "_range_keys", record)
 
 
 class TestRowPrefixes:
@@ -630,12 +630,12 @@ class TestRowPrefixes:
             digit, g0, _ = blocks[1:, blocks[0] == t]
             view = engine._ReactionView(table, library.layout, t, query.tasks)
             for kth in [(0.0, -np.inf, 0)] + [(-np.inf, 0.0, 0)] * bool(query.constraints):
-                (h, starts), counts = view.row_prefixes(digit, query, kth)
+                h, starts, counts = view.row_ranges(digit, query, kth)
                 assert (counts == len(view.per_task[0][-1])).all()
-                # the row sums of the tasks searched: the objective's, or every task's
-                assert len(h) == (1 if kth[0] == 0.0 else len(query.tasks))
-                assert [a.tobytes() for a in h] == [view.row_sums(i, digit).tobytes() for i in range(len(h))]
-                gathered = engine._prefix_keys(view, query, digit, g0, (h, starts), counts)
+                # the row sums of the tasks searched: the objective's, or every constraint's
+                assert list(h) == ([0] if kth[0] == 0.0 else list(range(1, len(query.tasks))))
+                assert [a.tobytes() for a in h.values()] == [view.row_sums(i, digit).tobytes() for i in h]
+                gathered = engine._range_keys(view, query, digit, g0, h, starts, counts)
                 scored = engine._group_keys(view, query, digit, g0)
                 assert [np.asarray(x)[np.argsort(gathered[2])].tobytes() for x in gathered] == \
                     [np.asarray(x)[np.argsort(scored[2])].tobytes() for x in scored]
@@ -663,7 +663,7 @@ class TestRowPrefixes:
         values = sign * np.array([1.0, 1.0 + 2.0 ** -23, -2.0 ** -54, -2.0 ** -23])
         table = table_from_values(library, ["obj"], [values], [0.0])
         q = engine.QuerySpec("obj", direction, (), k=2)
-        calls, record = _record_prefix_parts()
+        calls, record = _record_range_parts()
         with record:
             got = engine.search_topk_stream(library, table, q)
         assert calls == [([0], [[1]])]
@@ -679,7 +679,7 @@ class TestRowPrefixes:
         values = [5.0, 4.0, -10.0, 0.0, -100.0, 2.0, 0.0, 0.5, 0.25]
         table = table_from_values(library, ["obj"], [values], [0.0])
         q = engine.QuerySpec("obj", "maximize", (), k=4)
-        calls, record = _record_prefix_parts()
+        calls, record = _record_range_parts()
         with record:
             got = engine.search_topk_stream(library, table, q)
         assert calls == [([1], [[0, 0, 3]])]
@@ -689,17 +689,34 @@ class TestRowPrefixes:
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     def test_last_rgroup_of_one_synthon(self, direction):
         # every row is one product, whose value is its block's bound: blocks 2,
-        # 3 and 5 tie with the k-th key (0.7 at index 1), and each gathers its
-        # whole one-product row, which loses on its index
+        # 3 and 5 tie with the k-th key (0.7 at index 1), and each one's range
+        # is its whole one-product row, which loses on its index; a range
+        # that holds the whole block is scored whole, not gathered
         sign = 1.0 if direction == "maximize" else -1.0
         library = _two_rgroup_library(7, 1)
         values = sign * np.array([0.9, 0.7, 0.7, 0.7, 0.3, 0.7, 0.2, 0.0])
         table = table_from_values(library, ["obj"], [values], [0.0])
         q = engine.QuerySpec("obj", direction, (), k=2)
-        calls, record = _record_prefix_parts()
-        with record, mock.patch.object(engine, "GROUP_PRODUCTS", 1):
+        calls, record = _record_range_parts()
+        searched, scored, row_ranges, group_keys = [], [], engine._ReactionView.row_ranges, engine._group_keys
+
+        def record_search(view, first_digits, query, kth):
+            found = row_ranges(view, first_digits, query, kth)
+            searched.append((first_digits.tolist(), found[2].tolist()))
+            return found
+
+        def record_keys(view, query, digit, g0):
+            scored.append(digit.tolist())
+            return group_keys(view, query, digit, g0)
+
+        with record, mock.patch.object(engine, "GROUP_PRODUCTS", 1), \
+                mock.patch.object(engine._ReactionView, "row_ranges", record_search), \
+                mock.patch.object(engine, "_group_keys", record_keys):
             got = engine.search_topk_stream(library, table, q)
-        assert calls == [([d], [[1]]) for d in (2, 3, 5)]
+        assert calls == []
+        assert searched == [([d], [[1]]) for d in (2, 3, 5)]
+        # blocks 0 and 1 fill the buffer, then each tied block is scored whole
+        assert scored == [[0], [1], [2], [3], [5]]
         assert result_keys(got, direction) == numpy_topk_keys(library, table, q) == [
             (0.0, float(np.float32(0.9)), 0), (0.0, float(np.float32(0.7)), 1)]
 
@@ -716,8 +733,8 @@ class TestRowPrefixes:
         )
         table = random_table(library, ["obj", "c"], np.random.default_rng(5))
         q = engine.QuerySpec("obj", direction, (engine.Constraint("c", upper=upper),), k=k)
-        groups, group_keys, prefix_keys, row_prefixes, unbeaten = [], engine._group_keys, engine._prefix_keys, \
-            engine._ReactionView.row_prefixes, engine._TopKBuffer.unbeaten
+        groups, group_keys, range_keys, row_ranges, unbeaten = [], engine._group_keys, engine._range_keys, \
+            engine._ReactionView.row_ranges, engine._TopKBuffer.unbeaten
 
         def products(view, digit):
             return len(digit) * math.prod(len(a) for a in view.per_task[0][1:])
@@ -726,13 +743,13 @@ class TestRowPrefixes:
             groups[-1]["parts"].append(("score", view, len(digit), products(view, digit)))
             return group_keys(view, query, digit, g0)
 
-        def record_prefixes(view, query, digit, g0, rows, counts):
+        def record_ranges(view, query, digit, g0, h, starts, counts):
             groups[-1]["parts"].append(("gather", view, len(digit), products(view, digit)))
-            return prefix_keys(view, query, digit, g0, rows, counts)
+            return range_keys(view, query, digit, g0, h, starts, counts)
 
         def record_search(view, first_digits, query, kth):
-            found = row_prefixes(view, first_digits, query, kth)
-            groups[-1]["searched"][view] = (kth[0], found[1], products(view, first_digits))
+            found = row_ranges(view, first_digits, query, kth)
+            groups[-1]["searched"][view] = (kth[0], found[2], products(view, first_digits))
             return found
 
         def record_stop(buf, *args):
@@ -740,13 +757,13 @@ class TestRowPrefixes:
             return unbeaten(buf, *args)
 
         with mock.patch.object(engine, "GROUP_PRODUCTS", cap), mock.patch.object(engine, "_group_keys", record_keys), \
-                mock.patch.object(engine, "_prefix_keys", record_prefixes), \
-                mock.patch.object(engine._ReactionView, "row_prefixes", record_search), \
+                mock.patch.object(engine, "_range_keys", record_ranges), \
+                mock.patch.object(engine._ReactionView, "row_ranges", record_search), \
                 mock.patch.object(engine._TopKBuffer, "unbeaten", record_stop):
             got = engine.search_topk_stream(library, table, q)
         groups = [g for g in groups if g["parts"]]
         # a group takes at most twice the blocks the group before it kept,
-        # and hands row_prefixes no more than that
+        # and hands row_ranges no more than that
         for before, g in zip(groups, groups[1:]):
             kept = sum(part[2] for part in before["parts"])
             assert sum(part[2] for part in g["parts"]) <= 2 * kept
@@ -763,10 +780,10 @@ class TestRowPrefixes:
                 continue
             cost = rows = 0
             for kind, view, n, size in g["parts"]:
-                tc, counts, searched = g["searched"][view]
-                # a reaction's part is scored whole only while the k-th key is
-                # infeasible and its ranges hold more than half the products searched
-                whole = tc < 0.0 and 2 * int(counts.sum()) > searched
+                _, counts, searched = g["searched"][view]
+                # a reaction's part is scored whole when its ranges hold more
+                # than half the products searched, feasible k-th key or not
+                whole = 2 * int(counts.sum()) > searched
                 assert kind == ("score" if whole else "gather")
                 # a block costs the products its ranges hold, or all of them when scored whole
                 cost, rows = cost + (size if whole else int(counts[:n].sum())), rows + counts[:n].size
@@ -868,7 +885,7 @@ class TestConstraintRanges:
         table = table_from_values(library, ["obj", "c"], [np.zeros(4), values], [0.0, 0.0])
         con = engine.Constraint("c", lower=2.0) if side == "lower" else engine.Constraint("c", upper=-2.0)
         q = engine.QuerySpec("obj", "maximize", (con,), k=2)
-        calls, record = _record_prefix_parts()
+        calls, record = _record_range_parts()
         with record:
             got = engine.search_topk_stream(library, table, q)
             kept = _scan_keys(library, table, q)
@@ -892,7 +909,7 @@ class TestConstraintRanges:
             library, table, engine.QuerySpec(t, "maximize", (), k=total)).objective, 0.95))) for t in "abc")
         q = engine.QuerySpec("obj", "maximize", cons, k=50)
         offered, offer = [], engine._TopKBuffer.offer
-        calls, record = _record_prefix_parts()
+        calls, record = _record_range_parts()
 
         def record_offer(buf, c, s, g):
             offered.append(len(g))
@@ -905,6 +922,43 @@ class TestConstraintRanges:
         assert _scan_keys(library, table, q) == _scan_keys(library, table, q, bounded=False)
         # scoring whole blocks offers every product of the blocks the scan reaches
         assert calls and sum(offered) < stream.scored // 4
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_candidate_bounds(self, direction):
+        # two constraints keep the k-th key infeasible for the first groups;
+        # while it is, `row_ranges` sums and sorts every constraint's task and
+        # not the objective's, and once it is feasible the objective's alone
+        library = csl.generate_synthetic(
+            csl.SyntheticConfig(n_reactions=4, components=(2, 3), synthons_per_rgroup=6), seed=2
+        )
+        table = random_table(library, ["obj", "a", "b"], np.random.default_rng(5))
+        q = engine.QuerySpec("obj", direction, (engine.Constraint("a", upper=0.0), engine.Constraint("b", lower=0.0)),
+                             k=30)
+        searches, summed, row_ranges, row_sums = [], [], engine._ReactionView.row_ranges, engine._ReactionView.row_sums
+
+        def record_sums(view, task_pos, first_digits):
+            summed.append(task_pos)
+            return row_sums(view, task_pos, first_digits)
+
+        def record_search(view, first_digits, query, kth):
+            before = set(view.sorted_last)
+            summed.clear()
+            found = row_ranges(view, first_digits, query, kth)
+            searches.append((kth[0] < 0.0, view, list(summed), set(view.sorted_last) - before))
+            return found
+
+        with mock.patch.object(engine, "GROUP_PRODUCTS", 8), \
+                mock.patch.object(engine._ReactionView, "row_ranges", record_search), \
+                mock.patch.object(engine._ReactionView, "row_sums", record_sums):
+            got = engine.search_topk_stream(library, table, q)
+        assert {infeasible for infeasible, *_ in searches} == {True, False}
+        seen = set()
+        for infeasible, view, sums, sorts in searches:
+            assert sums == ([1, 2] if infeasible else [0])
+            # each view sorts a task at its first search under that task's bound
+            assert sorts == ({1, 2} if infeasible else {0}) - {t for v, t in seen if v is view}
+            seen |= {(view, t) for t in sorts}
+        assert result_keys(got, direction) == numpy_topk_keys(library, table, q)
 
 
 # ---------------------------------------------------------------------------

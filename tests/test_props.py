@@ -158,6 +158,11 @@ class TestGroundTruth:
             chi = reference_decode(small_library, g)
             assert props.ground_truth(oracle, "z", chi.synthon_ids()) == 0.0
 
+    def test_repeated_task_name_rejected(self):
+        tasks = [props.TaskDef(name, "additive", np.zeros(3)) for name in ("a", "b", "a")]
+        with pytest.raises(props.OracleError, match="task 'a' more than once"):
+            props.GroundTruthOracle(tasks, seed=0)
+
     def test_additive_equals_latent_sum(self, small_library):
         rng = np.random.default_rng(1)
         task = props.TaskDef("a", "additive", rng.standard_normal(len(small_library.synthons)))
