@@ -80,6 +80,15 @@ def utf8_text(path, error: type[Exception]):
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextmanager
+def naming(path, error: type[Exception]):
+    """Re-raise each `error` raised in the with block with the file's path in front."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def load_meta_blob(path, kind: str, version: int, error: type[Exception], **fields):
     """load_blob for a blob of this kind and version whose meta holds every
     field as its spec says (`fits`); `error`, the loading module's own, otherwise."""

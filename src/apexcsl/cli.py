@@ -43,7 +43,10 @@ def parse_query_file(path, table: engine.ContributionTable) -> engine.QuerySpec:
         ):
             what = "an integer" if kind is int else "a number"
             raise CliError(f"{path}: {key} must be {what}, got {value!r}")
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            raise CliError(f"{path}: {key} is too large for a 64-bit float") from None
 
     def known_keys(item: dict, allowed: tuple[str, ...], what: str) -> None:
         """Reject keys outside `allowed`: a misspelled key would otherwise drop its setting silently."""

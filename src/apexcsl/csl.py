@@ -11,7 +11,6 @@ global index.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 import re
@@ -190,16 +189,18 @@ class PairLayout:
 
     def blocks(self, first: int, stop: int):
         """Every block of the reaction positions [first, stop), in index order,
-        as int64 arrays: reaction position, first digit, block start and block
-        size. A reaction has one block per digit of its first R-group, each
-        the product of its later R-groups' radices."""
+        as int64 arrays: reaction position, first digit, block start, block
+        size and block rows. A reaction has one block per digit of its first
+        R-group, whose size is the product of its later R-groups' radices, and
+        whose rows are that size over its last R-group's radix."""
         offsets = self.product_offsets[first : stop + 1]
         size = self.radix[first:stop, 1:].prod(axis=1)
+        rows = size // self.radix[np.arange(first, stop), self.n_rgroups[first:stop] - 1]
         count = np.diff(offsets) // size
         rx = np.repeat(np.arange(first, stop), count)
         digit = np.arange(len(rx)) - np.repeat(np.cumsum(count) - count, count)
-        size = size[rx - first]
-        return rx, digit, offsets[rx - first] + digit * size, size
+        size, rows = size[rx - first], rows[rx - first]
+        return rx, digit, offsets[rx - first] + digit * size, size, rows
 
 
 @dataclass
@@ -476,24 +477,6 @@ def serialize_library(library: CslLibrary) -> str:
 
 
 def deserialize_library(text: str) -> CslLibrary:
-    """Parse the text format.
-
-    Automatic garbage collection is paused while it parses. The parse makes
-    a SynthonRecord (a tuple subclass, which the collector keeps tracking)
-    per S line, so the allocations would set off collections that walk every
-    live object and free nothing: the parse makes no reference cycles.
-    Collection resumes, if it was on, when the parse ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_library(text)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _parse_library(text: str) -> CslLibrary:
     """The library of a text: read into the layout's arrays (`_tail_library`)
     and its S lines in one pass (`_synthon_lines`) if the text is as
     `serialize_library` writes it, so that its SHA-256 is the library's

@@ -4,7 +4,7 @@ Every task prediction is a bias plus one scalar contribution per (R-group,
 synthon) pair, so scoring a product is a handful of adds. The library is
 scanned in blocks: a block is one (reaction, first-R-group digit) slab of
 contiguous global indices; a scan covers whole reactions, so no block is cut
-by the range it scans. One loop, `_scan`, walks the blocks; the two scan
+by the range it scans. One loop, `scan_topk`, walks the blocks; the two scan
 variants differ only in the bounds they give it, and are required (and tested)
 to produce identical results.
 
@@ -114,7 +114,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blobio import check_arrays, load_meta_blob, save_blob
+from .blobio import check_arrays, load_meta_blob, naming, save_blob
 from .csl import CslLibrary, PairLayout, assembled_text, format_rows, gather_sum, id_text
 from .factorizer import HierarchyCache
 from .props import repeated_name
@@ -380,24 +380,29 @@ class _ReactionView:
         return lo + self.biases[task_pos], hi + self.biases[task_pos]
 
 
-def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray):
-    """(violation, signed objective, global index) keys of every product of
-    one reaction's blocks."""
-    s = view.block_values(0, digit)
+def _keys(query: QuerySpec, s: np.ndarray, cons_vals: list[np.ndarray], g: np.ndarray):
+    """(violation, signed objective, global index) keys of products with
+    objective values `s`, which are signed in place, and constraint values
+    `cons_vals`, in constraint order."""
     if query.direction == "minimize":
         np.negative(s, out=s)
+    return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s, g
+
+
+def _group_keys(view, query: QuerySpec, digit: np.ndarray, g0: np.ndarray):
+    """The `_keys` of every product of one reaction's blocks."""
+    s = view.block_values(0, digit)
     g = (g0[:, None] + np.arange(s.shape[1])).reshape(-1)
     cons_vals = [view.block_values(1 + i, digit).reshape(-1) for i in range(len(query.constraints))]
-    return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s.reshape(-1), g
+    return _keys(query, s.reshape(-1), cons_vals, g)
 
 
 def _range_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np.ndarray,
                 h: dict[int, np.ndarray], starts: np.ndarray, counts: np.ndarray):
-    """(violation, signed objective, global index) keys of the products of one
-    reaction's blocks in the ranges `row_ranges` found for them, or for them
-    and the blocks after (`starts`, `counts`): each task's row sum (`h`,
-    where it was searched) plus the last R-group's contribution, then the
-    bias, as `block_values` adds them."""
+    """The `_keys` of the products of one reaction's blocks in the ranges
+    `row_ranges` found for them, or for them and the blocks after (`starts`,
+    `counts`): each task's row sum (`h`, where it was searched) plus the last
+    R-group's contribution, then the bias, as `block_values` adds them."""
     m, order, n_last = len(digit), view.last_order.reshape(-1), len(view.per_task[0][-1])
     n_rows, flat = counts.shape[1], counts[:m].reshape(-1)
     ends = np.cumsum(flat)
@@ -409,10 +414,7 @@ def _range_keys(view: _ReactionView, query: QuerySpec, digit: np.ndarray, g0: np
         v += view.biases[i]
         vals.append(v)
     s, *cons_vals = vals
-    if query.direction == "minimize":
-        np.negative(s, out=s)
-    g = g0[row // n_rows] + row % n_rows * n_last + last
-    return np.broadcast_to(violation(cons_vals, query.constraints), len(g)), s, g
+    return _keys(query, s, cons_vals, g0[row // n_rows] + row % n_rows * n_last + last)
 
 
 def _block_key_bounds(view: _ReactionView, query: QuerySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -508,61 +510,6 @@ def _constraint_values(table: ContributionTable, query: QuerySpec, rows: np.ndar
     return gather_sum(table.values[tasks].T, rows).T + table.biases[tasks, None]
 
 
-def _scan(buf: _TopKBuffer, views, query: QuerySpec, blocks, bounds=None) -> int:
-    """Score `PairLayout.blocks` rows into `buf`; return the products of the blocks it reached.
-
-    Blocks are visited best (violation, signed objective) bound first, ties in
-    index order, and scored in groups (see the module notes); the visit stops
-    at the first block whose bound is strictly below the k-th key. `bounds`
-    holds the two bounds per block; without them every block is scored, in
-    index order. With them, once `buf` holds k keys, groups gather row
-    ranges. `views` maps each reaction position to a view that gives the
-    reaction's `block_values`, over many first digits at once, for the
-    objective, then each constraint; those values are finite.
-    """
-    if buf.k == 0:
-        return 0
-    visit = np.stack(blocks)
-    if bounds is None:
-        neg_c = neg_s = [-np.inf] * visit.shape[1]
-    else:  # blocks come in index order, and the sort is stable
-        order = np.lexsort((-bounds[1], -bounds[0]))
-        visit = visit[:, order]
-        neg_c, neg_s = (-bounds[0][order]).tolist(), (-bounds[1][order]).tolist()
-    i, width, scored, stop = 0, 1, 0, buf.unbeaten(neg_c, neg_s)
-    while i < stop:
-        group = visit[:, i:min(stop, i + width)]
-        parts = [(t, group[0] == t) for t in np.unique(group[0]).tolist()]
-        cost, ranges = group[3], {}
-        if bounds is not None and buf.kth is not None:
-            # at most GROUP_PRODUCTS block rows: a block's products over its last R-group's synthons
-            rows = group[3].copy()
-            for t, mine in parts:
-                rows[mine] //= len(views[t].per_task[0][-1])
-            group = group[:, : max(1, bisect_right(np.cumsum(rows).tolist(), GROUP_PRODUCTS))]
-            cost = group[3].copy()
-            for t, mine in parts:
-                mine = mine[: len(cost)]
-                if np.count_nonzero(mine):
-                    found = views[t].row_ranges(group[1, mine], query, buf.kth)
-                    gathered = found[2].sum(axis=1)
-                    # ranges that hold more than half the reaction's products: score them whole
-                    if 2 * int(gathered.sum()) <= int(cost[mine].sum()):
-                        ranges[t], cost[mine] = found, gathered
-        n = max(1, bisect_right(np.cumsum(cost).tolist(), GROUP_PRODUCTS))
-        kept = group[:, :n]
-        for t, mine in parts:
-            if np.count_nonzero(mine[:n]):
-                digit, g0 = kept[1:3, mine[:n]]
-                if t in ranges:
-                    buf.offer(*_range_keys(views[t], query, digit, g0, *ranges[t]))
-                else:
-                    buf.offer(*_group_keys(views[t], query, digit, g0))
-        scored += int(kept[3].sum())
-        i, width, stop = i + n, 2 * n, buf.unbeaten(neg_c, neg_s)
-    return scored
-
-
 def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple[int, int]:
     """The reaction positions [first, stop) whose products are the [start, end)
     global indices a top-k covers: the whole library by default. EngineError
@@ -578,18 +525,56 @@ def index_span(layout: PairLayout, index_range: tuple[int, int] | None) -> tuple
 def scan_topk(layout: PairLayout, view_of, query: QuerySpec, k: int,
               index_range: tuple[int, int] | None = None, bounded: bool = False):
     """The best k (violation, signed objective, global index) keys over the
-    index range, in key order, then the products scored and those in the range.
-    `view_of(reaction position)` builds the view `_scan` reads, once for each
-    reaction in the range; `bounded` needs `_ReactionView`s."""
+    index range, in key order, then the products of the blocks the scan
+    reached and those in the range.
+
+    `view_of(reaction position)` builds, once for each reaction in the range,
+    a view that gives the reaction's `block_values`, over many first digits at
+    once, for the objective, then each constraint; those values are finite.
+    The `PairLayout.blocks` of the range are scored in groups (see the module
+    notes). Without `bounded` every block is scored, in index order. With it
+    (which needs `_ReactionView`s), blocks are visited best (violation, signed
+    objective) bound first, ties in index order; the visit stops at the first
+    block whose bound is strictly below the k-th key, and once k keys are held,
+    groups gather row ranges.
+    """
     first, stop = index_span(layout, index_range)
-    blocks = layout.blocks(first, stop)
     views = {t: view_of(t) for t in range(first, stop)}
-    bounds = None
+    visit = np.stack(layout.blocks(first, stop))
     if bounded and views:
-        # the reactions' per-first-digit bounds laid end to end, as the blocks are
-        bounds = [np.concatenate(b) for b in zip(*(_block_key_bounds(view, query) for view in views.values()))]
+        # the reactions' per-first-digit bounds laid end to end, as the blocks are, in index order; the sort is stable
+        c_ub, s_ub = (np.concatenate(b) for b in zip(*(_block_key_bounds(view, query) for view in views.values())))
+        order = np.lexsort((-s_ub, -c_ub))
+        visit = visit[:, order]
+        neg_c, neg_s = (-c_ub[order]).tolist(), (-s_ub[order]).tolist()
+    else:
+        neg_c = neg_s = [-np.inf] * visit.shape[1]
     buf = _TopKBuffer(k)
-    scored = _scan(buf, views, query, blocks, bounds)
+    i, width, scored, end = 0, 1, 0, buf.unbeaten(neg_c, neg_s) if k else 0
+    while i < end:
+        group = visit[:, i:min(end, i + width)]
+        gather = bounded and buf.kth is not None
+        if gather:  # at most GROUP_PRODUCTS block rows
+            group = group[:, : max(1, bisect_right(np.cumsum(group[4]).tolist(), GROUP_PRODUCTS))]
+        parts = [(t, group[0] == t) for t in np.unique(group[0]).tolist()]
+        cost, ranges = group[3].copy(), {}
+        for t, mine in parts if gather else ():
+            found = views[t].row_ranges(group[1, mine], query, buf.kth)
+            gathered = found[2].sum(axis=1)
+            # ranges that hold more than half the reaction's products: score them whole
+            if 2 * int(gathered.sum()) <= int(cost[mine].sum()):
+                ranges[t], cost[mine] = found, gathered
+        n = max(1, bisect_right(np.cumsum(cost).tolist(), GROUP_PRODUCTS))
+        kept = group[:, :n]
+        for t, mine in parts:
+            if np.count_nonzero(mine[:n]):
+                digit, g0 = kept[1:3, mine[:n]]
+                if t in ranges:
+                    buf.offer(*_range_keys(views[t], query, digit, g0, *ranges[t]))
+                else:
+                    buf.offer(*_group_keys(views[t], query, digit, g0))
+        scored += int(kept[3].sum())
+        i, width, end = i + n, 2 * n, buf.unbeaten(neg_c, neg_s)
     c, s, g = buf.kept()
     return c, s, g, scored, int(layout.product_offsets[stop] - layout.product_offsets[first])
 
@@ -708,12 +693,14 @@ def load_table(path, library: CslLibrary, blob: tuple[dict, dict] | None = None)
     `read_table`, when it was read before the library."""
     meta, arrays = blob or read_table(path)
     n_tasks, layout = len(meta["task_names"]), library.layout
-    empty = ContributionTable(np.zeros((n_tasks, layout.n_pairs), np.float32), np.zeros(n_tasks),
-                              list(meta["task_names"]), layout.member_ids, layout.rg_offsets, layout.rg_ids,
-                              meta["fingerprint"])
+    with naming(path, EngineError):
+        empty = ContributionTable(np.zeros((n_tasks, layout.n_pairs), np.float32), np.zeros(n_tasks),
+                                  list(meta["task_names"]), layout.member_ids, layout.rg_offsets, layout.rg_ids,
+                                  meta["fingerprint"])
     check_arrays(path, arrays, _table_arrays(empty), EngineError)
-    table = replace(empty, **arrays)
-    table.check_library(library)
+    with naming(path, EngineError):
+        table = replace(empty, **arrays)
+        table.check_library(library)
     return table
 
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .blobio import fits, utf8_text
+from .blobio import fits, naming, utf8_text
 from .csl import MAX_COUNT, CslLibrary, LibraryError, format_rows, gather_sum, id_text, product_count
 
 DEFAULT_FEATURE_DIM = 64
@@ -141,7 +141,8 @@ class TaskDef:
         terms = set(self.terms)
         if "additive" not in terms or not terms <= {"additive", "nonlinear", "pairwise"}:
             raise OracleError(f"bad task mode {self.mode!r}")
-        scales = [self.nonlinear_scale, self.nonlinear_alpha, self.pair_scale, self.pair_density]
+        scales = np.asarray([self.nonlinear_scale, self.nonlinear_alpha, self.pair_scale, self.pair_density],
+                            dtype=np.float64)
         if not (np.isfinite(self.latent).all() and np.isfinite(scales).all()):
             raise OracleError(f"task {self.name!r} has a non-finite latent or scale")
 
@@ -312,8 +313,12 @@ def load_oracle(path) -> GroundTruthOracle:
         payload = json.load(fh)
     if not fits(payload, ORACLE_SPEC):
         raise OracleError(f"{path}: not an oracle file: a version, an integer seed and tasks with save_oracle's fields")
-    tasks = [TaskDef(**{**t, "latent": np.asarray(t["latent"], dtype=np.float64)}) for t in payload["tasks"]]
-    return GroundTruthOracle(tasks=tasks, seed=payload["seed"])
+    with naming(path, OracleError):
+        try:
+            tasks = [TaskDef(**{**t, "latent": np.asarray(t["latent"], dtype=np.float64)}) for t in payload["tasks"]]
+        except OverflowError:  # an integer past the float range
+            raise OracleError("a latent or scale is too large for a 64-bit float") from None
+        return GroundTruthOracle(tasks=tasks, seed=payload["seed"])
 
 
 DOCKING_TASKS = ["dock_a", "dock_b", "dock_c", "dock_d", "dock_e"]

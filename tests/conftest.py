@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -247,15 +248,16 @@ def mixed_libraries(draw):
 
 
 def reference_iter_blocks(library, first, stop):
-    """(reaction position, first digit, block start, block size) for every
-    block of the reaction positions [first, stop), in index order: the
-    per-reaction walk that the engine's block table replaced, kept as its
-    reference."""
+    """(reaction position, first digit, block start, block size, block rows)
+    for every block of the reaction positions [first, stop), in index order:
+    the per-reaction walk that the engine's block table replaced, kept as its
+    reference. A block's rows are the product of the synthon counts of the
+    R-groups between its reaction's first and last."""
     for ti in range(first, stop):
-        n_first = len(library.reactions[ti].rgroups[0].synthon_ids)
-        inner = library.reaction_size(ti) // n_first
-        for j in range(n_first):
-            yield ti, j, library.reaction_offset(ti) + j * inner, inner
+        counts = [len(rg.synthon_ids) for rg in library.reactions[ti].rgroups]
+        inner = library.reaction_size(ti) // counts[0]
+        for j in range(counts[0]):
+            yield ti, j, library.reaction_offset(ti) + j * inner, inner, math.prod(counts[1:-1])
 
 
 @st.composite

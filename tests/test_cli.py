@@ -323,6 +323,7 @@ class TestQueries:
         '{"objective": {"task": "dock_a"}, "constraints": [{"preset": "lipinski", "upper": -5}]}',
         '{"objective": {"task": "dock_a", "sense": "minimize"}}',
         '{"objective": {"task": "dock_a"}, "variant": "batched"}',
+        '{"objective": {"task": "dock_a"}, "constraints": [{"task": "mw", "upper": 1%s}]}' % ("0" * 400),
     ], ids=[
         "not_json", "top_level_list", "objective_not_object", "constraint_without_task",
         "constraint_not_object", "constraints_not_list", "k_not_number", "k_null",
@@ -330,7 +331,7 @@ class TestQueries:
         "k_fraction", "k_bool", "k_string",
         "upper_bool", "preset_list",
         "constraint_unknown_key", "top_level_unknown_key", "preset_with_bound", "objective_unknown_key",
-        "variant_unknown_key",
+        "variant_unknown_key", "upper_past_float_range",
     ])
     def test_malformed_json(self, pipeline, capsys, text):
         q = pipeline["dir"] / "query_broken.json"
@@ -534,7 +535,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["label", "evaluate", "compare-ts"])
     @pytest.mark.parametrize("case", [
-        "no_tasks", "top_level_list", "short_latent", "long_latent", "nan_latent", "string_scale",
+        "no_tasks", "top_level_list", "short_latent", "long_latent", "nan_latent", "string_scale", "huge_int_latent",
+        "huge_int_scale",
     ])
     def test_bad_oracle_file(self, pipeline, capsys, case, command):
         # each once ended in a traceback, or was used with exit 0
@@ -548,6 +550,8 @@ class TestErrors:
             "long_latent": {**doc, "tasks": [{**t, "latent": t["latent"] + [0.5]} for t in tasks]},
             "nan_latent": {**doc, "tasks": [{**t, "latent": [float("nan")] + t["latent"][1:]} for t in tasks]},
             "string_scale": {**doc, "tasks": [{**t, "nonlinear_scale": "0.5"} for t in tasks]},
+            "huge_int_latent": {**doc, "tasks": [{**t, "latent": [10 ** 400] + t["latent"][1:]} for t in tasks]},
+            "huge_int_scale": {**doc, "tasks": [{**t, "pair_scale": 10 ** 400} for t in tasks]},
         }[case]
         oracle = pipeline["dir"] / f"oracle_{case}.json"
         oracle.write_text(json.dumps(doc))
@@ -671,7 +675,9 @@ class TestErrors:
         arrays["rg_offsets"] = arrays["rg_offsets"].copy()
         arrays["rg_offsets"][3] += 2 ** 20
         assert run_on_blob(pipeline, "table", f"rg_offsets_{command}", meta, arrays, command) == 1
-        assert capsys.readouterr().err == "error: contribution table's pair rows are not laid out as the library's\n"
+        path = f"{pipeline['dir']}/bad_table_rg_offsets_{command}.blob"
+        assert capsys.readouterr().err == \
+            f"error: {path}: contribution table's pair rows are not laid out as the library's\n"
 
     @pytest.mark.parametrize("blob", ["surrogate", "table"])
     def test_repeated_task_name(self, pipeline, capsys, blob):
@@ -687,6 +693,47 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "task 'dock_b' more than once" in err
+
+    @pytest.mark.parametrize("kind,change,message", [
+        ("table", "repeated_task", "contribution table lists task 'dock_a' more than once"),
+        ("table", "nan_value", "contribution table has a non-finite value or bias"),
+        ("oracle", "repeated_task", "oracle lists task 'dock_a' more than once"),
+        ("oracle", "bad_mode", "bad task mode 'additive+bogus'"),
+        ("oracle", "nan_latent", "task 'dock_a' has a non-finite latent or scale"),
+    ], ids=["table_repeated_task", "table_nan_value", "oracle_repeated_task", "oracle_bad_mode", "oracle_nan_latent"])
+    def test_refusal_names_the_file(self, pipeline, capsys, tmp_path, kind, change, message):
+        # these refusals once printed an error: line that did not say which file they refused
+        from apexcsl import blobio
+
+        p = {k: str(v) for k, v in pipeline.items()}
+        out = str(tmp_path / "out")
+        if kind == "table":
+            meta, arrays = blobio.load_blob(pipeline["table"])
+            if change == "repeated_task":
+                names = list(meta["task_names"])
+                names[names.index("dock_b")] = "dock_a"
+                meta = {**meta, "task_names": names}
+            else:
+                arrays["values"] = arrays["values"].copy()
+                arrays["values"][0, 0] = np.nan
+            bad = tmp_path / "table.blob"
+            blobio.save_blob(bad, meta, arrays)
+            argv = ["search", "--library", p["library"], "--table", str(bad), "--query", p["query"], "--out", out]
+        else:
+            doc = json.loads(pipeline["oracle"].read_text())
+            first, second = doc["tasks"][:2]
+            if change == "repeated_task":
+                second["name"] = first["name"]
+            elif change == "bad_mode":
+                first["mode"] = "additive+bogus"
+            else:
+                first["latent"][0] = float("nan")
+            bad = tmp_path / "oracle.json"
+            bad.write_text(json.dumps(doc))
+            argv = ["evaluate", "--library", p["library"], "--table", p["table"], "--oracle", str(bad),
+                    "--query", p["query"], "--out", out]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_unknown_factorizer_mode(self, pipeline, capsys):
         from apexcsl import blobio
@@ -793,7 +840,7 @@ class TestErrors:
         assert run("search", "--library", p["library"], "--table", p["table"], "--query", p["query"],
                    "--out", expected, *flags) == 0
         parses, calls = [], []
-        for counted, attr in ((parses, "_parse_library"), (calls, "_synthon_lines")):
+        for counted, attr in ((parses, "deserialize_library"), (calls, "_synthon_lines")):
             monkeypatch.setattr(csl, attr, lambda text, f=getattr(csl, attr), c=counted: c.append(1) or f(text))
         for name, data in copies.items():
             library = pipeline["dir"] / f"library_{name}.csl"

@@ -1,5 +1,4 @@
 import functools
-import gc
 import hashlib
 from unittest import mock
 
@@ -24,13 +23,6 @@ def trillion_library():
     return csl.CslLibrary(
         reactions=(csl.ReactionSpec(0, rgroups),), synthons=synthons
     )
-
-
-@functools.lru_cache(maxsize=None)
-def screen_sized_text():
-    """The text of a 4,000-synthon library, about the size of the screen benchmark's."""
-    config = csl.SyntheticConfig(n_reactions=4, components=(2, 3), synthons_per_rgroup=400)
-    return csl.serialize_library(csl.generate_synthetic(config, seed=3))
 
 
 def synthon_digit(library, rgroup_id, synthon_id):
@@ -407,48 +399,7 @@ class TestSerialization:
             csl.deserialize_library(text)
 
 
-class TestParsePausesCollection:
-    """deserialize_library pauses automatic garbage collection while it parses."""
-
-    @pytest.fixture
-    def collection_on(self):
-        enabled = gc.isenabled()
-        gc.enable()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    def test_collection_on_after(self, collection_on):
-        csl.deserialize_library(screen_sized_text())
-        assert gc.isenabled()
-        with pytest.raises(csl.LibraryError):
-            csl.deserialize_library("cslv1 1 0 0\nS zero tok\n")
-        assert gc.isenabled()
-
-    def test_collection_left_off(self, collection_on):
-        gc.disable()
-        csl.deserialize_library(screen_sized_text())
-        with pytest.raises(csl.LibraryError):
-            csl.deserialize_library("nope 1 2 3\n")
-        assert not gc.isenabled()
-
-    def test_no_collection_during_parse(self, collection_on):
-        # the parse's allocations set off several collections when it does not pause them
-        text = screen_sized_text()
-        phases = []
-
-        def record(phase, info):
-            phases.append(phase)
-
-        gc.callbacks.append(record)
-        try:
-            library = csl.deserialize_library(text)
-        finally:
-            gc.callbacks.remove(record)
-        assert len(library.synthons) >= 4000
-        assert "start" not in phases
-
-
-def counted_parses(monkeypatch, name="_parse_library"):
+def counted_parses(monkeypatch, name="deserialize_library"):
     """A list that gains an item at each call of `csl.<name>`: by default,
     each full parse of a library text."""
     calls, original = [], getattr(csl, name)

@@ -312,7 +312,7 @@ class TestBlockTable:
         got = library.layout.blocks(first, stop)
         assert all(a.dtype == np.int64 for a in got)
         assert list(zip(*(a.tolist() for a in got))) == list(reference_iter_blocks(library, first, stop))
-        _, _, g0, size = got
+        _, _, g0, size, _ = got
         assert np.concatenate(([start], g0 + size)).tolist() == np.concatenate((g0, [end])).tolist()
 
     def test_library_without_reactions(self):
@@ -627,7 +627,7 @@ class TestRowPrefixes:
         library, table, query, span = case
         blocks = np.stack(library.layout.blocks(*engine.index_span(library.layout, span)))
         for t in np.unique(blocks[0]).tolist():
-            digit, g0, _ = blocks[1:, blocks[0] == t]
+            digit, g0 = blocks[1:3, blocks[0] == t]
             view = engine._ReactionView(table, library.layout, t, query.tasks)
             for kth in [(0.0, -np.inf, 0)] + [(-np.inf, 0.0, 0)] * bool(query.constraints):
                 h, starts, counts = view.row_ranges(digit, query, kth)

@@ -81,7 +81,7 @@ def reference_oracle_topk(library, oracle, query, j, index_range=None):
     objective) pairs, signed objective descending, then lower index."""
     first, stop = engine.index_span(library.layout, index_range)
     heap = []  # (signed objective, -g); root is the worst kept
-    for ti, fd, g0, _ in reference_iter_blocks(library, first, stop):
+    for ti, fd, g0, *_ in reference_iter_blocks(library, first, stop):
         obj = props.oracle_block_values(oracle, library, query.objective, ti, fd)
         s = obj if query.direction == "maximize" else -obj
         if query.constraints:
