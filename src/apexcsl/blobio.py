@@ -12,6 +12,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +103,18 @@ def load_meta_blob(path, kind: str, version: int, error: type[Exception], **fiel
     return meta, arrays
 
 
-def check_arrays(path, arrays: dict[str, np.ndarray], expected: dict[str, np.ndarray], error: type[Exception]):
+class ArraySpec(NamedTuple):
+    """The dtype and shape `check_arrays` compares an array with, without the
+    array: a model's are known from its widths before it is built."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype = np.dtype(np.float64)
+
+
+def check_arrays(path, arrays: dict[str, np.ndarray], expected: dict[str, np.ndarray | ArraySpec],
+                 error: type[Exception]):
     """Raise `error` unless the blob's arrays have exactly the expected names,
-    each with the expected array's dtype and shape."""
+    each with the expected array's (or spec's) dtype and shape."""
     if arrays.keys() != expected.keys():
         raise error(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(expected)}")
     for name, want in expected.items():

@@ -143,8 +143,7 @@ def cmd_generate(args) -> int:
 def cmd_label(args) -> int:
     library = csl.load_library(args.library)
     if args.oracle_in:
-        oracle = props.load_oracle(args.oracle_in)
-        oracle.check_library(library)
+        oracle = props.load_oracle(args.oracle_in, library)
     else:
         oracle = props.make_default_oracle(
             library, args.seed, _feature_config(args),
@@ -252,8 +251,7 @@ def cmd_evaluate(args) -> int:
     js = _int_list("--j", args.j)
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
-    oracle = props.load_oracle(args.oracle)
-    oracle.check_library(library)
+    oracle = props.load_oracle(args.oracle, library)
     query = parse_query_file(args.query, table)
     retrieved = engine.search_topk_stream(library, table, query)
     # the oracle order is total, so every top-j is a prefix of the largest one
@@ -271,8 +269,7 @@ def cmd_compare_ts(args) -> int:
     budgets = tuple(_int_list("--budgets", args.budgets))
     library = csl.load_library(args.library)
     table = engine.load_table(args.table, library)
-    oracle = props.load_oracle(args.oracle)
-    oracle.check_library(library)
+    oracle = props.load_oracle(args.oracle, library)
     seeds = tuple(range(args.seed, args.seed + args.n_seeds))
     rows = evalkit.compare_apex_vs_ts(
         library, oracle, table, args.objective, args.direction,
@@ -329,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=256,
+                   help="products per batch, each with all of its training labels")
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--sigma", type=float, default=None, help="embedding noise std; default 0.1*RMS")
     p.add_argument("--encoder", choices=["mlp", "linear"], default="mlp")

@@ -16,9 +16,9 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .blobio import check_arrays, load_meta_blob, save_blob
+from .blobio import ArraySpec, check_arrays, load_meta_blob, naming, save_blob
 from .csl import CslLibrary, PairLayout, gather_sum, product_count
-from .nn import MLP, Adam, ParamBuffer, add_rows
+from .nn import MLP, Adam, ParamBuffer, add_rows, mlp_shapes
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, product_feature_matrix, synthon_features_of
 from .surrogate import SurrogateModel
 
@@ -43,16 +43,28 @@ class FactorizerDims:
             raise FactorizerError(f"factorizer widths must be >= 1, got {self}")
 
 
+def _encoder_widths(feature_dim: int, dims: FactorizerDims, mode: str) -> dict[str, list[int]]:
+    """The widths of each of a factorizer's MLPs, in its buffer's parameter
+    order: synthon, R-group, reaction, value, key encoders. The linear mode
+    drops every hidden layer."""
+    def widths(d_in: int, hidden: int, d_out: int) -> list[int]:
+        return [d_in, d_out] if mode == "linear" else [d_in, hidden, d_out]
+
+    return {
+        "synthon": widths(feature_dim, 128, dims.d_s),
+        "rgroup_phi": widths(dims.d_s, 64, dims.d_r), "rgroup_rho": widths(dims.d_r, 64, dims.d_r),
+        "reaction_phi": widths(dims.d_r, 64, dims.d_t), "reaction_rho": widths(dims.d_t, 64, dims.d_t),
+        "value": widths(dims.d_s, 64, dims.d_u),
+        "key": widths(dims.d_r + dims.d_t, 64, dims.d * dims.d_u),
+    }
+
+
 class DeepSet:
     """Elementwise feature map, mean pooling, post-pooling network."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, mode: str):
-        if mode == "linear":
-            self.phi = MLP([d_in, d_out], rng)
-            self.rho = MLP([d_out, d_out], rng)
-        else:
-            self.phi = MLP([d_in, 64, d_out], rng)
-            self.rho = MLP([d_out, 64, d_out], rng)
+    def __init__(self, phi: MLP, rho: MLP):
+        self.phi = phi
+        self.rho = rho
 
     def forward_cache(self, rows: np.ndarray, offsets: np.ndarray):
         """rows: concatenated member features; offsets: (n_groups+1,) slice bounds."""
@@ -84,24 +96,14 @@ class Factorizer:
         self.dims = dims
         self.mode = mode
         self.feature_config = feature_config
-        if mode == "linear":
-            self.synthon_encoder = MLP([feature_dim, dims.d_s], rng)
-            self.value_encoder = MLP([dims.d_s, dims.d_u], rng)
-            self.key_encoder = MLP([dims.d_r + dims.d_t, dims.d * dims.d_u], rng)
-        else:
-            self.synthon_encoder = MLP([feature_dim, 128, dims.d_s], rng)
-            self.value_encoder = MLP([dims.d_s, 64, dims.d_u], rng)
-            self.key_encoder = MLP([dims.d_r + dims.d_t, 64, dims.d * dims.d_u], rng)
-        self.rgroup_encoder = DeepSet(dims.d_s, dims.d_r, rng, mode)
-        self.reaction_encoder = DeepSet(dims.d_r, dims.d_t, rng, mode)
-        # parameter order: synthon, R-group, reaction, value, key encoders
-        self.buffer = ParamBuffer([
-            self.synthon_encoder,
-            self.rgroup_encoder.phi, self.rgroup_encoder.rho,
-            self.reaction_encoder.phi, self.reaction_encoder.rho,
-            self.value_encoder,
-            self.key_encoder,
-        ])
+        widths = _encoder_widths(feature_dim, dims, mode)
+        # initialized in this order; the buffer holds them in `widths` order
+        mlp = {name: MLP(widths[name], rng) for name in
+               ("synthon", "value", "key", "rgroup_phi", "rgroup_rho", "reaction_phi", "reaction_rho")}
+        self.synthon_encoder, self.value_encoder, self.key_encoder = mlp["synthon"], mlp["value"], mlp["key"]
+        self.rgroup_encoder = DeepSet(mlp["rgroup_phi"], mlp["rgroup_rho"])
+        self.reaction_encoder = DeepSet(mlp["reaction_phi"], mlp["reaction_rho"])
+        self.buffer = ParamBuffer([mlp[name] for name in widths])
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -150,7 +152,7 @@ class Factorizer:
         for j in range(n_rg):
             lo, hi = layout.rg_offsets[j], layout.rg_offsets[j + 1]
             dh_s[layout.member_ids[lo:hi]] += dmember[lo:hi]
-        self.synthon_encoder.backward(c_syn, dh_s)
+        self.synthon_encoder.backward(c_syn, dh_s, input_grad=False)
         return self.buffer.grads
 
 
@@ -291,9 +293,10 @@ def factorization_gap(
 CHECKPOINT_VERSION = 1
 
 
-def _factorizer_arrays(factorizer: Factorizer) -> dict[str, np.ndarray]:
-    """A factorizer blob's arrays: views of `factorizer.buffer`, in its order."""
-    return {f"p_{i}": p for i, p in enumerate(factorizer.params)}
+def _factorizer_shapes(feature_dim: int, dims: FactorizerDims, mode: str) -> dict[str, tuple[int, ...]]:
+    """A factorizer blob's array names and shapes, in `Factorizer.buffer` order."""
+    shapes = [shape for widths in _encoder_widths(feature_dim, dims, mode).values() for shape in mlp_shapes(widths)]
+    return {f"p_{i}": shape for i, shape in enumerate(shapes)}
 
 
 def save_factorizer(factorizer: Factorizer, path) -> None:
@@ -305,7 +308,8 @@ def save_factorizer(factorizer: Factorizer, path) -> None:
         "feature_dim": factorizer.synthon_encoder.dims[0],
         "feature_config": asdict(factorizer.feature_config),
     }
-    save_blob(path, meta, _factorizer_arrays(factorizer))
+    shapes = _factorizer_shapes(meta["feature_dim"], factorizer.dims, factorizer.mode)
+    save_blob(path, meta, dict(zip(shapes, factorizer.params)))
 
 
 def load_factorizer(path) -> Factorizer:
@@ -315,16 +319,14 @@ def load_factorizer(path) -> Factorizer:
     if meta["feature_dim"] != feature_config.p:
         raise FactorizerError(f"{path}: factorizer meta field 'feature_dim' is {meta['feature_dim']}, "
                               "not its feature config's p")
-    factorizer = Factorizer(
-        meta["feature_dim"],
-        FactorizerDims(*meta["dims"]),
-        np.random.default_rng(0),
-        mode=meta["mode"],
-        feature_config=feature_config,
-    )
-    expected = _factorizer_arrays(factorizer)
-    check_arrays(path, arrays, expected, FactorizerError)
-    factorizer.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in expected])
+    with naming(path, FactorizerError):
+        dims = FactorizerDims(*meta["dims"])
+    # the arrays against the widths first: a model is built only at the size the blob holds
+    shapes = _factorizer_shapes(meta["feature_dim"], dims, meta["mode"])
+    check_arrays(path, arrays, {name: ArraySpec(shape) for name, shape in shapes.items()}, FactorizerError)
+    factorizer = Factorizer(meta["feature_dim"], dims, np.random.default_rng(0), mode=meta["mode"],
+                            feature_config=feature_config)
+    factorizer.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in shapes])
     return factorizer
 
 

@@ -16,14 +16,20 @@ import math
 import numpy as np
 
 
-def init_mlp_params(dims: list[int], rng: np.random.Generator, bias: bool = True) -> list[np.ndarray]:
-    """Flat parameter list [W0, b0, W1, b1, ...]; Xavier-scaled weights."""
-    params: list[np.ndarray] = []
+def mlp_shapes(dims: list[int], bias: bool = True) -> list[tuple[int, ...]]:
+    """The shapes of an MLP's parameters [W0, b0, W1, b1, ...], read off its
+    widths alone, so a checkpoint can be checked before any array is made."""
+    shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        params.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
+        shapes.append((fan_in, fan_out))
         if bias:
-            params.append(np.zeros(fan_out))
-    return params
+            shapes.append((fan_out,))
+    return shapes
+
+
+def init_mlp_params(dims: list[int], rng: np.random.Generator, bias: bool = True) -> list[np.ndarray]:
+    """Flat parameter list [W0, b0, W1, b1, ...]; Xavier-scaled weights, zero biases."""
+    return [rng.standard_normal(s) / np.sqrt(s[0]) if len(s) == 2 else np.zeros(s) for s in mlp_shapes(dims, bias)]
 
 
 class MLP:
@@ -54,33 +60,39 @@ class MLP:
         return y
 
     def forward_cache(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """The output, and per layer its input and (for a tanh layer) its output."""
         cache = []
         h = x
         for i in range(self.n_layers):
             W, b = self.layer(i)
             pre = h @ W
             if b is not None:
-                pre = pre + b
-            if i < self.n_layers - 1:
-                post = np.tanh(pre)
-            else:
-                post = pre
-            cache.append((h, post if i < self.n_layers - 1 else None))
-            h = post
+                pre += b
+            tanh = i < self.n_layers - 1
+            if tanh:
+                np.tanh(pre, out=pre)
+            cache.append((h, pre if tanh else None))
+            h = pre
         return h, cache
 
-    def backward(self, cache: list, dout: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Overwrites `self.grads`; returns (self.grads, d_input)."""
+    def backward(self, cache: list, dout: np.ndarray,
+                 input_grad: bool = True) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Overwrites `self.grads`; returns (self.grads, d_input), with d_input
+        None when `input_grad` is false and layer 0's `d @ W.T` is skipped."""
         d = dout
         per_layer = 2 if self.bias else 1
         for i in range(self.n_layers - 1, -1, -1):
             h, post = cache[i]
-            if post is not None:  # tanh was applied
-                d = d * (1.0 - post * post)
+            if post is not None:  # tanh was applied: d * (1 - post * post), in one scratch array
+                t = np.multiply(post, post)
+                np.subtract(1.0, t, out=t)
+                d = np.multiply(d, t, out=t)
             W, _ = self.layer(i)
             np.matmul(h.T, d, out=self.grads[per_layer * i])
             if self.bias:
                 np.sum(d, axis=0, out=self.grads[2 * i + 1])
+            if i == 0 and not input_grad:
+                return self.grads, None
             d = d @ W.T
         return self.grads, d
 

@@ -307,8 +307,10 @@ def save_oracle(oracle: GroundTruthOracle, path) -> None:
         fh.write("\n")
 
 
-def load_oracle(path) -> GroundTruthOracle:
-    """An oracle written by save_oracle; OracleError if the file is shaped otherwise."""
+def load_oracle(path, library: CslLibrary | None = None) -> GroundTruthOracle:
+    """An oracle written by save_oracle, and when a library is given, one that
+    holds for it (`GroundTruthOracle.check_library`); OracleError, naming the
+    file, otherwise."""
     with utf8_text(path, OracleError) as fh:
         payload = json.load(fh)
     if not fits(payload, ORACLE_SPEC):
@@ -318,7 +320,10 @@ def load_oracle(path) -> GroundTruthOracle:
             tasks = [TaskDef(**{**t, "latent": np.asarray(t["latent"], dtype=np.float64)}) for t in payload["tasks"]]
         except OverflowError:  # an integer past the float range
             raise OracleError("a latent or scale is too large for a 64-bit float") from None
-        return GroundTruthOracle(tasks=tasks, seed=payload["seed"])
+        oracle = GroundTruthOracle(tasks=tasks, seed=payload["seed"])
+        if library is not None:
+            oracle.check_library(library)
+    return oracle
 
 
 DOCKING_TASKS = ["dock_a", "dock_b", "dock_c", "dock_d", "dock_e"]

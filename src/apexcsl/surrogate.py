@@ -1,10 +1,11 @@
 """Multi-task surrogate: a feedforward encoder with per-task linear heads.
 
-Training perturbs each example's embedding with fresh isotropic noise (one
-draw per batch) before the linear head, so the learned embedding space
-tolerates the reconstruction error later introduced when the factorizer
-replaces the encoder. Adam steps at a constant rate, and the epoch with the
-lowest loss on a held-out 10% of the labels is kept.
+A training batch is a set of products with all of their labels: each step
+encodes each product once, and each label perturbs its product's embedding
+with its own fresh isotropic noise before the linear head, so the learned
+embedding space tolerates the reconstruction error later introduced when the
+factorizer replaces the encoder. Adam steps at a constant rate, and the
+epoch with the lowest loss on a held-out 10% of the labels is kept.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blobio import check_arrays, load_meta_blob, save_blob
+from .blobio import ArraySpec, check_arrays, load_meta_blob, save_blob
 from .csl import CslLibrary
-from .nn import MLP, Adam, ParamBuffer, add_rows, params_checksum
+from .nn import MLP, Adam, ParamBuffer, add_rows, mlp_shapes, params_checksum
 from .props import FEATURE_CONFIG_SPEC, FeatureConfig, LabeledDataset, product_feature_matrix, repeated_name
 
 DEFAULT_EMBEDDING_DIM = 64
@@ -30,7 +31,7 @@ class SurrogateError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
-    batch_size: int = 256
+    batch_size: int = 256  # products per batch, each with all of its training labels
     lr: float = 3e-3
     seed: int = 0
     # embedding noise scale; None resolves to 0.1 * embedding RMS, measured on a warmup pass
@@ -82,18 +83,21 @@ def surrogate_loss_and_grads(
     head_w: np.ndarray,
     head_b: np.ndarray,
     X: np.ndarray,
+    rows: np.ndarray,
     task_idx: np.ndarray,
     y: np.ndarray,
     eps: np.ndarray,
 ) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Mean squared error of the noisy-embedding objective for one fixed noise draw.
 
+    `X` holds the features of the batch's products, each encoded once; label
+    i reads row `rows[i]` of their embeddings and adds its own noise `eps[i]`.
     Returns (loss, encoder grads, head weight grads, head bias grads). Shared
     by the trainer and the finite-difference gradient check.
     """
-    n = X.shape[0]
+    n = len(rows)
     emb, cache = encoder.forward_cache(X)
-    noisy = emb + eps
+    noisy = emb[rows] + eps
     w = head_w[task_idx]
     pred = np.einsum("nd,nd->n", noisy, w) + head_b[task_idx]
     err = pred - y
@@ -102,8 +106,8 @@ def surrogate_loss_and_grads(
     dpred = 2.0 * err / n
     dW = add_rows(task_idx, dpred[:, None] * noisy, len(head_w))
     db = add_rows(task_idx, dpred, len(head_b))
-    demb = dpred[:, None] * w
-    enc_grads, _ = encoder.backward(cache, demb)
+    demb = add_rows(rows, dpred[:, None] * w, len(X))  # a product's labels add up in label order
+    enc_grads, _ = encoder.backward(cache, demb, input_grad=False)
     return loss, enc_grads, dW, db
 
 
@@ -187,14 +191,26 @@ def train_surrogate(dataset: LabeledDataset, examples: Examples, config: TrainCo
     best_val = np.inf
     best = buf.flat.copy()
 
+    # product-major batches: each epoch orders the distinct training products,
+    # and a batch is batch_size of them with all of their training labels
+    train_rows = feat_rows[train_idx]
+    products = np.unique(train_rows)
+    rank = np.empty(len(X), dtype=np.int64)  # each product's place in the epoch's order
+    starts = np.arange(0, len(products), config.batch_size)
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), config.batch_size):
-            batch = train_idx[order[start : start + config.batch_size]]
+        order = products[rng.permutation(len(products))]
+        rank[order] = np.arange(len(products))
+        ranks = rank[train_rows]
+        by_rank = np.argsort(ranks, kind="stable")  # a product's labels keep their split order
+        labels, ranks = train_idx[by_rank], ranks[by_rank]
+        cuts = np.searchsorted(ranks, [*starts, len(products)])
+        for start, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
+            batch = labels[lo:hi]
             shape = (len(batch), config.embedding_dim)
             eps = sigma * rng.standard_normal(shape) if sigma > 0 else np.zeros(shape)
-            loss, _, dW, db = surrogate_loss_and_grads(encoder, head_w, head_b, X[feat_rows[batch]],
-                                                       task_idx[batch], y_std[batch], eps)
+            loss, _, dW, db = surrogate_loss_and_grads(
+                encoder, head_w, head_b, X[order[start : start + config.batch_size]], ranks[lo:hi] - start,
+                task_idx[batch], y_std[batch], eps)
             grad_w[...], grad_b[...] = dW, db  # the encoder's land in buf.grad directly
             if not np.isfinite(loss):
                 raise SurrogateError(f"non-finite training loss at epoch {epoch}: {loss}")
@@ -245,10 +261,10 @@ def evaluate_r2(model: SurrogateModel, dataset: LabeledDataset, examples: Exampl
 CHECKPOINT_VERSION = 1
 
 
-def _surrogate_arrays(model: SurrogateModel) -> dict[str, np.ndarray]:
-    """A surrogate blob's arrays: views of `model.buffer`, in its order."""
-    arrays = {f"enc_{i}": p for i, p in enumerate(model.encoder.params)}
-    return {**arrays, "head_w": model.head_w, "head_b": model.head_b}
+def _surrogate_shapes(dims: list[int], bias: bool, n_tasks: int) -> dict[str, tuple[int, ...]]:
+    """A surrogate blob's array names and shapes, in `SurrogateModel.buffer` order."""
+    shapes = {f"enc_{i}": shape for i, shape in enumerate(mlp_shapes(dims, bias))}
+    return {**shapes, "head_w": (n_tasks, dims[-1]), "head_b": (n_tasks,)}
 
 
 def save_surrogate(model: SurrogateModel, path) -> None:
@@ -260,7 +276,8 @@ def save_surrogate(model: SurrogateModel, path) -> None:
         "task_names": model.task_names,
         "feature_config": asdict(model.feature_config),
     }
-    save_blob(path, meta, _surrogate_arrays(model))
+    shapes = _surrogate_shapes(model.encoder.dims, model.encoder.bias, len(model.task_names))
+    save_blob(path, meta, dict(zip(shapes, model.buffer.params)))
 
 
 def load_surrogate(path) -> SurrogateModel:
@@ -275,11 +292,12 @@ def load_surrogate(path) -> SurrogateModel:
     if meta["dims"][0] != feature_config.p + feature_config.q:
         raise SurrogateError(f"{path}: surrogate meta field 'dims' starts at {meta['dims'][0]}, "
                              "not at its feature config's p + q")
-    encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
     n_tasks = len(meta["task_names"])
+    # the arrays against the widths first: a model is built only at the size the blob holds
+    shapes = _surrogate_shapes(meta["dims"], meta["bias"], n_tasks)
+    check_arrays(path, arrays, {name: ArraySpec(shape) for name, shape in shapes.items()}, SurrogateError)
+    encoder = MLP(meta["dims"], np.random.default_rng(0), bias=meta["bias"])
     model = SurrogateModel(encoder, np.zeros((n_tasks, encoder.dims[-1])), np.zeros(n_tasks),
                            list(meta["task_names"]), feature_config)
-    expected = _surrogate_arrays(model)
-    check_arrays(path, arrays, expected, SurrogateError)
-    model.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in expected])
+    model.buffer.flat[...] = np.concatenate([arrays[name].reshape(-1) for name in shapes])
     return model

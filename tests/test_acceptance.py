@@ -189,14 +189,14 @@ def test_criterion_5_gradient_checks(small_library):
     ti = rng.integers(0, 3, size=16)
     y = rng.standard_normal(16)
     eps = 0.05 * rng.standard_normal((16, 6))
-    _, eg, dW, db = sg.surrogate_loss_and_grads(enc, head_w, head_b, X, ti, y, eps)
+    _, eg, dW, db = sg.surrogate_loss_and_grads(enc, head_w, head_b, X, np.arange(16), ti, y, eps)
     s_analytic = np.concatenate([g.ravel() for g in eg] + [dW.ravel(), db.ravel()])
 
     def s_loss(flat):
         e2 = MLP([10, 12, 6], np.random.default_rng(0))
         buf = ParamBuffer([e2], [head_w, head_b])
         buf.flat[...] = flat
-        l, *_ = sg.surrogate_loss_and_grads(e2, *buf.extra, X, ti, y, eps)
+        l, *_ = sg.surrogate_loss_and_grads(e2, *buf.extra, X, np.arange(16), ti, y, eps)
         return l
 
     s_flat = ParamBuffer([enc], [head_w, head_b]).flat.copy()

@@ -567,6 +567,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["label", "evaluate", "compare-ts"])
+    def test_oracle_of_another_library_names_the_file(self, pipeline, capsys, command):
+        # the latent count was checked after loading, and the error: line did not say which file it refused
+        p = {k: str(v) for k, v in pipeline.items()}
+        doc = json.loads(pipeline["oracle"].read_text())
+        doc["tasks"] = [{**t, "latent": t["latent"] + [0.5, 0.5]} for t in doc["tasks"]]
+        oracle = pipeline["dir"] / f"oracle_more_latents_{command}.json"
+        oracle.write_text(json.dumps(doc))
+        out = p["dir"] + f"/more_latents_{command}"
+        argv = {
+            "label": ["label", "--library", p["library"], "--oracle-in", str(oracle), "--out", out],
+            "evaluate": ["evaluate", "--library", p["library"], "--table", p["table"], "--oracle", str(oracle),
+                         "--query", p["query"], "--out", out],
+            "compare-ts": ["compare-ts", "--library", p["library"], "--table", p["table"], "--oracle", str(oracle),
+                           "--objective", "dock_a", "--budgets", "5", "--n-seeds", "1", "--out", out],
+        }[command]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {oracle}: task ") and "one latent per synthon" in err
+        assert len(err.strip().splitlines()) == 1 and not pathlib.Path(out).exists()
+
     def test_oracle_value_that_can_overflow(self, pipeline, tmp_path):
         # latents of 1e308 sum to inf: evaluate printed two RuntimeWarnings and
         # ended in an IndexError traceback; no numpy warning may come first now
@@ -579,7 +600,7 @@ class TestErrors:
                            "--query", p["query"], "--out", str(tmp_path / "report.tsv"),
                            python_flags=("-W", "error::RuntimeWarning"))
         assert proc.returncode == 1 and len(proc.stderr.strip().splitlines()) == 1
-        assert proc.stderr.startswith("error: task 'mw'") and "overflow" in proc.stderr
+        assert proc.stderr.startswith(f"error: {oracle}: task 'mw'") and "overflow" in proc.stderr
 
     @pytest.mark.parametrize("n_bounds", [1, 2])
     def test_query_bounds_that_can_overflow_the_violation(self, pipeline, tmp_path, n_bounds):
@@ -915,6 +936,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert f"meta field {field!r}" in err
+
+    @pytest.mark.parametrize("blob,tag,widths", [
+        ("surrogate", "1e12", lambda dims: [dims[0], 10 ** 12]),
+        ("surrogate", "hidden_1e12", lambda dims: [dims[0], dims[1], 10 ** 12, dims[-1]]),
+        ("surrogate", "1e400", lambda dims: [dims[0], 10 ** 400]),
+        ("factorizer", "d_u_1e12", lambda dims: [*dims[:3], 10 ** 12, dims[4]]),
+        ("factorizer", "d_s_1e12", lambda dims: [10 ** 12, *dims[1:]]),
+        ("factorizer", "d_1e400", lambda dims: [*dims[:4], 10 ** 400]),
+    ], ids=["surrogate_1e12", "surrogate_hidden_1e12", "surrogate_1e400", "factorizer_d_u_1e12",
+            "factorizer_d_s_1e12", "factorizer_d_1e400"])
+    def test_blob_meta_width_past_its_arrays(self, pipeline, capsys, blob, tag, widths):
+        # the model was built at the meta's widths before its arrays were
+        # compared with them: a MemoryError or ValueError traceback
+        from apexcsl import blobio
+
+        meta, arrays = blobio.load_blob(pipeline[blob])
+        assert run_on_blob(pipeline, blob, tag, {**meta, "dims": widths(meta["dims"])}, arrays) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pipeline['dir']}/bad_{blob}_{tag}.blob: ")
+        assert len(err.strip().splitlines()) == 1 and ("shapes do not match" in err or "holds arrays" in err)
 
     def test_embedding_widths_differ(self, pipeline, capsys):
         # the pipeline's factorizer was trained on a 16-wide surrogate

@@ -5,6 +5,7 @@ import pytest
 
 from apexcsl import csl, factorizer as fz, props, surrogate
 from apexcsl.blobio import load_blob, save_blob
+from apexcsl.nn import MLP
 from conftest import product_features, reference_decode, reference_pair_row
 
 
@@ -35,7 +36,7 @@ def _fast_train_config(**kw):
 class TestDeepSet:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        ds = fz.DeepSet(6, 5, rng, "mlp")
+        ds = fz.DeepSet(MLP([6, 64, 5], rng), MLP([5, 64, 5], rng))
         rows = rng.standard_normal((7, 6))
         offsets = np.array([0, 3, 7])
         out, _ = ds.forward_cache(rows, offsets)
@@ -45,7 +46,7 @@ class TestDeepSet:
 
     def test_singleton_set_equals_pointwise(self):
         rng = np.random.default_rng(1)
-        ds = fz.DeepSet(4, 3, rng, "mlp")
+        ds = fz.DeepSet(MLP([4, 64, 3], rng), MLP([3, 64, 3], rng))
         rows = rng.standard_normal((1, 4))
         out, _ = ds.forward_cache(rows, np.array([0, 1]))
         phi = ds.phi.forward(rows)

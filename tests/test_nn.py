@@ -25,6 +25,20 @@ class ReferenceAdam:
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
+def reference_forward(mlp, x):
+    """MLP.forward_cache as it was before the bias and tanh were applied in place."""
+    cache, h = [], x
+    for i in range(mlp.n_layers):
+        W, b = mlp.layer(i)
+        pre = h @ W
+        if b is not None:
+            pre = pre + b
+        post = np.tanh(pre) if i < mlp.n_layers - 1 else pre
+        cache.append((h, post if i < mlp.n_layers - 1 else None))
+        h = post
+    return h, cache
+
+
 def reference_backward(mlp, cache, dout):
     """MLP.backward as it was before gradients were written in place."""
     grads = [None] * len(mlp.params)
@@ -99,6 +113,26 @@ class TestParamBuffer:
         grads1, d1 = mlp.backward(cache1, dout)
         assert y1.tobytes() == y0.tobytes()
         assert _bits(grads1) == _bits(grads0) and d1.tobytes() == d0.tobytes()
+
+
+class TestMLP:
+    @given(dims=st.lists(st.integers(1, 40), min_size=2, max_size=4), n=st.integers(1, 70),
+           bias=st.booleans(), seed=st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_kernels_compute_the_reference_bits(self, dims, n, bias, seed):
+        rng = np.random.default_rng(seed)
+        mlp = nn.MLP(dims, rng, bias=bias)
+        x = rng.standard_normal((n, dims[0]))
+        dout = rng.standard_normal((n, dims[-1]))
+        y0, cache0 = reference_forward(mlp, x)
+        grads0, d0 = reference_backward(mlp, cache0, dout)
+        y1, cache1 = mlp.forward_cache(x)
+        assert y1.tobytes() == y0.tobytes()
+        assert _bits(h for layer in cache1 for h in layer if h is not None) == \
+            _bits(h for layer in cache0 for h in layer if h is not None)
+        grads1, d1 = mlp.backward(cache1, dout, input_grad=False)
+        assert d1 is None and _bits(grads1) == _bits(grads0)
+        assert mlp.backward(cache1, dout)[1].tobytes() == d0.tobytes()
 
 
 class TestAddRows:

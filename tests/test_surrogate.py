@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apexcsl import props, surrogate
+from apexcsl import nn, props, surrogate
 from apexcsl.nn import MLP, ParamBuffer
 
 
@@ -75,6 +76,49 @@ class TestTraining:
         with pytest.raises(surrogate.SurrogateError, match="widths"):
             surrogate.TrainConfig(**kw)
 
+    def test_each_step_encodes_its_products_once(self, small_library, small_oracle, monkeypatch):
+        # a sample with repeats: labels of one product on one task, and
+        # products that lack a task's label
+        ds = _tiny_dataset(small_library, small_oracle, tasks=("mw", "logp", "dock_a"), size=60)
+        keep = np.random.default_rng(4).random(len(ds)) < 0.7
+        ds = props.LabeledDataset(np.concatenate([ds.global_index[keep], ds.global_index[:9]]),
+                                  np.concatenate([ds.task[keep], ds.task[:9]]),
+                                  np.concatenate([ds.value[keep], ds.value[:9]]), ds.task_names)
+        examples = surrogate.build_examples(ds, small_library)
+        product_of = {row.tobytes(): i for i, row in enumerate(examples.X)}
+        assert len(product_of) == len(examples.X)  # a product is known by its features
+        steps, recording = [], []  # steps: each training step's label rows and encoder passes
+        original_step, original_forward = surrogate.surrogate_loss_and_grads, nn.MLP.forward_cache
+
+        def step(encoder, head_w, head_b, X, rows, *rest):
+            passes = []
+            steps.append((rows, passes))
+            recording.append(passes)
+            result = original_step(encoder, head_w, head_b, X, rows, *rest)
+            recording.pop()
+            return result
+
+        def forward_cache(self, x):
+            for passes in recording:  # the warmup and validation passes run outside a step
+                passes.append([product_of[row.tobytes()] for row in x])
+            return original_forward(self, x)
+
+        monkeypatch.setattr(surrogate, "surrogate_loss_and_grads", step)
+        monkeypatch.setattr(nn.MLP, "forward_cache", forward_cache)
+        config = _fast_config(epochs=2, batch_size=7)
+        surrogate.train_surrogate(ds, examples, config)
+        assert len(steps) > 2 and all(len(passes) == 1 for _, passes in steps)
+        n_val = int(round(0.1 * len(ds)))
+        per_epoch = len(steps) // config.epochs
+        for first in range(0, len(steps), per_epoch):
+            products, labels = [], 0
+            for rows, [encoded] in steps[first : first + per_epoch]:
+                assert len(set(encoded)) == len(encoded) <= config.batch_size
+                assert sorted(set(rows.tolist())) == list(range(len(encoded)))  # each read by a label
+                products += encoded
+                labels += len(rows)
+            assert len(set(products)) == len(products) and labels == len(ds) - n_val
+
 
 class TestEvaluate:
     def test_zero_variance_target_is_none(self, small_library, small_oracle):
@@ -117,23 +161,26 @@ class TestEvaluate:
 
 class TestGradients:
     def test_finite_difference_spot_check(self):
+        # twelve labels on five products: product 0 holds five labels, and
+        # product 3 two of one task
         rng = np.random.default_rng(0)
         enc = MLP([6, 8, 4], rng)
         head_w = rng.standard_normal((2, 4)) * 0.3
         head_b = rng.standard_normal(2) * 0.1
-        X = rng.standard_normal((12, 6))
-        ti = rng.integers(0, 2, size=12)
+        X = rng.standard_normal((5, 6))
+        rows = np.array([0, 0, 1, 0, 2, 3, 3, 0, 4, 1, 0, 2])
+        ti = np.array([0, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0])
         y = rng.standard_normal(12)
         eps = 0.05 * rng.standard_normal((12, 4))
 
-        _, eg, dW, db = surrogate.surrogate_loss_and_grads(enc, head_w, head_b, X, ti, y, eps)
+        _, eg, dW, db = surrogate.surrogate_loss_and_grads(enc, head_w, head_b, X, rows, ti, y, eps)
         flat_grads = np.concatenate([g.ravel() for g in eg] + [dW.ravel(), db.ravel()])
 
         def loss_at(flat):
             enc2 = MLP([6, 8, 4], np.random.default_rng(0))
             buf = ParamBuffer([enc2], [head_w, head_b])
             buf.flat[...] = flat
-            l, *_ = surrogate.surrogate_loss_and_grads(enc2, *buf.extra, X, ti, y, eps)
+            l, *_ = surrogate.surrogate_loss_and_grads(enc2, *buf.extra, X, rows, ti, y, eps)
             return l
 
         flat = ParamBuffer([enc], [head_w, head_b]).flat.copy()
@@ -146,6 +193,31 @@ class TestGradients:
             fd = (loss_at(up) - loss_at(dn)) / (2 * h)
             denom = max(abs(fd), abs(flat_grads[i]), 1e-8)
             assert abs(fd - flat_grads[i]) / denom < 1e-4
+
+    @given(n_products=st.integers(1, 6), n_tasks=st.integers(1, 3),
+           labels=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), min_size=1, max_size=24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_product_major_step_is_the_per_label_formula(self, n_products, n_tasks, labels, seed):
+        # repeated products, repeated (product, task) labels and tasks missing
+        # for some products: one encoder pass per product gives the loss and
+        # gradients of one pass per label
+        rows = np.array([p % n_products for p, _ in labels])
+        ti = np.array([t % n_tasks for _, t in labels])
+        rng = np.random.default_rng(seed)
+        enc = MLP([5, 7, 4], rng)
+        head_w = rng.standard_normal((n_tasks, 4))
+        head_b = rng.standard_normal(n_tasks)
+        X = rng.standard_normal((n_products, 5))
+        y = rng.standard_normal(len(rows))
+        eps = 0.1 * rng.standard_normal((len(rows), 4))
+
+        def step(X, rows):
+            loss, eg, dW, db = surrogate.surrogate_loss_and_grads(enc, head_w, head_b, X, rows, ti, y, eps)
+            return [np.array([loss]), *[g.copy() for g in eg], dW, db]
+
+        for got, want in zip(step(X, rows), step(X[rows], np.arange(len(rows)))):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
 
 class TestCheckpoint:
